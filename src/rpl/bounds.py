@@ -20,7 +20,7 @@ from itertools import product
 from math import isqrt
 
 from .errors import DegenerateDenominator, NotConverged, ValidationError
-from .gf import Element, FieldContext, factor_prime_power, make_field
+from .gf import FieldContext, factor_prime_power, make_field
 
 UNTABULATED_AQ_REMARK = (
     "For q outside the small tabulated values, except possibly when q is "
@@ -105,7 +105,7 @@ def upper_limit_check(q: int, n_max: int, eps: Fraction) -> ConvergenceReport:
 # ---------------------------------------------------------------------------
 
 
-def projective_plane_points(ctx: FieldContext) -> list[tuple[Element, Element, Element]]:
+def projective_plane_points(ctx: FieldContext) -> list[tuple[int, int, int]]:
     """Normalized representatives of P^2 over ctx (first nonzero = 1)."""
     elems = list(ctx.elements())
     zero, one = ctx.zero, ctx.one

@@ -1,25 +1,38 @@
-"""Deterministic small finite fields F_{p^e}.
+"""Deterministic finite fields F_{p^e} with lookup-table arithmetic.
 
-Elements are plain coefficient tuples ``(c0, ..., c_{e-1})`` with each
-``ci`` in ``[0, p)``, read as ``c0 + c1*X + ...`` modulo a fixed monic
-irreducible polynomial of degree e over F_p.  The modulus is always the
+An element is a plain ``int`` in ``[0, q)``.  The base-p digits of the
+integer, least significant first, are the coefficients of
+``c0 + c1*X + ...`` modulo a fixed monic irreducible polynomial of degree
+e over F_p, so 0 is zero and 1 is one.  The modulus is always the
 lexicographically smallest monic irreducible, coefficients compared from
 the constant term up, so two runs (or two machines) always build the
-identical field with no stored tables.
+identical field.
+
+Addition, subtraction and negation work on the digits: XOR when p = 2,
+``% p`` when e = 1, a digit loop otherwise.  Multiplication, inversion,
+powers and division are lookups in exp/log tables over the smallest
+primitive element (Huber, IEEE Trans. IT 36, 1990).  The tables are built
+with the field, never at import, in q - 1 steps of multiplication by that
+element.  They take a few bytes per element, and field orders are capped
+at 2^20; the ``RPL_MAX_FIELD`` environment variable may lower (never
+raise) the cap.
+
+The two equations every count reduces to are solved by formula:
+``y^k = c`` from the discrete log of c, and ``x^q + x = c`` over F_{q^2}
+from a fiber table of that F_q-linear map, built on first use.
 
 There is no global registry: a FieldContext is passed explicitly to
-every operation that needs one.  Field orders are capped at 2^20
-elements because several operations enumerate the whole field; the
-``RPL_MAX_FIELD`` environment variable may lower (never raise) the cap.
+every operation that needs one.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
+from array import array
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
 
 from .errors import (
     DivisionByZero,
@@ -28,8 +41,6 @@ from .errors import (
     NonPrime,
     NotPrimePower,
 )
-
-Element = tuple[int, ...]
 
 DEFAULT_FIELD_CAP = 1 << 20
 FIELD_CAP_ENV = "RPL_MAX_FIELD"
@@ -126,7 +137,8 @@ class PrimePower:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_p (dense coefficient lists, ascending degree)
+# polynomial helpers over F_p (dense coefficient lists, ascending degree);
+# used only to set up a field: its modulus, primitive element and tables
 # ---------------------------------------------------------------------------
 
 
@@ -157,10 +169,9 @@ def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
     return _poly_trim([c % p for c in t[:e]])
 
 
-def _poly_pow_x(exp: int, f: list[int], p: int) -> list[int]:
-    """x^exp mod f by square and multiply."""
+def _poly_pow(base: list[int], exp: int, f: list[int], p: int) -> list[int]:
+    """base^exp mod f by square and multiply."""
     result = [1]
-    base = [0, 1]
     while exp:
         if exp & 1:
             result = _poly_mulmod(result, base, f, p)
@@ -223,11 +234,11 @@ def _is_irreducible(f: list[int], p: int) -> bool:
         return False
     if sum(f) % p == 0:  # 1 is a root
         return False
-    xq = _poly_pow_x(p**e, f, p)
+    xq = _poly_pow([0, 1], p**e, f, p)
     if xq != [0, 1]:
         return False
     for r in _prime_divisors(e):
-        g = list(_poly_pow_x(p ** (e // r), f, p))
+        g = list(_poly_pow([0, 1], p ** (e // r), f, p))
         while len(g) < 2:
             g.append(0)
         g[1] = (g[1] - 1) % p  # x^{p^{e/r}} - x
@@ -247,20 +258,59 @@ def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible of degree {e} over F_{p}")  # unreachable
 
 
+def _digits(i: int, p: int, e: int) -> list[int]:
+    """Base-p digits of i, least significant first, as a coefficient list."""
+    out = []
+    for _ in range(e):
+        i, d = divmod(i, p)
+        out.append(d)
+    return out
+
+
+def _index(coeffs: list[int], p: int) -> int:
+    """Element index of a coefficient list: its base-p value."""
+    i = 0
+    for c in reversed(coeffs):
+        i = i * p + c
+    return i
+
+
+def _smallest_primitive(p: int, modulus: tuple[int, ...]) -> int:
+    """Smallest element index of multiplicative order q - 1.
+
+    The polynomial x is often not primitive under the canonical modulus:
+    x^2 = -1 in F_9, and x has order less than q - 1 in F_{2^8} and
+    F_{2^16}.
+    """
+    e = len(modulus) - 1
+    n = p**e - 1
+    f = list(modulus)
+    cofactors = [n // r for r in _prime_divisors(n)]
+    for g in range(1, p**e):
+        base = _poly_trim(_digits(g, p, e))
+        if all(_poly_pow(base, k, f, p) != [1] for k in cofactors):
+            return g
+    raise AssertionError(f"F_{p}^{e} has no primitive element")  # unreachable
+
+
 # ---------------------------------------------------------------------------
 # field contexts
 # ---------------------------------------------------------------------------
 
 
 class FieldContext:
-    """Arithmetic for F_{p^e} on coefficient tuples.
+    """Arithmetic for F_{p^e} on integer-encoded elements.
 
-    Elements enumerate in index order: element i has the base-p digits of
-    i as coefficients, constant term first, so index 0 is zero and index
-    1 is one.
+    Element i has the base-p digits of i as coefficients, constant term
+    first.  ``exp[i]`` is g^i for the primitive element ``generator``,
+    stored for 0 <= i < 2(q-1) so that a sum of two logs needs no
+    reduction; ``log[a]`` inverts it on the nonzero elements.
     """
 
-    __slots__ = ("pp", "p", "e", "q", "modulus", "zero", "one")
+    __slots__ = ("pp", "p", "e", "q", "modulus", "generator", "exp", "log", "_fibers")
+
+    zero = 0
+    one = 1
 
     def __init__(self, pp: PrimePower, modulus: tuple[int, ...]):
         if len(modulus) != pp.e + 1 or modulus[-1] != 1:
@@ -270,99 +320,144 @@ class FieldContext:
         self.e = pp.e
         self.q = pp.q
         self.modulus = modulus
-        self.zero: Element = (0,) * pp.e
-        self.one: Element = (1,) + (0,) * (pp.e - 1)
+        self.generator = _smallest_primitive(pp.p, modulus)
+        self.exp, self.log = self._exp_log_tables()
+        self._fibers: dict[int, list[int]] | None = None
 
     def __repr__(self) -> str:
         return f"FieldContext(q={self.p}^{self.e})"
 
+    def _exp_log_tables(self) -> tuple[array, array]:
+        p, e, q, g = self.p, self.e, self.q, self.generator
+        n = q - 1
+        if e == 1:
+
+            def step(v: int) -> int:
+                return v * g % p
+
+        else:
+            # v -> g*v is F_p-linear: with v = hi*m + lo, g*v = g*lo + g*(hi*m),
+            # so two tables of about sqrt(q) products cover every step
+            f, g_digits, m = list(self.modulus), _digits(g, p, e), p ** (e // 2)
+
+            def times_g(v: int) -> int:
+                return _index(_poly_mulmod(_digits(v, p, e), g_digits, f, p), p)
+
+            low = [times_g(lo) for lo in range(m)]
+            high = [times_g(hi * m) for hi in range(q // m)]
+            add = self.add
+
+            def step(v: int) -> int:
+                return add(low[v % m], high[v // m])
+
+        code = "H" if q <= 1 << 16 else "I"
+        exp = array(code, [0]) * (2 * n)
+        log = array(code, [0]) * q
+        v = 1
+        for i in range(n):
+            exp[i] = v
+            log[v] = i
+            v = step(v)
+        exp[n:] = exp[:n]
+        return exp, log
+
     # -- enumeration --------------------------------------------------
 
-    def element(self, i: int) -> Element:
+    def element(self, i: int) -> int:
         if not 0 <= i < self.q:
             raise ValueError(f"element index {i} out of range for q = {self.q}")
-        digits = []
-        for _ in range(self.e):
-            i, d = divmod(i, self.p)
-            digits.append(d)
-        return tuple(digits)
-
-    def index(self, a: Element) -> int:
-        i = 0
-        for c in reversed(a):
-            i = i * self.p + c
         return i
 
-    def elements(self) -> Iterator[Element]:
-        if self.e == 1:
-            return ((i,) for i in range(self.p))
-        # product varies the last slot fastest; reversing each tuple gives
-        # constant-term-fastest, i.e. index order
-        return (t[::-1] for t in product(range(self.p), repeat=self.e))
+    def index(self, a: int) -> int:
+        return a
 
-    # -- arithmetic ----------------------------------------------------
+    def elements(self) -> range:
+        return range(self.q)
 
-    def add(self, a: Element, b: Element) -> Element:
+    # -- arithmetic on digits -------------------------------------------
+
+    def _combine(self, a: int, b: int, s: int) -> int:
+        """a + s*b digit by digit, for odd p and e > 1."""
         p = self.p
+        out, place = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + s * y) % p * place
+            place *= p
+        return out
+
+    def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
         if self.e == 1:
-            return ((a[0] + b[0]) % p,)
-        return tuple((x + y) % p for x, y in zip(a, b))
+            return (a + b) % self.p
+        return self._combine(a, b, 1)
 
-    def sub(self, a: Element, b: Element) -> Element:
-        p = self.p
+    def sub(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
         if self.e == 1:
-            return ((a[0] - b[0]) % p,)
-        return tuple((x - y) % p for x, y in zip(a, b))
+            return (a - b) % self.p
+        return self._combine(a, b, -1)
 
-    def neg(self, a: Element) -> Element:
-        p = self.p
+    def neg(self, a: int) -> int:
+        if self.p == 2:
+            return a
         if self.e == 1:
-            return ((-a[0]) % p,)
-        return tuple((-x) % p for x in a)
+            return -a % self.p
+        return self._combine(0, a, -1)
 
-    def mul(self, a: Element, b: Element) -> Element:
-        p = self.p
-        e = self.e
-        if e == 1:
-            return ((a[0] * b[0]) % p,)
-        t = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    t[i + j] += ai * bj
-        mod = self.modulus
-        for i in range(2 * e - 2, e - 1, -1):
-            c = t[i] % p
-            if c:
-                base = i - e
-                for j in range(e):
-                    if mod[j]:
-                        t[base + j] -= c * mod[j]
-        return tuple(t[j] % p for j in range(e))
+    # -- arithmetic by table lookup -------------------------------------
 
-    def pow(self, a: Element, k: int) -> Element:
+    def mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        log = self.log
+        return self.exp[log[a] + log[b]]
+
+    def pow(self, a: int, k: int) -> int:
         if k < 0:
             raise ValueError("exponent must be non-negative")
-        result = self.one
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            k >>= 1
-            if k:
-                base = self.mul(base, base)
-        return result
+        if not a:
+            return 0 if k else 1
+        return self.exp[self.log[a] * k % (self.q - 1)]
 
-    def inv(self, a: Element) -> Element:
-        if a == self.zero:
+    def inv(self, a: int) -> int:
+        if not a:
             raise DivisionByZero(f"zero has no inverse in F_{self.q}")
-        return self.pow(a, self.q - 2)
+        return self.exp[self.q - 1 - self.log[a]]
 
-    def div(self, a: Element, b: Element) -> Element:
-        return self.mul(a, self.inv(b))
+    def div(self, a: int, b: int) -> int:
+        if not b:
+            raise DivisionByZero(f"zero has no inverse in F_{self.q}")
+        if not a:
+            return 0
+        log = self.log
+        return self.exp[log[a] - log[b] + self.q - 1]
+
+    # -- the Artin-Schreier map x -> x^sub_q + x -------------------------
+
+    def _artin_schreier_fibers(self, sub_q: int) -> dict[int, list[int]]:
+        """Fibers of x -> x^sub_q + x, keyed by value, each ascending.
+
+        The map is F_{sub_q}-linear onto F_{sub_q} with a kernel of size
+        sub_q, so every fiber is a coset of exactly sub_q elements.  Built
+        once per field in O(q) lookups; sub_q is fixed by q = sub_q^2.
+        """
+        if self._fibers is None:
+            fibers: dict[int, list[int]] = {}
+            for x in range(self.q):
+                fibers.setdefault(self.add(self.pow(x, sub_q), x), []).append(x)
+            assert len(fibers) == sub_q and all(len(f) == sub_q for f in fibers.values())
+            self._fibers = fibers
+        return self._fibers
 
 
-@functools.lru_cache(maxsize=None)
+# Enough for every field one command touches at once; `verify` walks
+# hundreds of small fields, and an unbounded cache would keep all their
+# tables alive.
+@functools.lru_cache(maxsize=32)
 def _build_field(p: int, e: int) -> FieldContext:
     return FieldContext(PrimePower.of(p, e), _smallest_irreducible(p, e))
 
@@ -387,20 +482,33 @@ def field_from_order(q: int) -> FieldContext:
 
 
 # ---------------------------------------------------------------------------
-# equation solvers (full enumeration; these are the ground truth the
-# counting modules build on, so they stay deliberately dumb)
+# equation solvers, by formula
 # ---------------------------------------------------------------------------
 
 
-def solve_power_residue(ctx: FieldContext, c: Element, k: int) -> set[Element]:
-    """Exact solution set of y^k = c in ctx, by enumerating the field."""
+def solve_power_residue(ctx: FieldContext, c: int, k: int) -> set[int]:
+    """Exact solution set of y^k = c in ctx, from the discrete log of c.
+
+    With n = q - 1 and d = gcd(k, n), a nonzero c = g^L has a k-th root
+    iff d | L, and then exactly d of them: g^t for t = t0 + j*n/d, where
+    t0 solves (k/d) t = L/d mod n/d.
+    """
     if k < 1:
         raise ValueError(f"exponent k must be >= 1, got {k}")
-    return {y for y in ctx.elements() if ctx.pow(y, k) == c}
+    if not c:
+        return {0}
+    n = ctx.q - 1
+    d = math.gcd(k, n)
+    log_c = ctx.log[c]
+    if log_c % d:
+        return set()
+    step = n // d
+    t0 = log_c // d * pow(k // d, -1, step) % step
+    return {ctx.exp[t0 + j * step] for j in range(d)}
 
 
-def solve_artin_schreier(ctx: FieldContext, sub_q: int, c: Element) -> set[Element]:
-    """Exact solution set of x^sub_q + x = c in F_{sub_q^2}, by enumeration.
+def solve_artin_schreier(ctx: FieldContext, sub_q: int, c: int) -> set[int]:
+    """Exact solution set of x^sub_q + x = c in F_{sub_q^2}, by table lookup.
 
     The left side is additive, so the solution count is 0 or exactly
     sub_q (the kernel size of x -> x^sub_q + x on F_{sub_q^2}).
@@ -409,6 +517,4 @@ def solve_artin_schreier(ctx: FieldContext, sub_q: int, c: Element) -> set[Eleme
         raise IncompatibleSubfield(
             f"field order {ctx.q} is not the square of sub_q = {sub_q}"
         )
-    sols = {x for x in ctx.elements() if ctx.add(ctx.pow(x, sub_q), x) == c}
-    assert len(sols) in (0, sub_q)
-    return sols
+    return set(ctx._artin_schreier_fibers(sub_q).get(c, ()))

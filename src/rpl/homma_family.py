@@ -19,7 +19,7 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import ComputationError, QTooSmall, TooLarge, ValidationError
-from .gf import Element, FieldContext, factor_prime_power, field_from_order, solve_power_residue
+from .gf import FieldContext, factor_prime_power, field_from_order, solve_power_residue
 
 BRUTE_FORCE_CAP = 10**7
 
@@ -48,14 +48,14 @@ class ValueDistribution:
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: dict[Element, int]):
+    def __init__(self, entries: dict[int, int]):
         for value, mult in entries.items():
             if not isinstance(mult, int) or mult <= 0:
                 raise ValueError(f"multiplicity of {value} must be a positive integer")
         self.entries = dict(entries)
 
     @classmethod
-    def uniform(cls, values: Iterable[Element]) -> "ValueDistribution":
+    def uniform(cls, values: Iterable[int]) -> "ValueDistribution":
         return cls({v: 1 for v in values})
 
     def total_mass(self) -> int:
@@ -91,9 +91,10 @@ def affine_level_states(q: int, ell: int) -> Iterator[ValueDistribution]:
     """Distributions of attained x_i values, one per level 1..ell.
 
     Level 1 is uniform over F_q; each later level maps a value v to the
-    full solution set of y^{q-1} = -1 + (v+1)^{q-1} via the enumeration
-    solver, multiplicities carried along.  Mass can never grow by more
-    than a factor q per level (fibers have at most q elements).
+    full solution set of y^{q-1} = -1 + (v+1)^{q-1} from
+    solve_power_residue, multiplicities carried along.  Mass can never
+    grow by more than a factor q per level (fibers have at most q
+    elements).
     """
     _check_family_params(q, ell)
     ctx = field_from_order(q)
@@ -102,7 +103,7 @@ def affine_level_states(q: int, ell: int) -> Iterator[ValueDistribution]:
     dist = ValueDistribution.uniform(ctx.elements())
     yield dist
     for _ in range(ell - 1):
-        nxt: dict[Element, int] = {}
+        nxt: dict[int, int] = {}
         for v, mult in dist.entries.items():
             rhs = ctx.sub(ctx.pow(ctx.add(v, one), k), one)
             for y in sorted(solve_power_residue(ctx, rhs, k)):
@@ -182,24 +183,20 @@ def brute_force_projective(q: int, ell: int) -> PointCount:
 
 
 def _power_tables(ctx: FieldContext) -> tuple[list[int], list[list[int]]]:
-    """Index tables: pw[i] = i^(q-1); rows[z][v] = (v+z)^(q-1) - z^(q-1)."""
-    q = ctx.q
-    k = q - 1
-    elems = list(ctx.elements())
-    pw_el = [ctx.pow(v, k) for v in elems]
-    pw = [ctx.index(x) for x in pw_el]
-    rows = []
-    for z_i, z in enumerate(elems):
-        zk = pw_el[z_i]
-        rows.append([ctx.index(ctx.sub(ctx.pow(ctx.add(v, z), k), zk)) for v in elems])
+    """Tables pw[v] = v^(q-1); rows[z][v] = (v+z)^(q-1) - z^(q-1)."""
+    k = ctx.q - 1
+    pw = [ctx.pow(v, k) for v in ctx.elements()]
+    rows = [
+        [ctx.sub(ctx.pow(ctx.add(v, z), k), pw[z]) for v in ctx.elements()]
+        for z in ctx.elements()
+    ]
     return pw, rows
 
 
 def _scan_infinity(ctx: FieldContext, ell: int) -> int:
     """Count normalized tuples with z = 0 satisfying every equation."""
     q = ctx.q
-    elems = list(ctx.elements())
-    pw = [ctx.index(ctx.pow(v, q - 1)) for v in elems]
+    pw = [ctx.pow(v, q - 1) for v in ctx.elements()]
     # with z = 0 the equations collapse to x_{i+1}^{q-1} = x_i^{q-1}
     count = 0
     for j in range(ell):

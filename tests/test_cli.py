@@ -227,3 +227,13 @@ def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("q,m,genus", [(32, 2, 961), (1024, 1, 0)])
+def test_gs_finishes_at_large_fields(capsys, q, m, genus):
+    # F_{32^2} and F_{1024^2} = F_{2^20}, the largest field under the cap
+    code, out, _ = run_cli(capsys, "gs", "--q", str(q), "--m", str(m), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["split"] == (q - 1) * q**m
+    assert payload["genus"] == payload["gap_count"] == genus

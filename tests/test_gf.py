@@ -1,7 +1,9 @@
 """Field construction, canonical modulus choice, arithmetic, and solvers."""
 
 import itertools
+import random
 
+import field_oracles as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,6 +246,53 @@ def test_division_by_zero_is_zero_division_error():
         ctx.inv(ctx.zero)
 
 
+def _has_full_order(ctx, a):
+    n = ctx.q - 1
+    cofactors = [n // r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+    return all(oracle.tuple_pow(ctx, a, k) != ctx.one for k in cofactors)
+
+
+@pytest.mark.parametrize("q", prime_powers_upto(64))
+def test_tables_match_polynomial_product_exhaustive(q):
+    ctx = field_from_order(q)
+    for a in ctx.elements():
+        for b in ctx.elements():
+            assert ctx.mul(a, b) == oracle.tuple_mul(ctx, a, b)
+        for k in (0, 1, 2, 3, q - 2, q - 1, q, 2 * q + 5):
+            assert ctx.pow(a, k) == oracle.tuple_pow(ctx, a, k)
+        if a:
+            assert ctx.inv(a) == oracle.tuple_pow(ctx, a, q - 2)
+            assert ctx.div(ctx.one, a) == ctx.inv(a)
+
+
+def test_tables_match_polynomial_product_sampled_q65536():
+    ctx = make_field(2, 16)
+    rng = random.Random(65536)
+    for _ in range(2000):
+        a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
+        assert ctx.mul(a, b) == oracle.tuple_mul(ctx, a, b)
+        assert ctx.div(a, b or 1) == ctx.mul(a, ctx.inv(b or 1))
+    for _ in range(100):
+        a, k = rng.randrange(1, ctx.q), rng.randrange(1 << 20)
+        assert ctx.inv(a) == oracle.tuple_pow(ctx, a, ctx.q - 2)
+        assert ctx.pow(a, k) == oracle.tuple_pow(ctx, a, k)
+
+
+@pytest.mark.parametrize("p,e,generator", [(3, 2, 4), (2, 16, 6)])
+def test_primitive_search_where_x_is_not_primitive(p, e, generator):
+    # the canonical modulus is x^2 + 1 for F_9, so x has order 4; for
+    # F_{2^16} x also generates a proper subgroup
+    ctx = make_field(p, e)
+    assert not _has_full_order(ctx, ctx.element(p))
+    assert ctx.generator == generator
+    assert _has_full_order(ctx, generator)
+    assert not any(_has_full_order(ctx, a) for a in range(1, generator))
+    n = ctx.q - 1
+    assert sorted(ctx.exp[:n]) == list(range(1, ctx.q))
+    assert list(ctx.exp[n:]) == list(ctx.exp[:n])
+    assert all(ctx.log[ctx.exp[i]] == i for i in range(n))
+
+
 # ---------------------------------------------------------------------------
 # field-size cap
 # ---------------------------------------------------------------------------
@@ -326,6 +375,21 @@ def test_artin_schreier_image_is_subfield_sized():
             1 for c in ctx.elements() if solve_artin_schreier(ctx, sub_q, c)
         )
         assert nonempty == sub_q
+
+
+@pytest.mark.parametrize("q", prime_powers_upto(256))
+def test_power_residue_matches_enumeration(q):
+    ctx = field_from_order(q)
+    for k in sorted({1, 2, 3, 4, q - 1}):
+        for c in ctx.elements():
+            assert solve_power_residue(ctx, c, k) == oracle.solve_power_residue(ctx, c, k)
+
+
+@pytest.mark.parametrize("sub_q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_artin_schreier_matches_enumeration(sub_q):
+    ctx = field_from_order(sub_q * sub_q)
+    for c in ctx.elements():
+        assert solve_artin_schreier(ctx, sub_q, c) == oracle.solve_artin_schreier(ctx, sub_q, c)
 
 
 def test_artin_schreier_requires_square_field():

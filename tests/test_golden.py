@@ -1,0 +1,32 @@
+"""Golden outputs: sha256 of stdout for fixed CLI runs.
+
+The digests were taken from the seed commit's CLI. A change to field
+arithmetic or counting that is meant to keep every output byte-identical
+proves it here.
+"""
+
+import hashlib
+
+import pytest
+
+from rpl import cli
+
+GOLDEN = {
+    "gs --q 16 --m 3 --format json": "058bf98d25097ce8fb367b03eea205fe51465d2095a96564c5e81e3b95919936",
+    "gs --q 9 --m 3": "6e1f19ec27f0bd505dc65a1be50dbfbd934106615e11ea6c65a65a83e673ec85",
+    "gs --q 8 --m 4 --format csv": "4d609d8b532ba77cbfe427a5863c8785d4b9f12b0b1fcb50ed6899a7c647dfca",
+    "gs --q 5 --m 4": "653f753f4e57699f28cecd8ba7da6fe7556edf8e68cfdbc7336dfe0db467930c",
+    "gs --q 4 --m 6 --format json": "012b0d9c824e15f17d5e0d47bf09561fccc17e042091933ab361122bd7cfea33",
+    "gs --q 3 --m 8 --format csv": "84f3c3e3034520f0e74c4dfc9d1fc104c8c1c09e3acbde0eedf3ebb48105d1b7",
+    "points-homma --q 256 --ell 2 --format json": "fe78862cdfa819abbfbe3f88de07eacc507a170979d58a66a45bdc701e1e045d",
+    "points-homma --q 64 --ell 3": "2b076dd844090fb815ec243c768f12c2061f96ab123adce86838f91e9ad7beec",
+    "points-homma --q 9 --ell 6 --format json": "e613f387bf658ae579faf195e5c99dcc193b6a669d3d777c4fb14eafb7d786fa",
+    "bounds --q 9": "06e2c0f4acde158f31da88b8dfe2953267bacce7b6fbea788647986d2024b7f2",
+}
+
+
+@pytest.mark.parametrize("line", GOLDEN)
+def test_stdout_matches_golden_digest(capsys, line):
+    assert cli.main(line.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[line]
