@@ -60,11 +60,13 @@ def _cmd_gs(args: argparse.Namespace) -> Rendering:
     split = gs_tower.count_split_chains(q, m)
     genus = gs_tower.genus(q, m)
     s = semigroup.weierstrass_semigroup(q, m)
-    gens = semigroup.minimal_generators(s)
-    smallest_ok = largest_ok = None
     if m >= 2:
         report = semigroup.check_generator_bounds(q, m)
+        gamma_first, gamma_last = report.gamma_first, report.gamma_last
         smallest_ok, largest_ok = report.smallest_ok, report.largest_ok
+    else:
+        gamma_first = gamma_last = semigroup.minimal_generators(q, m).gens[0]
+        smallest_ok = largest_ok = None
     obj = {
         "schema": 1,
         "q": q,
@@ -73,8 +75,8 @@ def _cmd_gs(args: argparse.Namespace) -> Rendering:
         "split": split,
         "conductor": s.conductor,
         "gap_count": semigroup.gap_count(s),
-        "gamma_first": gens.gens[0],
-        "gamma_last": gens.gens[-1],
+        "gamma_first": gamma_first,
+        "gamma_last": gamma_last,
         "smallest_ok": smallest_ok,
         "largest_ok": largest_ok,
     }
@@ -86,7 +88,7 @@ def _cmd_gs(args: argparse.Namespace) -> Rendering:
 
 def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
     s = semigroup.weierstrass_semigroup(args.q, args.m)
-    gens = semigroup.minimal_generators(s)
+    gens = semigroup.minimal_generators(args.q, args.m).gens
     obj = {
         "schema": 1,
         "q": args.q,
@@ -94,10 +96,10 @@ def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
         "conductor": s.conductor,
         "gap_count": semigroup.gap_count(s),
         "smallest_positive": s.smallest_positive(),
-        "generators": list(gens.gens),
+        "generators": gens,
     }
     header = ["q", "m", "conductor", "gap_count", "smallest_positive", "generators"]
-    joined = ";".join(str(g) for g in gens.gens)
+    joined = ";".join(map(str, gens))
     row = [args.q, args.m, s.conductor, obj["gap_count"], obj["smallest_positive"], joined]
     lines = [f"{key} {value}" for key, value in zip(header, row)]
     return Rendering(obj, header, [row], lines)

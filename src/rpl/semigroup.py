@@ -6,14 +6,24 @@ The semigroup at level m is H(1) = Z>=0 and, for m > 1,
 
 A NumericalSemigroup stores the membership window below its conductor as
 bytes plus the rule "everything at or above the conductor is a member",
-which is exact for any cofinite submonoid of Z>=0.  Gap counts, minimal
-generating sets and the degree bounds on the largest generator are all
-derived from that window with integer arithmetic only.
+which is exact for any cofinite submonoid of Z>=0.  Gap counts are read
+from that window.  Minimal generating sets come from the same recursion,
+never from the window: gens(H(1)) = {1} and, for m > 1,
+
+    gens(H(m)) = q * gens(H(m-1))  union  { n in [c_m, c_m + q^(m-1)) : q does not divide n }.
+
+Below c_m + q^(m-1) a sum of two positive members has both summands
+below c_m, where every member is a multiple of q; so no n prime to q is
+such a sum, and q*k is one exactly when k is one in H(m-1).  The set has
+q^(m-1) elements (maximal embedding dimension).  The generic pair-sum
+sieve that this replaces is the oracle in rpl.verify.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -67,10 +77,8 @@ class NumericalSemigroup:
         yield from range(self.conductor, stop)
 
     def smallest_positive(self) -> int:
-        for n in range(1, self.conductor):
-            if self.window[n]:
-                return n
-        return max(self.conductor, 1)
+        n = self.window.find(1, 1)
+        return n if n > 0 else max(self.conductor, 1)
 
 
 @dataclass(frozen=True)
@@ -80,9 +88,10 @@ class GeneratorSet:
     gens: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.gens:
+        g = self.gens
+        if not g:
             raise ValueError("a numerical semigroup needs at least one generator")
-        if any(g <= 0 for g in self.gens) or list(self.gens) != sorted(set(self.gens)):
+        if not (g[0] > 0 and all(map(operator.lt, g, itertools.islice(g, 1, None)))):
             raise ValueError("generators must be positive, strictly increasing")
 
 
@@ -95,12 +104,17 @@ def conductor(q: int, m: int) -> int:
     return q**m - q ** ((m + 1) // 2)
 
 
-@functools.lru_cache(maxsize=None)
-def weierstrass_semigroup(q: int, m: int) -> NumericalSemigroup:
-    """Level-m semigroup by the scale-and-union recursion."""
+def _capped_conductor(q: int, m: int) -> int:
     c = conductor(q, m)  # validates q, m
     if c > CONDUCTOR_CAP:
         raise TooLarge(f"conductor {c} exceeds the bitmap cap {CONDUCTOR_CAP}")
+    return c
+
+
+@functools.lru_cache(maxsize=None)
+def weierstrass_semigroup(q: int, m: int) -> NumericalSemigroup:
+    """Level-m semigroup by the scale-and-union recursion."""
+    c = _capped_conductor(q, m)
     if m == 1:
         return NumericalSemigroup(0, b"")
     prev = weierstrass_semigroup(q, m - 1)
@@ -127,30 +141,31 @@ def gap_count(s: NumericalSemigroup) -> int:
     return s.window.count(0)
 
 
-def minimal_generators(s: NumericalSemigroup) -> GeneratorSet:
-    """Minimal generating set, by sieving pairwise sums of members.
+def minimal_generators(q: int, m: int) -> GeneratorSet:
+    """Minimal generating set of the level-m semigroup, ascending.
 
-    Every minimal generator is below conductor + smallest positive
-    member: anything at or past that bound is (member >= conductor) +
-    smallest.  Below the bound, a sum of two positive members is
-    necessarily a sum of two members below the conductor, because
-    tail + anything already reaches the bound.
+    Unrolled, the recursion gives disjoint pieces: piece j < m-1 is
+    q^j * { n in [c_(m-j), c_(m-j) + q^(m-j-1)) : q does not divide n },
+    exactly the generators divisible by q^j and not by q^(j+1), and the
+    last piece is q^(m-1) itself.  Each piece is marked by two strided
+    slice assignments over [q^(m-1), c_m + q^(m-1)): set its multiples of
+    q^j, then clear its multiples of q^(j+1).  Taken with j ascending, a
+    clear never removes an earlier piece's generator, since those are not
+    divisible by q^(j+1).
     """
-    c = s.conductor
-    if c == 0:
+    c = _capped_conductor(q, m)
+    if m == 1:
         return GeneratorSet((1,))
-    g1 = s.smallest_positive()
-    limit = c + g1
-    sparse = [n for n in range(1, c) if s.window[n]]
-    reach = bytearray(limit)
-    for i, a in enumerate(sparse):
-        for b in sparse[i:]:
-            total = a + b
-            if total >= limit:
-                break
-            reach[total] = 1
-    gens = [n for n in s.members(limit) if n > 0 and not reach[n]]
-    return GeneratorSet(tuple(gens))
+    low = q ** (m - 1)
+    mark = bytearray(c)  # mark[n - low] for n in [low, c + low)
+    for j in range(m - 1):
+        start = q**j * conductor(q, m - j) - low  # n - low, both multiples of q^(j+1)
+        stop = start + low
+        for step, byte in ((q**j, b"\x01"), (q ** (j + 1), b"\x00")):
+            mark[start:stop:step] = byte * len(range(start, stop, step))
+    # q^(m-1) last: for q = 2 it is the start of piece m-2, which clears it
+    mark[0] = 1
+    return GeneratorSet(tuple(itertools.compress(range(low, c + low), mark)))
 
 
 @dataclass(frozen=True)
@@ -170,15 +185,15 @@ def check_generator_bounds(q: int, m: int) -> GeneratorBoundReport:
     """Compare extreme minimal generators with their closed-form bounds."""
     if m < 2:
         raise ValidationError(f"generator bounds need m >= 2, got m = {m}")
-    s = weierstrass_semigroup(q, m)
-    gens = minimal_generators(s).gens
+    c = conductor(q, m)
+    gens = minimal_generators(q, m).gens
     gamma_first, gamma_last = gens[0], gens[-1]
     return GeneratorBoundReport(
         q=q,
         m=m,
-        conductor=s.conductor,
+        conductor=c,
         gamma_first=gamma_first,
         gamma_last=gamma_last,
         smallest_ok=gamma_first == q ** (m - 1),
-        largest_ok=gamma_last <= s.conductor + q ** (m - 1) - 1,
+        largest_ok=gamma_last <= c + q ** (m - 1) - 1,
     )

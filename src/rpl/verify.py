@@ -499,17 +499,44 @@ def _regenerate(gens: tuple[int, ...], span: int) -> int:
     return reach
 
 
+def sieve_generators(s: semigroup.NumericalSemigroup) -> tuple[int, ...]:
+    """Minimal generators of any numerical semigroup, by sieving pair sums.
+
+    The reference for ``semigroup.minimal_generators``.  Every minimal
+    generator is below conductor + smallest positive member: anything at
+    or past that bound is (member >= conductor) + smallest.  Below the
+    bound, a sum of two positive members is necessarily a sum of two
+    members below the conductor, because tail + anything already reaches
+    the bound.
+    """
+    c = s.conductor
+    if c == 0:
+        return (1,)
+    limit = c + s.smallest_positive()
+    sparse = [n for n in range(1, c) if s.window[n]]
+    reach = bytearray(limit)
+    for i, a in enumerate(sparse):
+        for b in sparse[i:]:
+            total = a + b
+            if total >= limit:
+                break
+            reach[total] = 1
+    return tuple(n for n in s.members(limit) if n > 0 and not reach[n])
+
+
 def _check_regeneration() -> CheckResult:
+    """Production generators regenerate S on [0, 2c) and equal the sieve."""
     cells = [(2, m) for m in range(2, 13)] + [(3, m) for m in range(2, 8)]
     cells += [(4, m) for m in range(2, 6)] + [(5, m) for m in range(2, 5)]
     failures: list[str] = []
     for q, m in cells:
         s = semigroup.weierstrass_semigroup(q, m)
         span = 2 * s.conductor
-        reach = _regenerate(semigroup.minimal_generators(s).gens, span)
+        gens = semigroup.minimal_generators(q, m).gens
+        reach = _regenerate(gens, span)
         regenerated = {n for n in range(span) if (reach >> n) & 1}
         expected = set(s.members(span))
-        if regenerated != expected:
+        if regenerated != expected or gens != sieve_generators(s):
             failures.append(f"({q},{m})")
     return CheckResult(
         "semigroup", "regenerate_from_generators [0,2c)", not failures, _fail_detail(failures)
@@ -520,7 +547,6 @@ def _check_frozen_semigroups() -> CheckResult:
     s22 = semigroup.weierstrass_semigroup(2, 2)
     s23 = semigroup.weierstrass_semigroup(2, 3)
     s24 = semigroup.weierstrass_semigroup(2, 4)
-    s32 = semigroup.weierstrass_semigroup(3, 2)
     checks = (
         semigroup.conductor(2, 3) == 4,
         semigroup.conductor(2, 4) == 12,
@@ -531,11 +557,11 @@ def _check_frozen_semigroups() -> CheckResult:
         semigroup.gap_count(s22) == 1,
         semigroup.gap_count(s23) == 3,
         semigroup.gap_count(s24) == 9,
-        semigroup.minimal_generators(s22).gens == (2, 3),
-        semigroup.minimal_generators(s23).gens == (4, 5, 6, 7),
-        semigroup.minimal_generators(s24).gens == (8, 10, 12, 13, 14, 15, 17, 19),
-        semigroup.minimal_generators(s32).gens == (3, 7, 8),
-        semigroup.minimal_generators(semigroup.weierstrass_semigroup(2, 1)).gens == (1,),
+        semigroup.minimal_generators(2, 2).gens == (2, 3),
+        semigroup.minimal_generators(2, 3).gens == (4, 5, 6, 7),
+        semigroup.minimal_generators(2, 4).gens == (8, 10, 12, 13, 14, 15, 17, 19),
+        semigroup.minimal_generators(3, 2).gens == (3, 7, 8),
+        semigroup.minimal_generators(2, 1).gens == (1,),
     )
     bad = [str(i) for i, ok in enumerate(checks) if not ok]
     return CheckResult("semigroup", "frozen_semigroups", not bad, _fail_detail(bad))

@@ -1,8 +1,9 @@
 """Golden outputs: sha256 of stdout for fixed CLI runs.
 
-The digests were taken from the seed commit's CLI. A change to field
-arithmetic or counting that is meant to keep every output byte-identical
-proves it here.
+The digests were taken from the CLI before the change each one guards: the
+seed commit's for field arithmetic and counting, and the pair-sum sieve's
+for the semigroup generators. A change that is meant to keep every output
+byte-identical proves it here.
 """
 
 import hashlib
@@ -22,6 +23,11 @@ GOLDEN = {
     "points-homma --q 64 --ell 3": "2b076dd844090fb815ec243c768f12c2061f96ab123adce86838f91e9ad7beec",
     "points-homma --q 9 --ell 6 --format json": "e613f387bf658ae579faf195e5c99dcc193b6a669d3d777c4fb14eafb7d786fa",
     "bounds --q 9": "06e2c0f4acde158f31da88b8dfe2953267bacce7b6fbea788647986d2024b7f2",
+    "semigroup --q 4 --m 11 --format json": "d64c6b819a39bd927001f095c90544ecd4a22a41624acac029c0633de90be576",
+    "gs --q 2 --m 20": "45f82c8da61d8bdfe3449d5fd5685d21bc9033de0ea63ca78b1f0fe37e7fcd88",
+    "semigroup --q 3 --m 2": "a9c09a4c41bd869c697416d53bc936a1c600eca16b99c605f51be6efae720456",
+    "semigroup --q 2 --m 12 --format csv": "2d4eb373a34c154b80aca4a99222e8f0cd25d6b6a5e8d8dfc4aae70144525434",
+    "gs --q 2 --m 12 --format json": "e89a020b4f7794271e15357fd62a10af569aec591ecece7547fa13423c333fc2",
 }
 
 

@@ -13,6 +13,7 @@ from rpl.semigroup import (
     minimal_generators,
     weierstrass_semigroup,
 )
+from rpl.verify import semigroup_grid, sieve_generators
 
 
 def semigroup_by_set_recursion(q, m, window):
@@ -87,19 +88,31 @@ def test_smallest_positive_member():
 
 
 def test_minimal_generators_frozen():
-    assert minimal_generators(weierstrass_semigroup(2, 2)).gens == (2, 3)
-    assert minimal_generators(weierstrass_semigroup(2, 3)).gens == (4, 5, 6, 7)
-    assert minimal_generators(weierstrass_semigroup(2, 4)).gens == (
+    assert minimal_generators(2, 2).gens == (2, 3)
+    assert minimal_generators(2, 3).gens == (4, 5, 6, 7)
+    assert minimal_generators(2, 4).gens == (
         8, 10, 12, 13, 14, 15, 17, 19,
     )
-    assert minimal_generators(weierstrass_semigroup(3, 2)).gens == (3, 7, 8)
-    assert minimal_generators(weierstrass_semigroup(2, 1)).gens == (1,)
+    assert minimal_generators(3, 2).gens == (3, 7, 8)
+    assert minimal_generators(2, 1).gens == (1,)
+
+
+@pytest.mark.parametrize(
+    "q,m", [cell for cell in semigroup_grid() if conductor(*cell) <= 3 * 10**5]
+)
+def test_minimal_generators_match_sieve_oracle(q, m):
+    assert minimal_generators(q, m).gens == sieve_generators(weierstrass_semigroup(q, m))
+
+
+def test_generator_count_is_maximal_embedding_dimension():
+    for q, m in semigroup_grid():
+        assert len(minimal_generators(q, m).gens) == q ** (m - 1)
 
 
 def test_generators_not_sums_of_positive_members():
     for q, m in [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]:
         s = weierstrass_semigroup(q, m)
-        gens = minimal_generators(s).gens
+        gens = minimal_generators(q, m).gens
         positives = [n for n in s.members(max(gens) + 1) if n > 0]
         sums = {a + b for a in positives for b in positives}
         for g in gens:
@@ -111,7 +124,7 @@ def test_generators_regenerate_the_semigroup():
     for q, m in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]:
         s = weierstrass_semigroup(q, m)
         span = 2 * s.conductor + 2
-        gens = minimal_generators(s).gens
+        gens = minimal_generators(q, m).gens
         reach = {0}
         changed = True
         while changed:
@@ -165,6 +178,10 @@ def test_validation_and_caps():
         check_generator_bounds(2, 1)
     with pytest.raises(TooLarge):
         weierstrass_semigroup(2, 24)
+    with pytest.raises(ValidationError):
+        minimal_generators(1, 3)
+    with pytest.raises(TooLarge):
+        minimal_generators(2, 24)
 
 
 def test_semigroup_type_invariants():
