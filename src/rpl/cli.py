@@ -37,22 +37,33 @@ class Rendering:
     exit_code: int = 0
 
 
+def _record(obj: dict) -> Rendering:
+    """Render a one-record JSON object as a csv row and text lines, after "schema".
+
+    None becomes an empty cell and no text line; a tuple is joined with ';'.
+    """
+    header = list(obj)[1:]
+    row = [
+        "" if obj[key] is None
+        else ";".join(map(str, obj[key])) if isinstance(obj[key], tuple)
+        else obj[key]
+        for key in header
+    ]
+    lines = [f"{key} {cell}" for key, cell in zip(header, row) if obj[key] is not None]
+    return Rendering(obj, header, [row], lines)
+
+
 def _cmd_points_homma(args: argparse.Namespace) -> Rendering:
     count = homma_family.count_total(args.q, args.ell)
     degree = homma_family.curve_degree(args.q, args.ell)
-    ratio = str(Fraction(count.total, degree))
-    obj = {
+    return _record({
         "schema": 1,
         "affine": count.affine,
         "infinity": count.infinity,
         "total": count.total,
         "degree": degree,
-        "ratio": ratio,
-    }
-    header = ["affine", "infinity", "total", "degree", "ratio"]
-    row = [count.affine, count.infinity, count.total, degree, ratio]
-    lines = [f"{key} {value}" for key, value in zip(header, row)]
-    return Rendering(obj, header, [row], lines)
+        "ratio": str(Fraction(count.total, degree)),
+    })
 
 
 def _cmd_gs(args: argparse.Namespace) -> Rendering:
@@ -67,7 +78,7 @@ def _cmd_gs(args: argparse.Namespace) -> Rendering:
     else:
         gamma_first = gamma_last = semigroup.minimal_generators(q, m).gens[0]
         smallest_ok = largest_ok = None
-    obj = {
+    return _record({
         "schema": 1,
         "q": q,
         "m": m,
@@ -79,17 +90,13 @@ def _cmd_gs(args: argparse.Namespace) -> Rendering:
         "gamma_last": gamma_last,
         "smallest_ok": smallest_ok,
         "largest_ok": largest_ok,
-    }
-    header = list(obj)[1:]
-    row = [obj[key] if obj[key] is not None else "" for key in header]
-    lines = [f"{key} {value}" for key, value in zip(header, row) if value != ""]
-    return Rendering(obj, header, [row], lines)
+    })
 
 
 def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
     s = semigroup.weierstrass_semigroup(args.q, args.m)
     gens = semigroup.minimal_generators(args.q, args.m).gens
-    obj = {
+    return _record({
         "schema": 1,
         "q": args.q,
         "m": args.m,
@@ -97,12 +104,7 @@ def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
         "gap_count": semigroup.gap_count(s),
         "smallest_positive": s.smallest_positive(),
         "generators": gens,
-    }
-    header = ["q", "m", "conductor", "gap_count", "smallest_positive", "generators"]
-    joined = ";".join(map(str, gens))
-    row = [args.q, args.m, s.conductor, obj["gap_count"], obj["smallest_positive"], joined]
-    lines = [f"{key} {value}" for key, value in zip(header, row)]
-    return Rendering(obj, header, [row], lines)
+    })
 
 
 def _summary_fields(q: int) -> tuple[dict, list[object], list[str]]:

@@ -19,7 +19,6 @@ from typing import Iterator
 
 from .errors import AdmissibilityViolation, ComputationError, ValidationError
 from .gf import factor_prime_power, make_field, solve_artin_schreier
-from .homma_family import ValueDistribution
 from .semigroup import conductor
 
 
@@ -28,7 +27,7 @@ class TowerLevelState:
     """Distribution of attained x_m values at one tower level."""
 
     level: int
-    dist: ValueDistribution
+    dist: dict[int, int]
 
 
 def genus(q: int, m: int) -> int:
@@ -67,12 +66,11 @@ def tower_level_states(q: int, m: int) -> Iterator[TowerLevelState]:
         raise ValidationError(f"m must be >= 1, got {m}")
     ctx = make_field(p, 2 * e)
     zero, one = ctx.zero, ctx.one
-    start = {a: 1 for a in ctx.elements() if ctx.add(ctx.pow(a, q), a) != zero}
-    dist = ValueDistribution(start)
+    dist = {a: 1 for a in ctx.elements() if ctx.add(ctx.pow(a, q), a) != zero}
     yield TowerLevelState(1, dist)
     for level in range(2, m + 1):
-        nxt: dict = {}
-        for v, mult in dist.entries.items():
+        nxt: dict[int, int] = {}
+        for v, mult in dist.items():
             den = ctx.add(ctx.pow(v, q - 1), one)
             if den == zero:
                 raise AdmissibilityViolation(
@@ -86,7 +84,7 @@ def tower_level_states(q: int, m: int) -> Iterator[TowerLevelState]:
                 )
             for x in sorted(sols):
                 nxt[x] = nxt.get(x, 0) + mult
-        dist = ValueDistribution(nxt)
+        dist = nxt
         yield TowerLevelState(level, dist)
 
 
@@ -98,7 +96,7 @@ def count_split_chains(q: int, m: int) -> int:
     """
     mass = 0
     for state in tower_level_states(q, m):
-        mass = state.dist.total_mass()
+        mass = sum(state.dist.values())
     expected = (q - 1) * q**m
     if mass != expected:
         raise ComputationError(

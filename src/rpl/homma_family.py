@@ -5,23 +5,36 @@ equations
 
     x_{i+1}^{q-1} = -z^{q-1} + (x_i + z)^{q-1},      i = 1, ..., ell-1,
 
-defining a curve of degree (q-1)^(ell-1) with exactly (q-1)^(ell-1)
-points on the hyperplane z = 0.  Affine points (z = 1) are counted by
-propagating a multiset of attained x_i values level by level; the points
-at infinity have a closed form.  Both counts are cross-checked against
-dumb projective enumeration whenever q^ell stays within BRUTE_FORCE_CAP.
+defining a curve of degree (q-1)^(ell-1).  Both counts have closed forms.
+
+At infinity (z = 0) the equations read x_{i+1}^{q-1} = x_i^{q-1}, so the
+x_i are all zero or all nonzero.  A point has some x_i nonzero, so it is
+normalized by x_1 = 1, and x_2..x_ell are free nonzero values:
+(q-1)^(ell-1) points, the degree.
+
+Affine points (z = 1) are chains with x_{i+1}^{q-1} = (x_i + 1)^{q-1} - 1.
+The left side is 0 or 1, and the right side is 0 unless x_i = -1, where it
+is -1.  So every value but -1 has the single successor 0, and -1 has a
+successor only when -1 = 1.  For odd q, -1 is a dead end: the q-1 chains
+start anywhere but -1 and then stay at 0, giving q-1 points.  For even q,
+-1 = 1 maps to the q-1 nonzero values, one of them 1 again, so each level
+turns the one chain sitting at 1 into q-1 chains and adds q-2 to the q
+chains of level 1: ell(q-2) + 2 points.
+
+Counting by value propagation and by projective enumeration are the
+oracles in ``rpl.verify``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator
+from decimal import Decimal
 
-from .errors import ComputationError, QTooSmall, TooLarge, ValidationError
-from .gf import FieldContext, factor_prime_power, field_from_order, solve_power_residue
+from .errors import QTooSmall, TooLarge, ValidationError
+from .gf import field_from_order
 
-BRUTE_FORCE_CAP = 10**7
+MAX_PRINTED_DIGITS = 4300  # CPython's default limit on int-to-str conversion
+PRINT_LIMIT = 10**MAX_PRINTED_DIGITS
 
 
 @dataclass(frozen=True)
@@ -43,42 +56,25 @@ class PointCount:
         return cls(affine, infinity, affine + infinity)
 
 
-class ValueDistribution:
-    """Multiset of field values with positive integer multiplicities."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict[int, int]):
-        for value, mult in entries.items():
-            if not isinstance(mult, int) or mult <= 0:
-                raise ValueError(f"multiplicity of {value} must be a positive integer")
-        self.entries = dict(entries)
-
-    @classmethod
-    def uniform(cls, values: Iterable[int]) -> "ValueDistribution":
-        return cls({v: 1 for v in values})
-
-    def total_mass(self) -> int:
-        return sum(self.entries.values())
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ValueDistribution):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"ValueDistribution({len(self.entries)} values, mass {self.total_mass()})"
-
-
 def _check_family_params(q: int, ell: int) -> None:
-    factor_prime_power(q)
+    """Validate (q, ell): a buildable field, q > 2, ell >= 2, printable counts."""
+    field_from_order(q)
     if q <= 2:
         raise QTooSmall(f"the curve family needs q > 2, got q = {q}")
     if ell < 2:
         raise ValidationError(f"ell must be >= 2, got {ell}")
+    # the total is the longest number printed; the power is formed only
+    # when log10 of the degree does not already settle the question
+    log_degree = (ell - 1) * Decimal(q - 1).log10()
+    if log_degree > MAX_PRINTED_DIGITS or (q - 1) ** (ell - 1) + _affine(q, ell) >= PRINT_LIMIT:
+        raise TooLarge(
+            f"degree (q-1)^(ell-1) = {q - 1}^{ell - 1} has {int(log_degree) + 1} "
+            f"digits; at most {MAX_PRINTED_DIGITS} can be printed"
+        )
+
+
+def _affine(q: int, ell: int) -> int:
+    return q - 1 if q % 2 else ell * (q - 2) + 2
 
 
 def curve_degree(q: int, ell: int) -> int:
@@ -87,130 +83,17 @@ def curve_degree(q: int, ell: int) -> int:
     return (q - 1) ** (ell - 1)
 
 
-def affine_level_states(q: int, ell: int) -> Iterator[ValueDistribution]:
-    """Distributions of attained x_i values, one per level 1..ell.
-
-    Level 1 is uniform over F_q; each later level maps a value v to the
-    full solution set of y^{q-1} = -1 + (v+1)^{q-1} from
-    solve_power_residue, multiplicities carried along.  Mass can never
-    grow by more than a factor q per level (fibers have at most q
-    elements).
-    """
-    _check_family_params(q, ell)
-    ctx = field_from_order(q)
-    one = ctx.one
-    k = q - 1
-    dist = ValueDistribution.uniform(ctx.elements())
-    yield dist
-    for _ in range(ell - 1):
-        nxt: dict[int, int] = {}
-        for v, mult in dist.entries.items():
-            rhs = ctx.sub(ctx.pow(ctx.add(v, one), k), one)
-            for y in sorted(solve_power_residue(ctx, rhs, k)):
-                nxt[y] = nxt.get(y, 0) + mult
-        out = ValueDistribution(nxt)
-        if out.total_mass() > q * dist.total_mass():
-            raise ComputationError("level mass grew faster than the fiber bound q")
-        dist = out
-        yield dist
-
-
 def count_affine(q: int, ell: int) -> int:
-    """Number of affine points (z = 1), by value propagation."""
-    count = 0
-    for dist in affine_level_states(q, ell):
-        count = dist.total_mass()
-    return count
+    """Number of affine points (z = 1): q-1 for odd q, ell(q-2)+2 for even q."""
+    _check_family_params(q, ell)
+    return _affine(q, ell)
 
 
 def count_infinity(q: int, ell: int) -> int:
-    """Number of points with z = 0: always (q-1)^(ell-1).
-
-    When q^ell <= BRUTE_FORCE_CAP the closed form is re-derived by brute
-    force over normalized tuples with z = 0; disagreement is a hard error.
-    """
-    _check_family_params(q, ell)
-    analytic = (q - 1) ** (ell - 1)
-    if q**ell <= BRUTE_FORCE_CAP:
-        ctx = field_from_order(q)
-        brute = _scan_infinity(ctx, ell)
-        if brute != analytic:
-            raise ComputationError(
-                f"infinity count mismatch for q={q}, ell={ell}: "
-                f"closed form {analytic}, enumeration {brute}"
-            )
-    return analytic
+    """Number of points with z = 0: always (q-1)^(ell-1), the degree."""
+    return curve_degree(q, ell)
 
 
 def count_total(q: int, ell: int) -> PointCount:
     """Affine plus infinity counts for the ell-th curve over F_q."""
     return PointCount.of(count_affine(q, ell), count_infinity(q, ell))
-
-
-def brute_force_projective(q: int, ell: int) -> PointCount:
-    """Independent oracle: filter every normalized point of P^ell(F_q).
-
-    Representatives have first nonzero coordinate 1, scanning
-    (x_1, ..., x_ell, z) in order.  Refuses to run past BRUTE_FORCE_CAP.
-    """
-    _check_family_params(q, ell)
-    if q**ell > BRUTE_FORCE_CAP:
-        raise TooLarge(
-            f"q^ell = {q**ell} exceeds the brute-force cap {BRUTE_FORCE_CAP}"
-        )
-    ctx = field_from_order(q)
-    pw, rows = _power_tables(ctx)
-    affine = infinity = 0
-    for j in range(ell + 1):
-        prefix = (0,) * j + (1,)
-        for tail in product(range(q), repeat=ell - j):
-            coords = prefix + tail
-            row = rows[coords[ell]]
-            prev = coords[0]
-            ok = True
-            for t in range(1, ell):
-                cur = coords[t]
-                if pw[cur] != row[prev]:
-                    ok = False
-                    break
-                prev = cur
-            if ok:
-                if coords[ell]:
-                    affine += 1
-                else:
-                    infinity += 1
-    return PointCount.of(affine, infinity)
-
-
-def _power_tables(ctx: FieldContext) -> tuple[list[int], list[list[int]]]:
-    """Tables pw[v] = v^(q-1); rows[z][v] = (v+z)^(q-1) - z^(q-1)."""
-    k = ctx.q - 1
-    pw = [ctx.pow(v, k) for v in ctx.elements()]
-    rows = [
-        [ctx.sub(ctx.pow(ctx.add(v, z), k), pw[z]) for v in ctx.elements()]
-        for z in ctx.elements()
-    ]
-    return pw, rows
-
-
-def _scan_infinity(ctx: FieldContext, ell: int) -> int:
-    """Count normalized tuples with z = 0 satisfying every equation."""
-    q = ctx.q
-    pw = [ctx.pow(v, q - 1) for v in ctx.elements()]
-    # with z = 0 the equations collapse to x_{i+1}^{q-1} = x_i^{q-1}
-    count = 0
-    for j in range(ell):
-        prefix = (0,) * j + (1,)
-        for tail in product(range(q), repeat=ell - 1 - j):
-            coords = prefix + tail
-            prev = coords[0]
-            ok = True
-            for t in range(1, ell):
-                cur = coords[t]
-                if pw[cur] != pw[prev]:
-                    ok = False
-                    break
-                prev = cur
-            if ok:
-                count += 1
-    return count

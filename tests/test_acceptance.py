@@ -4,6 +4,7 @@ Each test covers one numbered criterion and prints a single
 "CRITERION n PASS/FAIL" line. Budgets and tolerances are pinned below.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -28,6 +29,9 @@ TOWER_Q = (2, 3, 4)
 TOWER_M_MAX = 8
 RATIO_Q = (2, 3, 4, 5)
 
+# sha256 of `rpl verify all` stdout, the digest the benchmark also pins
+VERIFY_ALL_SHA256 = "678f1600ec282489293efafa1c6d90dad932e74c828ecc531ff2d51a9278bbf5"
+
 EXPECTED_FIRST_CONVERGED_N = {
     2: 35, 3: 22, 4: 18, 5: 16, 7: 13, 8: 13, 9: 12, 11: 11, 13: 10, 16: 10,
 }
@@ -45,7 +49,7 @@ def homma_grid():
     for q in GRID_Q:
         for ell in GRID_ELL:
             analytic = homma_family.count_total(q, ell)
-            brute = homma_family.brute_force_projective(q, ell)
+            brute = verify.brute_force_projective(q, ell)
             results[(q, ell)] = (analytic, brute)
     return results, time.perf_counter() - start
 
@@ -219,6 +223,7 @@ def test_criterion_10_byte_identical_cli_runs():
     ok = (
         rc1 == rc2 == rc3 == rc4 == 0
         and verify_first == verify_second
+        and hashlib.sha256(verify_first).hexdigest() == VERIFY_ALL_SHA256
         and table_first == table_second
         and verify_first.endswith(b"checks passed\n")
         and len(table_first) > 0
@@ -226,5 +231,6 @@ def test_criterion_10_byte_identical_cli_runs():
     report(
         10, ok,
         f"verify all twice ({len(verify_first)} bytes) and bounds --table 32 "
-        f"twice ({len(table_first)} bytes) are byte-identical with exit 0",
+        f"twice ({len(table_first)} bytes) are byte-identical with exit 0, "
+        f"and verify all has the pinned sha256",
     )

@@ -59,6 +59,25 @@ def test_points_homma_rejects_non_prime_power(capsys):
     assert "prime power" in err
 
 
+@pytest.mark.parametrize("q,cap", [(2097152, None), (128, "100")])
+def test_points_homma_rejects_field_above_cap(monkeypatch, capsys, q, cap):
+    if cap is None:
+        monkeypatch.delenv("RPL_MAX_FIELD", raising=False)
+    else:
+        monkeypatch.setenv("RPL_MAX_FIELD", cap)
+    code, out, err = run_cli(capsys, "points-homma", "--q", str(q), "--ell", "2")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the enumeration cap" in err
+
+
+def test_points_homma_rejects_unprintable_degree(capsys):
+    code, out, err = run_cli(capsys, "points-homma", "--q", "3", "--ell", "14286")
+    assert code == 2
+    assert out == ""
+    assert err == "error: degree (q-1)^(ell-1) = 2^14285 has 4301 digits; at most 4300 can be printed\n"
+
+
 def test_gs_json_payload(capsys):
     code, out, _ = run_cli(capsys, "gs", "--q", "2", "--m", "4", "--format", "json")
     assert code == 0

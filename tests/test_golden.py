@@ -1,8 +1,9 @@
 """Golden outputs: sha256 of stdout for fixed CLI runs.
 
 The digests were taken from the CLI before the change each one guards: the
-seed commit's for field arithmetic and counting, and the pair-sum sieve's
-for the semigroup generators. A change that is meant to keep every output
+seed commit's for field arithmetic and counting, the pair-sum sieve's for
+the semigroup generators, and the value propagation's for the family
+counts. A change that is meant to keep every output
 byte-identical proves it here.
 """
 
@@ -28,6 +29,11 @@ GOLDEN = {
     "semigroup --q 3 --m 2": "a9c09a4c41bd869c697416d53bc936a1c600eca16b99c605f51be6efae720456",
     "semigroup --q 2 --m 12 --format csv": "2d4eb373a34c154b80aca4a99222e8f0cd25d6b6a5e8d8dfc4aae70144525434",
     "gs --q 2 --m 12 --format json": "e89a020b4f7794271e15357fd62a10af569aec591ecece7547fa13423c333fc2",
+    "points-homma --q 3 --ell 14 --format json": "d5195e1e24bc707e1f3e7f5637d55a78f7a5d14e1d12a5aa4dd2233336b14331",
+    "points-homma --q 4 --ell 11": "3039b33edefa8267f9795291955eac597792ae70ab5b396a49edf7c148314c54",
+    "points-homma --q 5 --ell 10 --format csv": "12c03550442a2faf173b19ed13b120ab3e3a3ca0290135f7075067c3ba4890f5",
+    "points-homma --q 3 --ell 15": "37eb45401f15a74359f690fc1ed4b9419cdcf728bc34caf8e725a8bdf178b21b",
+    "verify homma": "58126ac2df9d9ea7616a3e8299f344988132dc6a1352f9c2987975cb88fc9bcf",
 }
 
 

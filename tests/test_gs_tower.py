@@ -89,12 +89,12 @@ def test_level_states_start_set_and_masses():
         states = list(tower_level_states(q, 5))
         assert [s.level for s in states] == [1, 2, 3, 4, 5]
         start = states[0].dist
-        assert start.total_mass() == q * q - q
-        assert all(mult == 1 for mult in start.entries.values())
-        for a in start.entries:
+        assert sum(start.values()) == q * q - q
+        assert all(mult == 1 for mult in start.values())
+        for a in start:
             assert ctx.add(ctx.pow(a, q), a) != ctx.zero
         for s in states:
-            assert s.dist.total_mass() == (q * q - q) * q ** (s.level - 1)
+            assert sum(s.dist.values()) == (q * q - q) * q ** (s.level - 1)
 
 
 def test_ratio_sequence_starts_at_level_two():

@@ -1,22 +1,22 @@
 """Point counting for the recursive projective curve family."""
 
 import itertools
+import time
 
 import pytest
 
 from rpl.errors import NotPrimePower, QTooSmall, TooLarge, ValidationError
 from rpl.gf import field_from_order
 from rpl.homma_family import (
-    BRUTE_FORCE_CAP,
     PointCount,
-    ValueDistribution,
-    affine_level_states,
-    brute_force_projective,
     count_affine,
     count_infinity,
     count_total,
     curve_degree,
 )
+from rpl.verify import BRUTE_FORCE_CAP, affine_level_states, brute_force_projective
+
+CLOSED_FORM_Q = (3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32, 49, 64)
 
 
 def affine_count_by_tuple_enumeration(q, ell):
@@ -114,35 +114,14 @@ def test_point_count_invariants():
         PointCount(-1, 0, -1)
 
 
-def test_value_distribution_invariants():
-    ctx = field_from_order(3)
-    a, b = ctx.element(0), ctx.element(1)
-    dist = ValueDistribution({a: 2, b: 1})
-    assert dist.total_mass() == 3
-    assert len(dist) == 2
-    assert dist == ValueDistribution({b: 1, a: 2})
-    assert dist != ValueDistribution({a: 2})
-    with pytest.raises(ValueError):
-        ValueDistribution({a: 0})
-    with pytest.raises(ValueError):
-        ValueDistribution({a: -2})
-
-
-def test_uniform_distribution():
-    ctx = field_from_order(5)
-    dist = ValueDistribution.uniform(ctx.elements())
-    assert dist.total_mass() == 5
-    assert all(mult == 1 for mult in dist.entries.values())
-
-
 def test_level_states_shape_and_mass():
     for q, ell in [(3, 4), (4, 3), (5, 3)]:
         states = list(affine_level_states(q, ell))
         assert len(states) == ell
-        assert states[0].total_mass() == q
+        assert sum(states[0].values()) == q
         for prev, nxt in zip(states, states[1:]):
-            assert nxt.total_mass() <= q * prev.total_mass()
-        assert states[-1].total_mass() == count_affine(q, ell)
+            assert sum(nxt.values()) <= q * sum(prev.values())
+        assert sum(states[-1].values()) == count_affine(q, ell)
 
 
 def test_level_values_satisfy_recursion():
@@ -154,9 +133,37 @@ def test_level_values_satisfy_recursion():
     states = list(affine_level_states(q, ell))
     for prev, nxt in zip(states, states[1:]):
         reachable = set()
-        for v in prev.entries:
+        for v in prev:
             rhs = ctx.sub(ctx.pow(ctx.add(v, ctx.one), k), ctx.one)
             for y in ctx.elements():
                 if ctx.pow(y, k) == rhs:
                     reachable.add(y)
-        assert set(nxt.entries) == reachable
+        assert set(nxt) == reachable
+
+
+@pytest.mark.parametrize("q", CLOSED_FORM_Q)
+def test_closed_form_matches_value_propagation(q):
+    for ell in range(2, 9):
+        *_, last = affine_level_states(q, ell)
+        assert count_affine(q, ell) == sum(last.values())
+
+
+@pytest.mark.parametrize("q,ell", [(3, 14285), (4, 9013), (256, 1787)])
+def test_largest_printable_degree_is_accepted(q, ell):
+    count = count_total(q, ell)
+    assert len(str(count.total)) <= 4300
+    assert count.infinity == curve_degree(q, ell) == (q - 1) ** (ell - 1)
+
+
+@pytest.mark.parametrize("q,ell", [(3, 14286), (4, 9014), (256, 1788)])
+def test_unprintable_degree_is_too_large(q, ell):
+    for count in (count_total, count_affine, count_infinity, curve_degree):
+        with pytest.raises(TooLarge, match="has 4301 digits"):
+            count(q, ell)
+
+
+def test_huge_ell_is_rejected_at_once():
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="has 24065400 digits"):
+        count_total(256, 10**7)
+    assert time.perf_counter() - start < 0.5
