@@ -13,4 +13,9 @@ The package computes, in exact integer and rational arithmetic only:
 
 __version__ = "0.1.0"
 
+# Scopes and default scan depth of the ``verify`` subcommand; kept here so
+# the CLI builds its parser without importing the verify suite.
+SCOPES = ("all", "gf", "homma", "gs", "semigroup", "bounds")
+DEFAULT_N_MAX = 60
+
 __all__ = ["__version__"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import bounds, gs_tower, homma_family, semigroup, verify
+from . import DEFAULT_N_MAX, SCOPES, bounds, gs_tower, homma_family, semigroup
 from .errors import RplError
 from .gf import DEFAULT_FIELD_CAP, FIELD_CAP_ENV, prime_powers_upto
 
@@ -152,6 +152,8 @@ def _cmd_bounds(args: argparse.Namespace) -> Rendering:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Rendering:
+    from . import verify  # the largest module, needed by no other command
+
     results = verify.run_verify(args.scope, args.n_max)
     passed = sum(1 for res in results if res.ok)
     obj = {
@@ -224,8 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("verify", help="run the named self-verification checks")
-    p.add_argument("scope", nargs="?", choices=verify.SCOPES, default="all")
-    p.add_argument("--n-max", type=int, default=verify.DEFAULT_N_MAX, dest="n_max",
+    p.add_argument("scope", nargs="?", choices=SCOPES, default="all")
+    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX, dest="n_max",
                    help="scan depth for the convergence checks")
     add_common(p)
     p.set_defaults(handler=_cmd_verify)

@@ -462,8 +462,8 @@ def _build_field(p: int, e: int) -> FieldContext:
     return FieldContext(PrimePower.of(p, e), _smallest_irreducible(p, e))
 
 
-def make_field(p: int, e: int) -> FieldContext:
-    """Build F_{p^e} with the lexicographically smallest irreducible modulus."""
+def field_order(p: int, e: int) -> int:
+    """Order p^e of a field under the cap, validated without building it."""
     if not is_prime(p):
         raise NonPrime(f"p = {p} is not prime")
     if e < 1:
@@ -472,6 +472,12 @@ def make_field(p: int, e: int) -> FieldContext:
     cap = field_cap()
     if q > cap:
         raise FieldTooLarge(f"q = {p}^{e} = {q} exceeds the enumeration cap {cap}")
+    return q
+
+
+def make_field(p: int, e: int) -> FieldContext:
+    """Build F_{p^e} with the lexicographically smallest irreducible modulus."""
+    field_order(p, e)
     return _build_field(p, e)
 
 

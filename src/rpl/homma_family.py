@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import QTooSmall, TooLarge, ValidationError
-from .gf import field_from_order
+from .gf import factor_prime_power, field_order
 
 MAX_PRINTED_DIGITS = 4300  # CPython's default limit on int-to-str conversion
 PRINT_LIMIT = 10**MAX_PRINTED_DIGITS
@@ -57,8 +57,8 @@ class PointCount:
 
 
 def _check_family_params(q: int, ell: int) -> None:
-    """Validate (q, ell): a buildable field, q > 2, ell >= 2, printable counts."""
-    field_from_order(q)
+    """Validate (q, ell): a field under the cap, q > 2, ell >= 2, printable counts."""
+    field_order(*factor_prime_power(q))
     if q <= 2:
         raise QTooSmall(f"the curve family needs q > 2, got q = {q}")
     if ell < 2:
@@ -96,4 +96,5 @@ def count_infinity(q: int, ell: int) -> int:
 
 def count_total(q: int, ell: int) -> PointCount:
     """Affine plus infinity counts for the ell-th curve over F_q."""
-    return PointCount.of(count_affine(q, ell), count_infinity(q, ell))
+    _check_family_params(q, ell)
+    return PointCount.of(_affine(q, ell), (q - 1) ** (ell - 1))

@@ -16,18 +16,17 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from . import bounds, gs_tower, homma_family, semigroup
-from .errors import ComputationError, RplError, TooLarge
+from . import DEFAULT_N_MAX, SCOPES, bounds, gs_tower, homma_family, semigroup
+from .errors import AdmissibilityViolation, ComputationError, RplError, TooLarge, ValidationError
 from .gf import (
     FieldContext,
+    factor_prime_power,
     field_from_order,
     make_field,
     prime_powers_upto,
     solve_artin_schreier,
     solve_power_residue,
 )
-
-SCOPES = ("all", "gf", "homma", "gs", "semigroup", "bounds")
 
 HOMMA_Q = (3, 4, 5, 7, 8, 9)
 HOMMA_ELL = (2, 3, 4, 5, 6)
@@ -38,7 +37,6 @@ SEMIGROUP_Q = (2, 3, 4, 5)
 SEMIGROUP_CONDUCTOR_CAP = 10**6
 CONVERGENCE_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 CONVERGENCE_EPS = Fraction(1, 10**9)
-DEFAULT_N_MAX = 60
 RATIO_Q = (2, 3, 4, 5)
 RATIO_M = 40
 RATIO_TOL = Fraction(1, 1000)
@@ -408,16 +406,52 @@ def tower_grid() -> list[tuple[int, int]]:
     return [(q, m) for q in TOWER_Q for m in range(1, TOWER_M_MAX + 1)]
 
 
+def tower_level_states(q: int, m: int) -> Iterator[dict[int, int]]:
+    """Distributions of attained x_m values over F_{q^2}, one per level 1..m.
+
+    The reference for ``gs_tower.count_split_chains``.  Raises
+    AdmissibilityViolation if a value with v^(q-1) = -1 is ever reached or
+    a fiber does not have exactly q elements; neither can happen when the
+    admissible-set invariant holds.
+    """
+    p, e = factor_prime_power(q)
+    if m < 1:
+        raise ValidationError(f"m must be >= 1, got {m}")
+    ctx = make_field(p, 2 * e)
+    zero, one = ctx.zero, ctx.one
+    dist = {a: 1 for a in ctx.elements() if ctx.add(ctx.pow(a, q), a) != zero}
+    yield dist
+    for level in range(2, m + 1):
+        nxt: dict[int, int] = {}
+        for v, mult in dist.items():
+            den = ctx.add(ctx.pow(v, q - 1), one)
+            if den == zero:
+                raise AdmissibilityViolation(
+                    f"level {level}: reached a value with v^(q-1) = -1"
+                )
+            rhs = ctx.div(ctx.pow(v, q), den)
+            sols = solve_artin_schreier(ctx, q, rhs)
+            if len(sols) != q:
+                raise AdmissibilityViolation(
+                    f"level {level}: fiber of size {len(sols)}, expected {q}"
+                )
+            for x in sorted(sols):
+                nxt[x] = nxt.get(x, 0) + mult
+        dist = nxt
+        yield dist
+
+
 def _check_split_closed_form() -> CheckResult:
     failures: list[str] = []
     for q, m in tower_grid():
         try:
-            got = gs_tower.count_split_chains(q, m)
+            *_, last = tower_level_states(q, m)
         except RplError as exc:
             failures.append(f"({q},{m}) {type(exc).__name__}")
             continue
-        if got != gs_tower.rational_places_lower_bound(q, m):
-            failures.append(f"({q},{m}) {got}")
+        mass = sum(last.values())
+        if mass != gs_tower.count_split_chains(q, m):
+            failures.append(f"({q},{m}) {mass}")
     return CheckResult(
         "gs", "split_count==(q-1)q^m (q in {2,3,4}, m in 1..8)", not failures, _fail_detail(failures)
     )
@@ -428,12 +462,12 @@ def _check_tower_level_mass() -> CheckResult:
     for q in TOWER_Q:
         ctx = field_from_order(q * q)
         k = q - 1
-        for state in gs_tower.tower_level_states(q, TOWER_M_MAX):
-            if sum(state.dist.values()) != (q * q - q) * q ** (state.level - 1):
-                failures.append(f"({q},{state.level}) mass")
-            for v in state.dist:
+        for level, dist in enumerate(tower_level_states(q, TOWER_M_MAX), start=1):
+            if sum(dist.values()) != (q * q - q) * q ** (level - 1):
+                failures.append(f"({q},{level}) mass")
+            for v in dist:
                 if ctx.add(ctx.pow(v, k), ctx.one) == ctx.zero:
-                    failures.append(f"({q},{state.level}) inadmissible value")
+                    failures.append(f"({q},{level}) inadmissible value")
                     break
     return CheckResult("gs", "tower_level_mass (q in {2,3,4})", not failures, _fail_detail(failures))
 

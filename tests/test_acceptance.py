@@ -106,16 +106,18 @@ def test_criterion_04_split_chain_counts():
     bad = []
     cells = 0
     for q in TOWER_Q:
-        for m in range(1, TOWER_M_MAX + 1):
+        walk = verify.tower_level_states(q, TOWER_M_MAX)
+        for m, dist in enumerate(walk, start=1):
             cells += 1
             got = gs_tower.count_split_chains(q, m)
-            if got != (q - 1) * q**m:
-                bad.append(f"({q},{m}) {got}")
+            mass = sum(dist.values())
+            if not got == mass == (q - 1) * q**m:
+                bad.append(f"({q},{m}) {got} walk {mass}")
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < SPLIT_BUDGET_S
     report(
         4, ok,
-        f"{cells} split counts match (q-1)q^m, {elapsed:.2f} s (budget 10 s)"
+        f"{cells} split counts match (q-1)q^m and the chain walk, {elapsed:.2f} s (budget 10 s)"
         + (f"; {bad}" if bad else ""),
     )
 

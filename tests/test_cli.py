@@ -1,10 +1,12 @@
 """CLI dispatch, output formats, determinism, and exit codes."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
-from rpl import cli
+from rpl import cli, gf, homma_family
 from rpl.verify import CheckResult
 
 
@@ -69,6 +71,20 @@ def test_points_homma_rejects_field_above_cap(monkeypatch, capsys, q, cap):
     assert code == 2
     assert out == ""
     assert "exceeds the enumeration cap" in err
+
+
+def test_points_homma_validates_at_most_twice(monkeypatch, capsys):
+    calls = []
+    check = homma_family._check_family_params
+
+    def counting(q, ell):
+        calls.append((q, ell))
+        check(q, ell)
+
+    monkeypatch.setattr(homma_family, "_check_family_params", counting)
+    code, _, _ = run_cli(capsys, "points-homma", "--q", "9", "--ell", "6")
+    assert code == 0
+    assert 1 <= len(calls) <= 2
 
 
 def test_points_homma_rejects_unprintable_degree(capsys):
@@ -256,3 +272,39 @@ def test_gs_finishes_at_large_fields(capsys, q, m, genus):
     payload = json.loads(out)
     assert payload["split"] == (q - 1) * q**m
     assert payload["genus"] == payload["gap_count"] == genus
+
+
+@pytest.mark.parametrize("q,cap,err", [
+    (2048, None, "error: q = 2^22 = 4194304 exceeds the enumeration cap 1048576\n"),
+    (16, "100", "error: q = 2^8 = 256 exceeds the enumeration cap 100\n"),
+])
+def test_gs_rejects_field_above_cap(monkeypatch, capsys, q, cap, err):
+    # the cap applies to F_{q^2}, the field the tower lives over
+    if cap is not None:
+        monkeypatch.setenv("RPL_MAX_FIELD", cap)
+    code, out, got = run_cli(capsys, "gs", "--q", str(q), "--m", "1")
+    assert code == 2
+    assert out == ""
+    assert got == err
+
+
+@pytest.mark.parametrize("line", [
+    "gs --q 1024 --m 1",
+    "points-homma --q 1048576 --ell 2",
+    "semigroup --q 3 --m 4",
+    "bounds --table 32",
+])
+def test_counting_commands_build_no_field(capsys, line):
+    gf._build_field.cache_clear()
+    assert cli.main(line.split()) == 0
+    assert gf._build_field.cache_info().misses == 0
+
+
+def test_only_verify_imports_the_verify_suite():
+    code = (
+        "import sys; from rpl import cli; "
+        "cli.main(['gs', '--q', '2', '--m', '3']); "
+        "assert 'rpl.verify' not in sys.modules"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

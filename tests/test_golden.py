@@ -2,9 +2,9 @@
 
 The digests were taken from the CLI before the change each one guards: the
 seed commit's for field arithmetic and counting, the pair-sum sieve's for
-the semigroup generators, and the value propagation's for the family
-counts. A change that is meant to keep every output
-byte-identical proves it here.
+the semigroup generators, the value propagation's for the family
+counts, and the tower chain walk's for the runs at the field cap. A change
+that is meant to keep every output byte-identical proves it here.
 """
 
 import hashlib
@@ -34,6 +34,9 @@ GOLDEN = {
     "points-homma --q 5 --ell 10 --format csv": "12c03550442a2faf173b19ed13b120ab3e3a3ca0290135f7075067c3ba4890f5",
     "points-homma --q 3 --ell 15": "37eb45401f15a74359f690fc1ed4b9419cdcf728bc34caf8e725a8bdf178b21b",
     "verify homma": "58126ac2df9d9ea7616a3e8299f344988132dc6a1352f9c2987975cb88fc9bcf",
+    "gs --q 32 --m 2 --format json": "1ac6658407af3cd0cb86d3b9185cf36b3cb202f70f4ba5673122d98a53a780e0",
+    "gs --q 1024 --m 1": "9e10026c85ce6e3894e9139bff725e60a0fec2586fa35ae9075a2e5b74d45100",
+    "points-homma --q 1048576 --ell 2": "5ff5cf4316b75cad7e7c10c183109cb1c650a1536a8eca8e6a71f06ce4868c28",
 }
 
 

@@ -10,10 +10,9 @@ from rpl.gs_tower import (
     count_split_chains,
     genus,
     points_per_degree_limit,
-    rational_places_lower_bound,
-    tower_level_states,
     tower_ratio_sequence,
 )
+from rpl.verify import tower_level_states
 
 
 def chains_by_explicit_extension(q, m):
@@ -53,16 +52,15 @@ def test_split_count_frozen():
 
 
 def test_split_count_equals_lower_bound_formula():
-    for q in (2, 3, 4):
-        for m in range(1, 7):
-            assert count_split_chains(q, m) == (q - 1) * q**m
-            assert rational_places_lower_bound(q, m) == (q - 1) * q**m
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for m, dist in enumerate(tower_level_states(q, 6), start=1):
+            assert count_split_chains(q, m) == sum(dist.values()) == (q - 1) * q**m
 
 
 def test_lower_bound_frozen():
-    assert rational_places_lower_bound(2, 2) == 4
-    assert rational_places_lower_bound(3, 3) == 54
-    assert rational_places_lower_bound(2, 1) == 2
+    assert count_split_chains(2, 2) == 4
+    assert count_split_chains(3, 3) == 54
+    assert count_split_chains(2, 1) == 2
 
 
 def test_genus_frozen():
@@ -87,14 +85,14 @@ def test_level_states_start_set_and_masses():
     for q in (2, 3):
         ctx = field_from_order(q * q)
         states = list(tower_level_states(q, 5))
-        assert [s.level for s in states] == [1, 2, 3, 4, 5]
-        start = states[0].dist
+        assert len(states) == 5
+        start = states[0]
         assert sum(start.values()) == q * q - q
         assert all(mult == 1 for mult in start.values())
         for a in start:
             assert ctx.add(ctx.pow(a, q), a) != ctx.zero
-        for s in states:
-            assert sum(s.dist.values()) == (q * q - q) * q ** (s.level - 1)
+        for level, dist in enumerate(states, start=1):
+            assert sum(dist.values()) == (q * q - q) * q ** (level - 1)
 
 
 def test_ratio_sequence_starts_at_level_two():
@@ -139,7 +137,7 @@ def test_validation():
     with pytest.raises(ValidationError):
         genus(2, 0)
     with pytest.raises(ValidationError):
-        rational_places_lower_bound(3, 0)
+        count_split_chains(3, 0)
     with pytest.raises(ValidationError):
         tower_ratio_sequence(1, 5)
     with pytest.raises(ValidationError):
