@@ -12,10 +12,13 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
+from itertools import islice
+from typing import TextIO
 
 from . import DEFAULT_N_MAX, SCOPES, bounds, gs_tower, homma_family, semigroup
 from .errors import RplError
@@ -26,6 +29,7 @@ EPILOG = (
     f"(default 2^20 = {DEFAULT_FIELD_CAP}); values above the default or "
     "malformed values are ignored."
 )
+BLOCK = 1 << 16  # items of a streamed field joined per write
 
 
 @dataclass
@@ -35,13 +39,19 @@ class Rendering:
     csv_rows: list[list[object]]
     text_lines: list[str]
     exit_code: int = 0
+    tail: Iterator[int] | None = None  # a record's last field, streamed by _write
 
 
 def _record(obj: dict) -> Rendering:
     """Render a one-record JSON object as a csv row and text lines, after "schema".
 
     None becomes an empty cell and no text line; a tuple is joined with ';'.
+    An iterator as the last field becomes the tail, rendered here as ().
     """
+    *_, last = obj
+    tail = obj[last] if isinstance(obj[last], Iterator) else None
+    if tail is not None:
+        obj[last] = ()
     header = list(obj)[1:]
     row = [
         "" if obj[key] is None
@@ -50,7 +60,7 @@ def _record(obj: dict) -> Rendering:
         for key in header
     ]
     lines = [f"{key} {cell}" for key, cell in zip(header, row) if obj[key] is not None]
-    return Rendering(obj, header, [row], lines)
+    return Rendering(obj, header, [row], lines, tail=tail)
 
 
 def _cmd_points_homma(args: argparse.Namespace) -> Rendering:
@@ -69,40 +79,35 @@ def _cmd_points_homma(args: argparse.Namespace) -> Rendering:
 def _cmd_gs(args: argparse.Namespace) -> Rendering:
     q, m = args.q, args.m
     split = gs_tower.count_split_chains(q, m)
+    c = semigroup.capped_conductor(q, m)
     genus = gs_tower.genus(q, m)
-    s = semigroup.weierstrass_semigroup(q, m)
-    if m >= 2:
-        report = semigroup.check_generator_bounds(q, m)
-        gamma_first, gamma_last = report.gamma_first, report.gamma_last
-        smallest_ok, largest_ok = report.smallest_ok, report.largest_ok
-    else:
-        gamma_first = gamma_last = semigroup.minimal_generators(q, m).gens[0]
-        smallest_ok = largest_ok = None
+    # the generator bounds hold for every m >= 2; verify semigroup certifies them
+    verdict = True if m >= 2 else None
     return _record({
         "schema": 1,
         "q": q,
         "m": m,
         "genus": genus,
         "split": split,
-        "conductor": s.conductor,
-        "gap_count": semigroup.gap_count(s),
-        "gamma_first": gamma_first,
-        "gamma_last": gamma_last,
-        "smallest_ok": smallest_ok,
-        "largest_ok": largest_ok,
+        "conductor": c,
+        "gap_count": genus,
+        "gamma_first": semigroup.smallest_positive(q, m),
+        "gamma_last": semigroup.largest_generator(q, m),
+        "smallest_ok": verdict,
+        "largest_ok": verdict,
     })
 
 
 def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
-    s = semigroup.weierstrass_semigroup(args.q, args.m)
-    gens = semigroup.minimal_generators(args.q, args.m).gens
+    q, m = args.q, args.m
+    gens = semigroup.minimal_generators(q, m)  # validates and checks the cap
     return _record({
         "schema": 1,
-        "q": args.q,
-        "m": args.m,
-        "conductor": s.conductor,
-        "gap_count": semigroup.gap_count(s),
-        "smallest_positive": s.smallest_positive(),
+        "q": q,
+        "m": m,
+        "conductor": semigroup.conductor(q, m),
+        "gap_count": semigroup.gap_count(q, m),
+        "smallest_positive": semigroup.smallest_positive(q, m),
         "generators": gens,
     })
 
@@ -176,16 +181,30 @@ def _cmd_verify(args: argparse.Namespace) -> Rendering:
     return Rendering(obj, header, rows, lines, exit_code=0 if passed == len(results) else 1)
 
 
-def _render(result: Rendering, fmt: str) -> str:
+def _write(result: Rendering, fmt: str, out: TextIO) -> None:
+    """Write result to out in fmt, its tail in blocks of BLOCK items."""
     if fmt == "json":
-        return json.dumps(result.json_obj, separators=(",", ":")) + "\n"
-    if fmt == "csv":
+        head = json.dumps(result.json_obj, separators=(",", ":")) + "\n"
+    elif fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(result.csv_header)
         writer.writerows(result.csv_rows)
-        return buffer.getvalue()
-    return "\n".join(result.text_lines) + "\n"
+        head = buffer.getvalue()
+    else:
+        head = "\n".join(result.text_lines) + "\n"
+    if result.tail is not None:
+        # the tail is the last field, so it ends just before the closing
+        # "]}\n" of json and the final newline of csv and text
+        cut = len(head) - (3 if fmt == "json" else 1)
+        sep = "," if fmt == "json" else ";"
+        out.write(head[:cut])
+        lead = ""
+        while block := sep.join(map(str, islice(result.tail, BLOCK))):
+            out.write(lead + block)
+            lead = sep
+        head = head[cut:]
+    out.write(head)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -246,11 +265,17 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rendered = _render(result, args.format)
-    if args.out is not None:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+    if args.out is None:
+        try:
+            _write(result, args.format, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early (`rpl ... | head`): end quietly, and
+            # point stdout at devnull so the interpreter's last flush cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
-        sys.stdout.write(rendered)
+        with open(args.out, "w", encoding="utf-8") as out:
+            _write(result, args.format, out)
     return result.exit_code
 
 

@@ -23,18 +23,13 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .gf import factor_prime_power, field_order
-from .semigroup import conductor
+from .semigroup import gap_count, largest_generator
 
 
 def genus(q: int, m: int) -> int:
-    """Genus of level m: (q^(m/2)-1)^2 for even m, split form for odd."""
+    """Genus of level m, the gap count of its Weierstrass semigroup."""
     factor_prime_power(q)
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
-    if m % 2 == 0:
-        r = q ** (m // 2) - 1
-        return r * r
-    return (q ** ((m + 1) // 2) - 1) * (q ** ((m - 1) // 2) - 1)
+    return gap_count(q, m)
 
 
 def count_split_chains(q: int, m: int) -> int:
@@ -62,14 +57,15 @@ def points_per_degree_limit(q: int) -> Fraction:
 def tower_ratio_sequence(q: int, m_max: int) -> list[Fraction]:
     """Exact ratios (q-1)q^m / (c_m + q^(m-1) - 1) for m = 2..m_max.
 
-    The m = 1 term is undefined (its degree bound c_1 + q^0 - 1 is zero),
-    so the sequence starts at level 2; m_max = 1 gives an empty list.
+    The denominator is the largest minimal generator of the level-m
+    semigroup, the degree of the one-point embedding.  The m = 1 term is
+    undefined (c_1 + q^0 - 1 is zero), so the sequence starts at level 2;
+    m_max = 1 gives an empty list.
     """
     if q < 2:
         raise ValidationError(f"q must be >= 2, got {q}")
     if m_max < 1:
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
     return [
-        Fraction((q - 1) * q**m, conductor(q, m) + q ** (m - 1) - 1)
-        for m in range(2, m_max + 1)
+        Fraction((q - 1) * q**m, largest_generator(q, m)) for m in range(2, m_max + 1)
     ]

@@ -4,17 +4,20 @@ Every check recomputes an invariant from scratch and compares it against an
 independent route (closed form vs enumeration, recursion vs sieve, frozen
 values vs live evaluation). Checks are pure and deterministic: fixed grids,
 seeded generators, stable ordering. Each returns a named pass/fail result so
-failures can be cited individually.
+failures can be cited individually; a check that raises fails under its own
+name, and the others still run.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import DEFAULT_N_MAX, SCOPES, bounds, gs_tower, homma_family, semigroup
 from .errors import AdmissibilityViolation, ComputationError, RplError, TooLarge, ValidationError
@@ -71,6 +74,20 @@ def _fail_detail(failures: list[str]) -> str:
     if len(failures) > 4:
         shown += f"; +{len(failures) - 4} more"
     return shown
+
+
+def _run(scope: str, *checks: Callable[[], CheckResult]) -> list[CheckResult]:
+    """Run each check in turn; one that raises becomes a FAIL named after it."""
+    results = []
+    for check in checks:
+        try:
+            results.append(check())
+        except Exception as exc:  # one broken check must not end the run
+            traceback.print_exc()
+            func, args = getattr(check, "func", check), getattr(check, "args", ())  # a partial
+            name = " ".join([func.__name__.removeprefix("_check_"), *map(str, args)])
+            results.append(CheckResult(scope, name, False, type(exc).__name__))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +214,8 @@ def _check_frobenius() -> CheckResult:
 
 
 def check_gf(n_max: int = DEFAULT_N_MAX) -> list[CheckResult]:
-    return [
-        _check_field_axioms(),
-        _check_canonical_moduli(),
-        _check_unit_group(),
-        _check_artin_schreier_fibers(),
-        _check_power_residue_structure(),
-        _check_frobenius(),
-    ]
+    return _run("gf", _check_field_axioms, _check_canonical_moduli, _check_unit_group,
+                _check_artin_schreier_fibers, _check_power_residue_structure, _check_frobenius)
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +399,8 @@ def _check_frozen_point_counts() -> CheckResult:
 
 
 def check_homma(n_max: int = DEFAULT_N_MAX) -> list[CheckResult]:
-    return [
-        _check_infinity_closed_form(),
-        _check_brute_force_agreement(),
-        _check_total_at_least_degree(),
-        _check_mass_conservation(),
-        _check_frozen_point_counts(),
-    ]
+    return _run("homma", _check_infinity_closed_form, _check_brute_force_agreement,
+                _check_total_at_least_degree, _check_mass_conservation, _check_frozen_point_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +495,7 @@ def _check_admissible_start_count() -> CheckResult:
 def _check_gap_genus(q: int) -> CheckResult:
     failures: list[str] = []
     for m in range(2, TOWER_M_MAX + 1):
-        gaps = semigroup.gap_count(semigroup.weierstrass_semigroup(q, m))
+        gaps = weierstrass_semigroup(q, m).window.count(0)
         if gaps != gs_tower.genus(q, m):
             failures.append(f"m={m} gaps {gaps}")
     return CheckResult(
@@ -542,14 +548,9 @@ def _check_frozen_tower_values() -> CheckResult:
 
 
 def check_gs(n_max: int = DEFAULT_N_MAX) -> list[CheckResult]:
-    out = [
-        _check_split_closed_form(),
-        _check_tower_level_mass(),
-        _check_admissible_start_count(),
-    ]
-    out.extend(_check_gap_genus(q) for q in SEMIGROUP_Q)
-    out.extend([_check_ratio_limit(), _check_ratio_monotone(), _check_frozen_tower_values()])
-    return out
+    return _run("gs", _check_split_closed_form, _check_tower_level_mass,
+                _check_admissible_start_count, *(partial(_check_gap_genus, q) for q in SEMIGROUP_Q),
+                _check_ratio_limit, _check_ratio_monotone, _check_frozen_tower_values)
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +558,80 @@ def check_gs(n_max: int = DEFAULT_N_MAX) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class NumericalSemigroup:
+    """Cofinite additive submonoid of Z>=0.
+
+    window[n] is 1 exactly when n < conductor is a member; every
+    n >= conductor is a member.  The stored conductor is always minimal
+    (conductor - 1 is a gap whenever conductor > 0).
+    """
+
+    conductor: int
+    window: bytes
+
+    def __post_init__(self) -> None:
+        if self.conductor < 0 or len(self.window) != self.conductor:
+            raise ValueError("window length must equal the conductor")
+        if self.conductor > 0:
+            if not self.window[0]:
+                raise ValueError("0 must be a member")
+            if self.window[self.conductor - 1]:
+                raise ValueError("stored conductor is not minimal")
+
+    @classmethod
+    def from_window(cls, conductor: int, window: bytes | bytearray) -> "NumericalSemigroup":
+        """Build with the minimal conductor, trimming trailing members."""
+        c = conductor
+        while c > 0 and window[c - 1]:
+            c -= 1
+        return cls(c, bytes(window[:c]))
+
+    def __contains__(self, n: int) -> bool:
+        if n < 0:
+            return False
+        if n >= self.conductor:
+            return True
+        return bool(self.window[n])
+
+    def members(self, stop: int) -> Iterator[int]:
+        """Members below stop, ascending."""
+        w = self.window
+        for n in range(min(self.conductor, stop)):
+            if w[n]:
+                yield n
+        yield from range(self.conductor, stop)
+
+    def smallest_positive(self) -> int:
+        n = self.window.find(1, 1)
+        return n if n > 0 else max(self.conductor, 1)
+
+
+def weierstrass_semigroup(q: int, m: int) -> NumericalSemigroup:
+    """Level-m membership bitmap by the recursion; the reference for ``rpl.semigroup``."""
+    c = semigroup.capped_conductor(q, m)
+    if m == 1:
+        return NumericalSemigroup(0, b"")
+    prev = weierstrass_semigroup(q, m - 1)
+    win = bytearray(c)
+    # members below c are exactly q*s with s in H(m-1): fill every q-th
+    # slot from the previous window extended by its tail rule
+    n_src = (c + q - 1) // q
+    win[::q] = prev.window[:n_src].ljust(n_src, b"\x01")
+    result = NumericalSemigroup.from_window(c, win)
+    if result.conductor != c:
+        raise ComputationError(
+            f"recursion produced conductor {result.conductor}, expected {c}"
+        )
+    return result
+
+
 def _check_gap_genus_full_grid() -> CheckResult:
     failures: list[str] = []
     cells = 0
     for q, m in semigroup_grid():
         cells += 1
-        gaps = semigroup.gap_count(semigroup.weierstrass_semigroup(q, m))
+        gaps = weierstrass_semigroup(q, m).window.count(0)
         if gaps != gs_tower.genus(q, m):
             failures.append(f"({q},{m}) gaps {gaps}")
     return CheckResult(
@@ -578,12 +647,12 @@ def _check_conductor_minimal() -> CheckResult:
     for q, m in semigroup_grid():
         if m < 2:
             continue
-        s = semigroup.weierstrass_semigroup(q, m)
+        s = weierstrass_semigroup(q, m)
         if s.conductor != semigroup.conductor(q, m):
             failures.append(f"({q},{m}) conductor {s.conductor}")
         elif (s.conductor - 1) in s:
             failures.append(f"({q},{m}) conductor not minimal")
-        elif s.smallest_positive() != q ** (m - 1):
+        elif s.smallest_positive() != semigroup.smallest_positive(q, m):
             failures.append(f"({q},{m}) smallest {s.smallest_positive()}")
     return CheckResult(
         "semigroup", "conductor==q^m-q^ceil(m/2) and minimal", not failures, _fail_detail(failures)
@@ -591,15 +660,17 @@ def _check_conductor_minimal() -> CheckResult:
 
 
 def _check_generator_bounds_grid() -> CheckResult:
+    """The extreme generators meet their closed forms, so gs may print True."""
     failures: list[str] = []
     for q, m in semigroup_grid():
         if m < 2:
             continue
-        report = semigroup.check_generator_bounds(q, m)
-        if not (report.smallest_ok and report.largest_ok):
+        gens = semigroup.minimal_generators(q, m)  # ascending
+        first, last = next(gens), max(gens)
+        if first != semigroup.smallest_positive(q, m) or last != semigroup.largest_generator(q, m):
             failures.append(f"({q},{m})")
     for q, m, largest in ((2, 3, 7), (2, 4, 19)):
-        if semigroup.check_generator_bounds(q, m).gamma_last != largest:
+        if semigroup.largest_generator(q, m) != largest:
             failures.append(f"({q},{m}) expected gamma_last {largest}")
     return CheckResult(
         "semigroup", "generator_bounds grid m>=2", not failures, _fail_detail(failures)
@@ -609,7 +680,7 @@ def _check_generator_bounds_grid() -> CheckResult:
 def _check_additive_closure() -> CheckResult:
     failures: list[str] = []
     for q, m in semigroup_grid():
-        s = semigroup.weierstrass_semigroup(q, m)
+        s = weierstrass_semigroup(q, m)
         pool = list(s.members(max(s.conductor, 2)))
         rng = random.Random(777000 + 1000 * q + m)
         for _ in range(CLOSURE_PAIRS):
@@ -637,7 +708,7 @@ def _regenerate(gens: tuple[int, ...], span: int) -> int:
     return reach
 
 
-def sieve_generators(s: semigroup.NumericalSemigroup) -> tuple[int, ...]:
+def sieve_generators(s: NumericalSemigroup) -> tuple[int, ...]:
     """Minimal generators of any numerical semigroup, by sieving pair sums.
 
     The reference for ``semigroup.minimal_generators``.  Every minimal
@@ -668,9 +739,9 @@ def _check_regeneration() -> CheckResult:
     cells += [(4, m) for m in range(2, 6)] + [(5, m) for m in range(2, 5)]
     failures: list[str] = []
     for q, m in cells:
-        s = semigroup.weierstrass_semigroup(q, m)
+        s = weierstrass_semigroup(q, m)
         span = 2 * s.conductor
-        gens = semigroup.minimal_generators(q, m).gens
+        gens = tuple(semigroup.minimal_generators(q, m))
         reach = _regenerate(gens, span)
         regenerated = {n for n in range(span) if (reach >> n) & 1}
         expected = set(s.members(span))
@@ -682,9 +753,9 @@ def _check_regeneration() -> CheckResult:
 
 
 def _check_frozen_semigroups() -> CheckResult:
-    s22 = semigroup.weierstrass_semigroup(2, 2)
-    s23 = semigroup.weierstrass_semigroup(2, 3)
-    s24 = semigroup.weierstrass_semigroup(2, 4)
+    s22 = weierstrass_semigroup(2, 2)
+    s23 = weierstrass_semigroup(2, 3)
+    s24 = weierstrass_semigroup(2, 4)
     checks = (
         semigroup.conductor(2, 3) == 4,
         semigroup.conductor(2, 4) == 12,
@@ -692,28 +763,23 @@ def _check_frozen_semigroups() -> CheckResult:
         list(s22.members(5)) == [0, 2, 3, 4],
         list(s23.members(6)) == [0, 4, 5],
         list(s24.members(13)) == [0, 8, 10, 12],
-        semigroup.gap_count(s22) == 1,
-        semigroup.gap_count(s23) == 3,
-        semigroup.gap_count(s24) == 9,
-        semigroup.minimal_generators(2, 2).gens == (2, 3),
-        semigroup.minimal_generators(2, 3).gens == (4, 5, 6, 7),
-        semigroup.minimal_generators(2, 4).gens == (8, 10, 12, 13, 14, 15, 17, 19),
-        semigroup.minimal_generators(3, 2).gens == (3, 7, 8),
-        semigroup.minimal_generators(2, 1).gens == (1,),
+        semigroup.gap_count(2, 2) == 1,
+        semigroup.gap_count(2, 3) == 3,
+        semigroup.gap_count(2, 4) == 9,
+        tuple(semigroup.minimal_generators(2, 2)) == (2, 3),
+        tuple(semigroup.minimal_generators(2, 3)) == (4, 5, 6, 7),
+        tuple(semigroup.minimal_generators(2, 4)) == (8, 10, 12, 13, 14, 15, 17, 19),
+        tuple(semigroup.minimal_generators(3, 2)) == (3, 7, 8),
+        tuple(semigroup.minimal_generators(2, 1)) == (1,),
     )
     bad = [str(i) for i, ok in enumerate(checks) if not ok]
     return CheckResult("semigroup", "frozen_semigroups", not bad, _fail_detail(bad))
 
 
 def check_semigroup(n_max: int = DEFAULT_N_MAX) -> list[CheckResult]:
-    return [
-        _check_gap_genus_full_grid(),
-        _check_conductor_minimal(),
-        _check_generator_bounds_grid(),
-        _check_additive_closure(),
-        _check_regeneration(),
-        _check_frozen_semigroups(),
-    ]
+    return _run("semigroup", _check_gap_genus_full_grid, _check_conductor_minimal,
+                _check_generator_bounds_grid, _check_additive_closure, _check_regeneration,
+                _check_frozen_semigroups)
 
 
 # ---------------------------------------------------------------------------
@@ -849,17 +915,11 @@ def _check_dq_frozen() -> CheckResult:
 
 
 def check_bounds(n_max: int = DEFAULT_N_MAX) -> list[CheckResult]:
-    return [
-        _check_exceptional_quartic(),
-        _check_coefficient_frozen(),
-        _check_coefficient_monotone(n_max),
-        _check_upper_limit_convergence(n_max),
-        _check_dq_consistency(),
-        _check_square_tower_cross_module(),
-        _check_aq_half_table(),
-        _check_classical_bounds_frozen(),
-        _check_dq_frozen(),
-    ]
+    return _run("bounds", _check_exceptional_quartic, _check_coefficient_frozen,
+                partial(_check_coefficient_monotone, n_max),
+                partial(_check_upper_limit_convergence, n_max),
+                _check_dq_consistency, _check_square_tower_cross_module, _check_aq_half_table,
+                _check_classical_bounds_frozen, _check_dq_frozen)
 
 
 _SCOPE_RUNNERS = {

@@ -126,8 +126,8 @@ def test_criterion_05_gap_count_matches_genus():
     grid = verify.semigroup_grid()
     bad = []
     for q, m in grid:
-        s = semigroup.weierstrass_semigroup(q, m)
-        if semigroup.gap_count(s) != gs_tower.genus(q, m):
+        gaps = verify.weierstrass_semigroup(q, m).window.count(0)
+        if not gaps == semigroup.gap_count(q, m) == gs_tower.genus(q, m):
             bad.append(f"({q},{m})")
     report(
         5, not bad,
@@ -139,21 +139,25 @@ def test_criterion_05_gap_count_matches_genus():
 def test_criterion_06_generator_bounds_with_equality_cases():
     grid = [(q, m) for q, m in verify.semigroup_grid() if m >= 2]
     bad = []
+    last = {}
     for q, m in grid:
-        rep = semigroup.check_generator_bounds(q, m)
-        if not (rep.smallest_ok and rep.largest_ok):
+        gens = tuple(semigroup.minimal_generators(q, m))
+        c = semigroup.conductor(q, m)
+        smallest = verify.weierstrass_semigroup(q, m).smallest_positive()
+        smallest_ok = gens[0] == smallest == q ** (m - 1) == semigroup.smallest_positive(q, m)
+        largest_ok = gens[-1] == c + q ** (m - 1) - 1 == semigroup.largest_generator(q, m)
+        if not (smallest_ok and largest_ok):
             bad.append(f"({q},{m})")
-    r23 = semigroup.check_generator_bounds(2, 3)
-    r24 = semigroup.check_generator_bounds(2, 4)
+        last[q, m] = gens[-1]
     equality = (
-        r23.gamma_last == 7 == r23.conductor + 2**2 - 1
-        and r24.gamma_last == 19 == r24.conductor + 2**3 - 1
+        last[2, 3] == 7 == semigroup.conductor(2, 3) + 2**2 - 1
+        and last[2, 4] == 19 == semigroup.conductor(2, 4) + 2**3 - 1
     )
     ok = not bad and equality
     report(
         6, ok,
         f"bounds hold on all {len(grid)} cells; largest generator meets the "
-        f"upper bound at (2,3) -> {r23.gamma_last} and (2,4) -> {r24.gamma_last}"
+        f"upper bound at (2,3) -> {last[2, 3]} and (2,4) -> {last[2, 4]}"
         + (f"; {bad}" if bad else ""),
     )
 

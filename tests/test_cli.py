@@ -1,12 +1,15 @@
 """CLI dispatch, output formats, determinism, and exit codes."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from rpl import cli, gf, homma_family
+from rpl import cli, gf, homma_family, semigroup, verify
 from rpl.verify import CheckResult
 
 
@@ -308,3 +311,99 @@ def test_only_verify_imports_the_verify_suite():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_gs_reads_generators_from_closed_forms(monkeypatch, capsys):
+    _, expected, _ = run_cli(capsys, "gs", "--q", "2", "--m", "5", "--format", "json")
+
+    def refuse(q, m):
+        raise AssertionError("gs must not list the generators")
+
+    monkeypatch.setattr(semigroup, "minimal_generators", refuse)
+    code, out, _ = run_cli(capsys, "gs", "--q", "2", "--m", "5", "--format", "json")
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize("command", ["gs", "semigroup"])
+def test_conductor_cap_message(capsys, command):
+    code, out, err = run_cli(capsys, command, "--q", "2", "--m", "24")
+    assert code == 2
+    assert out == ""
+    assert err == "error: conductor 16773120 exceeds the bitmap cap 10000000\n"
+
+
+def test_failed_run_creates_no_out_file(tmp_path, capsys):
+    target = tmp_path / "gens.txt"
+    code, out, _ = run_cli(capsys, "semigroup", "--q", "2", "--m", "24", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("line", [
+    "gs --q 2 --m 100000",
+    "gs --q 3 --m 1000000",
+    "semigroup --q 3 --m 10000000",
+])
+def test_huge_level_is_rejected_at_once(line):
+    # the conductor has far more digits than CPython prints, so the message
+    # names q and m, and it is rejected before q^m is formed
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "rpl.cli", *line.split()], capture_output=True, text=True
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "exceeds the bitmap cap" in proc.stderr
+
+
+def test_semigroup_streams_generators_in_bounded_memory():
+    # 4.2M generators, 36 MB of json: written in blocks, never held at once
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rpl.cli", "semigroup", "--q", "2", "--m", "23", "--format", "json"],
+        stdout=subprocess.PIPE,
+    )
+    digest = hashlib.sha256()
+    while chunk := proc.stdout.read(1 << 20):
+        digest.update(chunk)
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)  # this child's own peak RSS
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert digest.hexdigest() == "39b5aad121722dd821c1637cffa35624e0a08999100f78131fd199ead745b283"
+    assert usage.ru_maxrss < 100 * 1024  # KiB on Linux
+
+
+def test_reader_closing_the_pipe_early_is_not_an_error():
+    # `rpl semigroup ... | head`: the output is streamed, and a reader that
+    # stops early ends the run quietly with exit 0, as one whole write did
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rpl.cli", "semigroup", "--q", "2", "--m", "20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(20) == b"q 2\nm 20\nconductor 1"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_verify_isolates_a_raising_check(monkeypatch, capsys):
+    code, clean, _ = run_cli(capsys, "verify", "semigroup")
+    assert code == 0
+
+    def _check_conductor_minimal():
+        raise RuntimeError("broken check")
+
+    monkeypatch.setattr(verify, "_check_conductor_minimal", _check_conductor_minimal)
+    code, out, err = run_cli(capsys, "verify", "semigroup")
+    assert code == 1
+    before, after = clean.splitlines(), out.splitlines()
+    assert len(after) == len(before) == 7
+    changed = [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
+    assert changed == [1, 6]
+    assert after[1] == "[semigroup] conductor_minimal FAIL (RuntimeError)"
+    assert after[6] == "5/6 checks passed"
+    assert "RuntimeError: broken check" in err

@@ -3,8 +3,10 @@
 The digests were taken from the CLI before the change each one guards: the
 seed commit's for field arithmetic and counting, the pair-sum sieve's for
 the semigroup generators, the value propagation's for the family
-counts, and the tower chain walk's for the runs at the field cap. A change
-that is meant to keep every output byte-identical proves it here.
+counts, the tower chain walk's for the runs at the field cap, and the
+semigroup bitmap's for the closed forms and the generators written in
+blocks. A change that is meant to keep every output byte-identical proves
+it here.
 """
 
 import hashlib
@@ -37,6 +39,11 @@ GOLDEN = {
     "gs --q 32 --m 2 --format json": "1ac6658407af3cd0cb86d3b9185cf36b3cb202f70f4ba5673122d98a53a780e0",
     "gs --q 1024 --m 1": "9e10026c85ce6e3894e9139bff725e60a0fec2586fa35ae9075a2e5b74d45100",
     "points-homma --q 1048576 --ell 2": "5ff5cf4316b75cad7e7c10c183109cb1c650a1536a8eca8e6a71f06ce4868c28",
+    "semigroup --q 3 --m 14": "6ff37519dd1e1189f9941310cb3996cde4005f925cd2a210c3d56c53f2eac21b",
+    "semigroup --q 5 --m 10 --format csv": "99b01483f9b28e2ba84f50c979c7923e0d8c36ea10cccf8f386196c6654a1507",
+    "semigroup --q 6 --m 3": "e95ed94a8e8a1c7801c1faffbb73d143b8318832a381192e80b968843dd90fa7",
+    "semigroup --q 2 --m 1 --format json": "ee5216eccd8012677a9e835f5b54dc751ece59127464739eb063c5cad915a747",
+    "gs --q 3 --m 1 --format csv": "a8bfd7dbe7ff15a28bb66e574cdd1cbb8ea300c22083c32c1a340ce5d65b6066",
 }
 
 

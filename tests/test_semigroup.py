@@ -1,19 +1,19 @@
-"""Weierstrass semigroup recursion, gaps, and minimal generators."""
+"""Weierstrass semigroup closed forms, the bitmap oracle, and minimal generators."""
 
 import pytest
 
 from rpl.errors import TooLarge, ValidationError
 from rpl.gs_tower import genus
 from rpl.semigroup import (
-    GeneratorSet,
-    NumericalSemigroup,
-    check_generator_bounds,
+    CONDUCTOR_CAP,
+    capped_conductor,
     conductor,
     gap_count,
+    largest_generator,
     minimal_generators,
-    weierstrass_semigroup,
+    smallest_positive,
 )
-from rpl.verify import semigroup_grid, sieve_generators
+from rpl.verify import NumericalSemigroup, semigroup_grid, sieve_generators, weierstrass_semigroup
 
 
 def semigroup_by_set_recursion(q, m, window):
@@ -47,23 +47,23 @@ def test_level_one_is_all_nonnegative_integers():
     s = weierstrass_semigroup(2, 1)
     assert s.conductor == 0
     assert list(s.members(5)) == [0, 1, 2, 3, 4]
-    assert gap_count(s) == 0
+    assert s.window.count(0) == 0
     assert -1 not in s
 
 
 def test_frozen_small_semigroups():
     s22 = weierstrass_semigroup(2, 2)
     assert list(s22.members(6)) == [0, 2, 3, 4, 5]
-    assert gap_count(s22) == 1
+    assert s22.window.count(0) == 1
     s23 = weierstrass_semigroup(2, 3)
     assert list(s23.members(8)) == [0, 4, 5, 6, 7]
-    assert gap_count(s23) == 3
+    assert s23.window.count(0) == 3
     s24 = weierstrass_semigroup(2, 4)
     assert list(s24.members(13)) == [0, 8, 10, 12]
-    assert gap_count(s24) == 9
+    assert s24.window.count(0) == 9
     s32 = weierstrass_semigroup(3, 2)
     assert list(s32.members(9)) == [0, 3, 6, 7, 8]
-    assert gap_count(s32) == 4
+    assert s32.window.count(0) == 4
 
 
 def test_stored_conductor_is_minimal():
@@ -78,41 +78,42 @@ def test_gap_count_equals_genus():
     for q in (2, 3, 4, 5):
         for m in range(1, 7):
             s = weierstrass_semigroup(q, m)
-            assert gap_count(s) == genus(q, m)
+            assert s.window.count(0) == gap_count(q, m) == genus(q, m)
 
 
 def test_smallest_positive_member():
     for q in (2, 3, 4):
         for m in range(1, 7):
             assert weierstrass_semigroup(q, m).smallest_positive() == q ** (m - 1)
+            assert smallest_positive(q, m) == q ** (m - 1)
 
 
 def test_minimal_generators_frozen():
-    assert minimal_generators(2, 2).gens == (2, 3)
-    assert minimal_generators(2, 3).gens == (4, 5, 6, 7)
-    assert minimal_generators(2, 4).gens == (
+    assert tuple(minimal_generators(2, 2)) == (2, 3)
+    assert tuple(minimal_generators(2, 3)) == (4, 5, 6, 7)
+    assert tuple(minimal_generators(2, 4)) == (
         8, 10, 12, 13, 14, 15, 17, 19,
     )
-    assert minimal_generators(3, 2).gens == (3, 7, 8)
-    assert minimal_generators(2, 1).gens == (1,)
+    assert tuple(minimal_generators(3, 2)) == (3, 7, 8)
+    assert tuple(minimal_generators(2, 1)) == (1,)
 
 
 @pytest.mark.parametrize(
     "q,m", [cell for cell in semigroup_grid() if conductor(*cell) <= 3 * 10**5]
 )
 def test_minimal_generators_match_sieve_oracle(q, m):
-    assert minimal_generators(q, m).gens == sieve_generators(weierstrass_semigroup(q, m))
+    assert tuple(minimal_generators(q, m)) == sieve_generators(weierstrass_semigroup(q, m))
 
 
 def test_generator_count_is_maximal_embedding_dimension():
     for q, m in semigroup_grid():
-        assert len(minimal_generators(q, m).gens) == q ** (m - 1)
+        assert len(tuple(minimal_generators(q, m))) == q ** (m - 1)
 
 
 def test_generators_not_sums_of_positive_members():
     for q, m in [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]:
         s = weierstrass_semigroup(q, m)
-        gens = minimal_generators(q, m).gens
+        gens = tuple(minimal_generators(q, m))
         positives = [n for n in s.members(max(gens) + 1) if n > 0]
         sums = {a + b for a in positives for b in positives}
         for g in gens:
@@ -124,7 +125,7 @@ def test_generators_regenerate_the_semigroup():
     for q, m in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]:
         s = weierstrass_semigroup(q, m)
         span = 2 * s.conductor + 2
-        gens = minimal_generators(q, m).gens
+        gens = tuple(minimal_generators(q, m))
         reach = {0}
         changed = True
         while changed:
@@ -138,25 +139,47 @@ def test_generators_regenerate_the_semigroup():
         assert reach == set(s.members(span))
 
 
+def extremes(q, m):
+    gens = tuple(minimal_generators(q, m))
+    return gens[0], gens[-1]
+
+
 def test_generator_bound_reports():
-    r23 = check_generator_bounds(2, 3)
-    assert (r23.gamma_first, r23.gamma_last) == (4, 7)
-    assert r23.smallest_ok and r23.largest_ok
-    assert r23.gamma_last == r23.conductor + 2 ** (3 - 1) - 1
-    r24 = check_generator_bounds(2, 4)
-    assert (r24.gamma_first, r24.gamma_last) == (8, 19)
-    assert r24.gamma_last == r24.conductor + 2 ** (4 - 1) - 1
-    r32 = check_generator_bounds(3, 2)
-    assert (r32.gamma_first, r32.gamma_last) == (3, 8)
-    assert r32.smallest_ok and r32.largest_ok
+    g23 = extremes(2, 3)
+    assert g23 == (4, 7) == (smallest_positive(2, 3), largest_generator(2, 3))
+    assert g23[0] == 2 ** (3 - 1) and g23[1] <= conductor(2, 3) + 2 ** (3 - 1) - 1
+    assert g23[1] == conductor(2, 3) + 2 ** (3 - 1) - 1
+    g24 = extremes(2, 4)
+    assert g24 == (8, 19) == (smallest_positive(2, 4), largest_generator(2, 4))
+    assert g24[1] == conductor(2, 4) + 2 ** (4 - 1) - 1
+    g32 = extremes(3, 2)
+    assert g32 == (3, 8) == (smallest_positive(3, 2), largest_generator(3, 2))
+    assert g32[0] == 3 ** (2 - 1) and g32[1] <= conductor(3, 2) + 3 ** (2 - 1) - 1
+    assert largest_generator(2, 1) == smallest_positive(2, 1) == 1
 
 
 def test_generator_bounds_hold_on_grid():
     for q in (2, 3, 4, 5):
         for m in range(2, 7):
-            report = check_generator_bounds(q, m)
-            assert report.smallest_ok
-            assert report.largest_ok
+            first, last = extremes(q, m)
+            assert first == q ** (m - 1) == smallest_positive(q, m)
+            assert last <= conductor(q, m) + q ** (m - 1) - 1
+            assert last == largest_generator(q, m)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 10, 12])
+def test_closed_forms_match_bitmap_oracle(q):
+    # 6, 10 and 12 are not prime powers: the recursion and its closed forms
+    # need only an integer q >= 2
+    m = 1
+    while conductor(q, m) <= 10**5:
+        s = weierstrass_semigroup(q, m)
+        assert s.conductor == capped_conductor(q, m)
+        assert s.window.count(0) == gap_count(q, m)
+        assert s.smallest_positive() == smallest_positive(q, m)
+        assert sieve_generators(s) == tuple(minimal_generators(q, m))
+        assert extremes(q, m) == (smallest_positive(q, m), largest_generator(q, m))
+        m += 1
 
 
 def test_additive_closure_exhaustive_small():
@@ -175,7 +198,7 @@ def test_validation_and_caps():
     with pytest.raises(ValidationError):
         conductor(2, 0)
     with pytest.raises(ValidationError):
-        check_generator_bounds(2, 1)
+        largest_generator(2, 0)
     with pytest.raises(TooLarge):
         weierstrass_semigroup(2, 24)
     with pytest.raises(ValidationError):
@@ -196,13 +219,23 @@ def test_semigroup_type_invariants():
     assert trimmed.window == bytes([1, 0])
 
 
-def test_generator_set_invariants():
-    assert GeneratorSet((2, 3)).gens == (2, 3)
-    with pytest.raises(ValueError):
-        GeneratorSet(())
-    with pytest.raises(ValueError):
-        GeneratorSet((3, 2))
-    with pytest.raises(ValueError):
-        GeneratorSet((0, 2))
-    with pytest.raises(ValueError):
-        GeneratorSet((2, 2, 3))
+def test_cap_boundary():
+    assert capped_conductor(2, 23) == 2**23 - 2**12
+    assert capped_conductor(10, 7) == 9990000 <= CONDUCTOR_CAP
+    for q, m in [(2, 24), (10, 8), (11, 7)]:
+        with pytest.raises(TooLarge, match=f"^conductor {conductor(q, m)} exceeds the bitmap cap"):
+            capped_conductor(q, m)
+
+
+def test_cap_message_stays_printable():
+    # 10^m - 10^ceil(m/2) has m digits; CPython prints at most 4300
+    with pytest.raises(TooLarge, match=f"^conductor {conductor(10, 4300)} exceeds"):
+        capped_conductor(10, 4300)
+    with pytest.raises(ValidationError):
+        capped_conductor(-3, 10**7)  # validated before the size bound
+    for q, m in [(10, 4301), (2, 100000), (3, 10**7), (2**64, 10**9)]:
+        with pytest.raises(TooLarge) as err:
+            capped_conductor(q, m)
+        assert str(err.value) == (
+            f"conductor q^m - q^ceil(m/2) at q = {q}, m = {m} exceeds the bitmap cap {CONDUCTOR_CAP}"
+        )
