@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import isqrt
 
 from .errors import DegenerateDenominator, NotConverged, ValidationError
-from .gf import FieldContext, factor_prime_power, make_field
+from .gf import factor_prime_power
 
 UNTABULATED_AQ_REMARK = (
     "For q outside the small tabulated values, except possibly when q is "
@@ -101,38 +100,6 @@ def upper_limit_check(q: int, n_max: int, eps: Fraction) -> ConvergenceReport:
 
 
 # ---------------------------------------------------------------------------
-# the exceptional quartic over F_4
-# ---------------------------------------------------------------------------
-
-
-def projective_plane_points(ctx: FieldContext) -> list[tuple[int, int, int]]:
-    """Normalized representatives of P^2 over ctx (first nonzero = 1)."""
-    elems = list(ctx.elements())
-    zero, one = ctx.zero, ctx.one
-    points = [(one, y, z) for y, z in product(elems, repeat=2)]
-    points += [(zero, one, z) for z in elems]
-    points.append((zero, zero, one))
-    return points
-
-
-def count_exceptional_quartic() -> int:
-    """Rational points over F_4 of the quartic
-    (X+Y+Z)^4 + (XY+YZ+ZX)^2 + XYZ(X+Y+Z) = 0,
-    the unique curve exceeding Sziklai's bound; must come out 14.
-    """
-    ctx = make_field(2, 2)
-    count = 0
-    for x, y, z in projective_plane_points(ctx):
-        s = ctx.add(ctx.add(x, y), z)
-        t = ctx.add(ctx.add(ctx.mul(x, y), ctx.mul(y, z)), ctx.mul(z, x))
-        u = ctx.mul(ctx.mul(ctx.mul(x, y), z), s)
-        value = ctx.add(ctx.add(ctx.pow(s, 4), ctx.mul(t, t)), u)
-        if value == ctx.zero:
-            count += 1
-    return count
-
-
-# ---------------------------------------------------------------------------
 # Ihara-constant inputs
 # ---------------------------------------------------------------------------
 
@@ -147,38 +114,33 @@ class IharaTableEntry:
     reference: str
 
 
-_TABLE_ROWS = (
-    (3, "0.2464", "Duursma-Mak 2013"),
-    (4, "0.5", "Ihara 1981; Tsfasman-Vladut-Zink 1982"),
-    (5, "0.3636", "Temkine 2001; Angles-Maire 2002"),
-    (7, "0.4615", "Hall-Seelig 2013"),
-    (8, "0.75", "Zink 1985"),
-    (11, "0.5714", "Hall-Seelig 2013"),
-    (13, "0.6", "Li-Maharaj 2002"),
-    (17, "0.8", "Li-Maharaj 2002"),
-    (19, "0.8", "Hall-Seelig 2013"),
-    (23, "0.9230", "Hall-Seelig 2013"),
-    (29, "0.9523", "Hall-Seelig 2013"),
-    (31, "0.9523", "Hall-Seelig 2013"),
-)
-
-
-def ihara_half_table() -> tuple[IharaTableEntry, ...]:
-    """The twelve tabulated A(q)/2 lower bounds (truncated literature values)."""
-    return tuple(
-        IharaTableEntry(q=q, printed=printed, half_lower=Fraction(printed), reference=ref)
-        for q, printed, ref in _TABLE_ROWS
+# the twelve tabulated A(q)/2 lower bounds (truncated literature values), by q
+IHARA_HALF_TABLE = {
+    q: IharaTableEntry(q=q, printed=printed, half_lower=Fraction(printed), reference=ref)
+    for q, printed, ref in (
+        (3, "0.2464", "Duursma-Mak 2013"),
+        (4, "0.5", "Ihara 1981; Tsfasman-Vladut-Zink 1982"),
+        (5, "0.3636", "Temkine 2001; Angles-Maire 2002"),
+        (7, "0.4615", "Hall-Seelig 2013"),
+        (8, "0.75", "Zink 1985"),
+        (11, "0.5714", "Hall-Seelig 2013"),
+        (13, "0.6", "Li-Maharaj 2002"),
+        (17, "0.8", "Li-Maharaj 2002"),
+        (19, "0.8", "Hall-Seelig 2013"),
+        (23, "0.9230", "Hall-Seelig 2013"),
+        (29, "0.9523", "Hall-Seelig 2013"),
+        (31, "0.9523", "Hall-Seelig 2013"),
     )
+}
 
 
-def half_ihara_odd_power(q: int) -> Fraction | None:
-    """Half of the odd-power tower bound on A(q), for q = p^(2m+1), m >= 1.
+def half_ihara_odd_power(p: int, e: int) -> Fraction | None:
+    """Half of the odd-power tower bound on A(q), for q = p^e with e = 2m+1, m >= 1.
 
     A(p^(2m+1)) >= 2 * (1/(p^m - 1) + 1/(p^(m+1) - 1))^(-1)
     (Bassa-Beelen-Garcia-Stichtenoth towers), so half of it is the
     harmonic-style expression below; None when the exponent is even or 1.
     """
-    p, e = factor_prime_power(q)
     if e < 3 or e % 2 == 0:
         return None
     m = (e - 1) // 2
@@ -238,60 +200,38 @@ class DqSummary:
     best_lower: Fraction | None  # None when no lower record applies (q = 2)
 
 
+_RECORDS = {  # name -> (direction, source), in the order the records are listed
+    "nondegenerate-limit": (
+        "upper", "limit of the nondegenerate point bound over growing dimension"),
+    "explicit-family": (
+        "lower", "recursive projective family with as many points as its degree"),
+    "square-tower": ("lower", "one-point embeddings of an optimal recursive tower"),
+    "half-ihara-table": ("lower", "half of the tabulated A(q) bound ({})"),
+    "half-ihara-odd-power": (
+        "lower", "half of the odd-power tower bound (Bassa-Beelen-Garcia-Stichtenoth 2015)"),
+}
+
+
 def dq_summary(q: int) -> DqSummary:
     """Collect every applicable points-per-degree bound record for q."""
     p, e = factor_prime_power(q)
-    records = [
-        BoundRecord(
-            name="nondegenerate-limit",
-            direction="upper",
-            value=Fraction(q - 1),
-            source="limit of the nondegenerate point bound over growing dimension",
-        )
-    ]
-    if q > 2:
-        records.append(
-            BoundRecord(
-                name="explicit-family",
-                direction="lower",
-                value=Fraction(1),
-                source="recursive projective family with as many points as its degree",
-            )
-        )
-    if e % 2 == 0:
-        r = p ** (e // 2)
-        records.append(
-            BoundRecord(
-                name="square-tower",
-                direction="lower",
-                value=Fraction(r * r - r, r + 1),
-                source="one-point embeddings of an optimal recursive tower",
-            )
-        )
-    for entry in ihara_half_table():
-        if entry.q == q:
-            records.append(
-                BoundRecord(
-                    name="half-ihara-table",
-                    direction="lower",
-                    value=entry.half_lower,
-                    source=f"half of the tabulated A(q) bound ({entry.reference})",
-                )
-            )
-    odd = half_ihara_odd_power(q)
-    if odd is not None:
-        records.append(
-            BoundRecord(
-                name="half-ihara-odd-power",
-                direction="lower",
-                value=odd,
-                source="half of the odd-power tower bound (Bassa-Beelen-Garcia-Stichtenoth 2015)",
-            )
-        )
-    lowers = [rec.value for rec in records if rec.direction == "lower"]
+    r = p ** (e // 2)
+    entry = IHARA_HALF_TABLE.get(q)
+    values = {
+        "nondegenerate-limit": Fraction(q - 1),
+        "explicit-family": Fraction(1) if q > 2 else None,
+        "square-tower": Fraction(r * r - r, r + 1) if e % 2 == 0 else None,
+        "half-ihara-table": entry and entry.half_lower,
+        "half-ihara-odd-power": half_ihara_odd_power(p, e),
+    }
+    records = tuple(
+        BoundRecord(name, direction, values[name], source.format(entry and entry.reference))
+        for name, (direction, source) in _RECORDS.items()
+        if values[name] is not None
+    )
     return DqSummary(
         q=q,
-        records=tuple(records),
+        records=records,
         upper=Fraction(q - 1),
-        best_lower=max(lowers) if lowers else None,
+        best_lower=max((rec.value for rec in records if rec.direction == "lower"), default=None),
     )

@@ -14,11 +14,10 @@ import io
 import json
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import TextIO
+from itertools import chain, islice
 
 from . import DEFAULT_N_MAX, SCOPES, bounds, gs_tower, homma_family, semigroup
 from .errors import RplError
@@ -29,38 +28,73 @@ EPILOG = (
     f"(default 2^20 = {DEFAULT_FIELD_CAP}); values above the default or "
     "malformed values are ignored."
 )
-BLOCK = 1 << 16  # items of a streamed field joined per write
+BLOCK = 1 << 12  # items of a streamed part rendered per write
 
 
 @dataclass
 class Rendering:
-    json_obj: dict
-    csv_header: list[str]
-    csv_rows: list[list[object]]
-    text_lines: list[str]
+    """A command's output in each format, as pieces of text written in order.
+
+    The pieces are lazy: only the chosen format is rendered, and a streamed
+    part (the generators, the table rows) BLOCK items at a time.
+    """
+
+    json: Iterable[str]
+    csv: Iterable[str]
+    text: Iterable[str]
     exit_code: int = 0
-    tail: Iterator[int] | None = None  # a record's last field, streamed by _write
+
+
+def _blocks(items: Iterator, render: Callable[[list], str], sep: str = "") -> Iterator[str]:
+    """render(block) for each block of up to BLOCK items, with sep between blocks."""
+    lead = ""
+    while block := list(islice(items, BLOCK)):
+        yield lead + render(block)
+        lead = sep
+
+
+def _dumps(obj: object) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _json(obj: dict) -> Iterator[str]:
+    """obj as one line of json; an iterator as its last field is streamed as an array."""
+    *_, last = obj
+    if isinstance(obj[last], Iterator):
+        yield _dumps({**obj, last: []})[:-2]
+        yield from _blocks(obj[last], lambda block: _dumps(block)[1:-1], ",")
+        yield "]}\n"
+    else:
+        yield _dumps(obj) + "\n"
+
+
+def _csv(rows: Iterable[Iterable[object]]) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def _record(obj: dict) -> Rendering:
     """Render a one-record JSON object as a csv row and text lines, after "schema".
 
     None becomes an empty cell and no text line; a tuple is joined with ';'.
-    An iterator as the last field becomes the tail, rendered here as ().
+    An iterator as the last field is streamed, joined as a tuple is.
     """
     *_, last = obj
-    tail = obj[last] if isinstance(obj[last], Iterator) else None
-    if tail is not None:
-        obj[last] = ()
-    header = list(obj)[1:]
-    row = [
-        "" if obj[key] is None
-        else ";".join(map(str, obj[key])) if isinstance(obj[key], tuple)
-        else obj[key]
-        for key in header
-    ]
-    lines = [f"{key} {cell}" for key, cell in zip(header, row) if obj[key] is not None]
-    return Rendering(obj, header, [row], lines, tail=tail)
+    tail = obj[last] if isinstance(obj[last], Iterator) else iter(())
+    cells = {
+        key: "" if value is None or value is tail
+        else ";".join(map(str, value)) if isinstance(value, tuple)
+        else value
+        for key, value in list(obj.items())[1:]
+    }
+    row = _csv([list(cells), cells.values()])
+    lines = "".join(f"{key} {cell}\n" for key, cell in cells.items() if obj[key] is not None)
+    # the tail is the last cell: it ends just before the final newline
+    tail_text = _blocks(tail, lambda block: ";".join(map(str, block)), ";")
+    return Rendering(
+        _json(obj), chain([row[:-1]], tail_text, ["\n"]), chain([lines[:-1]], tail_text, ["\n"])
+    )
 
 
 def _cmd_points_homma(args: argparse.Namespace) -> Rendering:
@@ -78,8 +112,8 @@ def _cmd_points_homma(args: argparse.Namespace) -> Rendering:
 
 def _cmd_gs(args: argparse.Namespace) -> Rendering:
     q, m = args.q, args.m
-    split = gs_tower.count_split_chains(q, m)
-    c = semigroup.capped_conductor(q, m)
+    gs_tower.check_level(q, m)
+    c = semigroup.capped_conductor(q, m)  # before q^m is formed
     genus = gs_tower.genus(q, m)
     # the generator bounds hold for every m >= 2; verify semigroup certifies them
     verdict = True if m >= 2 else None
@@ -88,7 +122,7 @@ def _cmd_gs(args: argparse.Namespace) -> Rendering:
         "q": q,
         "m": m,
         "genus": genus,
-        "split": split,
+        "split": gs_tower.count_split_chains(q, m),
         "conductor": c,
         "gap_count": genus,
         "gamma_first": semigroup.smallest_positive(q, m),
@@ -112,48 +146,47 @@ def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
     })
 
 
-def _summary_fields(q: int) -> tuple[dict, list[object], list[str]]:
+BOUNDS_HEADER = ["q", "upper", "best_lower", "records"]
+
+
+def _summary(q: int) -> dict:
+    """The bounds record of q as a JSON object; its csv row and text lines derive from it."""
     summary = bounds.dq_summary(q)
-    upper = int(summary.upper)
-    best = "" if summary.best_lower is None else str(summary.best_lower)
-    records = [
-        {
-            "name": rec.name,
-            "direction": rec.direction,
-            "value": str(rec.value),
-            "source": rec.source,
-        }
-        for rec in summary.records
-    ]
-    obj = {
+    return {
         "q": q,
-        "upper": upper,
-        "best_lower": str(summary.best_lower) if summary.best_lower is not None else None,
-        "records": records,
+        "upper": int(summary.upper),
+        "best_lower": None if summary.best_lower is None else str(summary.best_lower),
+        "records": [{**vars(rec), "value": str(rec.value)} for rec in summary.records],
     }
-    joined = ";".join(f"{rec['name']}={rec['value']}" for rec in records)
-    row = [q, upper, best, joined]
-    lines = [f"q {q}", f"upper {upper}", f"best_lower {best or 'unknown'}"]
-    lines += [f"record {rec['name']} {rec['direction']} {rec['value']}" for rec in records]
-    return obj, row, lines
+
+
+def _summary_row(obj: dict) -> list[object]:
+    records = ";".join(f"{rec['name']}={rec['value']}" for rec in obj["records"])
+    return [obj["q"], obj["upper"], obj["best_lower"] or "", records]
+
+
+def _summary_line(obj: dict) -> str:
+    return f"q={obj['q']} upper={obj['upper']} best_lower={obj['best_lower'] or 'unknown'}\n"
 
 
 def _cmd_bounds(args: argparse.Namespace) -> Rendering:
-    header = ["q", "upper", "best_lower", "records"]
-    if args.table is not None:
-        if args.table < 2:
-            raise ValueError(f"--table expects a limit of at least 2, got {args.table}")
-        rows = []
-        objs = []
-        lines = []
-        for q in prime_powers_upto(args.table):
-            obj, row, _ = _summary_fields(q)
-            objs.append(obj)
-            rows.append(row)
-            lines.append(f"q={q} upper={row[1]} best_lower={row[2] or 'unknown'}")
-        return Rendering({"schema": 1, "qmax": args.table, "rows": objs}, header, rows, lines)
-    obj, row, lines = _summary_fields(args.q)
-    return Rendering({"schema": 1, **obj}, header, [row], lines)
+    if args.table is None:
+        obj = _summary(args.q)
+        lines = [f"q {obj['q']}", f"upper {obj['upper']}",
+                 f"best_lower {obj['best_lower'] or 'unknown'}",
+                 *(f"record {rec['name']} {rec['direction']} {rec['value']}"
+                   for rec in obj["records"])]
+        return Rendering(_json({"schema": 1, **obj}), [_csv([BOUNDS_HEADER, _summary_row(obj)])],
+                         ["\n".join(lines) + "\n"])
+    if args.table < 2:
+        raise ValueError(f"--table expects a limit of at least 2, got {args.table}")
+    # one lazy stream of records; only the chosen format consumes it
+    objs = map(_summary, prime_powers_upto(args.table))
+    return Rendering(
+        _json({"schema": 1, "qmax": args.table, "rows": objs}),
+        chain([_csv([BOUNDS_HEADER])], _blocks(map(_summary_row, objs), _csv)),
+        _blocks(map(_summary_line, objs), "".join),
+    )
 
 
 def _cmd_verify(args: argparse.Namespace) -> Rendering:
@@ -161,50 +194,17 @@ def _cmd_verify(args: argparse.Namespace) -> Rendering:
 
     results = verify.run_verify(args.scope, args.n_max)
     passed = sum(1 for res in results if res.ok)
-    obj = {
-        "schema": 1,
-        "scope": args.scope,
-        "checks": [
-            {"scope": res.scope, "name": res.name, "ok": res.ok, "detail": res.detail}
-            for res in results
-        ],
-        "passed": passed,
-        "total": len(results),
-    }
-    header = ["scope", "name", "ok", "detail"]
-    rows = [[res.scope, res.name, res.ok, res.detail] for res in results]
-    lines = []
-    for res in results:
-        status = "PASS" if res.ok else f"FAIL ({res.detail})"
-        lines.append(f"[{res.scope}] {res.name} {status}")
+    checks = [vars(res) for res in results]  # scope, name, ok, detail
+    lines = [f"[{res.scope}] {res.name} {'PASS' if res.ok else f'FAIL ({res.detail})'}"
+             for res in results]
     lines.append(f"{passed}/{len(results)} checks passed")
-    return Rendering(obj, header, rows, lines, exit_code=0 if passed == len(results) else 1)
-
-
-def _write(result: Rendering, fmt: str, out: TextIO) -> None:
-    """Write result to out in fmt, its tail in blocks of BLOCK items."""
-    if fmt == "json":
-        head = json.dumps(result.json_obj, separators=(",", ":")) + "\n"
-    elif fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(result.csv_header)
-        writer.writerows(result.csv_rows)
-        head = buffer.getvalue()
-    else:
-        head = "\n".join(result.text_lines) + "\n"
-    if result.tail is not None:
-        # the tail is the last field, so it ends just before the closing
-        # "]}\n" of json and the final newline of csv and text
-        cut = len(head) - (3 if fmt == "json" else 1)
-        sep = "," if fmt == "json" else ";"
-        out.write(head[:cut])
-        lead = ""
-        while block := sep.join(map(str, islice(result.tail, BLOCK))):
-            out.write(lead + block)
-            lead = sep
-        head = head[cut:]
-    out.write(head)
+    return Rendering(
+        _json({"schema": 1, "scope": args.scope, "checks": checks,
+               "passed": passed, "total": len(results)}),
+        [_csv([["scope", "name", "ok", "detail"], *(check.values() for check in checks)])],
+        ["\n".join(lines) + "\n"],
+        exit_code=0 if passed == len(results) else 1,
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -265,9 +265,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    pieces = getattr(result, args.format)
     if args.out is None:
         try:
-            _write(result, args.format, sys.stdout)
+            sys.stdout.writelines(pieces)
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader stopped early (`rpl ... | head`): end quietly, and
@@ -275,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
         with open(args.out, "w", encoding="utf-8") as out:
-            _write(result, args.format, out)
+            out.writelines(pieces)
     return result.exit_code
 
 

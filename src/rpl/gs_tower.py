@@ -32,6 +32,14 @@ def genus(q: int, m: int) -> int:
     return gap_count(q, m)
 
 
+def check_level(q: int, m: int) -> None:
+    """Reject q that is not a prime power, then m < 1, then F_{q^2} over the field cap."""
+    p, e = factor_prime_power(q)
+    if m < 1:
+        raise ValidationError(f"m must be >= 1, got {m}")
+    field_order(p, 2 * e)
+
+
 def count_split_chains(q: int, m: int) -> int:
     """Split places (q-1)*q^m of level m, a certified lower bound on its rational places.
 
@@ -40,10 +48,7 @@ def count_split_chains(q: int, m: int) -> int:
     this stays a bound rather than a claimed exact total.  F_{q^2} must be
     under the field cap, as for every field the package works over.
     """
-    p, e = factor_prime_power(q)
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
-    field_order(p, 2 * e)
+    check_level(q, m)
     return (q - 1) * q**m
 
 

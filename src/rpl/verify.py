@@ -787,10 +787,37 @@ def check_semigroup(n_max: int = DEFAULT_N_MAX) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def projective_plane_points(ctx: FieldContext) -> list[tuple[int, int, int]]:
+    """Normalized representatives of P^2 over ctx (first nonzero = 1)."""
+    elems = list(ctx.elements())
+    zero, one = ctx.zero, ctx.one
+    points = [(one, y, z) for y, z in product(elems, repeat=2)]
+    points += [(zero, one, z) for z in elems]
+    points.append((zero, zero, one))
+    return points
+
+
+def count_exceptional_quartic() -> int:
+    """Rational points over F_4 of the quartic
+    (X+Y+Z)^4 + (XY+YZ+ZX)^2 + XYZ(X+Y+Z) = 0,
+    the unique curve exceeding Sziklai's bound; must come out 14.
+    """
+    ctx = make_field(2, 2)
+    count = 0
+    for x, y, z in projective_plane_points(ctx):
+        s = ctx.add(ctx.add(x, y), z)
+        t = ctx.add(ctx.add(ctx.mul(x, y), ctx.mul(y, z)), ctx.mul(z, x))
+        u = ctx.mul(ctx.mul(ctx.mul(x, y), z), s)
+        value = ctx.add(ctx.add(ctx.pow(s, 4), ctx.mul(t, t)), u)
+        if value == ctx.zero:
+            count += 1
+    return count
+
+
 def _check_exceptional_quartic() -> CheckResult:
     ctx = field_from_order(4)
-    points = len(bounds.projective_plane_points(ctx))
-    count = bounds.count_exceptional_quartic()
+    points = len(projective_plane_points(ctx))
+    count = count_exceptional_quartic()
     plane_bound = bounds.sziklai_bound(4, 4)
     ok = points == 21 and count == 14 and plane_bound == 13 and count > plane_bound
     return CheckResult("bounds", "exceptional_quartic=14", ok, f"count {count} of {points}")
@@ -862,7 +889,7 @@ def _check_square_tower_cross_module() -> CheckResult:
 
 
 def _check_aq_half_table() -> CheckResult:
-    table = bounds.ihara_half_table()
+    table = bounds.IHARA_HALF_TABLE.values()
     failures: list[str] = []
     if tuple(entry.q for entry in table) != (3, 4, 5, 7, 8, 11, 13, 17, 19, 23, 29, 31):
         failures.append("row set")
@@ -872,7 +899,7 @@ def _check_aq_half_table() -> CheckResult:
         if not entry.reference:
             failures.append(f"q={entry.q} reference")
     row8 = next(entry for entry in table if entry.q == 8)
-    if row8.half_lower != bounds.half_ihara_odd_power(8) or row8.half_lower != Fraction(3, 4):
+    if row8.half_lower != bounds.half_ihara_odd_power(2, 3) or row8.half_lower != Fraction(3, 4):
         failures.append("q=8 odd-power mismatch")
     return CheckResult("bounds", "aq_half_table", not failures, _fail_detail(failures))
 

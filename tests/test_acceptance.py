@@ -55,12 +55,12 @@ def homma_grid():
 
 
 def test_criterion_01_exceptional_quartic_count_and_speed():
-    count = bounds.count_exceptional_quartic()
+    count = verify.count_exceptional_quartic()
     plane_bound = bounds.sziklai_bound(4, 4)
     timings = []
     for _ in range(5):
         start = time.perf_counter()
-        again = bounds.count_exceptional_quartic()
+        again = verify.count_exceptional_quartic()
         timings.append(time.perf_counter() - start)
         assert again == count
     best = min(timings)

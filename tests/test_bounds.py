@@ -4,22 +4,22 @@ from fractions import Fraction
 
 import pytest
 
+from rpl import bounds
 from rpl.bounds import (
+    IHARA_HALF_TABLE,
     UNTABULATED_AQ_REMARK,
-    count_exceptional_quartic,
     dq_summary,
     drinfeld_vladut_upper,
     half_ihara_odd_power,
-    ihara_half_table,
     nondegenerate_coefficient,
-    projective_plane_points,
     sziklai_bound,
     upper_limit_check,
     weil_bound,
 )
 from rpl.errors import DegenerateDenominator, NotConverged, NotPrimePower, ValidationError
-from rpl.gf import field_from_order
+from rpl.gf import field_from_order, prime_powers_upto
 from rpl.gs_tower import points_per_degree_limit
+from rpl.verify import count_exceptional_quartic, projective_plane_points
 
 
 def test_weil_bound_frozen():
@@ -111,7 +111,7 @@ def test_exceptional_quartic_count():
 
 
 def test_ihara_half_table_frozen():
-    table = ihara_half_table()
+    table = IHARA_HALF_TABLE.values()
     assert [entry.q for entry in table] == [3, 4, 5, 7, 8, 11, 13, 17, 19, 23, 29, 31]
     printed = {entry.q: entry.printed for entry in table}
     assert printed[3] == "0.2464"
@@ -125,12 +125,12 @@ def test_ihara_half_table_frozen():
 
 def test_odd_power_half_bound():
     # p^(2m+1): half of 2/(1/(p^m - 1) + 1/(p^(m+1) - 1))
-    assert half_ihara_odd_power(8) == Fraction(3, 4)
-    assert half_ihara_odd_power(32) == Fraction(21, 10)
-    assert half_ihara_odd_power(27) == Fraction(Fraction(2 * 8, 2 + 8))
-    assert half_ihara_odd_power(4) is None
-    assert half_ihara_odd_power(2) is None
-    assert half_ihara_odd_power(9) is None
+    assert half_ihara_odd_power(2, 3) == Fraction(3, 4)  # q = 8
+    assert half_ihara_odd_power(2, 5) == Fraction(21, 10)  # q = 32
+    assert half_ihara_odd_power(3, 3) == Fraction(Fraction(2 * 8, 2 + 8))  # q = 27
+    assert half_ihara_odd_power(2, 2) is None  # q = 4
+    assert half_ihara_odd_power(2, 1) is None  # q = 2
+    assert half_ihara_odd_power(3, 2) is None  # q = 9
 
 
 def test_drinfeld_vladut_upper():
@@ -180,6 +180,17 @@ def test_dq_summary_square_matches_tower_limit():
         summary = dq_summary(r * r)
         record = next(rec for rec in summary.records if rec.name == "square-tower")
         assert record.value == points_per_degree_limit(r)
+
+
+def test_dq_summary_factors_q_once(monkeypatch):
+    # the odd-power record reuses the summary's (p, e) instead of factoring again
+    calls = []
+    factor = bounds.factor_prime_power
+    monkeypatch.setattr(bounds, "factor_prime_power", lambda q: calls.append(q) or factor(q))
+    qs = prime_powers_upto(300)
+    for q in qs:
+        dq_summary(q)
+    assert calls == qs
 
 
 def test_dq_summary_rejects_non_prime_power():

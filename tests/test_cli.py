@@ -1,8 +1,6 @@
 """CLI dispatch, output formats, determinism, and exit codes."""
 
-import hashlib
 import json
-import os
 import subprocess
 import sys
 import time
@@ -345,6 +343,7 @@ def test_failed_run_creates_no_out_file(tmp_path, capsys):
     "gs --q 2 --m 100000",
     "gs --q 3 --m 1000000",
     "semigroup --q 3 --m 10000000",
+    "gs --q 3 --m 10000000",
 ])
 def test_huge_level_is_rejected_at_once(line):
     # the conductor has far more digits than CPython prints, so the message
@@ -359,21 +358,42 @@ def test_huge_level_is_rejected_at_once(line):
     assert "exceeds the bitmap cap" in proc.stderr
 
 
+# Runs `rpl ARGS...` and prints its exit code, stdout sha256 and peak RSS.  A
+# child's ru_maxrss starts at the peak of the process that spawned it, so the
+# run is started from this small interpreter rather than from pytest itself.
+_MEASURE = """
+import hashlib, os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "rpl.cli", *sys.argv[1:]], stdout=subprocess.PIPE)
+digest = hashlib.sha256()
+while chunk := proc.stdout.read(1 << 20):
+    digest.update(chunk)
+_, status, usage = os.wait4(proc.pid, 0)  # this child's own peak RSS
+print(os.waitstatus_to_exitcode(status), digest.hexdigest(), usage.ru_maxrss)
+"""
+
+
+def run_measured(line: str) -> tuple[int, str, int]:
+    """Exit code, stdout sha256 and peak RSS in KiB of `rpl LINE`."""
+    proc = subprocess.run([sys.executable, "-c", _MEASURE, *line.split()],
+                          capture_output=True, text=True, check=True)
+    code, digest, rss = proc.stdout.split()
+    return int(code), digest, int(rss)
+
+
 def test_semigroup_streams_generators_in_bounded_memory():
     # 4.2M generators, 36 MB of json: written in blocks, never held at once
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "rpl.cli", "semigroup", "--q", "2", "--m", "23", "--format", "json"],
-        stdout=subprocess.PIPE,
-    )
-    digest = hashlib.sha256()
-    while chunk := proc.stdout.read(1 << 20):
-        digest.update(chunk)
-    proc.stdout.close()
-    _, status, usage = os.wait4(proc.pid, 0)  # this child's own peak RSS
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert digest.hexdigest() == "39b5aad121722dd821c1637cffa35624e0a08999100f78131fd199ead745b283"
-    assert usage.ru_maxrss < 100 * 1024  # KiB on Linux
+    code, digest, rss = run_measured("semigroup --q 2 --m 23 --format json")
+    assert code == 0
+    assert digest == "39b5aad121722dd821c1637cffa35624e0a08999100f78131fd199ead745b283"
+    assert rss < 100 * 1024  # KiB on Linux
+
+
+def test_bounds_table_streams_in_bounded_memory():
+    # 26K rows, 8.6 MB of json: each row is rendered and written as it is computed
+    code, digest, rss = run_measured("bounds --table 300000 --format json")
+    assert code == 0
+    assert digest == "fb73d2b1349de76f9588461c3b380ee7b9e8b1f277dff1f0a25668c458c6ce4b"
+    assert rss < 45 * 1024  # KiB on Linux
 
 
 def test_reader_closing_the_pipe_early_is_not_an_error():

@@ -5,7 +5,8 @@ seed commit's for field arithmetic and counting, the pair-sum sieve's for
 the semigroup generators, the value propagation's for the family
 counts, the tower chain walk's for the runs at the field cap, and the
 semigroup bitmap's for the closed forms and the generators written in
-blocks. A change that is meant to keep every output byte-identical proves
+blocks, and the whole-table renderer's for the bound tables written row by
+row. A change that is meant to keep every output byte-identical proves
 it here.
 """
 
@@ -44,6 +45,11 @@ GOLDEN = {
     "semigroup --q 6 --m 3": "e95ed94a8e8a1c7801c1faffbb73d143b8318832a381192e80b968843dd90fa7",
     "semigroup --q 2 --m 1 --format json": "ee5216eccd8012677a9e835f5b54dc751ece59127464739eb063c5cad915a747",
     "gs --q 3 --m 1 --format csv": "a8bfd7dbe7ff15a28bb66e574cdd1cbb8ea300c22083c32c1a340ce5d65b6066",
+    "bounds --table 100000 --format json": "e0d03264d3cc1d8b39b5ae789ba122494f1ffa68233d4840344ec2fd5dd27333",
+    "bounds --table 4096 --format csv": "068b82d4c6a5e8ac18a768fdb824fcf6d6fe3710d6348f377eca72e4b3a7a835",
+    "bounds --table 100000": "e41b7aec8d323256d06bce8497e12df74fc8892ae97068a581a89d6334a83928",
+    "bounds --q 9 --format json": "d973369fba72ca93e155e4b6f5036da11fe48d0db1ee8c2f5d53c462078f393a",
+    "bounds --q 2 --format csv": "d72ab642d8e34d76517d1f2d428ea9eccca22984f5220e0bd4711bde980fb55c",
 }
 
 
