@@ -23,6 +23,9 @@ from . import DEFAULT_N_MAX, SCOPES, bounds, gs_tower, homma_family, semigroup
 from .errors import AdmissibilityViolation, ComputationError, RplError, TooLarge, ValidationError
 from .gf import (
     FieldContext,
+    _digits,
+    _index,
+    _poly_mulmod,
     factor_prime_power,
     field_from_order,
     make_field,
@@ -95,30 +98,59 @@ def _run(scope: str, *checks: Callable[[], CheckResult]) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def _exp_log_certified(ctx: FieldContext) -> bool:
+    """Whether the exp/log tables make every product in ctx the polynomial one.
+
+    With n = q - 1: exp[0] = 1; each exp[i+1] is g*exp[i], multiplied on
+    digits by _poly_mulmod (mod p when e = 1), never through the tables or
+    the build's split products; exp[:n] is a permutation of 1..q-1 (so g has
+    order n and the modulus is irreducible); exp[n:] repeats it; log inverts
+    it. Then exp[i] = g^i and log[g^i] = i for every i < n, so mul, inv, div
+    and pow agree with the polynomial product mod the modulus on every pair.
+    """
+    p, e, q, g = ctx.p, ctx.e, ctx.q, ctx.generator
+    n = q - 1
+    exp, log = ctx.exp, ctx.log
+    head = exp[:n]
+    # the range check comes first, so no later lookup can leave the tables
+    if len(exp) != 2 * n or len(log) != q or sorted(head) != list(range(1, q)):
+        return False
+    if exp[0] != 1 or exp[n:] != head or [log[v] for v in head] != list(range(n)):
+        return False
+    if e == 1:
+        stepped = [v * g % p for v in head]
+    else:
+        f, g_digits = list(ctx.modulus), _digits(g, p, e)
+        stepped = [_index(_poly_mulmod(_digits(v, p, e), g_digits, f, p), p) for v in head]
+    return stepped == exp[1 : n + 1].tolist()
+
+
+def _additive_sample_ok(ctx: FieldContext) -> bool:
+    """Additive identities and distributivity on AXIOM_TRIPLES seeded triples."""
+    q = ctx.q
+    draws = iter(random.Random(1000003 * q + 12345).choices(range(q), k=3 * AXIOM_TRIPLES))
+    add, mul, neg, zero = ctx.add, ctx.mul, ctx.neg, ctx.zero
+    for a, b, c in zip(draws, draws, draws):
+        ab, bc = add(a, b), add(b, c)
+        if not (
+            add(ab, c) == add(a, bc)
+            and ab == add(b, a)
+            and mul(a, bc) == add(mul(a, b), mul(a, c))
+            and add(a, zero) == a
+            and add(a, neg(a)) == zero
+        ):
+            return False
+    return True
+
+
 def _check_field_axioms() -> CheckResult:
+    """Every field q <= 4096: the product by certificate, the sum by sample."""
     fields = prime_powers_upto(AXIOM_FIELD_LIMIT)
     failures: list[str] = []
     for q in fields:
         ctx = field_from_order(q)
-        rng = random.Random(1000003 * q + 12345)
-        for _ in range(AXIOM_TRIPLES):
-            a = ctx.element(rng.randrange(q))
-            b = ctx.element(rng.randrange(q))
-            c = ctx.element(rng.randrange(q))
-            ok = (
-                ctx.add(ctx.add(a, b), c) == ctx.add(a, ctx.add(b, c))
-                and ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
-                and ctx.add(a, b) == ctx.add(b, a)
-                and ctx.mul(a, b) == ctx.mul(b, a)
-                and ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
-                and ctx.add(a, ctx.zero) == a
-                and ctx.mul(a, ctx.one) == a
-                and ctx.add(a, ctx.neg(a)) == ctx.zero
-                and (a == ctx.zero or ctx.mul(a, ctx.inv(a)) == ctx.one)
-            )
-            if not ok:
-                failures.append(f"q={q}")
-                break
+        if not (_exp_log_certified(ctx) and _additive_sample_ok(ctx)):
+            failures.append(f"q={q}")
     return CheckResult(
         "gf",
         f"field_axioms q<={AXIOM_FIELD_LIMIT} x{AXIOM_TRIPLES}",

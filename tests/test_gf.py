@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpl import verify
 from rpl.errors import (
     DivisionByZero,
     FieldTooLarge,
@@ -18,6 +19,7 @@ from rpl.errors import (
 from rpl.gf import (
     DEFAULT_FIELD_CAP,
     FIELD_CAP_ENV,
+    FieldContext,
     PrimePower,
     factor_prime_power,
     field_cap,
@@ -399,3 +401,63 @@ def test_artin_schreier_requires_square_field():
     ctx9 = field_from_order(9)
     with pytest.raises(IncompatibleSubfield):
         solve_artin_schreier(ctx9, 2, ctx9.zero)
+
+
+# ---------------------------------------------------------------------------
+# the field_axioms certificate rejects corrupt exp/log tables
+# ---------------------------------------------------------------------------
+
+CORRUPT_AT = 1000
+
+
+def _transpose_exp_pair(ctx):
+    # swap g^i and g^(i+1) in both copies of exp and in log: the tables stay
+    # a consistent bijection, and only the step exp[i+1] = g*exp[i] breaks
+    n, i = ctx.q - 1, CORRUPT_AT
+    a, b = ctx.exp[i], ctx.exp[i + 1]
+    ctx.exp[i] = ctx.exp[n + i] = b
+    ctx.exp[i + 1] = ctx.exp[n + i + 1] = a
+    ctx.log[a], ctx.log[b] = i + 1, i
+
+
+def _wrong_log_entry(ctx):
+    ctx.log[ctx.exp[CORRUPT_AT]] += 1
+
+
+def _exp_value_out_of_range(ctx):
+    n = ctx.q - 1
+    ctx.exp[CORRUPT_AT] = ctx.exp[n + CORRUPT_AT] = ctx.q
+
+
+def _stale_second_copy(ctx):
+    n = ctx.q - 1
+    ctx.exp[n + CORRUPT_AT] = ctx.exp[CORRUPT_AT + 1]
+
+
+def _rotated_tables(ctx):
+    # exp[i] = g^(i+1) with log to match: every step still multiplies by g,
+    # and only exp[0] = 1 breaks
+    n = ctx.q - 1
+    shifted = ctx.exp[1 : n + 1]
+    ctx.exp[:] = shifted + shifted
+    for v in range(1, ctx.q):
+        ctx.log[v] = (ctx.log[v] - 1) % n
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_transpose_exp_pair, _wrong_log_entry, _exp_value_out_of_range, _stale_second_copy, _rotated_tables],
+)
+@pytest.mark.parametrize("q", [4093, 4096, 3125])  # e = 1; p = 2; odd p with e > 1
+def test_field_axioms_certificate_rejects_corrupt_tables(monkeypatch, q, corrupt):
+    good = field_from_order(q)
+    bad = FieldContext(good.pp, good.modulus)  # fresh tables, not the cached ones
+    corrupt(bad)
+    assert verify._exp_log_certified(good)
+    assert not verify._exp_log_certified(bad)
+
+    monkeypatch.setattr(verify, "prime_powers_upto", lambda n: [q])  # only the corrupt field
+    monkeypatch.setattr(verify, "field_from_order", lambda order: bad)
+    [result] = verify._run("gf", verify._check_field_axioms)
+    assert not result.ok
+    assert result.detail == f"q={q}"

@@ -5,9 +5,11 @@ seed commit's for field arithmetic and counting, the pair-sum sieve's for
 the semigroup generators, the value propagation's for the family
 counts, the tower chain walk's for the runs at the field cap, and the
 semigroup bitmap's for the closed forms and the generators written in
-blocks, and the whole-table renderer's for the bound tables written row by
-row. A change that is meant to keep every output byte-identical proves
-it here.
+blocks, the whole-table renderer's for the bound tables written row by
+row, and the sampled field axioms' for the `verify gf` detail ("604
+fields", which only the json and csv formats print) that the
+multiplication certificate keeps. A change that is meant to keep every
+output byte-identical proves it here.
 """
 
 import hashlib
@@ -50,6 +52,7 @@ GOLDEN = {
     "bounds --table 100000": "e41b7aec8d323256d06bce8497e12df74fc8892ae97068a581a89d6334a83928",
     "bounds --q 9 --format json": "d973369fba72ca93e155e4b6f5036da11fe48d0db1ee8c2f5d53c462078f393a",
     "bounds --q 2 --format csv": "d72ab642d8e34d76517d1f2d428ea9eccca22984f5220e0bd4711bde980fb55c",
+    "verify gf --format json": "f5bd0e0d1419bfa897756a9e39b05beb0601868b7b2d6015ad4060fcecfbd020",
 }
 
 
