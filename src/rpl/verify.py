@@ -16,7 +16,7 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import chain, compress, product
 from typing import Callable, Iterator
 
 from . import DEFAULT_N_MAX, SCOPES, bounds, gs_tower, homma_family, semigroup
@@ -103,9 +103,10 @@ def _exp_log_certified(ctx: FieldContext) -> bool:
 
     With n = q - 1: exp[0] = 1; each exp[i+1] is g*exp[i], multiplied on
     digits by _poly_mulmod (mod p when e = 1), never through the tables or
-    the build's split products; exp[:n] is a permutation of 1..q-1 (so g has
-    order n and the modulus is irreducible); exp[n:] repeats it; log inverts
-    it. Then exp[i] = g^i and log[g^i] = i for every i < n, so mul, inv, div
+    the build's split products; exp[:n] lies in 1..q-1 and log inverts it,
+    so its n values are distinct and form a permutation of 1..q-1 (g has
+    order n and the modulus is irreducible); exp[n:] repeats it. Then
+    exp[i] = g^i and log[g^i] = i for every i < n, so mul, inv, div
     and pow agree with the polynomial product mod the modulus on every pair.
     """
     p, e, q, g = ctx.p, ctx.e, ctx.q, ctx.generator
@@ -113,7 +114,7 @@ def _exp_log_certified(ctx: FieldContext) -> bool:
     exp, log = ctx.exp, ctx.log
     head = exp[:n]
     # the range check comes first, so no later lookup can leave the tables
-    if len(exp) != 2 * n or len(log) != q or sorted(head) != list(range(1, q)):
+    if len(exp) != 2 * n or len(log) != q or min(head) < 1 or max(head) >= q:
         return False
     if exp[0] != 1 or exp[n:] != head or [log[v] for v in head] != list(range(n)):
         return False
@@ -287,37 +288,27 @@ def affine_level_states(q: int, ell: int) -> Iterator[dict[int, int]]:
 
 
 def brute_force_projective(q: int, ell: int) -> homma_family.PointCount:
-    """Independent oracle: filter every normalized point of P^ell(F_q).
+    """Independent oracle: search every normalized point of P^ell(F_q).
 
-    Representatives have first nonzero coordinate 1, scanning
-    (x_1, ..., x_ell, z) in order.  Refuses to run past BRUTE_FORCE_CAP.
+    Representatives of (x_1, ..., x_ell, z) have first nonzero coordinate 1.
+    Each lead (0,...,0,1) and z are fixed first; see ``_completions`` for
+    the search.  Refuses to run past BRUTE_FORCE_CAP.
     """
     homma_family._check_family_params(q, ell)
     if q**ell > BRUTE_FORCE_CAP:
         raise TooLarge(
             f"q^ell = {q**ell} exceeds the brute-force cap {BRUTE_FORCE_CAP}"
         )
-    ctx = field_from_order(q)
-    pw, rows = _power_tables(ctx)
+    pw, rows = _power_tables(field_from_order(q))
     affine = infinity = 0
     for j in range(ell + 1):
-        prefix = (0,) * j + (1,)
-        for tail in product(range(q), repeat=ell - j):
-            coords = prefix + tail
-            row = rows[coords[ell]]
-            prev = coords[0]
-            ok = True
-            for t in range(1, ell):
-                cur = coords[t]
-                if pw[cur] != row[prev]:
-                    ok = False
-                    break
-                prev = cur
-            if ok:
-                if coords[ell]:
-                    affine += 1
-                else:
-                    infinity += 1
+        lead = (0,) * j + (1,)  # when j = ell the lead 1 is z itself
+        for z in range(q) if j < ell else (1,):
+            found = _completions(lead[:ell], ell, pw, rows[z])
+            if z:
+                affine += found
+            else:
+                infinity += found
     return homma_family.PointCount.of(affine, infinity)
 
 
@@ -332,27 +323,31 @@ def _power_tables(ctx: FieldContext) -> tuple[list[int], list[list[int]]]:
     return pw, rows
 
 
+def _completions(lead: tuple[int, ...], ell: int, pw: list[int], row: list[int]) -> int:
+    """Count x in F_q^ell starting with lead and with pw[x_(t+1)] == row[x_t] for all t.
+
+    The lead's own equations are evaluated too.  Each surviving prefix is
+    extended by every x in F_q, and only extensions satisfying the new
+    equation survive.  Equation t reads only x_t and x_(t+1), so a prefix
+    is carried as its last coordinate, one list entry per prefix.
+    """
+    prev = lead[0]
+    for cur in lead[1:]:
+        if pw[cur] != row[prev]:
+            return 0
+        prev = cur
+    elems = range(len(pw))
+    prefixes = [prev]
+    for _ in range(ell - len(lead)):
+        prefixes = [x for v in prefixes for x in elems if pw[x] == row[v]]
+    return len(prefixes)
+
+
 def _scan_infinity(ctx: FieldContext, ell: int) -> int:
     """Count normalized tuples with z = 0 satisfying every equation."""
-    q = ctx.q
-    pw = [ctx.pow(v, q - 1) for v in ctx.elements()]
+    pw = [ctx.pow(v, ctx.q - 1) for v in ctx.elements()]
     # with z = 0 the equations collapse to x_{i+1}^{q-1} = x_i^{q-1}
-    count = 0
-    for j in range(ell):
-        prefix = (0,) * j + (1,)
-        for tail in product(range(q), repeat=ell - 1 - j):
-            coords = prefix + tail
-            prev = coords[0]
-            ok = True
-            for t in range(1, ell):
-                cur = coords[t]
-                if pw[cur] != pw[prev]:
-                    ok = False
-                    break
-                prev = cur
-            if ok:
-                count += 1
-    return count
+    return sum(_completions((0,) * j + (1,), ell, pw, pw) for j in range(ell))
 
 
 def _check_infinity_closed_form() -> CheckResult:
@@ -628,11 +623,8 @@ class NumericalSemigroup:
 
     def members(self, stop: int) -> Iterator[int]:
         """Members below stop, ascending."""
-        w = self.window
-        for n in range(min(self.conductor, stop)):
-            if w[n]:
-                yield n
-        yield from range(self.conductor, stop)
+        c = self.conductor
+        return chain(compress(range(min(c, stop)), self.window), range(c, stop))
 
     def smallest_positive(self) -> int:
         n = self.window.find(1, 1)

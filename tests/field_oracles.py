@@ -2,8 +2,12 @@
 
 The product multiplies coefficient tuples and reduces them by the modulus,
 with no tables. The solvers enumerate the whole field. Both are slow and
-plainly correct, so they live here and not in ``rpl.gf``.
+plainly correct, so they live here and not in ``rpl.gf``. The Homma curve
+counts test every tuple of the product, with no pruning, as references for
+the prefix searches in ``rpl.verify``.
 """
+
+from itertools import product
 
 
 def digits(ctx, a):
@@ -56,3 +60,41 @@ def solve_artin_schreier(ctx, sub_q, c):
     sols = {x for x in ctx.elements() if ctx.add(ctx.pow(x, sub_q), x) == c}
     assert len(sols) in (0, sub_q)
     return sols
+
+
+def _power_table(ctx):
+    """pw[v] = v^(q-1) for every element v."""
+    return [ctx.pow(v, ctx.q - 1) for v in ctx.elements()]
+
+
+def projective_count_by_product(ctx, ell):
+    """(affine, infinity) points of the Homma curve in P^ell, by testing every
+    normalized (x_1, ..., x_ell, z) against the whole chain of equations."""
+    q = ctx.q
+    pw = _power_table(ctx)
+    rows = [[ctx.sub(pw[ctx.add(v, z)], pw[z]) for v in ctx.elements()] for z in ctx.elements()]
+    affine = infinity = 0
+    for j in range(ell + 1):
+        prefix = (0,) * j + (1,)
+        for tail in product(range(q), repeat=ell - j):
+            coords = prefix + tail
+            row = rows[coords[ell]]
+            if all(pw[cur] == row[prev] for prev, cur in zip(coords, coords[1:ell])):
+                if coords[ell]:
+                    affine += 1
+                else:
+                    infinity += 1
+    return affine, infinity
+
+
+def infinity_count_by_product(ctx, ell):
+    """Normalized (x_1, ..., x_ell) with x_(i+1)^(q-1) = x_i^(q-1) for every i,
+    by testing every tuple: the points of the Homma curve at z = 0."""
+    pw = _power_table(ctx)
+    count = 0
+    for j in range(ell):
+        prefix = (0,) * j + (1,)
+        for tail in product(range(ctx.q), repeat=ell - 1 - j):
+            coords = prefix + tail
+            count += all(pw[cur] == pw[prev] for prev, cur in zip(coords, coords[1:]))
+    return count

@@ -429,6 +429,17 @@ def _exp_value_out_of_range(ctx):
     ctx.exp[CORRUPT_AT] = ctx.exp[n + CORRUPT_AT] = ctx.q
 
 
+def _duplicated_exp_value(ctx):
+    # every value stays in 1..q-1, so only log[exp[i]] == i can see it
+    n = ctx.q - 1
+    ctx.exp[CORRUPT_AT] = ctx.exp[n + CORRUPT_AT] = ctx.exp[CORRUPT_AT + 1]
+
+
+def _zero_in_exp(ctx):
+    n = ctx.q - 1
+    ctx.exp[CORRUPT_AT] = ctx.exp[n + CORRUPT_AT] = 0
+
+
 def _stale_second_copy(ctx):
     n = ctx.q - 1
     ctx.exp[n + CORRUPT_AT] = ctx.exp[CORRUPT_AT + 1]
@@ -446,7 +457,15 @@ def _rotated_tables(ctx):
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_transpose_exp_pair, _wrong_log_entry, _exp_value_out_of_range, _stale_second_copy, _rotated_tables],
+    [
+        _transpose_exp_pair,
+        _wrong_log_entry,
+        _exp_value_out_of_range,
+        _duplicated_exp_value,
+        _zero_in_exp,
+        _stale_second_copy,
+        _rotated_tables,
+    ],
 )
 @pytest.mark.parametrize("q", [4093, 4096, 3125])  # e = 1; p = 2; odd p with e > 1
 def test_field_axioms_certificate_rejects_corrupt_tables(monkeypatch, q, corrupt):

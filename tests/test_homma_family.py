@@ -5,6 +5,8 @@ import time
 
 import pytest
 
+import field_oracles as oracle
+from rpl import verify
 from rpl.errors import NotPrimePower, QTooSmall, TooLarge, ValidationError
 from rpl.gf import field_from_order
 from rpl.homma_family import (
@@ -14,7 +16,13 @@ from rpl.homma_family import (
     count_total,
     curve_degree,
 )
-from rpl.verify import BRUTE_FORCE_CAP, affine_level_states, brute_force_projective
+from rpl.verify import (
+    BRUTE_FORCE_CAP,
+    HOMMA_Q,
+    _scan_infinity,
+    affine_level_states,
+    brute_force_projective,
+)
 
 CLOSED_FORM_Q = (3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32, 49, 64)
 
@@ -81,6 +89,36 @@ def test_brute_force_agrees_with_analytic():
 def test_brute_force_frozen():
     assert brute_force_projective(3, 2).total == 4
     assert brute_force_projective(4, 2).total == 9
+
+
+PRODUCT_SCAN_CAP = 10**5
+PRODUCT_SCAN_GRID = [
+    (q, ell) for q in HOMMA_Q for ell in range(2, 20) if q**ell <= PRODUCT_SCAN_CAP
+]
+
+
+@pytest.mark.parametrize("q,ell", PRODUCT_SCAN_GRID)
+def test_prefix_search_matches_product_scan(q, ell):
+    ctx = field_from_order(q)
+    pruned = brute_force_projective(q, ell)
+    assert (pruned.affine, pruned.infinity) == oracle.projective_count_by_product(ctx, ell)
+    assert _scan_infinity(ctx, ell) == oracle.infinity_count_by_product(ctx, ell)
+
+
+@pytest.mark.parametrize("q,ell", [(3, 14), (4, 11), (5, 10), (9, 7)])
+def test_prefix_search_near_the_cap(q, ell):
+    # a product scan would take seconds here; the closed form is the reference
+    assert q**ell <= BRUTE_FORCE_CAP
+    assert brute_force_projective(q, ell) == count_total(q, ell)
+    assert _scan_infinity(field_from_order(q), ell) == count_infinity(q, ell)
+
+
+def test_verify_homma_time_budget():
+    start = time.perf_counter()
+    results = verify.check_homma()
+    elapsed = time.perf_counter() - start
+    assert all(r.ok for r in results), [r for r in results if not r.ok]
+    assert elapsed < 0.3, f"verify homma took {elapsed:.2f} s"
 
 
 def test_brute_force_cap():

@@ -34,6 +34,15 @@ def test_members_match_set_recursion(q, m):
     assert set(s.members(window)) == semigroup_by_set_recursion(q, m, window)
 
 
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (2, 4), (3, 3), (5, 2)])  # (2, 1): conductor 0
+def test_members_edges_match_plain_loop(q, m):
+    s = weierstrass_semigroup(q, m)
+    c = s.conductor
+    for stop in sorted({0, 1, max(c - 1, 0), c, c + 5}):
+        plain = [n for n in range(stop) if n >= c or s.window[n]]
+        assert list(s.members(stop)) == plain
+
+
 def test_conductor_formula():
     assert conductor(2, 3) == 4
     assert conductor(2, 4) == 12
