@@ -18,4 +18,9 @@ __version__ = "0.1.0"
 SCOPES = ("all", "gf", "homma", "gs", "semigroup", "bounds")
 DEFAULT_N_MAX = 60
 
+# CPython's default limit on int-to-str conversion: a count prints only
+# below PRINT_LIMIT, with at most MAX_PRINTED_DIGITS digits.
+MAX_PRINTED_DIGITS = 4300
+PRINT_LIMIT = 10**MAX_PRINTED_DIGITS
+
 __all__ = ["__version__"]

@@ -77,15 +77,13 @@ def _csv(rows: Iterable[Iterable[object]]) -> str:
 def _record(obj: dict) -> Rendering:
     """Render a one-record JSON object as a csv row and text lines, after "schema".
 
-    None becomes an empty cell and no text line; a tuple is joined with ';'.
-    An iterator as the last field is streamed, joined as a tuple is.
+    None becomes an empty cell and no text line.  An iterator as the last
+    field is streamed, joined with ';'.
     """
     *_, last = obj
     tail = obj[last] if isinstance(obj[last], Iterator) else iter(())
     cells = {
-        key: "" if value is None or value is tail
-        else ";".join(map(str, value)) if isinstance(value, tuple)
-        else value
+        key: "" if value is None or value is tail else value
         for key, value in list(obj.items())[1:]
     }
     row = _csv([list(cells), cells.values()])

@@ -42,10 +42,6 @@ class TooLarge(ValidationError):
     """Requested enumeration or bitmap exceeds its documented cap."""
 
 
-class IncompatibleSubfield(ValidationError):
-    """sub_q^2 does not match the ambient field order."""
-
-
 class DegenerateDenominator(ValidationError):
     """Bound formula denominator is not positive."""
 

@@ -17,10 +17,6 @@ element.  They take a few bytes per element, and field orders are capped
 at 2^20; the ``RPL_MAX_FIELD`` environment variable may lower (never
 raise) the cap.
 
-The two equations every count reduces to are solved by formula:
-``y^k = c`` from the discrete log of c, and ``x^q + x = c`` over F_{q^2}
-from a fiber table of that F_q-linear map, built on first use.
-
 There is no global registry: a FieldContext is passed explicitly to
 every operation that needs one.
 """
@@ -28,19 +24,11 @@ every operation that needs one.
 from __future__ import annotations
 
 import functools
-import math
 import os
 from array import array
-from dataclasses import dataclass
 from itertools import product
 
-from .errors import (
-    DivisionByZero,
-    FieldTooLarge,
-    IncompatibleSubfield,
-    NonPrime,
-    NotPrimePower,
-)
+from .errors import DivisionByZero, FieldTooLarge, NonPrime, NotPrimePower
 
 DEFAULT_FIELD_CAP = 1 << 20
 FIELD_CAP_ENV = "RPL_MAX_FIELD"
@@ -60,30 +48,27 @@ def field_cap() -> int:
     return min(value, DEFAULT_FIELD_CAP)
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+def _smallest_factor(n: int) -> int:
+    """Smallest prime factor of n >= 2, by trial division."""
     if n % 2 == 0:
-        return False
+        return 2
     f = 3
     while f * f <= n:
         if n % f == 0:
-            return False
+            return f
         f += 2
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _smallest_factor(n) == n
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p^e, p prime, or raise NotPrimePower."""
     if q < 2:
         raise NotPrimePower(f"q = {q} is not a prime power")
-    p = 2
-    while p * p <= q and q % p:
-        p += 1 if p == 2 else 2
-    if p * p > q:
-        p = q
+    p = _smallest_factor(q)
     e, rest = 0, q
     while rest % p == 0:
         rest //= p
@@ -110,30 +95,6 @@ def prime_powers_upto(n: int) -> list[int]:
             v *= p
     out.sort()
     return out
-
-
-@dataclass(frozen=True)
-class PrimePower:
-    """A validated prime power q = p^e."""
-
-    p: int
-    e: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise NonPrime(f"p = {self.p} is not prime")
-        if self.e < 1 or self.p**self.e != self.q:
-            raise ValueError(f"inconsistent prime power ({self.p}, {self.e}, {self.q})")
-
-    @classmethod
-    def of(cls, p: int, e: int) -> "PrimePower":
-        return cls(p, e, p**e)
-
-    @classmethod
-    def from_order(cls, q: int) -> "PrimePower":
-        p, e = factor_prime_power(q)
-        return cls(p, e, q)
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +168,11 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 def _prime_divisors(n: int) -> list[int]:
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        r = _smallest_factor(n)
+        out.append(r)
+        while n % r == 0:
+            n //= r
     return out
 
 
@@ -307,22 +264,20 @@ class FieldContext:
     reduction; ``log[a]`` inverts it on the nonzero elements.
     """
 
-    __slots__ = ("pp", "p", "e", "q", "modulus", "generator", "exp", "log", "_fibers")
+    __slots__ = ("p", "e", "q", "modulus", "generator", "exp", "log")
 
     zero = 0
     one = 1
 
-    def __init__(self, pp: PrimePower, modulus: tuple[int, ...]):
-        if len(modulus) != pp.e + 1 or modulus[-1] != 1:
+    def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
+        if len(modulus) != e + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree e")
-        self.pp = pp
-        self.p = pp.p
-        self.e = pp.e
-        self.q = pp.q
+        self.p = p
+        self.e = e
+        self.q = p**e
         self.modulus = modulus
-        self.generator = _smallest_primitive(pp.p, modulus)
+        self.generator = _smallest_primitive(p, modulus)
         self.exp, self.log = self._exp_log_tables()
-        self._fibers: dict[int, list[int]] | None = None
 
     def __repr__(self) -> str:
         return f"FieldContext(q={self.p}^{self.e})"
@@ -367,9 +322,6 @@ class FieldContext:
         if not 0 <= i < self.q:
             raise ValueError(f"element index {i} out of range for q = {self.q}")
         return i
-
-    def index(self, a: int) -> int:
-        return a
 
     def elements(self) -> range:
         return range(self.q)
@@ -436,30 +388,13 @@ class FieldContext:
         log = self.log
         return self.exp[log[a] - log[b] + self.q - 1]
 
-    # -- the Artin-Schreier map x -> x^sub_q + x -------------------------
-
-    def _artin_schreier_fibers(self, sub_q: int) -> dict[int, list[int]]:
-        """Fibers of x -> x^sub_q + x, keyed by value, each ascending.
-
-        The map is F_{sub_q}-linear onto F_{sub_q} with a kernel of size
-        sub_q, so every fiber is a coset of exactly sub_q elements.  Built
-        once per field in O(q) lookups; sub_q is fixed by q = sub_q^2.
-        """
-        if self._fibers is None:
-            fibers: dict[int, list[int]] = {}
-            for x in range(self.q):
-                fibers.setdefault(self.add(self.pow(x, sub_q), x), []).append(x)
-            assert len(fibers) == sub_q and all(len(f) == sub_q for f in fibers.values())
-            self._fibers = fibers
-        return self._fibers
-
 
 # Enough for every field one command touches at once; `verify` walks
 # hundreds of small fields, and an unbounded cache would keep all their
 # tables alive.
 @functools.lru_cache(maxsize=32)
 def _build_field(p: int, e: int) -> FieldContext:
-    return FieldContext(PrimePower.of(p, e), _smallest_irreducible(p, e))
+    return FieldContext(p, e, _smallest_irreducible(p, e))
 
 
 def field_order(p: int, e: int) -> int:
@@ -486,41 +421,3 @@ def field_from_order(q: int) -> FieldContext:
     p, e = factor_prime_power(q)
     return make_field(p, e)
 
-
-# ---------------------------------------------------------------------------
-# equation solvers, by formula
-# ---------------------------------------------------------------------------
-
-
-def solve_power_residue(ctx: FieldContext, c: int, k: int) -> set[int]:
-    """Exact solution set of y^k = c in ctx, from the discrete log of c.
-
-    With n = q - 1 and d = gcd(k, n), a nonzero c = g^L has a k-th root
-    iff d | L, and then exactly d of them: g^t for t = t0 + j*n/d, where
-    t0 solves (k/d) t = L/d mod n/d.
-    """
-    if k < 1:
-        raise ValueError(f"exponent k must be >= 1, got {k}")
-    if not c:
-        return {0}
-    n = ctx.q - 1
-    d = math.gcd(k, n)
-    log_c = ctx.log[c]
-    if log_c % d:
-        return set()
-    step = n // d
-    t0 = log_c // d * pow(k // d, -1, step) % step
-    return {ctx.exp[t0 + j * step] for j in range(d)}
-
-
-def solve_artin_schreier(ctx: FieldContext, sub_q: int, c: int) -> set[int]:
-    """Exact solution set of x^sub_q + x = c in F_{sub_q^2}, by table lookup.
-
-    The left side is additive, so the solution count is 0 or exactly
-    sub_q (the kernel size of x -> x^sub_q + x on F_{sub_q^2}).
-    """
-    if sub_q < 2 or sub_q * sub_q != ctx.q:
-        raise IncompatibleSubfield(
-            f"field order {ctx.q} is not the square of sub_q = {sub_q}"
-        )
-    return set(ctx._artin_schreier_fibers(sub_q).get(c, ()))

@@ -30,11 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 
+from . import MAX_PRINTED_DIGITS, PRINT_LIMIT
 from .errors import QTooSmall, TooLarge, ValidationError
 from .gf import factor_prime_power, field_order
-
-MAX_PRINTED_DIGITS = 4300  # CPython's default limit on int-to-str conversion
-PRINT_LIMIT = 10**MAX_PRINTED_DIGITS
 
 
 @dataclass(frozen=True)

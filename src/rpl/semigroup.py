@@ -33,10 +33,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
+from . import PRINT_LIMIT
 from .errors import TooLarge, ValidationError
 
 CONDUCTOR_CAP = 10**7
-_PRINTABLE = 10**4300  # CPython prints at most 4300 digits of an int
 
 
 def _check_level(q: int, m: int) -> None:
@@ -58,11 +58,11 @@ def capped_conductor(q: int, m: int) -> int:
     An unprintable conductor is never formed: c_m >= q^(m-1) >= 2^((m-1)(bit_length(q)-1)).
     """
     _check_level(q, m)
-    if (m - 1) * (q.bit_length() - 1) < _PRINTABLE.bit_length():
+    if (m - 1) * (q.bit_length() - 1) < PRINT_LIMIT.bit_length():
         c = conductor(q, m)
         if c <= CONDUCTOR_CAP:
             return c
-        if c < _PRINTABLE:
+        if c < PRINT_LIMIT:
             raise TooLarge(f"conductor {c} exceeds the bitmap cap {CONDUCTOR_CAP}")
     raise TooLarge(
         f"conductor q^m - q^ceil(m/2) at q = {q}, m = {m} exceeds the bitmap cap {CONDUCTOR_CAP}"

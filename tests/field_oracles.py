@@ -1,13 +1,16 @@
 """Reference implementations that the table-driven field is checked against.
 
 The product multiplies coefficient tuples and reduces them by the modulus,
-with no tables. The solvers enumerate the whole field. Both are slow and
-plainly correct, so they live here and not in ``rpl.gf``. The Homma curve
-counts test every tuple of the product, with no pruning, as references for
-the prefix searches in ``rpl.verify``.
+with no tables. The solution sets of y^k = c and x^sub_q + x = c, which
+``rpl.verify`` finds by scanning the field, come here from the discrete-log
+formula and from the tuple product. All are slow and plainly correct, so
+they live here and not in ``rpl``. The Homma curve counts test every tuple
+of the product, with no pruning, as references for the prefix searches in
+``rpl.verify``.
 """
 
 from itertools import product
+from math import gcd
 
 
 def digits(ctx, a):
@@ -50,16 +53,32 @@ def tuple_pow(ctx, a, k):
     return result
 
 
-def solve_power_residue(ctx, c, k):
-    """Solution set of y^k = c, by enumerating the field."""
-    return {y for y in ctx.elements() if ctx.pow(y, k) == c}
+def power_residues_by_log(ctx, c, k):
+    """Solutions of y^k = c (k >= 1), ascending, from the discrete log of c.
+
+    With n = q - 1 and d = gcd(k, n), a nonzero c = g^L has a k-th root
+    iff d | L, and then exactly d of them: g^t for t = t0 + j*n/d, where
+    t0 solves (k/d) t = L/d mod n/d.
+    """
+    if not c:
+        return [0]
+    n = ctx.q - 1
+    d = gcd(k, n)
+    log_c = ctx.log[c]
+    if log_c % d:
+        return []
+    step = n // d
+    t0 = log_c // d * pow(k // d, -1, step) % step
+    return sorted(ctx.exp[t0 + j * step] for j in range(d))
 
 
-def solve_artin_schreier(ctx, sub_q, c):
-    """Solution set of x^sub_q + x = c in F_{sub_q^2}, by enumeration."""
-    sols = {x for x in ctx.elements() if ctx.add(ctx.pow(x, sub_q), x) == c}
-    assert len(sols) in (0, sub_q)
-    return sols
+def artin_schreier_fibers(ctx, sub_q):
+    """Fibers of x -> x^sub_q + x on F_{sub_q^2} keyed by value, each ascending,
+    with x^sub_q from tuple_pow rather than the field's tables."""
+    fibers = {}
+    for x in ctx.elements():
+        fibers.setdefault(ctx.add(tuple_pow(ctx, x, sub_q), x), []).append(x)
+    return fibers
 
 
 def _power_table(ctx):

@@ -1,4 +1,5 @@
-"""Field construction, canonical modulus choice, arithmetic, and solvers."""
+"""Field construction, canonical modulus choice, arithmetic, and the scans
+that solve y^k = c and x^q + x = c in verify's level walks."""
 
 import itertools
 import random
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from rpl import verify
 from rpl.errors import (
+    AdmissibilityViolation,
     DivisionByZero,
     FieldTooLarge,
-    IncompatibleSubfield,
     NonPrime,
     NotPrimePower,
 )
@@ -20,15 +21,12 @@ from rpl.gf import (
     DEFAULT_FIELD_CAP,
     FIELD_CAP_ENV,
     FieldContext,
-    PrimePower,
     factor_prime_power,
     field_cap,
     field_from_order,
     is_prime,
     make_field,
     prime_powers_upto,
-    solve_artin_schreier,
-    solve_power_residue,
 )
 
 # ---------------------------------------------------------------------------
@@ -112,12 +110,6 @@ def test_prime_powers_upto_complete():
     assert prime_powers_upto(1) == []
 
 
-def test_prime_power_type():
-    pp = PrimePower.from_order(27)
-    assert (pp.p, pp.e, pp.q) == (3, 3, 27)
-    assert PrimePower.of(2, 5).q == 32
-
-
 # ---------------------------------------------------------------------------
 # canonical modulus: lexicographically smallest irreducible, constant
 # coefficient compared first
@@ -178,9 +170,7 @@ def test_element_index_roundtrip():
         ctx = field_from_order(q)
         listed = list(ctx.elements())
         assert len(listed) == q
-        assert listed == [ctx.element(i) for i in range(q)]
-        for i, a in enumerate(listed):
-            assert ctx.index(a) == i
+        assert listed == [ctx.element(i) for i in range(q)] == list(range(q))
 
 
 def test_exhaustive_tables_small_fields():
@@ -327,55 +317,56 @@ def test_cap_env_malformed_or_tiny_ignored(raw, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# equation solvers
+# y^k = c and x^sub_q + x = c, solved as verify's level walks solve them: by
+# scanning the field against a table of the left side
 # ---------------------------------------------------------------------------
 
 
+def _power_table(ctx, k):
+    return [ctx.pow(y, k) for y in ctx.elements()]
+
+
+def _trace_table(ctx, sub_q):
+    return [ctx.add(ctx.pow(x, sub_q), x) for x in ctx.elements()]
+
+
 def test_power_residue_cube_structure_f3():
-    ctx = field_from_order(3)
-    zero, one, two = ctx.element(0), ctx.element(1), ctx.element(2)
-    assert solve_power_residue(ctx, zero, 2) == {zero}
-    assert solve_power_residue(ctx, one, 2) == {one, two}
-    assert solve_power_residue(ctx, two, 2) == set()
+    squares = _power_table(field_from_order(3), 2)
+    assert verify._solutions(squares, 0) == [0]
+    assert verify._solutions(squares, 1) == [1, 2]
+    assert verify._solutions(squares, 2) == []
 
 
 def test_power_residue_squares_f7():
     ctx = field_from_order(7)
-    squares = {ctx.index(ctx.mul(a, a)) for a in ctx.elements() if a != ctx.zero}
+    squares = {ctx.mul(a, a) for a in ctx.elements() if a != ctx.zero}
     assert squares == {1, 2, 4}
-    for i in range(1, 7):
-        sols = solve_power_residue(ctx, ctx.element(i), 2)
-        assert len(sols) == (2 if i in squares else 0)
+    table = _power_table(ctx, 2)
+    for c in range(1, 7):
+        assert len(verify._solutions(table, c)) == (2 if c in squares else 0)
 
 
 def test_power_residue_k_one_is_identity():
     ctx = field_from_order(9)
+    table = _power_table(ctx, 1)
     for a in ctx.elements():
-        assert solve_power_residue(ctx, a, 1) == {a}
-
-
-def test_power_residue_rejects_bad_exponent():
-    ctx = field_from_order(4)
-    with pytest.raises(ValueError):
-        solve_power_residue(ctx, ctx.one, 0)
+        assert verify._solutions(table, a) == [a]
 
 
 def test_artin_schreier_fibers_f4():
-    ctx = field_from_order(4)
-    zero, one = ctx.zero, ctx.one
-    w, w2 = ctx.element(2), ctx.element(3)
-    assert solve_artin_schreier(ctx, 2, zero) == {zero, one}
-    assert solve_artin_schreier(ctx, 2, one) == {w, w2}
-    assert solve_artin_schreier(ctx, 2, w) == set()
-    assert solve_artin_schreier(ctx, 2, w2) == set()
+    # w = 2 and w^2 = 3 are the roots of x^2 + x + 1 in F_4
+    trace = _trace_table(field_from_order(4), 2)
+    assert verify._solutions(trace, 0) == [0, 1]
+    assert verify._solutions(trace, 1) == [2, 3]
+    assert verify._solutions(trace, 2) == []
+    assert verify._solutions(trace, 3) == []
 
 
 def test_artin_schreier_image_is_subfield_sized():
     for sub_q in (2, 3, 5):
         ctx = field_from_order(sub_q * sub_q)
-        nonempty = sum(
-            1 for c in ctx.elements() if solve_artin_schreier(ctx, sub_q, c)
-        )
+        trace = _trace_table(ctx, sub_q)
+        nonempty = sum(1 for c in ctx.elements() if verify._solutions(trace, c))
         assert nonempty == sub_q
 
 
@@ -383,24 +374,21 @@ def test_artin_schreier_image_is_subfield_sized():
 def test_power_residue_matches_enumeration(q):
     ctx = field_from_order(q)
     for k in sorted({1, 2, 3, 4, q - 1}):
+        table = _power_table(ctx, k)
         for c in ctx.elements():
-            assert solve_power_residue(ctx, c, k) == oracle.solve_power_residue(ctx, c, k)
+            assert verify._solutions(table, c) == oracle.power_residues_by_log(ctx, c, k)
 
 
 @pytest.mark.parametrize("sub_q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_artin_schreier_matches_enumeration(sub_q):
     ctx = field_from_order(sub_q * sub_q)
+    trace = _trace_table(ctx, sub_q)
+    fibers = oracle.artin_schreier_fibers(ctx, sub_q)
+    assert len(fibers) == sub_q
     for c in ctx.elements():
-        assert solve_artin_schreier(ctx, sub_q, c) == oracle.solve_artin_schreier(ctx, sub_q, c)
-
-
-def test_artin_schreier_requires_square_field():
-    ctx = field_from_order(8)
-    with pytest.raises(IncompatibleSubfield):
-        solve_artin_schreier(ctx, 2, ctx.zero)
-    ctx9 = field_from_order(9)
-    with pytest.raises(IncompatibleSubfield):
-        solve_artin_schreier(ctx9, 2, ctx9.zero)
+        sols = verify._solutions(trace, c)
+        assert sols == fibers.get(c, [])
+        assert len(sols) in (0, sub_q)
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +398,10 @@ def test_artin_schreier_requires_square_field():
 CORRUPT_AT = 1000
 
 
-def _transpose_exp_pair(ctx):
+def _transpose_exp_pair(ctx, i=CORRUPT_AT):
     # swap g^i and g^(i+1) in both copies of exp and in log: the tables stay
     # a consistent bijection, and only the step exp[i+1] = g*exp[i] breaks
-    n, i = ctx.q - 1, CORRUPT_AT
+    n = ctx.q - 1
     a, b = ctx.exp[i], ctx.exp[i + 1]
     ctx.exp[i] = ctx.exp[n + i] = b
     ctx.exp[i + 1] = ctx.exp[n + i + 1] = a
@@ -470,7 +458,7 @@ def _rotated_tables(ctx):
 @pytest.mark.parametrize("q", [4093, 4096, 3125])  # e = 1; p = 2; odd p with e > 1
 def test_field_axioms_certificate_rejects_corrupt_tables(monkeypatch, q, corrupt):
     good = field_from_order(q)
-    bad = FieldContext(good.pp, good.modulus)  # fresh tables, not the cached ones
+    bad = FieldContext(good.p, good.e, good.modulus)  # fresh tables, not the cached ones
     corrupt(bad)
     assert verify._exp_log_certified(good)
     assert not verify._exp_log_certified(bad)
@@ -480,3 +468,47 @@ def test_field_axioms_certificate_rejects_corrupt_tables(monkeypatch, q, corrupt
     [result] = verify._run("gf", verify._check_field_axioms)
     assert not result.ok
     assert result.detail == f"q={q}"
+
+
+# ---------------------------------------------------------------------------
+# the level walks and fiber checks report a corrupt field as a failure
+# ---------------------------------------------------------------------------
+
+
+def _corrupt_square_field(monkeypatch, sub_q):
+    """F_{sub_q^2} with g and g^2 swapped in fresh tables, patched into verify.
+
+    The swap keeps exp and log a consistent bijection, but x^sub_q + x is
+    no longer additive, so its fibers stop having sub_q elements each.
+    """
+    q = sub_q * sub_q
+    good = field_from_order(q)
+    bad = FieldContext(good.p, good.e, good.modulus)
+    _transpose_exp_pair(bad, 1)
+    real_make = verify.make_field
+
+    def make_field(p, e):
+        return bad if p**e == q else real_make(p, e)
+
+    monkeypatch.setattr(verify, "make_field", make_field)
+    monkeypatch.setattr(verify, "field_from_order", lambda n: make_field(*factor_prime_power(n)))
+
+
+@pytest.mark.parametrize("sub_q", [3, 4])
+def test_corrupt_field_fails_fiber_checks_by_name(monkeypatch, capsys, sub_q):
+    _corrupt_square_field(monkeypatch, sub_q)
+    [fibers] = verify._run("gf", verify._check_artin_schreier_fibers)
+    [split] = verify._run("gs", verify._check_split_closed_form)
+    assert (fibers.name, fibers.ok) == ("artin_schreier_fibers q in {2,3,4,5}", False)
+    assert fibers.detail.startswith(f"q={sub_q} ")
+    assert (split.name, split.ok) == ("split_count==(q-1)q^m (q in {2,3,4}, m in 1..8)", False)
+    assert f"({sub_q},2) AdmissibilityViolation" in split.detail
+    assert capsys.readouterr().err == ""  # neither check raised
+
+
+@pytest.mark.parametrize("sub_q", [3, 4])
+def test_tower_walk_rejects_a_broken_fiber(monkeypatch, sub_q):
+    _corrupt_square_field(monkeypatch, sub_q)
+    broken = rf"level 2: fiber of size \d+, expected {sub_q}"
+    with pytest.raises(AdmissibilityViolation, match=broken):
+        list(verify.tower_level_states(sub_q, 3))
