@@ -8,8 +8,12 @@ semigroup bitmap's for the closed forms and the generators written in
 blocks, the whole-table renderer's for the bound tables written row by
 row, and the sampled field axioms' for the `verify gf` detail ("604
 fields", which only the json and csv formats print) that the
-multiplication certificate keeps. A change that is meant to keep every
-output byte-identical proves it here.
+multiplication certificate keeps. The json digests of `verify homma`,
+`gs`, `semigroup` and `bounds` come from the last commit with the field
+cache (70227ea), before fields became plain values; they pin the
+details that the text format hides ("30 cells", "48 cells", the n0
+list). A change that is meant to keep every output byte-identical proves
+it here.
 """
 
 import hashlib
@@ -53,6 +57,10 @@ GOLDEN = {
     "bounds --q 9 --format json": "d973369fba72ca93e155e4b6f5036da11fe48d0db1ee8c2f5d53c462078f393a",
     "bounds --q 2 --format csv": "d72ab642d8e34d76517d1f2d428ea9eccca22984f5220e0bd4711bde980fb55c",
     "verify gf --format json": "f5bd0e0d1419bfa897756a9e39b05beb0601868b7b2d6015ad4060fcecfbd020",
+    "verify homma --format json": "40ae360db3d4cf22ea15e5deb85599036a64e7afb80a1a8c13888954d43fa3b5",
+    "verify gs --format json": "af9092c91397d6ea8f111e5161c5f0db0a6f60591e64e18c35ca44480de9d133",
+    "verify semigroup --format json": "403829b69c7e79b14cd85926a628dd992e8ae01aac5c9d264a7ce36540280da7",
+    "verify bounds --format json": "20528296bdfeabd23de352ce5031d319a09d7dfadfa9e8c86631a86654881857",
 }
 
 
