@@ -21,11 +21,6 @@ from math import isqrt
 from .errors import DegenerateDenominator, NotConverged, ValidationError
 from .gf import factor_prime_power
 
-UNTABULATED_AQ_REMARK = (
-    "For q outside the small tabulated values, except possibly when q is "
-    "prime, A(q) >= 2 and the unit lower bound is no longer the best known."
-)
-
 
 def weil_bound(q: int, g: int) -> int:
     """Hasse-Weil upper bound floor(q + 1 + 2g*sqrt(q)), exactly."""

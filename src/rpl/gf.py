@@ -13,17 +13,15 @@ Addition, subtraction and negation work on the digits: XOR when p = 2,
 powers and division are lookups in exp/log tables over the smallest
 primitive element (Huber, IEEE Trans. IT 36, 1990).  The tables are built
 with the field, never at import, in q - 1 steps of multiplication by that
-element.  They take a few bytes per element, and field orders are capped
+element.  They take a few bytes per element.  A field is a plain value,
+built anew by every ``make_field`` call with no cache or registry, and
+passed explicitly to every operation that needs one.  Its order is capped
 at 2^20; the ``RPL_MAX_FIELD`` environment variable may lower (never
-raise) the cap.
-
-There is no global registry: a FieldContext is passed explicitly to
-every operation that needs one.
+raise) the cap on command inputs, which ``field_order`` checks.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 from array import array
 from itertools import product
@@ -35,7 +33,7 @@ FIELD_CAP_ENV = "RPL_MAX_FIELD"
 
 
 def field_cap() -> int:
-    """Current cap on field order; the env override can only lower it."""
+    """Cap on the field order of a command's input; the env override can only lower it."""
     raw = os.environ.get(FIELD_CAP_ENV)
     if raw is None:
         return DEFAULT_FIELD_CAP
@@ -389,35 +387,30 @@ class FieldContext:
         return self.exp[log[a] - log[b] + self.q - 1]
 
 
-# Enough for every field one command touches at once; `verify` walks
-# hundreds of small fields, and an unbounded cache would keep all their
-# tables alive.
-@functools.lru_cache(maxsize=32)
-def _build_field(p: int, e: int) -> FieldContext:
-    return FieldContext(p, e, _smallest_irreducible(p, e))
-
-
-def field_order(p: int, e: int) -> int:
-    """Order p^e of a field under the cap, validated without building it."""
+def _checked_order(p: int, e: int, cap: int) -> int:
+    """Order p^e for prime p and e >= 1, or FieldTooLarge above cap."""
     if not is_prime(p):
         raise NonPrime(f"p = {p} is not prime")
     if e < 1:
         raise ValueError(f"extension degree must be >= 1, got {e}")
     q = p**e
-    cap = field_cap()
     if q > cap:
         raise FieldTooLarge(f"q = {p}^{e} = {q} exceeds the enumeration cap {cap}")
     return q
 
 
+def field_order(p: int, e: int) -> int:
+    """Order p^e of a command's field under the input cap, validated without building it."""
+    return _checked_order(p, e, field_cap())
+
+
 def make_field(p: int, e: int) -> FieldContext:
     """Build F_{p^e} with the lexicographically smallest irreducible modulus."""
-    field_order(p, e)
-    return _build_field(p, e)
+    _checked_order(p, e, DEFAULT_FIELD_CAP)
+    return FieldContext(p, e, _smallest_irreducible(p, e))
 
 
 def field_from_order(q: int) -> FieldContext:
     """Build F_q from its order."""
     p, e = factor_prime_power(q)
     return make_field(p, e)
-

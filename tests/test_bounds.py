@@ -7,7 +7,6 @@ import pytest
 from rpl import bounds
 from rpl.bounds import (
     IHARA_HALF_TABLE,
-    UNTABULATED_AQ_REMARK,
     dq_summary,
     drinfeld_vladut_upper,
     half_ihara_odd_power,
@@ -204,8 +203,3 @@ def test_record_fields_populated():
             assert rec.direction in ("upper", "lower")
             assert rec.source
             assert rec.value.denominator >= 1
-
-
-def test_untabulated_remark_is_a_string():
-    assert isinstance(UNTABULATED_AQ_REMARK, str)
-    assert UNTABULATED_AQ_REMARK

@@ -289,16 +289,26 @@ def test_gs_rejects_field_above_cap(monkeypatch, capsys, q, cap, err):
     assert got == err
 
 
+def test_verify_ignores_the_input_cap(monkeypatch, capsys):
+    # RPL_MAX_FIELD bounds command inputs; verify builds F_25 under a cap of 16
+    unset = run_cli(capsys, "verify", "gs")
+    monkeypatch.setenv("RPL_MAX_FIELD", "16")
+    assert run_cli(capsys, "verify", "gs") == unset
+    assert unset[0] == 0 and unset[2] == ""
+
+
 @pytest.mark.parametrize("line", [
     "gs --q 1024 --m 1",
     "points-homma --q 1048576 --ell 2",
     "semigroup --q 3 --m 4",
     "bounds --table 32",
 ])
-def test_counting_commands_build_no_field(capsys, line):
-    gf._build_field.cache_clear()
+def test_counting_commands_build_no_field(monkeypatch, capsys, line):
+    def refuse(self, *args):
+        raise AssertionError("a counting command built a field")
+
+    monkeypatch.setattr(gf.FieldContext, "__init__", refuse)
     assert cli.main(line.split()) == 0
-    assert gf._build_field.cache_info().misses == 0
 
 
 def test_only_verify_imports_the_verify_suite():

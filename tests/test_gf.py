@@ -20,10 +20,10 @@ from rpl.errors import (
 from rpl.gf import (
     DEFAULT_FIELD_CAP,
     FIELD_CAP_ENV,
-    FieldContext,
     factor_prime_power,
     field_cap,
     field_from_order,
+    field_order,
     is_prime,
     make_field,
     prime_powers_upto,
@@ -301,8 +301,9 @@ def test_cap_env_lowers(monkeypatch):
     monkeypatch.setenv(FIELD_CAP_ENV, "100")
     assert field_cap() == 100
     with pytest.raises(FieldTooLarge):
-        make_field(2, 7)
-    assert make_field(2, 6).q == 64
+        field_order(2, 7)
+    assert field_order(2, 6) == 64
+    assert make_field(2, 7).q == 128  # building a field meets only the fixed limit
 
 
 def test_cap_env_cannot_raise(monkeypatch):
@@ -457,8 +458,7 @@ def _rotated_tables(ctx):
 )
 @pytest.mark.parametrize("q", [4093, 4096, 3125])  # e = 1; p = 2; odd p with e > 1
 def test_field_axioms_certificate_rejects_corrupt_tables(monkeypatch, q, corrupt):
-    good = field_from_order(q)
-    bad = FieldContext(good.p, good.e, good.modulus)  # fresh tables, not the cached ones
+    good, bad = field_from_order(q), field_from_order(q)
     corrupt(bad)
     assert verify._exp_log_certified(good)
     assert not verify._exp_log_certified(bad)
@@ -475,16 +475,15 @@ def test_field_axioms_certificate_rejects_corrupt_tables(monkeypatch, q, corrupt
 # ---------------------------------------------------------------------------
 
 
-def _corrupt_square_field(monkeypatch, sub_q):
-    """F_{sub_q^2} with g and g^2 swapped in fresh tables, patched into verify.
+def _patch_swapped_field(monkeypatch, q, i):
+    """F_q with g^i and g^(i+1) swapped in its tables, patched into verify.
 
-    The swap keeps exp and log a consistent bijection, but x^sub_q + x is
-    no longer additive, so its fibers stop having sub_q elements each.
+    The swap keeps exp and log a consistent bijection, but products through
+    the swapped pair go wrong; in F_{sub_q^2} at i = 1, x^sub_q + x is no
+    longer additive, so its fibers stop having sub_q elements each.
     """
-    q = sub_q * sub_q
-    good = field_from_order(q)
-    bad = FieldContext(good.p, good.e, good.modulus)
-    _transpose_exp_pair(bad, 1)
+    bad = field_from_order(q)
+    _transpose_exp_pair(bad, i)
     real_make = verify.make_field
 
     def make_field(p, e):
@@ -496,7 +495,7 @@ def _corrupt_square_field(monkeypatch, sub_q):
 
 @pytest.mark.parametrize("sub_q", [3, 4])
 def test_corrupt_field_fails_fiber_checks_by_name(monkeypatch, capsys, sub_q):
-    _corrupt_square_field(monkeypatch, sub_q)
+    _patch_swapped_field(monkeypatch, sub_q * sub_q, 1)
     [fibers] = verify._run("gf", verify._check_artin_schreier_fibers)
     [split] = verify._run("gs", verify._check_split_closed_form)
     assert (fibers.name, fibers.ok) == ("artin_schreier_fibers q in {2,3,4,5}", False)
@@ -508,7 +507,46 @@ def test_corrupt_field_fails_fiber_checks_by_name(monkeypatch, capsys, sub_q):
 
 @pytest.mark.parametrize("sub_q", [3, 4])
 def test_tower_walk_rejects_a_broken_fiber(monkeypatch, sub_q):
-    _corrupt_square_field(monkeypatch, sub_q)
+    _patch_swapped_field(monkeypatch, sub_q * sub_q, 1)
     broken = rf"level 2: fiber of size \d+, expected {sub_q}"
     with pytest.raises(AdmissibilityViolation, match=broken):
         list(verify.tower_level_states(sub_q, 3))
+
+
+# The homma and gs checks that failed on each swapped field while fields
+# were cached (70227ea); every other corpus field passed them all.
+MASS = "level_mass_conservation grid"
+SPLIT = "split_count==(q-1)q^m (q in {2,3,4}, m in 1..8)"
+TOWER_MASS = "tower_level_mass (q in {2,3,4})"
+START = "admissible_start_count q in {2,3,4,5}"
+SWAPPED_FIELD_FAILURES = {
+    (4, 0): {MASS, SPLIT, TOWER_MASS},
+    (5, 0): {MASS},
+    (7, 0): {MASS},
+    (8, 0): {MASS},
+    (9, 0): {MASS, SPLIT, TOWER_MASS},
+    (9, 1): {SPLIT, TOWER_MASS, START},
+    (9, 2): {SPLIT, TOWER_MASS, START},
+    (9, 3): {SPLIT, TOWER_MASS},
+    (9, 4): {SPLIT, TOWER_MASS},
+    (9, 5): {SPLIT, TOWER_MASS, START},
+    (9, 6): {SPLIT, TOWER_MASS, START},
+}
+
+
+@pytest.fixture(scope="module")
+def homma_gs_names():
+    """Check names as printed on sound fields; a raising check prints a shorter one."""
+    return [r.name for r in verify.check_homma() + verify.check_gs()]
+
+
+@pytest.mark.parametrize("q,i", [(q, i) for q in (4, 5, 7, 8, 9) for i in range(q - 2)])
+def test_swapped_field_corpus_fails_the_same_checks(monkeypatch, capsys, homma_gs_names, q, i):
+    _patch_swapped_field(monkeypatch, q, i)
+    results = dict(zip(homma_gs_names, verify.check_homma() + verify.check_gs()))
+    failed = {name for name, result in results.items() if not result.ok}
+    assert SWAPPED_FIELD_FAILURES.get((q, i), set()) <= failed
+    if i == 0:
+        # x^(q-1) is g, not 1: level 2 already breaks the closed-form fiber sizes
+        assert f"({q},2)" in results[MASS].detail
+        assert "final mass" not in results[MASS].detail
