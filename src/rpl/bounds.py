@@ -14,7 +14,7 @@ literature table and from the odd-power tower construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
@@ -53,15 +53,10 @@ def nondegenerate_coefficient(q: int, n: int) -> Fraction:
     return Fraction((q - 1) * (q ** (n + 1) - 1), den)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(namedtuple("ConvergenceReport", "q n_max eps n0 final_gap")):
     """Witness that the coefficient stays within eps of q - 1 from n0 on."""
 
-    q: int
-    n_max: int
-    eps: Fraction
-    n0: int
-    final_gap: Fraction
+    __slots__ = ()
 
 
 def upper_limit_check(q: int, n_max: int, eps: Fraction) -> ConvergenceReport:
@@ -99,14 +94,10 @@ def upper_limit_check(q: int, n_max: int, eps: Fraction) -> ConvergenceReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IharaTableEntry:
+class IharaTableEntry(namedtuple("IharaTableEntry", "q printed half_lower reference")):
     """One tabulated lower bound on A(q)/2, kept verbatim as printed."""
 
-    q: int
-    printed: str
-    half_lower: Fraction
-    reference: str
+    __slots__ = ()
 
 
 # the twelve tabulated A(q)/2 lower bounds (truncated literature values), by q
@@ -143,15 +134,10 @@ def half_ihara_odd_power(p: int, e: int) -> Fraction | None:
     return Fraction(a * b, a + b)
 
 
-@dataclass(frozen=True)
-class SurdBound:
+class SurdBound(namedtuple("SurdBound", "q is_square exact radicand rational_upper")):
     """sqrt(q) - 1, exact for square q, else a surd with a rational cover."""
 
-    q: int
-    is_square: bool
-    exact: int | None
-    radicand: int | None
-    rational_upper: Fraction
+    __slots__ = ()
 
 
 def drinfeld_vladut_upper(q: int) -> SurdBound:
@@ -177,22 +163,19 @@ def drinfeld_vladut_upper(q: int) -> SurdBound:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundRecord:
-    name: str
-    direction: str  # "upper" | "lower"
-    value: Fraction
-    source: str
+class BoundRecord(namedtuple("BoundRecord", "name direction value source")):
+    """One bound: its direction is "upper" or "lower", its value a Fraction."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DqSummary:
-    """All applicable bound records for one prime power q."""
+class DqSummary(namedtuple("DqSummary", "q records upper best_lower")):
+    """All applicable bound records for one prime power q.
 
-    q: int
-    records: tuple[BoundRecord, ...]
-    upper: Fraction
-    best_lower: Fraction | None  # None when no lower record applies (q = 2)
+    best_lower is None when no lower record applies (q = 2).
+    """
+
+    __slots__ = ()
 
 
 _RECORDS = {  # name -> (direction, source), in the order the records are listed

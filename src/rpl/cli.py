@@ -3,7 +3,7 @@
 Subcommands: points-homma, gs, semigroup, bounds, verify. Every command
 renders to json, csv, or text; identical invocations produce byte-identical
 output. Exit codes: 0 success, 1 computation or check failure, 2 validation
-error.
+error. A command imports only the stdlib modules it uses (json only for --format json).
 """
 
 from __future__ import annotations
@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 
@@ -31,18 +30,14 @@ EPILOG = (
 BLOCK = 1 << 12  # items of a streamed part rendered per write
 
 
-@dataclass
-class Rendering:
+class Rendering(namedtuple("Rendering", "json csv text exit_code", defaults=(0,))):
     """A command's output in each format, as pieces of text written in order.
 
     The pieces are lazy: only the chosen format is rendered, and a streamed
     part (the generators, the table rows) BLOCK items at a time.
     """
 
-    json: Iterable[str]
-    csv: Iterable[str]
-    text: Iterable[str]
-    exit_code: int = 0
+    __slots__ = ()
 
 
 def _blocks(items: Iterator, render: Callable[[list], str], sep: str = "") -> Iterator[str]:
@@ -54,6 +49,8 @@ def _blocks(items: Iterator, render: Callable[[list], str], sep: str = "") -> It
 
 
 def _dumps(obj: object) -> str:
+    import json  # only json output pays for it
+
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -154,7 +151,7 @@ def _summary(q: int) -> dict:
         "q": q,
         "upper": int(summary.upper),
         "best_lower": None if summary.best_lower is None else str(summary.best_lower),
-        "records": [{**vars(rec), "value": str(rec.value)} for rec in summary.records],
+        "records": [{**rec._asdict(), "value": str(rec.value)} for rec in summary.records],
     }
 
 
@@ -192,7 +189,7 @@ def _cmd_verify(args: argparse.Namespace) -> Rendering:
 
     results = verify.run_verify(args.scope, args.n_max)
     passed = sum(1 for res in results if res.ok)
-    checks = [vars(res) for res in results]  # scope, name, ok, detail
+    checks = [res._asdict() for res in results]  # scope, name, ok, detail
     lines = [f"[{res.scope}] {res.name} {'PASS' if res.ok else f'FAIL ({res.detail})'}"
              for res in results]
     lines.append(f"{passed}/{len(results)} checks passed")
@@ -273,7 +270,12 @@ def main(argv: list[str] | None = None) -> int:
             # point stdout at devnull so the interpreter's last flush cannot fail
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
-        with open(args.out, "w", encoding="utf-8") as out:
+        try:
+            out = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
+        with out:
             out.writelines(pieces)
     return result.exit_code
 

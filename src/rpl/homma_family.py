@@ -27,7 +27,7 @@ oracles in ``rpl.verify``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal
 
 from . import MAX_PRINTED_DIGITS, PRINT_LIMIT
@@ -35,19 +35,17 @@ from .errors import QTooSmall, TooLarge, ValidationError
 from .gf import factor_prime_power, field_order
 
 
-@dataclass(frozen=True)
-class PointCount:
+class PointCount(namedtuple("PointCount", "affine infinity total")):
     """Affine / infinity split of a projective point count."""
 
-    affine: int
-    infinity: int
-    total: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.affine < 0 or self.infinity < 0:
+    def __new__(cls, affine: int, infinity: int, total: int) -> "PointCount":
+        if affine < 0 or infinity < 0:
             raise ValueError("point counts must be non-negative")
-        if self.total != self.affine + self.infinity:
+        if total != affine + infinity:
             raise ValueError("total must equal affine + infinity")
+        return super().__new__(cls, affine, infinity, total)
 
     @classmethod
     def of(cls, affine: int, infinity: int) -> "PointCount":

@@ -31,7 +31,7 @@ The membership bitmap of H(m) and the pair-sum generator sieve in
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from collections.abc import Iterator
 
 from . import PRINT_LIMIT
 from .errors import TooLarge, ValidationError

@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 import random
 import traceback
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, product
-from typing import Callable, Iterator
 
 from . import DEFAULT_N_MAX, SCOPES, bounds, gs_tower, homma_family, semigroup
 from .errors import AdmissibilityViolation, ComputationError, RplError, TooLarge, ValidationError
@@ -49,12 +49,10 @@ AXIOM_TRIPLES = 1000
 CLOSURE_PAIRS = 500
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    scope: str
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "scope name ok detail", defaults=("",))):
+    """One named check's verdict; detail says what failed, or what was covered."""
+
+    __slots__ = ()
 
 
 def semigroup_grid() -> list[tuple[int, int]]:
@@ -580,7 +578,6 @@ def check_gs(n_max: int = DEFAULT_N_MAX) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class NumericalSemigroup:
     """Cofinite additive submonoid of Z>=0.
 
@@ -589,17 +586,18 @@ class NumericalSemigroup:
     (conductor - 1 is a gap whenever conductor > 0).
     """
 
-    conductor: int
-    window: bytes
+    __slots__ = ("conductor", "window")
 
-    def __post_init__(self) -> None:
-        if self.conductor < 0 or len(self.window) != self.conductor:
+    def __init__(self, conductor: int, window: bytes) -> None:
+        if conductor < 0 or len(window) != conductor:
             raise ValueError("window length must equal the conductor")
-        if self.conductor > 0:
-            if not self.window[0]:
+        if conductor > 0:
+            if not window[0]:
                 raise ValueError("0 must be a member")
-            if self.window[self.conductor - 1]:
+            if window[conductor - 1]:
                 raise ValueError("stored conductor is not minimal")
+        self.conductor = conductor
+        self.window = window
 
     @classmethod
     def from_window(cls, conductor: int, window: bytes | bytearray) -> "NumericalSemigroup":
@@ -980,6 +978,8 @@ _SCOPE_RUNNERS = {
 def run_verify(scope: str = "all", n_max: int = DEFAULT_N_MAX) -> list[CheckResult]:
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; expected one of {', '.join(SCOPES)}")
+    if n_max < 2:  # before any check runs, whichever scope reads it
+        raise ValidationError(f"n_max must be >= 2, got {n_max}")
     if scope == "all":
         results: list[CheckResult] = []
         for name in SCOPES[1:]:

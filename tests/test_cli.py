@@ -1,9 +1,11 @@
 """CLI dispatch, output formats, determinism, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +253,21 @@ def test_verify_failure_sets_exit_code(monkeypatch, capsys):
     assert "0/1 checks passed" in out
 
 
+@pytest.mark.parametrize("scope, n_max", [("bounds", 1), ("gf", 0)])
+def test_verify_rejects_n_max_below_two(monkeypatch, capsys, scope, n_max):
+    monkeypatch.setattr(verify, "_SCOPE_RUNNERS", {})  # no check may run
+    code, out, err = run_cli(capsys, "verify", scope, "--n-max", str(n_max))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: n_max must be >= 2, got {n_max}\n"
+
+
+def test_verify_runs_at_n_max_two(capsys):
+    code, out, _ = run_cli(capsys, "verify", "bounds", "--n-max", "2")
+    assert code == 1  # too shallow for the convergence check, but every check ran
+    assert out.endswith("8/9 checks passed\n")
+
+
 def test_verify_small_scan_window_fails_convergence(capsys):
     # n_max = 10 is too shallow for q = 2 to get within 1e-9 of the limit
     code, out, _ = run_cli(capsys, "verify", "bounds", "--n-max", "10")
@@ -311,14 +328,30 @@ def test_counting_commands_build_no_field(monkeypatch, capsys, line):
     assert cli.main(line.split()) == 0
 
 
-def test_only_verify_imports_the_verify_suite():
+SRC = Path(__file__).resolve().parent.parent / "src"
+UNUSED_MODULES = ("dataclasses", "inspect", "typing", "json", "rpl.verify")
+FOOTPRINT_LINES = {
+    "gs": "gs --q 16 --m 3",
+    "semigroup": "semigroup --q 3 --m 4",
+    "points-homma": "points-homma --q 3 --ell 3",
+    "bounds": "bounds --q 9",
+    "gs-json": "gs --q 2 --m 3 --format json",  # loads json: the probe does see imports
+}
+
+
+@pytest.mark.parametrize("name", FOOTPRINT_LINES)
+def test_command_import_footprint(name):
+    # -S keeps site hooks from preloading modules such as typing
+    line = FOOTPRINT_LINES[name]
+    loaded = ["json"] if "--format json" in line else []
     code = (
-        "import sys; from rpl import cli; "
-        "cli.main(['gs', '--q', '2', '--m', '3']); "
-        "assert 'rpl.verify' not in sys.modules"
+        f"import sys; from rpl import cli; cli.main({line.split()!r}); "
+        f"print([name for name in {UNUSED_MODULES!r} if name in sys.modules], file=sys.stderr)"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"{loaded}\n"
 
 
 def test_gs_reads_generators_from_closed_forms(monkeypatch, capsys):
@@ -339,6 +372,18 @@ def test_conductor_cap_message(capsys, command):
     assert code == 2
     assert out == ""
     assert err == "error: conductor 16773120 exceeds the bitmap cap 10000000\n"
+
+
+@pytest.mark.parametrize("relative, reason", [
+    ("missing/out.txt", "No such file or directory"),
+    ("", "Is a directory"),
+])
+def test_out_path_that_cannot_be_opened(tmp_path, capsys, relative, reason):
+    target = tmp_path / relative
+    code, out, err = run_cli(capsys, "gs", "--q", "3", "--m", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: {reason}\n"
 
 
 def test_failed_run_creates_no_out_file(tmp_path, capsys):

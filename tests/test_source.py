@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+SLOW_IMPORTS = {"dataclasses", "typing"}
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "rpl").glob("*.py"))
 
 
@@ -19,3 +20,17 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert at line(s) {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_dataclasses_or_typing_imports(path):
+    # each costs every command milliseconds of start-up: dataclasses pulls in
+    # inspect and ast; collections.namedtuple and collections.abc do the job
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(
+            alias.name.split(".")[0] in SLOW_IMPORTS for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in SLOW_IMPORTS
+    ]
+    assert not lines, f"{path.name}: dataclasses or typing import at line(s) {lines}"
