@@ -2,8 +2,11 @@
 
 Subcommands: points-homma, gs, semigroup, bounds, verify. Every command
 renders to json, csv, or text; identical invocations produce byte-identical
-output. Exit codes: 0 success, 1 computation or check failure, 2 validation
-error. A command imports only the stdlib modules it uses (json only for --format json).
+output, written as it is rendered. The semigroup generators are written
+straight from their mark bytes, a window of a thousand numbers at a time,
+without an int per generator. Exit codes: 0 success, 1 computation or check
+failure, 2 validation error or a failed write. A command imports only the
+stdlib modules it uses (json only for --format json).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, compress, islice
 
 from . import DEFAULT_N_MAX, SCOPES, bounds, gs_tower, homma_family, semigroup
 from .errors import RplError
@@ -27,14 +30,14 @@ EPILOG = (
     f"(default 2^20 = {DEFAULT_FIELD_CAP}); values above the default or "
     "malformed values are ignored."
 )
-BLOCK = 1 << 12  # items of a streamed part rendered per write
+BLOCK = 1 << 12  # table rows rendered per write
 
 
 class Rendering(namedtuple("Rendering", "json csv text exit_code", defaults=(0,))):
     """A command's output in each format, as pieces of text written in order.
 
     The pieces are lazy: only the chosen format is rendered, and a streamed
-    part (the generators, the table rows) BLOCK items at a time.
+    part (the generators, the table rows) a bounded piece at a time.
     """
 
     __slots__ = ()
@@ -48,6 +51,34 @@ def _blocks(items: Iterator, render: Callable[[list], str], sep: str = "") -> It
         lead = sep
 
 
+def _join_marked(low: int, mark: bytes, sep: str) -> Iterator[str]:
+    """sep.join(map(str, compress(range(low, low + len(mark)), mark))), in pieces.
+
+    No int is made per marked number.  From 1000 on, n-space is cut into
+    windows [1000h, 1000h + 1000): a marked number there is str(h) followed
+    by a three-digit suffix, so a window's text is one compress of a shared
+    suffix table by its mark bytes and one join.  Each piece is one window.
+    """
+    suffixes = [f"{i:03d}" for i in range(1000)]
+    lead = ""
+    head = sep.join(map(str, compress(range(low, min(low + len(mark), 1000)), mark)))
+    if head:
+        yield head
+        lead = sep
+    start = max(low, 1000)
+    h, r = divmod(start, 1000)
+    a = start - low  # mark index of the window's first number
+    table = suffixes[r:]  # low may fall inside a window
+    while a < len(mark):
+        b = a + len(table)
+        prefix = str(h)
+        body = (sep + prefix).join(compress(table, mark[a:b]))
+        if body:
+            yield lead + prefix + body
+            lead = sep
+        h, a, table = h + 1, b, suffixes
+
+
 def _dumps(obj: object) -> str:
     import json  # only json output pays for it
 
@@ -55,11 +86,15 @@ def _dumps(obj: object) -> str:
 
 
 def _json(obj: dict) -> Iterator[str]:
-    """obj as one line of json; an iterator as its last field is streamed as an array."""
+    """obj as one line of json.
+
+    A callable last field f is an array, streamed as the text that f(",")
+    yields: its items joined by ','.
+    """
     *_, last = obj
-    if isinstance(obj[last], Iterator):
+    if callable(obj[last]):
         yield _dumps({**obj, last: []})[:-2]
-        yield from _blocks(obj[last], lambda block: _dumps(block)[1:-1], ",")
+        yield from obj[last](",")
         yield "]}\n"
     else:
         yield _dumps(obj) + "\n"
@@ -74,11 +109,12 @@ def _csv(rows: Iterable[Iterable[object]]) -> str:
 def _record(obj: dict) -> Rendering:
     """Render a one-record JSON object as a csv row and text lines, after "schema".
 
-    None becomes an empty cell and no text line.  An iterator as the last
-    field is streamed, joined with ';'.
+    None becomes an empty cell and no text line.  A callable last field f
+    is a list, streamed as the text that f(";") yields: its items joined
+    by ';'.
     """
     *_, last = obj
-    tail = obj[last] if isinstance(obj[last], Iterator) else iter(())
+    tail = obj[last] if callable(obj[last]) else lambda sep: ()
     cells = {
         key: "" if value is None or value is tail else value
         for key, value in list(obj.items())[1:]
@@ -86,7 +122,7 @@ def _record(obj: dict) -> Rendering:
     row = _csv([list(cells), cells.values()])
     lines = "".join(f"{key} {cell}\n" for key, cell in cells.items() if obj[key] is not None)
     # the tail is the last cell: it ends just before the final newline
-    tail_text = _blocks(tail, lambda block: ";".join(map(str, block)), ";")
+    tail_text = tail(";")
     return Rendering(
         _json(obj), chain([row[:-1]], tail_text, ["\n"]), chain([lines[:-1]], tail_text, ["\n"])
     )
@@ -129,7 +165,7 @@ def _cmd_gs(args: argparse.Namespace) -> Rendering:
 
 def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
     q, m = args.q, args.m
-    gens = semigroup.minimal_generators(q, m)  # validates and checks the cap
+    low, mark = semigroup.generator_marks(q, m)  # validates and checks the cap
     return _record({
         "schema": 1,
         "q": q,
@@ -137,7 +173,7 @@ def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
         "conductor": semigroup.conductor(q, m),
         "gap_count": semigroup.gap_count(q, m),
         "smallest_positive": semigroup.smallest_positive(q, m),
-        "generators": gens,
+        "generators": lambda sep: _join_marked(low, mark, sep),
     })
 
 
@@ -178,7 +214,8 @@ def _cmd_bounds(args: argparse.Namespace) -> Rendering:
     # one lazy stream of records; only the chosen format consumes it
     objs = map(_summary, prime_powers_upto(args.table))
     return Rendering(
-        _json({"schema": 1, "qmax": args.table, "rows": objs}),
+        _json({"schema": 1, "qmax": args.table,
+               "rows": lambda sep: _blocks(objs, lambda block: _dumps(block)[1:-1], sep)}),
         chain([_csv([BOUNDS_HEADER])], _blocks(map(_summary_row, objs), _csv)),
         _blocks(map(_summary_line, objs), "".join),
     )
@@ -261,23 +298,25 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     pieces = getattr(result, args.format)
-    if args.out is None:
-        try:
+    try:
+        if args.out is None:
             sys.stdout.writelines(pieces)
             sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader stopped early (`rpl ... | head`): end quietly, and
-            # point stdout at devnull so the interpreter's last flush cannot fail
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    else:
-        try:
-            out = open(args.out, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
-        with out:
-            out.writelines(pieces)
-    return result.exit_code
+        else:
+            with open(args.out, "w", encoding="utf-8") as out:
+                out.writelines(pieces)
+        return result.exit_code
+    except BrokenPipeError:
+        code = result.exit_code  # the reader stopped early (`rpl ... | head`): end quietly
+    except OSError as exc:  # cannot open, write or close: a full disk, a missing directory
+        name = "<stdout>" if args.out is None else args.out
+        print(f"error: cannot write {name}: {exc.strerror}", file=sys.stderr)
+        code = 2
+    if args.out is None:
+        # stdout may still hold unwritten text: point it at devnull so the
+        # interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def run() -> None:

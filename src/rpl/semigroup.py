@@ -25,7 +25,9 @@ No command builds H(m): every number read off it has a closed form.
   is at most q c_(m-1) + q^(m-1) - q <= c_m + q^(m-1) - q.
 
 The membership bitmap of H(m) and the pair-sum generator sieve in
-``rpl.verify`` are the oracles that certify these forms.
+``rpl.verify`` are the oracles that certify these forms.  ``generator_marks``
+returns the generators as a byte per number, which ``rpl.cli`` writes out as
+text without making an int per generator.
 """
 
 from __future__ import annotations
@@ -90,22 +92,23 @@ def largest_generator(q: int, m: int) -> int:
     return c + q ** (m - 1) - 1 if m > 1 else 1
 
 
-def minimal_generators(q: int, m: int) -> Iterator[int]:
-    """Minimal generating set of the level-m semigroup, ascending.
+def generator_marks(q: int, m: int) -> tuple[int, bytearray]:
+    """(low, mark) with mark[n - low] set exactly at the minimal generators n.
 
-    Unrolled, the recursion gives disjoint pieces: piece j < m-1 is
+    low = q^(m-1) is the smallest generator and mark has c_m bytes (one at
+    level 1), so it spans every generator.  Unrolled, the recursion gives
+    disjoint pieces: piece j < m-1 is
     q^j * { n in [c_(m-j), c_(m-j) + q^(m-j-1)) : q does not divide n },
     exactly the generators divisible by q^j and not by q^(j+1), and the
     last piece is q^(m-1) itself.  Each piece is marked by two strided
     slice assignments over [q^(m-1), c_m + q^(m-1)): set its multiples of
     q^j, then clear its multiples of q^(j+1).  Taken with j ascending, a
     clear never removes an earlier piece's generator, since those are not
-    divisible by q^(j+1).  Validation and marking happen at the call; the
-    returned iterator only reads the marks.
+    divisible by q^(j+1).  Validates and checks the cap before marking.
     """
     c = capped_conductor(q, m)
     low = q ** (m - 1)
-    mark = bytearray(c or 1)  # mark[n - low]; level 1 is generated by q^0 = 1
+    mark = bytearray(c or 1)  # level 1 is generated by q^0 = 1
     for j in range(m - 1):
         start = q**j * conductor(q, m - j) - low  # n - low, both multiples of q^(j+1)
         stop = start + low
@@ -113,4 +116,14 @@ def minimal_generators(q: int, m: int) -> Iterator[int]:
             mark[start:stop:step] = byte * len(range(start, stop, step))
     # q^(m-1) last: for q = 2 it is the start of piece m-2, which clears it
     mark[0] = 1
+    return low, mark
+
+
+def minimal_generators(q: int, m: int) -> Iterator[int]:
+    """Minimal generating set of the level-m semigroup, ascending.
+
+    The numbers that ``generator_marks`` marks.  Validation and marking
+    happen at the call; the returned iterator only reads the marks.
+    """
+    low, mark = generator_marks(q, m)
     return itertools.compress(range(low, low + len(mark)), mark)

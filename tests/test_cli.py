@@ -2,12 +2,16 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from itertools import compress
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rpl import cli, gf, homma_family, semigroup, verify
 from rpl.verify import CheckResult
@@ -143,6 +147,57 @@ def test_semigroup_csv(capsys):
         "2,4,12,9,8,8;10;12;13;14;15;17;19\n"
     )
     assert "\r" not in out
+
+
+LOW_BIT = bytes(i & 1 for i in range(256))
+
+
+@st.composite
+def mark_runs(draw):
+    """Mark bytes as runs up to 2500 long, each all clear, all set or random,
+    so that windows of 1000 are often empty, full, or cut by either end."""
+    mark = bytearray()
+    for kind, length, seed in draw(st.lists(
+        st.tuples(st.sampled_from("01r"), st.integers(0, 2500), st.integers(0, 2**32)),
+        max_size=5,
+    )):
+        if kind == "r":
+            mark += random.Random(seed).randbytes(length).translate(LOW_BIT)
+        else:
+            mark += bytes([int(kind)]) * length
+    return bytes(mark)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    low=st.one_of(st.sampled_from([0, 1, 999, 1000, 1001, 999_999]), st.integers(0, 10**7)),
+    mark=mark_runs(),
+    sep=st.sampled_from(",;"),
+)
+@example(low=1000, mark=bytes(2500), sep=",")  # no mark at all
+@example(low=1500, mark=b"\x01" * 300 + bytes(1200) + b"\x01" * 700, sep=";")  # an empty window
+@example(low=998, mark=b"\x01" * 2005, sep=";")  # both ends inside a window
+@example(low=0, mark=b"", sep=",")
+def test_join_marked_matches_str_join(low, mark, sep):
+    pieces = list(cli._join_marked(low, mark, sep))
+    assert "".join(pieces) == sep.join(map(str, compress(range(low, low + len(mark)), mark)))
+    assert all(piece.count(sep) <= 1000 for piece in pieces)  # at most one window each
+
+
+@pytest.mark.parametrize("sep", [",", ";"])
+def test_join_marked_writes_the_minimal_generators(sep):
+    for q, m in verify.semigroup_grid():
+        text = "".join(cli._join_marked(*semigroup.generator_marks(q, m), sep))
+        assert text == sep.join(map(str, semigroup.minimal_generators(q, m))), (q, m)
+
+
+def test_semigroup_renders_within_time_budget():
+    # 1.95M generators, 17 MB of csv, written from the mark bytes in about
+    # 0.2 s; making an int per generator adds about 0.5 s
+    start = time.perf_counter()
+    assert cli.main(["semigroup", "--q", "5", "--m", "10", "--format", "csv",
+                     "--out", os.devnull]) == 0
+    assert time.perf_counter() - start < 0.5
 
 
 def test_bounds_single_q(capsys):
@@ -361,17 +416,29 @@ def test_gs_reads_generators_from_closed_forms(monkeypatch, capsys):
         raise AssertionError("gs must not list the generators")
 
     monkeypatch.setattr(semigroup, "minimal_generators", refuse)
+    monkeypatch.setattr(semigroup, "generator_marks", refuse)
     code, out, _ = run_cli(capsys, "gs", "--q", "2", "--m", "5", "--format", "json")
     assert code == 0
     assert out == expected
 
 
-@pytest.mark.parametrize("command", ["gs", "semigroup"])
-def test_conductor_cap_message(capsys, command):
-    code, out, err = run_cli(capsys, command, "--q", "2", "--m", "24")
+@pytest.mark.parametrize("command, fmt", [
+    pytest.param(command, fmt, id=command if fmt == "text" else f"{command}-{fmt}")
+    for command in ("gs", "semigroup") for fmt in ("text", "csv", "json")
+])
+def test_conductor_cap_message(capsys, command, fmt):
+    code, out, err = run_cli(capsys, command, "--q", "2", "--m", "24", "--format", fmt)
     assert code == 2
     assert out == ""
     assert err == "error: conductor 16773120 exceeds the bitmap cap 10000000\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_semigroup_validation_error_writes_nothing(capsys, fmt):
+    code, out, err = run_cli(capsys, "semigroup", "--q", "1", "--m", "3", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == "error: q must be >= 2, got 1\n"
 
 
 @pytest.mark.parametrize("relative, reason", [
@@ -384,6 +451,27 @@ def test_out_path_that_cannot_be_opened(tmp_path, capsys, relative, reason):
     assert code == 2
     assert out == ""
     assert err == f"error: cannot write {target}: {reason}\n"
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+def test_failed_write_to_out_path(capsys):
+    code, out, err = run_cli(capsys, "semigroup", "--q", "3", "--m", "3", "--out", "/dev/full")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot write /dev/full: No space left on device\n"
+
+
+@needs_dev_full
+@pytest.mark.parametrize("m", [3, 12])  # one write at the flush; many while streaming
+def test_failed_write_to_stdout(m):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "rpl.cli", "semigroup", "--q", "3",
+                               "--m", str(m)], stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write <stdout>: No space left on device\n"
 
 
 def test_failed_run_creates_no_out_file(tmp_path, capsys):

@@ -12,8 +12,12 @@ multiplication certificate keeps. The json digests of `verify homma`,
 `gs`, `semigroup` and `bounds` come from the last commit with the field
 cache (70227ea), before fields became plain values; they pin the
 details that the text format hides ("30 cells", "48 cells", the n0
-list). A change that is meant to keep every output byte-identical proves
-it here.
+list). The four semigroup runs at the edges of the thousand-number windows
+(the first generator is exactly 1000 at q = 10, m = 4; q = 1000, m = 2; q = 31,
+m = 3; q = 7, m = 7) come from the last commit that made an int per
+generator (50d5de4), before the generators were written from their mark
+bytes. A change that is meant to keep every output byte-identical proves it
+here.
 """
 
 import hashlib
@@ -61,6 +65,10 @@ GOLDEN = {
     "verify gs --format json": "af9092c91397d6ea8f111e5161c5f0db0a6f60591e64e18c35ca44480de9d133",
     "verify semigroup --format json": "403829b69c7e79b14cd85926a628dd992e8ae01aac5c9d264a7ce36540280da7",
     "verify bounds --format json": "20528296bdfeabd23de352ce5031d319a09d7dfadfa9e8c86631a86654881857",
+    "semigroup --q 10 --m 4": "3563433ef6105d0e36df40fc2010bc3d9e8500b3f85a46e9d7d535e166663deb",
+    "semigroup --q 1000 --m 2 --format json": "669cd3ee192af15e0b0127d24bbc8791f34c2cad5f5f896c5663e474e5665b19",
+    "semigroup --q 31 --m 3 --format csv": "abfafb80312f3cb67a93a8c44309a8fa52f3ac3245d87b3a42eceb2672f80273",
+    "semigroup --q 7 --m 7": "ea7703ed2d8e61d25fd4255fd39ca7d668e6a034ef1f91bf64a143afc2e84c02",
 }
 
 
