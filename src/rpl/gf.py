@@ -26,6 +26,7 @@ import os
 from array import array
 from itertools import product
 
+from . import PRINT_LIMIT
 from .errors import DivisionByZero, FieldTooLarge, NonPrime, NotPrimePower
 
 DEFAULT_FIELD_CAP = 1 << 20
@@ -393,10 +394,13 @@ def _checked_order(p: int, e: int, cap: int) -> int:
         raise NonPrime(f"p = {p} is not prime")
     if e < 1:
         raise ValueError(f"extension degree must be >= 1, got {e}")
-    q = p**e
-    if q > cap:
-        raise FieldTooLarge(f"q = {p}^{e} = {q} exceeds the enumeration cap {cap}")
-    return q
+    if e * (p.bit_length() - 1) < PRINT_LIMIT.bit_length():
+        q = p**e
+        if q <= cap:
+            return q
+        if q < PRINT_LIMIT:
+            raise FieldTooLarge(f"q = {p}^{e} = {q} exceeds the enumeration cap {cap}")
+    raise FieldTooLarge(f"q = {p}^{e} exceeds the enumeration cap {cap}")
 
 
 def field_order(p: int, e: int) -> int:

@@ -3,9 +3,13 @@
 Every check recomputes an invariant from scratch and compares it against an
 independent route (closed form vs enumeration, recursion vs sieve, frozen
 values vs live evaluation). Checks are pure and deterministic: fixed grids,
-seeded generators, stable ordering. Each returns a named pass/fail result so
-failures can be cited individually; a check that raises fails under its own
-name, and the others still run.
+seeded generators, stable ordering.
+
+A check returns its name and its failures, and optionally what it covered;
+it passes when it reports no failures. ``_run`` alone turns that into a
+verdict: the scope, PASS or FAIL, and a detail that is the first four
+failures plus ``+N more``, or else what the check covered. A check that
+raises fails under its own name, and the others still run.
 """
 
 from __future__ import annotations
@@ -72,25 +76,32 @@ def _solutions(table: list[int], c: int) -> list[int]:
 
 
 def _fail_detail(failures: list[str]) -> str:
-    if not failures:
-        return ""
     shown = "; ".join(failures[:4])
     if len(failures) > 4:
         shown += f"; +{len(failures) - 4} more"
     return shown
 
 
-def _run(scope: str, *checks: Callable[[], CheckResult]) -> list[CheckResult]:
-    """Run each check in turn; one that raises becomes a FAIL named after it."""
+def _run(scope: str, *checks: Callable[[], tuple]) -> list[CheckResult]:
+    """Run each check in turn and give its verdict under scope.
+
+    A check returns (name, failures) or (name, failures, covered) and passes
+    when failures is empty. The detail is the first four failures plus
+    ``+N more``, or else covered. A check that raises fails with the
+    exception's type as its one failure, named after the function (and a
+    partial's arguments), with the traceback on stderr.
+    """
     results = []
     for check in checks:
         try:
-            results.append(check())
+            name, failures, *covered = check()
         except Exception as exc:  # one broken check must not end the run
             traceback.print_exc()
             func, args = getattr(check, "func", check), getattr(check, "args", ())  # a partial
             name = " ".join([func.__name__.removeprefix("_check_"), *map(str, args)])
-            results.append(CheckResult(scope, name, False, type(exc).__name__))
+            failures, covered = [type(exc).__name__], []
+        detail = _fail_detail(failures) or "".join(covered)
+        results.append(CheckResult(scope, name, not failures, detail))
     return results
 
 
@@ -145,7 +156,7 @@ def _additive_sample_ok(ctx: FieldContext) -> bool:
     return True
 
 
-def _check_field_axioms() -> CheckResult:
+def _check_field_axioms() -> tuple[str, list[str], str]:
     """Every field q <= 4096: the product by certificate, the sum by sample."""
     fields = prime_powers_upto(AXIOM_FIELD_LIMIT)
     failures: list[str] = []
@@ -153,15 +164,11 @@ def _check_field_axioms() -> CheckResult:
         ctx = field_from_order(q)
         if not (_exp_log_certified(ctx) and _additive_sample_ok(ctx)):
             failures.append(f"q={q}")
-    return CheckResult(
-        "gf",
-        f"field_axioms q<={AXIOM_FIELD_LIMIT} x{AXIOM_TRIPLES}",
-        not failures,
-        _fail_detail(failures) or f"{len(fields)} fields",
-    )
+    name = f"field_axioms q<={AXIOM_FIELD_LIMIT} x{AXIOM_TRIPLES}"
+    return name, failures, f"{len(fields)} fields"
 
 
-def _check_canonical_moduli() -> CheckResult:
+def _check_canonical_moduli() -> tuple[str, list[str]]:
     expected = {
         (2, 2): (1, 1, 1),
         (3, 1): (0, 1),
@@ -176,10 +183,10 @@ def _check_canonical_moduli() -> CheckResult:
         for (p, e), mod in sorted(expected.items())
         if make_field(p, e).modulus != mod
     ]
-    return CheckResult("gf", "canonical_moduli", not failures, _fail_detail(failures))
+    return "canonical_moduli", failures
 
 
-def _check_unit_group() -> CheckResult:
+def _check_unit_group() -> tuple[str, list[str]]:
     failures: list[str] = []
     for q in prime_powers_upto(256):
         ctx = field_from_order(q)
@@ -189,10 +196,10 @@ def _check_unit_group() -> CheckResult:
             if ctx.pow(a, q - 1) != ctx.one:
                 failures.append(f"q={q}")
                 break
-    return CheckResult("gf", "unit_group_order q<=256", not failures, _fail_detail(failures))
+    return "unit_group_order q<=256", failures
 
 
-def _check_artin_schreier_fibers() -> CheckResult:
+def _check_artin_schreier_fibers() -> tuple[str, list[str]]:
     failures: list[str] = []
     for sub_q in (2, 3, 4, 5):
         ctx = field_from_order(sub_q * sub_q)
@@ -207,12 +214,10 @@ def _check_artin_schreier_fibers() -> CheckResult:
             mass += len(sols)
         if nonempty != sub_q or mass != sub_q * sub_q:
             failures.append(f"q={sub_q} image {nonempty} mass {mass}")
-    return CheckResult(
-        "gf", "artin_schreier_fibers q in {2,3,4,5}", not failures, _fail_detail(failures)
-    )
+    return "artin_schreier_fibers q in {2,3,4,5}", failures
 
 
-def _check_power_residue_structure() -> CheckResult:
+def _check_power_residue_structure() -> tuple[str, list[str]]:
     failures: list[str] = []
     for q in (3, 4, 5, 7, 8, 9):
         ctx = field_from_order(q)
@@ -231,10 +236,10 @@ def _check_power_residue_structure() -> CheckResult:
                     hit += bool(sols)
             if hit != (q - 1) // d:
                 failures.append(f"q={q} k={k} image {hit}")
-    return CheckResult("gf", "power_residue_structure", not failures, _fail_detail(failures))
+    return "power_residue_structure", failures
 
 
-def _check_frobenius() -> CheckResult:
+def _check_frobenius() -> tuple[str, list[str]]:
     failures: list[str] = []
     for q in (4, 8, 9, 16, 25, 27, 32):
         ctx = field_from_order(q)
@@ -246,7 +251,7 @@ def _check_frobenius() -> CheckResult:
             if ctx.pow(ctx.add(a, b), p) != ctx.add(ctx.pow(a, p), ctx.pow(b, p)):
                 failures.append(f"q={q}")
                 break
-    return CheckResult("gf", "frobenius_additivity", not failures, _fail_detail(failures))
+    return "frobenius_additivity", failures
 
 
 def check_gf(n_max: int = DEFAULT_N_MAX) -> list[CheckResult]:
@@ -347,47 +352,37 @@ def _completions(lead: tuple[int, ...], ell: int, pw: list[int], row: list[int])
     return len(prefixes)
 
 
-def _check_infinity_closed_form() -> CheckResult:
+def _check_infinity_closed_form() -> tuple[str, list[str]]:
     failures = [
         f"({q},{ell})"
         for q, ell in homma_grid()
         if homma_family.count_infinity(q, ell) != brute_force_projective(q, ell).infinity
     ]
-    return CheckResult(
-        "homma", "infinity_count==(q-1)^(ell-1) grid", not failures, _fail_detail(failures)
-    )
+    return "infinity_count==(q-1)^(ell-1) grid", failures
 
 
-def _check_brute_force_agreement() -> CheckResult:
+def _check_brute_force_agreement() -> tuple[str, list[str], str]:
+    grid = homma_grid()
     failures: list[str] = []
-    cells = 0
-    for q, ell in homma_grid():
-        if q**ell > BRUTE_FORCE_CAP:
-            continue
-        cells += 1
+    for q, ell in grid:
         brute = brute_force_projective(q, ell)
         analytic = homma_family.count_total(q, ell)
         if brute != analytic:
             failures.append(f"({q},{ell}) {brute} vs {analytic}")
-    return CheckResult(
-        "homma",
-        "brute_force==analytic grid",
-        not failures,
-        _fail_detail(failures) or f"{cells} cells",
-    )
+    return "brute_force==analytic grid", failures, f"{len(grid)} cells"
 
 
-def _check_total_at_least_degree() -> CheckResult:
+def _check_total_at_least_degree() -> tuple[str, list[str]]:
     failures: list[str] = []
     for q, ell in homma_grid():
         total = homma_family.count_total(q, ell).total
         degree = homma_family.curve_degree(q, ell)
         if Fraction(total, degree) < 1:
             failures.append(f"({q},{ell}) {total}<{degree}")
-    return CheckResult("homma", "total>=degree grid", not failures, _fail_detail(failures))
+    return "total>=degree grid", failures
 
 
-def _check_mass_conservation() -> CheckResult:
+def _check_mass_conservation() -> tuple[str, list[str]]:
     """Each level of the affine walk carries the closed-form fiber sizes.
 
     Every v != -1 has the one successor 0; -1 (the element p - 1) has q - 1
@@ -406,10 +401,10 @@ def _check_mass_conservation() -> CheckResult:
         else:
             if sum(states[-1].values()) != homma_family.count_affine(q, ell):
                 failures.append(f"({q},{ell}) final mass")
-    return CheckResult("homma", "level_mass_conservation grid", not failures, _fail_detail(failures))
+    return "level_mass_conservation grid", failures
 
 
-def _check_frozen_point_counts() -> CheckResult:
+def _check_frozen_point_counts() -> tuple[str, list[str]]:
     checks = (
         homma_family.count_total(3, 3) == homma_family.PointCount(2, 4, 6),
         homma_family.count_total(4, 2) == homma_family.PointCount(6, 3, 9),
@@ -419,8 +414,7 @@ def _check_frozen_point_counts() -> CheckResult:
         homma_family.curve_degree(5, 4) == 64,
         brute_force_projective(3, 4) == homma_family.count_total(3, 4),
     )
-    bad = [str(i) for i, ok in enumerate(checks) if not ok]
-    return CheckResult("homma", "frozen_point_counts", not bad, _fail_detail(bad))
+    return "frozen_point_counts", [str(i) for i, ok in enumerate(checks) if not ok]
 
 
 def check_homma(n_max: int = DEFAULT_N_MAX) -> list[CheckResult]:
@@ -469,7 +463,7 @@ def tower_level_states(q: int, m: int) -> Iterator[dict[int, int]]:
         yield dist
 
 
-def _check_split_closed_form() -> CheckResult:
+def _check_split_closed_form() -> tuple[str, list[str]]:
     """One walk per q to level TOWER_M_MAX; a raise is named after its level."""
     failures: list[str] = []
     for q in TOWER_Q:
@@ -481,12 +475,10 @@ def _check_split_closed_form() -> CheckResult:
                     failures.append(f"({q},{level}) {mass}")
         except RplError as exc:
             failures.append(f"({q},{level + 1}) {type(exc).__name__}")
-    return CheckResult(
-        "gs", "split_count==(q-1)q^m (q in {2,3,4}, m in 1..8)", not failures, _fail_detail(failures)
-    )
+    return "split_count==(q-1)q^m (q in {2,3,4}, m in 1..8)", failures
 
 
-def _check_tower_level_mass() -> CheckResult:
+def _check_tower_level_mass() -> tuple[str, list[str]]:
     failures: list[str] = []
     for q in TOWER_Q:
         ctx = field_from_order(q * q)
@@ -498,44 +490,38 @@ def _check_tower_level_mass() -> CheckResult:
                 if ctx.add(ctx.pow(v, k), ctx.one) == ctx.zero:
                     failures.append(f"({q},{level}) inadmissible value")
                     break
-    return CheckResult("gs", "tower_level_mass (q in {2,3,4})", not failures, _fail_detail(failures))
+    return "tower_level_mass (q in {2,3,4})", failures
 
 
-def _check_admissible_start_count() -> CheckResult:
+def _check_admissible_start_count() -> tuple[str, list[str]]:
     failures: list[str] = []
     for q in SEMIGROUP_Q:
         count = len(next(tower_level_states(q, 1)))
         if count != q * q - q:
             failures.append(f"q={q} count {count}")
-    return CheckResult(
-        "gs", "admissible_start_count q in {2,3,4,5}", not failures, _fail_detail(failures)
-    )
+    return "admissible_start_count q in {2,3,4,5}", failures
 
 
-def _check_gap_genus(q: int) -> CheckResult:
+def _check_gap_genus(q: int) -> tuple[str, list[str]]:
     failures: list[str] = []
     for m in range(2, TOWER_M_MAX + 1):
         gaps = weierstrass_semigroup(q, m).window.count(0)
         if gaps != gs_tower.genus(q, m):
             failures.append(f"m={m} gaps {gaps}")
-    return CheckResult(
-        "gs", f"gap_count==genus for ({q},2..{TOWER_M_MAX})", not failures, _fail_detail(failures)
-    )
+    return f"gap_count==genus for ({q},2..{TOWER_M_MAX})", failures
 
 
-def _check_ratio_limit() -> CheckResult:
+def _check_ratio_limit() -> tuple[str, list[str]]:
     failures: list[str] = []
     for q in RATIO_Q:
         seq = gs_tower.tower_ratio_sequence(q, RATIO_M)
         gap = abs(seq[-1] - gs_tower.points_per_degree_limit(q))
         if gap >= RATIO_TOL:
             failures.append(f"q={q} gap {gap}")
-    return CheckResult(
-        "gs", "ratio_gap_at_m=40 < 1/1000 (q in {2,3,4,5})", not failures, _fail_detail(failures)
-    )
+    return "ratio_gap_at_m=40 < 1/1000 (q in {2,3,4,5})", failures
 
 
-def _check_ratio_monotone() -> CheckResult:
+def _check_ratio_monotone() -> tuple[str, list[str]]:
     failures: list[str] = []
     for q in RATIO_Q:
         seq = gs_tower.tower_ratio_sequence(q, 45)
@@ -544,12 +530,10 @@ def _check_ratio_monotone() -> CheckResult:
             failures.append(f"q={q} not decreasing")
         if any(r <= limit for r in seq):
             failures.append(f"q={q} crosses limit")
-    return CheckResult(
-        "gs", "ratio_monotone_decreasing m in 2..45", not failures, _fail_detail(failures)
-    )
+    return "ratio_monotone_decreasing m in 2..45", failures
 
 
-def _check_frozen_tower_values() -> CheckResult:
+def _check_frozen_tower_values() -> tuple[str, list[str]]:
     checks = (
         gs_tower.count_split_chains(2, 2) == 4,
         gs_tower.count_split_chains(2, 1) == 2,
@@ -563,8 +547,7 @@ def _check_frozen_tower_values() -> CheckResult:
         gs_tower.points_per_degree_limit(2) == Fraction(2, 3),
         gs_tower.points_per_degree_limit(3) == Fraction(3, 2),
     )
-    bad = [str(i) for i, ok in enumerate(checks) if not ok]
-    return CheckResult("gs", "frozen_tower_values", not bad, _fail_detail(bad))
+    return "frozen_tower_values", [str(i) for i, ok in enumerate(checks) if not ok]
 
 
 def check_gs(n_max: int = DEFAULT_N_MAX) -> list[CheckResult]:
@@ -643,23 +626,17 @@ def weierstrass_semigroup(q: int, m: int) -> NumericalSemigroup:
     return result
 
 
-def _check_gap_genus_full_grid() -> CheckResult:
+def _check_gap_genus_full_grid() -> tuple[str, list[str], str]:
+    grid = semigroup_grid()
     failures: list[str] = []
-    cells = 0
-    for q, m in semigroup_grid():
-        cells += 1
+    for q, m in grid:
         gaps = weierstrass_semigroup(q, m).window.count(0)
         if gaps != gs_tower.genus(q, m):
             failures.append(f"({q},{m}) gaps {gaps}")
-    return CheckResult(
-        "semigroup",
-        "gap_count==genus full grid c_m<=10^6",
-        not failures,
-        _fail_detail(failures) or f"{cells} cells",
-    )
+    return "gap_count==genus full grid c_m<=10^6", failures, f"{len(grid)} cells"
 
 
-def _check_conductor_minimal() -> CheckResult:
+def _check_conductor_minimal() -> tuple[str, list[str]]:
     failures: list[str] = []
     for q, m in semigroup_grid():
         if m < 2:
@@ -671,12 +648,10 @@ def _check_conductor_minimal() -> CheckResult:
             failures.append(f"({q},{m}) conductor not minimal")
         elif s.smallest_positive() != semigroup.smallest_positive(q, m):
             failures.append(f"({q},{m}) smallest {s.smallest_positive()}")
-    return CheckResult(
-        "semigroup", "conductor==q^m-q^ceil(m/2) and minimal", not failures, _fail_detail(failures)
-    )
+    return "conductor==q^m-q^ceil(m/2) and minimal", failures
 
 
-def _check_generator_bounds_grid() -> CheckResult:
+def _check_generator_bounds_grid() -> tuple[str, list[str]]:
     """The extreme generators meet their closed forms, so gs may print True."""
     failures: list[str] = []
     for q, m in semigroup_grid():
@@ -689,12 +664,10 @@ def _check_generator_bounds_grid() -> CheckResult:
     for q, m, largest in ((2, 3, 7), (2, 4, 19)):
         if semigroup.largest_generator(q, m) != largest:
             failures.append(f"({q},{m}) expected gamma_last {largest}")
-    return CheckResult(
-        "semigroup", "generator_bounds grid m>=2", not failures, _fail_detail(failures)
-    )
+    return "generator_bounds grid m>=2", failures
 
 
-def _check_additive_closure() -> CheckResult:
+def _check_additive_closure() -> tuple[str, list[str]]:
     failures: list[str] = []
     for q, m in semigroup_grid():
         s = weierstrass_semigroup(q, m)
@@ -706,9 +679,7 @@ def _check_additive_closure() -> CheckResult:
             if (a + b) not in s:
                 failures.append(f"({q},{m}) {a}+{b}")
                 break
-    return CheckResult(
-        "semigroup", f"additive_closure x{CLOSURE_PAIRS}", not failures, _fail_detail(failures)
-    )
+    return f"additive_closure x{CLOSURE_PAIRS}", failures
 
 
 def _regenerate(gens: tuple[int, ...], span: int) -> int:
@@ -750,7 +721,7 @@ def sieve_generators(s: NumericalSemigroup) -> tuple[int, ...]:
     return tuple(n for n in s.members(limit) if n > 0 and not reach[n])
 
 
-def _check_regeneration() -> CheckResult:
+def _check_regeneration() -> tuple[str, list[str]]:
     """Production generators regenerate S on [0, 2c) and equal the sieve."""
     cells = [(2, m) for m in range(2, 13)] + [(3, m) for m in range(2, 8)]
     cells += [(4, m) for m in range(2, 6)] + [(5, m) for m in range(2, 5)]
@@ -764,12 +735,10 @@ def _check_regeneration() -> CheckResult:
         expected = set(s.members(span))
         if regenerated != expected or gens != sieve_generators(s):
             failures.append(f"({q},{m})")
-    return CheckResult(
-        "semigroup", "regenerate_from_generators [0,2c)", not failures, _fail_detail(failures)
-    )
+    return "regenerate_from_generators [0,2c)", failures
 
 
-def _check_frozen_semigroups() -> CheckResult:
+def _check_frozen_semigroups() -> tuple[str, list[str]]:
     s22 = weierstrass_semigroup(2, 2)
     s23 = weierstrass_semigroup(2, 3)
     s24 = weierstrass_semigroup(2, 4)
@@ -789,8 +758,7 @@ def _check_frozen_semigroups() -> CheckResult:
         tuple(semigroup.minimal_generators(3, 2)) == (3, 7, 8),
         tuple(semigroup.minimal_generators(2, 1)) == (1,),
     )
-    bad = [str(i) for i, ok in enumerate(checks) if not ok]
-    return CheckResult("semigroup", "frozen_semigroups", not bad, _fail_detail(bad))
+    return "frozen_semigroups", [str(i) for i, ok in enumerate(checks) if not ok]
 
 
 def check_semigroup(n_max: int = DEFAULT_N_MAX) -> list[CheckResult]:
@@ -831,26 +799,26 @@ def count_exceptional_quartic() -> int:
     return count
 
 
-def _check_exceptional_quartic() -> CheckResult:
+def _check_exceptional_quartic() -> tuple[str, list[str], str]:
     ctx = field_from_order(4)
     points = len(projective_plane_points(ctx))
     count = count_exceptional_quartic()
     plane_bound = bounds.sziklai_bound(4, 4)
     ok = points == 21 and count == 14 and plane_bound == 13 and count > plane_bound
-    return CheckResult("bounds", "exceptional_quartic=14", ok, f"count {count} of {points}")
+    detail = f"count {count} of {points}"
+    return "exceptional_quartic=14", [] if ok else [detail], detail
 
 
-def _check_coefficient_frozen() -> CheckResult:
+def _check_coefficient_frozen() -> tuple[str, list[str]]:
     checks = (
         bounds.nondegenerate_coefficient(4, 2) == Fraction(7, 2),
         bounds.nondegenerate_coefficient(2, 2) == Fraction(7, 4),
         bounds.nondegenerate_coefficient(3, 3) == Fraction(20, 9),
     )
-    bad = [str(i) for i, ok in enumerate(checks) if not ok]
-    return CheckResult("bounds", "coefficient_frozen_values", not bad, _fail_detail(bad))
+    return "coefficient_frozen_values", [str(i) for i, ok in enumerate(checks) if not ok]
 
 
-def _check_coefficient_monotone(n_max: int) -> CheckResult:
+def _check_coefficient_monotone(n_max: int) -> tuple[str, list[str]]:
     failures: list[str] = []
     for q in CONVERGENCE_Q:
         vals = [bounds.nondegenerate_coefficient(q, n) for n in range(2, n_max + 1)]
@@ -858,12 +826,10 @@ def _check_coefficient_monotone(n_max: int) -> CheckResult:
             failures.append(f"q={q} not decreasing")
         if any(not (q - 1 < v < q) for v in vals):
             failures.append(f"q={q} out of band")
-    return CheckResult(
-        "bounds", "coefficient_monotone q-1<coef<q", not failures, _fail_detail(failures)
-    )
+    return "coefficient_monotone q-1<coef<q", failures
 
 
-def _check_upper_limit_convergence(n_max: int) -> CheckResult:
+def _check_upper_limit_convergence(n_max: int) -> tuple[str, list[str], str]:
     failures: list[str] = []
     found: list[str] = []
     for q in CONVERGENCE_Q:
@@ -873,15 +839,10 @@ def _check_upper_limit_convergence(n_max: int) -> CheckResult:
             failures.append(f"q={q} {type(exc).__name__}")
             continue
         found.append(f"{q}:{report.n0}")
-    return CheckResult(
-        "bounds",
-        f"upper_limit_convergence eps=1e-9 n<={n_max}",
-        not failures,
-        _fail_detail(failures) or "n0 " + " ".join(found),
-    )
+    return f"upper_limit_convergence eps=1e-9 n<={n_max}", failures, "n0 " + " ".join(found)
 
 
-def _check_dq_consistency() -> CheckResult:
+def _check_dq_consistency() -> tuple[str, list[str]]:
     failures: list[str] = []
     for q in prime_powers_upto(1024):
         summary = bounds.dq_summary(q)
@@ -891,10 +852,10 @@ def _check_dq_consistency() -> CheckResult:
             failures.append("q=2 has a lower bound")
         elif q > 2 and not (summary.best_lower is not None and summary.best_lower <= summary.upper):
             failures.append(f"q={q} best {summary.best_lower}")
-    return CheckResult("bounds", "dq_lower<=upper q<=1024", not failures, _fail_detail(failures))
+    return "dq_lower<=upper q<=1024", failures
 
 
-def _check_square_tower_cross_module() -> CheckResult:
+def _check_square_tower_cross_module() -> tuple[str, list[str]]:
     failures: list[str] = []
     for r in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 31, 32):
         summary = bounds.dq_summary(r * r)
@@ -902,10 +863,10 @@ def _check_square_tower_cross_module() -> CheckResult:
         records = [rec for rec in summary.records if rec.name == "square-tower"]
         if len(records) != 1 or records[0].value != expected:
             failures.append(f"r={r}")
-    return CheckResult("bounds", "square_tower_cross_module", not failures, _fail_detail(failures))
+    return "square_tower_cross_module", failures
 
 
-def _check_aq_half_table() -> CheckResult:
+def _check_aq_half_table() -> tuple[str, list[str]]:
     table = bounds.IHARA_HALF_TABLE.values()
     failures: list[str] = []
     if tuple(entry.q for entry in table) != (3, 4, 5, 7, 8, 11, 13, 17, 19, 23, 29, 31):
@@ -918,10 +879,10 @@ def _check_aq_half_table() -> CheckResult:
     row8 = next(entry for entry in table if entry.q == 8)
     if row8.half_lower != bounds.half_ihara_odd_power(2, 3) or row8.half_lower != Fraction(3, 4):
         failures.append("q=8 odd-power mismatch")
-    return CheckResult("bounds", "aq_half_table", not failures, _fail_detail(failures))
+    return "aq_half_table", failures
 
 
-def _check_classical_bounds_frozen() -> CheckResult:
+def _check_classical_bounds_frozen() -> tuple[str, list[str]]:
     dvz2 = bounds.drinfeld_vladut_upper(2)
     cover = dvz2.rational_upper + 1
     checks = (
@@ -936,11 +897,10 @@ def _check_classical_bounds_frozen() -> CheckResult:
         not dvz2.is_square and dvz2.radicand == 2,
         cover * cover >= 2 > (cover - Fraction(1, 10**5)) ** 2,
     )
-    bad = [str(i) for i, ok in enumerate(checks) if not ok]
-    return CheckResult("bounds", "weil_sziklai_dvz_frozen", not bad, _fail_detail(bad))
+    return "weil_sziklai_dvz_frozen", [str(i) for i, ok in enumerate(checks) if not ok]
 
 
-def _check_dq_frozen() -> CheckResult:
+def _check_dq_frozen() -> tuple[str, list[str]]:
     s9 = bounds.dq_summary(9)
     s4 = bounds.dq_summary(4)
     s2 = bounds.dq_summary(2)
@@ -954,8 +914,7 @@ def _check_dq_frozen() -> CheckResult:
         s2.upper == 1 and s2.best_lower is None,
         s32.best_lower == Fraction(21, 10),
     )
-    bad = [str(i) for i, ok in enumerate(checks) if not ok]
-    return CheckResult("bounds", "dq_frozen_summaries", not bad, _fail_detail(bad))
+    return "dq_frozen_summaries", [str(i) for i, ok in enumerate(checks) if not ok]
 
 
 def check_bounds(n_max: int = DEFAULT_N_MAX) -> list[CheckResult]:

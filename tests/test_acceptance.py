@@ -199,9 +199,9 @@ def test_criterion_08_ratio_gap_at_level_40():
 
 
 def test_criterion_09_property_sweeps_zero_failures():
-    axioms = verify._check_field_axioms()
-    closure = verify._check_additive_closure()
-    mass = verify._check_mass_conservation()
+    [axioms] = verify._run("gf", verify._check_field_axioms)
+    [closure] = verify._run("semigroup", verify._check_additive_closure)
+    [mass] = verify._run("homma", verify._check_mass_conservation)
     ok = axioms.ok and closure.ok and mass.ok
     report(
         9, ok,

@@ -1,5 +1,6 @@
 """CLI dispatch, output formats, determinism, and exit codes."""
 
+import hashlib
 import json
 import os
 import random
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rpl import cli, gf, homma_family, semigroup, verify
+from rpl import bounds, cli, gf, homma_family, semigroup, verify
 from rpl.verify import CheckResult
 
 
@@ -331,6 +332,31 @@ def test_verify_small_scan_window_fails_convergence(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "a2e2e446b0fc69501aa827d5afefa49bf41c3799329fd5743093f0876d20e092"),
+    ("json", "e93527915bc2c23c0412d4a2e7f0bb403933c07ca32101381824cdc6774fee2d"),
+])
+def test_verify_fail_path_bytes(capsys, fmt, digest):
+    # a FAIL line shows the first four failures and how many more there are
+    code, out, _ = run_cli(capsys, "verify", "bounds", "--n-max", "3", "--format", fmt)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if fmt == "text":
+        [line] = [line for line in out.splitlines() if "upper_limit_convergence" in line]
+        assert line.endswith("q=5 NotConverged; +6 more)")
+
+
+def test_verify_fail_details_of_broken_bounds(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "count_exceptional_quartic", lambda: 13)
+    monkeypatch.setattr(bounds, "sziklai_bound", lambda q, d: 0)
+    code, out, _ = run_cli(capsys, "verify", "bounds")
+    assert code == 1
+    lines = out.splitlines()
+    assert "[bounds] exceptional_quartic=14 FAIL (count 13 of 21)" in lines
+    assert "[bounds] weil_sziklai_dvz_frozen FAIL (3; 4; 5)" in lines
+    assert lines[-1] == "7/9 checks passed"
+
+
 def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
@@ -350,6 +376,9 @@ def test_gs_finishes_at_large_fields(capsys, q, m, genus):
 @pytest.mark.parametrize("q,cap,err", [
     (2048, None, "error: q = 2^22 = 4194304 exceeds the enumeration cap 1048576\n"),
     (16, "100", "error: q = 2^8 = 256 exceeds the enumeration cap 100\n"),
+    # q^2 = 2^14400 has 4335 digits, too many to print: only its exponent is named
+    pytest.param(2**7200, None, "error: q = 2^14400 exceeds the enumeration cap 1048576\n",
+                 id="unprintable"),
 ])
 def test_gs_rejects_field_above_cap(monkeypatch, capsys, q, cap, err):
     # the cap applies to F_{q^2}, the field the tower lives over

@@ -297,6 +297,25 @@ def test_default_cap(monkeypatch):
         make_field(2, 21)
 
 
+# 2^14285 and 3^9013 have 4301 digits, one more than str() of an int prints
+# by default; 2^14285 is ruled out by its bit length, 3^9013 only once formed
+@pytest.mark.parametrize("p,e", [(2, 14285), (2, 20000), (3, 9013)])
+def test_cap_names_an_unprintable_order_by_its_exponent(monkeypatch, p, e):
+    monkeypatch.delenv(FIELD_CAP_ENV, raising=False)
+    message = rf"^q = {p}\^{e} exceeds the enumeration cap {DEFAULT_FIELD_CAP}$"
+    with pytest.raises(FieldTooLarge, match=message):
+        make_field(p, e)
+    with pytest.raises(FieldTooLarge, match=message):
+        field_order(p, e)
+
+
+@pytest.mark.parametrize("p,e", [(2, 14284), (3, 9012)])
+def test_cap_prints_the_largest_printable_order(p, e):
+    with pytest.raises(FieldTooLarge) as exc:
+        make_field(p, e)
+    assert str(exc.value) == f"q = {p}^{e} = {p**e} exceeds the enumeration cap {DEFAULT_FIELD_CAP}"
+
+
 def test_cap_env_lowers(monkeypatch):
     monkeypatch.setenv(FIELD_CAP_ENV, "100")
     assert field_cap() == 100

@@ -22,6 +22,24 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert at line(s) {lines}"
 
 
+def test_verify_forms_every_verdict_in_run():
+    # a check returns its name and failures; only _run turns them into a
+    # CheckResult, so scope, PASS/FAIL and detail follow one rule
+    path = next(path for path in SOURCES if path.name == "verify.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def calls(node):
+        return {
+            call.lineno for call in ast.walk(node)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "CheckResult"
+        }
+
+    [run] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_run"]
+    assert calls(run), "_run builds no CheckResult"
+    stray = sorted(calls(tree) - calls(run))
+    assert not stray, f"verify.py: CheckResult built outside _run at line(s) {stray}"
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_dataclasses_or_typing_imports(path):
     # each costs every command milliseconds of start-up: dataclasses pulls in
