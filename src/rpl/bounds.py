@@ -62,6 +62,10 @@ class ConvergenceReport(namedtuple("ConvergenceReport", "q n_max eps n0 final_ga
 def upper_limit_check(q: int, n_max: int, eps: Fraction) -> ConvergenceReport:
     """Find the least n0 with |coefficient(q, n) - (q-1)| < eps for all
     n in [n0, n_max], scanning exactly; NotConverged if no tail qualifies.
+
+    The gap coefficient - (q-1) is (q-1)^2 (n+1) / D(n), D(n) = q^(n+1) - q - n(q-1), and
+    (n+1) D(n+1) - (n+2) D(n) = q^(n+1) ((n+1)(q-1) - 1) + 1 > 0 for q >= 2, n >= 1: the gap
+    is positive and falls strictly, so the first n inside the window starts the tail.
     """
     factor_prime_power(q)
     if n_max < 2:
@@ -70,12 +74,8 @@ def upper_limit_check(q: int, n_max: int, eps: Fraction) -> ConvergenceReport:
     if eps <= 0:
         raise ValidationError(f"eps must be positive, got {eps}")
     target = q - 1
-    n0 = None
-    for n in range(n_max, 1, -1):
-        if abs(nondegenerate_coefficient(q, n) - target) < eps:
-            n0 = n
-        else:
-            break
+    n0 = next((n for n in range(2, n_max + 1) if nondegenerate_coefficient(q, n) - target < eps),
+              None)
     if n0 is None:
         raise NotConverged(
             f"coefficient never entered the eps-window of q - 1 up to n_max = {n_max}"

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import chain, compress, islice
 
 from . import DEFAULT_N_MAX, SCOPES, bounds, gs_tower, homma_family, semigroup
-from .errors import RplError
+from .errors import RplError, ValidationError
 from .gf import DEFAULT_FIELD_CAP, FIELD_CAP_ENV, prime_powers_upto
 
 EPILOG = (
@@ -129,15 +129,14 @@ def _record(obj: dict) -> Rendering:
 
 
 def _cmd_points_homma(args: argparse.Namespace) -> Rendering:
-    count = homma_family.count_total(args.q, args.ell)
-    degree = homma_family.curve_degree(args.q, args.ell)
+    count = homma_family.count_total(args.q, args.ell)  # validates (q, ell) once
     return _record({
         "schema": 1,
         "affine": count.affine,
         "infinity": count.infinity,
         "total": count.total,
-        "degree": degree,
-        "ratio": str(Fraction(count.total, degree)),
+        "degree": count.infinity,  # the points at infinity number the degree
+        "ratio": str(Fraction(count.total, count.infinity)),
     })
 
 
@@ -210,7 +209,7 @@ def _cmd_bounds(args: argparse.Namespace) -> Rendering:
         return Rendering(_json({"schema": 1, **obj}), [_csv([BOUNDS_HEADER, _summary_row(obj)])],
                          ["\n".join(lines) + "\n"])
     if args.table < 2:
-        raise ValueError(f"--table expects a limit of at least 2, got {args.table}")
+        raise ValidationError(f"--table expects a limit of at least 2, got {args.table}")
     # one lazy stream of records; only the chosen format consumes it
     objs = map(_summary, prime_powers_upto(args.table))
     return Rendering(
@@ -291,12 +290,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.handler(args)
-    except RplError as exc:
+    except RplError as exc:  # anything else escaping a handler is a bug: a traceback, exit 1
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     pieces = getattr(result, args.format)
     try:
         if args.out is None:

@@ -1,8 +1,9 @@
 """Typed errors shared by every module.
 
 Two families matter to the CLI: validation errors (bad parameters, exit
-code 2) and computation errors (an internal certificate failed or a
-computation did not reach its target, exit code 1).
+code 2; every input rule raises one, and it is also a ValueError) and
+computation errors (an internal certificate failed or a computation did
+not reach its target, exit code 1).
 """
 
 
@@ -10,7 +11,7 @@ class RplError(Exception):
     exit_code = 1
 
 
-class ValidationError(RplError):
+class ValidationError(RplError, ValueError):
     """Input rejected before any computation ran."""
 
     exit_code = 2

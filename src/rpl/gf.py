@@ -27,7 +27,7 @@ from array import array
 from itertools import product
 
 from . import PRINT_LIMIT
-from .errors import DivisionByZero, FieldTooLarge, NonPrime, NotPrimePower
+from .errors import DivisionByZero, FieldTooLarge, NonPrime, NotPrimePower, ValidationError
 
 DEFAULT_FIELD_CAP = 1 << 20
 FIELD_CAP_ENV = "RPL_MAX_FIELD"
@@ -270,7 +270,7 @@ class FieldContext:
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
         if len(modulus) != e + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree e")
+            raise ValidationError("modulus must be monic of degree e")
         self.p = p
         self.e = e
         self.q = p**e
@@ -319,7 +319,7 @@ class FieldContext:
 
     def element(self, i: int) -> int:
         if not 0 <= i < self.q:
-            raise ValueError(f"element index {i} out of range for q = {self.q}")
+            raise ValidationError(f"element index {i} out of range for q = {self.q}")
         return i
 
     def elements(self) -> range:
@@ -369,7 +369,7 @@ class FieldContext:
 
     def pow(self, a: int, k: int) -> int:
         if k < 0:
-            raise ValueError("exponent must be non-negative")
+            raise ValidationError("exponent must be non-negative")
         if not a:
             return 0 if k else 1
         return self.exp[self.log[a] * k % (self.q - 1)]
@@ -393,7 +393,7 @@ def _checked_order(p: int, e: int, cap: int) -> int:
     if not is_prime(p):
         raise NonPrime(f"p = {p} is not prime")
     if e < 1:
-        raise ValueError(f"extension degree must be >= 1, got {e}")
+        raise ValidationError(f"extension degree must be >= 1, got {e}")
     if e * (p.bit_length() - 1) < PRINT_LIMIT.bit_length():
         q = p**e
         if q <= cap:

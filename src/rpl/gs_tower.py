@@ -21,22 +21,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import semigroup
 from .errors import ValidationError
 from .gf import factor_prime_power, field_order
-from .semigroup import gap_count, largest_generator
 
 
 def genus(q: int, m: int) -> int:
     """Genus of level m, the gap count of its Weierstrass semigroup."""
     factor_prime_power(q)
-    return gap_count(q, m)
+    return semigroup.gap_count(q, m)
 
 
 def check_level(q: int, m: int) -> None:
     """Reject q that is not a prime power, then m < 1, then F_{q^2} over the field cap."""
     p, e = factor_prime_power(q)
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
+    semigroup.check_level(q, m)
     field_order(p, 2 * e)
 
 
@@ -72,5 +71,5 @@ def tower_ratio_sequence(q: int, m_max: int) -> list[Fraction]:
     if m_max < 1:
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
     return [
-        Fraction((q - 1) * q**m, largest_generator(q, m)) for m in range(2, m_max + 1)
+        Fraction((q - 1) * q**m, semigroup.largest_generator(q, m)) for m in range(2, m_max + 1)
     ]

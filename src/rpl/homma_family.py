@@ -42,9 +42,9 @@ class PointCount(namedtuple("PointCount", "affine infinity total")):
 
     def __new__(cls, affine: int, infinity: int, total: int) -> "PointCount":
         if affine < 0 or infinity < 0:
-            raise ValueError("point counts must be non-negative")
+            raise ValidationError("point counts must be non-negative")
         if total != affine + infinity:
-            raise ValueError("total must equal affine + infinity")
+            raise ValidationError("total must equal affine + infinity")
         return super().__new__(cls, affine, infinity, total)
 
     @classmethod
@@ -52,8 +52,8 @@ class PointCount(namedtuple("PointCount", "affine infinity total")):
         return cls(affine, infinity, affine + infinity)
 
 
-def _check_family_params(q: int, ell: int) -> None:
-    """Validate (q, ell): a field under the cap, q > 2, ell >= 2, printable counts."""
+def _check_family_params(q: int, ell: int) -> int:
+    """Degree (q-1)^(ell-1) of a valid (q, ell): capped field, q > 2, ell >= 2, printable."""
     field_order(*factor_prime_power(q))
     if q <= 2:
         raise QTooSmall(f"the curve family needs q > 2, got q = {q}")
@@ -62,11 +62,13 @@ def _check_family_params(q: int, ell: int) -> None:
     # the total is the longest number printed; the power is formed only
     # when log10 of the degree does not already settle the question
     log_degree = (ell - 1) * Decimal(q - 1).log10()
-    if log_degree > MAX_PRINTED_DIGITS or (q - 1) ** (ell - 1) + _affine(q, ell) >= PRINT_LIMIT:
+    if (log_degree > MAX_PRINTED_DIGITS
+            or (degree := (q - 1) ** (ell - 1)) + _affine(q, ell) >= PRINT_LIMIT):
         raise TooLarge(
             f"degree (q-1)^(ell-1) = {q - 1}^{ell - 1} has {int(log_degree) + 1} "
             f"digits; at most {MAX_PRINTED_DIGITS} can be printed"
         )
+    return degree
 
 
 def _affine(q: int, ell: int) -> int:
@@ -75,8 +77,7 @@ def _affine(q: int, ell: int) -> int:
 
 def curve_degree(q: int, ell: int) -> int:
     """Degree (q-1)^(ell-1) of the ell-th curve of the family."""
-    _check_family_params(q, ell)
-    return (q - 1) ** (ell - 1)
+    return _check_family_params(q, ell)
 
 
 def count_affine(q: int, ell: int) -> int:
@@ -92,5 +93,5 @@ def count_infinity(q: int, ell: int) -> int:
 
 def count_total(q: int, ell: int) -> PointCount:
     """Affine plus infinity counts for the ell-th curve over F_q."""
-    _check_family_params(q, ell)
-    return PointCount.of(_affine(q, ell), (q - 1) ** (ell - 1))
+    degree = _check_family_params(q, ell)
+    return PointCount.of(_affine(q, ell), degree)

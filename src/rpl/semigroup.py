@@ -41,7 +41,8 @@ from .errors import TooLarge, ValidationError
 CONDUCTOR_CAP = 10**7
 
 
-def _check_level(q: int, m: int) -> None:
+def check_level(q: int, m: int) -> None:
+    """Reject q < 2, then m < 1; every module checks a tower level m through this."""
     if q < 2:
         raise ValidationError(f"q must be >= 2, got {q}")
     if m < 1:
@@ -50,7 +51,7 @@ def _check_level(q: int, m: int) -> None:
 
 def conductor(q: int, m: int) -> int:
     """Conductor q^m - q^ceil(m/2) of the level-m semigroup."""
-    _check_level(q, m)
+    check_level(q, m)
     return q**m - q ** ((m + 1) // 2)
 
 
@@ -59,7 +60,7 @@ def capped_conductor(q: int, m: int) -> int:
 
     An unprintable conductor is never formed: c_m >= q^(m-1) >= 2^((m-1)(bit_length(q)-1)).
     """
-    _check_level(q, m)
+    check_level(q, m)
     if (m - 1) * (q.bit_length() - 1) < PRINT_LIMIT.bit_length():
         c = conductor(q, m)
         if c <= CONDUCTOR_CAP:
@@ -73,7 +74,7 @@ def capped_conductor(q: int, m: int) -> int:
 
 def gap_count(q: int, m: int) -> int:
     """Number of gaps of the level-m semigroup, which is the genus of level m."""
-    _check_level(q, m)
+    check_level(q, m)
     if m % 2 == 0:
         r = q ** (m // 2) - 1
         return r * r
@@ -82,7 +83,7 @@ def gap_count(q: int, m: int) -> int:
 
 def smallest_positive(q: int, m: int) -> int:
     """Smallest positive member q^(m-1), also the smallest minimal generator."""
-    _check_level(q, m)
+    check_level(q, m)
     return q ** (m - 1)
 
 

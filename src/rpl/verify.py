@@ -436,8 +436,7 @@ def tower_level_states(q: int, m: int) -> Iterator[dict[int, int]]:
     admissible-set invariant holds.
     """
     p, e = factor_prime_power(q)
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
+    semigroup.check_level(q, m)
     ctx = make_field(p, 2 * e)
     zero, one = ctx.zero, ctx.one
     trace = [ctx.add(ctx.pow(x, q), x) for x in ctx.elements()]
@@ -573,12 +572,12 @@ class NumericalSemigroup:
 
     def __init__(self, conductor: int, window: bytes) -> None:
         if conductor < 0 or len(window) != conductor:
-            raise ValueError("window length must equal the conductor")
+            raise ValidationError("window length must equal the conductor")
         if conductor > 0:
             if not window[0]:
-                raise ValueError("0 must be a member")
+                raise ValidationError("0 must be a member")
             if window[conductor - 1]:
-                raise ValueError("stored conductor is not minimal")
+                raise ValidationError("stored conductor is not minimal")
         self.conductor = conductor
         self.window = window
 
@@ -936,7 +935,7 @@ _SCOPE_RUNNERS = {
 
 def run_verify(scope: str = "all", n_max: int = DEFAULT_N_MAX) -> list[CheckResult]:
     if scope not in SCOPES:
-        raise ValueError(f"unknown scope {scope!r}; expected one of {', '.join(SCOPES)}")
+        raise ValidationError(f"unknown scope {scope!r}; expected one of {', '.join(SCOPES)}")
     if n_max < 2:  # before any check runs, whichever scope reads it
         raise ValidationError(f"n_max must be >= 2, got {n_max}")
     if scope == "all":

@@ -1,5 +1,6 @@
 """Bound formulas, limit checks, constant tables, and the quartic count."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from rpl.bounds import (
 from rpl.errors import DegenerateDenominator, NotConverged, NotPrimePower, ValidationError
 from rpl.gf import field_from_order, prime_powers_upto
 from rpl.gs_tower import points_per_degree_limit
-from rpl.verify import count_exceptional_quartic, projective_plane_points
+from rpl.verify import CONVERGENCE_Q, count_exceptional_quartic, projective_plane_points
 
 
 def test_weil_bound_frozen():
@@ -86,6 +87,43 @@ def test_upper_limit_check_converges():
 def test_upper_limit_check_not_converged():
     with pytest.raises(NotConverged):
         upper_limit_check(5, 2, Fraction(1, 10**12))
+
+
+def downward_scan(q, n_max, eps):
+    """Reference for upper_limit_check: (n0, final gap), n0 None if n_max is outside.
+
+    Walks down from n_max while |coefficient - (q-1)| < eps, assuming
+    nothing about the order of the gaps.
+    """
+    n0 = None
+    for n in range(n_max, 1, -1):
+        if abs(nondegenerate_coefficient(q, n) - (q - 1)) < eps:
+            n0 = n
+        else:
+            break
+    return n0, nondegenerate_coefficient(q, n_max) - (q - 1)
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 10, 35, 60, 200])
+def test_upper_limit_check_matches_downward_scan(n_max):
+    for q in CONVERGENCE_Q:
+        for eps in (Fraction(1, 10**9), Fraction(1, 1000), Fraction(1)):
+            n0, final_gap = downward_scan(q, n_max, eps)
+            if n0 is None:
+                with pytest.raises(NotConverged):
+                    upper_limit_check(q, n_max, eps)
+                continue
+            report = upper_limit_check(q, n_max, eps)
+            assert (report.n0, report.final_gap) == (n0, final_gap), (q, eps)
+
+
+def test_upper_limit_check_time_budget():
+    # the scan stops at the first n inside the window, so a deep n_max
+    # costs one more coefficient, not a walk down from n_max
+    start = time.perf_counter()
+    reports = [upper_limit_check(q, 4000, Fraction(1, 10**9)) for q in CONVERGENCE_Q]
+    assert time.perf_counter() - start < 0.1
+    assert all(report.n0 < 40 for report in reports)
 
 
 def test_upper_limit_n0_is_first_qualifying_index():

@@ -56,17 +56,46 @@ def test_points_homma_text(capsys):
     assert out == "affine 2\ninfinity 4\ntotal 6\ndegree 4\nratio 3/2\n"
 
 
-def test_points_homma_rejects_small_q(capsys):
-    code, out, err = run_cli(capsys, "points-homma", "--q", "2", "--ell", "3")
-    assert code == 2
-    assert out == ""
-    assert "q > 2" in err
+CONDUCTOR_CAP_ERR = "conductor 16773120 exceeds the bitmap cap 10000000"
+REJECTIONS = [  # (command line, RPL_MAX_FIELD or None, the one error line)
+    ("bounds --table 1", None, "--table expects a limit of at least 2, got 1"),
+    ("bounds --table -5", None, "--table expects a limit of at least 2, got -5"),
+    ("bounds --q 6", None, "q = 6 is not a prime power"),
+    ("gs --q 6 --m 2", None, "q = 6 is not a prime power"),
+    ("points-homma --q 6 --ell 2", None, "q = 6 is not a prime power"),
+    ("gs --q 4 --m 0", None, "m must be >= 1, got 0"),
+    ("semigroup --q 2 --m 0", None, "m must be >= 1, got 0"),
+    ("gs --q 2048 --m 1", None, "q = 2^22 = 4194304 exceeds the enumeration cap 1048576"),
+    ("gs --q 16 --m 1", "100", "q = 2^8 = 256 exceeds the enumeration cap 100"),
+    # q^2 = 2^14400 has 4335 digits, too many to print: only its exponent is named
+    (f"gs --q {2**7200} --m 1", None, "q = 2^14400 exceeds the enumeration cap 1048576"),
+    *((f"{command} --q 2 --m 24 --format {fmt}", None, CONDUCTOR_CAP_ERR)
+      for command in ("gs", "semigroup") for fmt in ("text", "csv", "json")),
+    ("semigroup --q 2 --m 100000", None,
+     "conductor q^m - q^ceil(m/2) at q = 2, m = 100000 exceeds the bitmap cap 10000000"),
+    *((f"semigroup --q 1 --m 3 --format {fmt}", None, "q must be >= 2, got 1")
+      for fmt in ("text", "csv", "json")),
+    ("points-homma --q 2 --ell 3", None, "the curve family needs q > 2, got q = 2"),
+    ("points-homma --q 3 --ell 1", None, "ell must be >= 2, got 1"),
+    ("points-homma --q 3 --ell 14286", None,
+     "degree (q-1)^(ell-1) = 2^14285 has 4301 digits; at most 4300 can be printed"),
+    ("points-homma --q 2097152 --ell 2", None,
+     "q = 2^21 = 2097152 exceeds the enumeration cap 1048576"),
+    ("points-homma --q 128 --ell 2", "100", "q = 2^7 = 128 exceeds the enumeration cap 100"),
+    ("verify --n-max 1", None, "n_max must be >= 2, got 1"),
+]
 
 
-def test_points_homma_rejects_non_prime_power(capsys):
-    code, _, err = run_cli(capsys, "points-homma", "--q", "6", "--ell", "2")
-    assert code == 2
-    assert "prime power" in err
+@pytest.mark.parametrize("line, cap, message", [
+    pytest.param(line, cap, message,
+                 id=line.replace(str(2**7200), "2**7200") + (f" cap={cap}" if cap else ""))
+    for line, cap, message in REJECTIONS
+])
+def test_cli_rejections(monkeypatch, capsys, line, cap, message):
+    # every rejected input takes one path: exit 2, nothing on stdout, one line on stderr
+    if cap is not None:
+        monkeypatch.setenv("RPL_MAX_FIELD", cap)
+    assert run_cli(capsys, *line.split()) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("q,cap", [(2097152, None), (128, "100")])
@@ -81,25 +110,32 @@ def test_points_homma_rejects_field_above_cap(monkeypatch, capsys, q, cap):
     assert "exceeds the enumeration cap" in err
 
 
-def test_points_homma_validates_at_most_twice(monkeypatch, capsys):
+def test_points_homma_validates_once(monkeypatch, capsys):
     calls = []
     check = homma_family._check_family_params
 
     def counting(q, ell):
         calls.append((q, ell))
-        check(q, ell)
+        return check(q, ell)
 
     monkeypatch.setattr(homma_family, "_check_family_params", counting)
-    code, _, _ = run_cli(capsys, "points-homma", "--q", "9", "--ell", "6")
+    code, out, _ = run_cli(capsys, "points-homma", "--q", "9", "--ell", "6")
     assert code == 0
-    assert 1 <= len(calls) <= 2
+    assert out == "affine 8\ninfinity 32768\ntotal 32776\ndegree 32768\nratio 4097/4096\n"
+    assert calls == [(9, 6)]
 
 
-def test_points_homma_rejects_unprintable_degree(capsys):
-    code, out, err = run_cli(capsys, "points-homma", "--q", "3", "--ell", "14286")
-    assert code == 2
-    assert out == ""
-    assert err == "error: degree (q-1)^(ell-1) = 2^14285 has 4301 digits; at most 4300 can be printed\n"
+def test_internal_value_error_is_not_a_rejection(monkeypatch, capsys):
+    # only a ValidationError is rejected input (exit 2); any other error
+    # escaping a handler is a bug and propagates, so the script exits 1
+    # with a traceback instead of "error: boom"
+    def broken(q, ell):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(homma_family, "count_total", broken)
+    with pytest.raises(ValueError, match="^boom$"):
+        cli.main(["points-homma", "--q", "3", "--ell", "2"])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_gs_json_payload(capsys):
@@ -231,12 +267,6 @@ def test_bounds_table_csv(capsys):
         "2", "3", "4", "5", "7", "8", "9", "11", "13", "16",
         "17", "19", "23", "25", "27", "29", "31", "32",
     ]
-
-
-def test_bounds_table_rejects_tiny_limit(capsys):
-    code, _, err = run_cli(capsys, "bounds", "--table", "1")
-    assert code == 2
-    assert "at least 2" in err
 
 
 def test_bounds_requires_q_or_table(capsys):

@@ -40,6 +40,37 @@ def test_verify_forms_every_verdict_in_run():
     assert not stray, f"verify.py: CheckResult built outside _run at line(s) {stray}"
 
 
+def _names(node):
+    """Names that an exception expression refers to: ValueError, (A, B), errors.X."""
+    return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_bare_value_error_raises(path):
+    # every input rule raises a ValidationError (also a ValueError), so
+    # rejected input takes one path through cli.main
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and "ValueError" in _names(getattr(node.exc, "func", node.exc))
+    ]
+    assert not lines, f"{path.name}: raise ValueError at line(s) {lines}"
+
+
+def test_cli_main_does_not_catch_value_error():
+    # a ValueError escaping a handler is a bug: it must surface as a
+    # traceback with exit 1, not be reported as rejected input
+    path = next(path for path in SOURCES if path.name == "cli.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    [main] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    handlers = [node for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
+    assert handlers, "cli.main has no except clause"
+    lines = [node.lineno for node in handlers
+             if node.type is None or "ValueError" in _names(node.type)]
+    assert not lines, f"cli.py: main catches ValueError at line(s) {lines}"
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_dataclasses_or_typing_imports(path):
     # each costs every command milliseconds of start-up: dataclasses pulls in
