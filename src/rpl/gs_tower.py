@@ -53,8 +53,7 @@ def count_split_chains(q: int, m: int) -> int:
 
 def points_per_degree_limit(q: int) -> Fraction:
     """Limit (q^2-q)/(q+1) of the ratio sequence."""
-    if q < 2:
-        raise ValidationError(f"q must be >= 2, got {q}")
+    semigroup.check_level(q, 1)  # q >= 2
     return Fraction(q * q - q, q + 1)
 
 
@@ -66,8 +65,7 @@ def tower_ratio_sequence(q: int, m_max: int) -> list[Fraction]:
     undefined (c_1 + q^0 - 1 is zero), so the sequence starts at level 2;
     m_max = 1 gives an empty list.
     """
-    if q < 2:
-        raise ValidationError(f"q must be >= 2, got {q}")
+    semigroup.check_level(q, 1)  # q >= 2
     if m_max < 1:
         raise ValidationError(f"m_max must be >= 1, got {m_max}")
     return [

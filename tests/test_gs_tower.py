@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from rpl import semigroup
 from rpl.errors import NotPrimePower, ValidationError
 from rpl.gf import field_from_order
 from rpl.gs_tower import (
@@ -142,3 +143,13 @@ def test_validation():
         tower_ratio_sequence(1, 5)
     with pytest.raises(ValidationError):
         points_per_degree_limit(1)
+
+
+def test_q_rule_is_stated_by_check_level():
+    with pytest.raises(ValidationError) as rule:
+        semigroup.check_level(1, 1)
+    # m_max = 0 is also bad: q is checked first
+    for call in (lambda: points_per_degree_limit(1), lambda: tower_ratio_sequence(1, 0)):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == str(rule.value) == "q must be >= 2, got 1"
