@@ -2,7 +2,9 @@
 
 The package computes, in exact integer and rational arithmetic only:
 
-* deterministic finite-field arithmetic with a canonical modulus choice (``gf``),
+* prime powers and the cap on a command's field order (``primes``),
+* deterministic finite-field arithmetic with a canonical modulus choice
+  (``gf``), built only by ``verify`` and the tests,
 * point counts for a recursive family of projective curves (``homma_family``),
 * split-place counts and genus data for an asymptotically optimal
   Artin-Schreier tower (``gs_tower``),

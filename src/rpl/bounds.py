@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import DegenerateDenominator, NotConverged, ValidationError
-from .gf import factor_prime_power
+from .primes import factor_prime_power
 
 
 def weil_bound(q: int, g: int) -> int:

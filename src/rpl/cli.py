@@ -7,7 +7,8 @@ straight from their mark bytes, a window of a thousand numbers at a time,
 without an int per generator; windows with the same marks share one memo of
 the suffixes they pick. Exit codes: 0 success, 1 computation or check
 failure, 2 validation error or a failed write. A command imports only the
-stdlib modules it uses (json only for --format json).
+stdlib modules it uses (json only for --format json), and no command but
+verify loads the field module rpl.gf.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import chain, compress, islice
 
 from . import DEFAULT_N_MAX, SCOPES, bounds, gs_tower, homma_family, semigroup
 from .errors import RplError, ValidationError
-from .gf import DEFAULT_FIELD_CAP, FIELD_CAP_ENV, prime_powers_upto
+from .primes import DEFAULT_FIELD_CAP, FIELD_CAP_ENV, prime_powers_upto
 
 EPILOG = (
     f"The environment variable {FIELD_CAP_ENV} lowers the field-size cap "

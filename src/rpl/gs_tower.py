@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import semigroup
 from .errors import ValidationError
-from .gf import factor_prime_power, field_order
+from .primes import factor_prime_power, field_order
 
 
 def genus(q: int, m: int) -> int:

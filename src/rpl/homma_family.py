@@ -32,7 +32,7 @@ from decimal import Decimal
 
 from . import MAX_PRINTED_DIGITS, PRINT_LIMIT
 from .errors import QTooSmall, TooLarge, ValidationError
-from .gf import factor_prime_power, field_order
+from .primes import factor_prime_power, field_order
 
 
 class PointCount(namedtuple("PointCount", "affine infinity total")):

@@ -1,0 +1,99 @@
+"""Prime powers and the cap on a command's field order, without building a field.
+
+A command's field order is capped at 2^20; the ``RPL_MAX_FIELD``
+environment variable may lower (never raise) the cap on command inputs,
+which ``field_order`` checks.
+"""
+
+from __future__ import annotations
+
+import os
+
+from . import PRINT_LIMIT
+from .errors import FieldTooLarge, NonPrime, NotPrimePower, ValidationError
+
+DEFAULT_FIELD_CAP = 1 << 20
+FIELD_CAP_ENV = "RPL_MAX_FIELD"
+
+
+def field_cap() -> int:
+    """Cap on the field order of a command's input; the env override can only lower it."""
+    raw = os.environ.get(FIELD_CAP_ENV)
+    if raw is None:
+        return DEFAULT_FIELD_CAP
+    try:
+        value = int(raw)
+    except ValueError:
+        return DEFAULT_FIELD_CAP
+    if value < 2:  # a cap below the smallest field is ignored
+        return DEFAULT_FIELD_CAP
+    return min(value, DEFAULT_FIELD_CAP)
+
+
+def _smallest_factor(n: int) -> int:
+    """Smallest prime factor of n >= 2, by trial division."""
+    if n % 2 == 0:
+        return 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return f
+        f += 2
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _smallest_factor(n) == n
+
+
+def factor_prime_power(q: int) -> tuple[int, int]:
+    """Return (p, e) with q = p^e, p prime, or raise NotPrimePower."""
+    if q < 2:
+        raise NotPrimePower(f"q = {q} is not a prime power")
+    p = _smallest_factor(q)
+    e, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        e += 1
+    if rest != 1:
+        raise NotPrimePower(f"q = {q} is not a prime power")
+    return p, e
+
+
+def prime_powers_upto(n: int) -> list[int]:
+    """All prime powers q with 2 <= q <= n, ascending."""
+    if n < 2:
+        return []
+    composite = bytearray(n + 1)
+    out = []
+    for p in range(2, n + 1):
+        if composite[p]:
+            continue
+        for multiple in range(p * p, n + 1, p):
+            composite[multiple] = 1
+        v = p
+        while v <= n:
+            out.append(v)
+            v *= p
+    out.sort()
+    return out
+
+
+def _checked_order(p: int, e: int, cap: int) -> int:
+    """Order p^e for prime p and e >= 1, or FieldTooLarge above cap."""
+    if not is_prime(p):
+        raise NonPrime(f"p = {p} is not prime")
+    if e < 1:
+        raise ValidationError(f"extension degree must be >= 1, got {e}")
+    if e * (p.bit_length() - 1) < PRINT_LIMIT.bit_length():
+        q = p**e
+        if q <= cap:
+            return q
+        if q < PRINT_LIMIT:
+            raise FieldTooLarge(f"q = {p}^{e} = {q} exceeds the enumeration cap {cap}")
+    raise FieldTooLarge(f"q = {p}^{e} exceeds the enumeration cap {cap}")
+
+
+def field_order(p: int, e: int) -> int:
+    """Order p^e of a command's field under the input cap, validated without building it."""
+    return _checked_order(p, e, field_cap())

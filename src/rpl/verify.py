@@ -25,16 +25,8 @@ from itertools import chain, compress, product
 
 from . import DEFAULT_N_MAX, SCOPES, bounds, gs_tower, homma_family, semigroup
 from .errors import AdmissibilityViolation, ComputationError, RplError, TooLarge, ValidationError
-from .gf import (
-    FieldContext,
-    _digits,
-    _index,
-    _poly_mulmod,
-    factor_prime_power,
-    field_from_order,
-    make_field,
-    prime_powers_upto,
-)
+from .gf import FieldContext, _digits, _index, _poly_mulmod, field_from_order, make_field
+from .primes import factor_prime_power, prime_powers_upto
 
 HOMMA_Q = (3, 4, 5, 7, 8, 9)
 HOMMA_ELL = (2, 3, 4, 5, 6)

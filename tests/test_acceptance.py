@@ -163,7 +163,7 @@ def test_criterion_06_generator_bounds_with_equality_cases():
 
 
 def test_criterion_07_coefficient_convergence():
-    from rpl.gf import prime_powers_upto
+    from rpl.primes import prime_powers_upto
 
     targets = prime_powers_upto(16)
     assert targets == sorted(EXPECTED_FIRST_CONVERGED_N)

@@ -17,8 +17,9 @@ from rpl.bounds import (
     weil_bound,
 )
 from rpl.errors import DegenerateDenominator, NotConverged, NotPrimePower, ValidationError
-from rpl.gf import field_from_order, prime_powers_upto
+from rpl.gf import field_from_order
 from rpl.gs_tower import points_per_degree_limit
+from rpl.primes import prime_powers_upto
 from rpl.verify import CONVERGENCE_Q, count_exceptional_quartic, projective_plane_points
 
 

@@ -17,15 +17,14 @@ from rpl.errors import (
     NonPrime,
     NotPrimePower,
 )
-from rpl.gf import (
+from rpl.gf import field_from_order, make_field
+from rpl.primes import (
     DEFAULT_FIELD_CAP,
     FIELD_CAP_ENV,
     factor_prime_power,
     field_cap,
-    field_from_order,
     field_order,
     is_prime,
-    make_field,
     prime_powers_upto,
 )
 

@@ -83,3 +83,22 @@ def test_no_dataclasses_or_typing_imports(path):
         or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in SLOW_IMPORTS
     ]
     assert not lines, f"{path.name}: dataclasses or typing import at line(s) {lines}"
+
+
+def _imported_modules(node):
+    """Dotted modules an import statement names; a relative one is under rpl."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.ImportFrom):
+        base = ".".join(filter(None, ("rpl" if node.level else "", node.module)))
+        return {base} | {f"{base}.{alias.name}" for alias in node.names}
+    return set()
+
+
+def test_only_verify_imports_the_field():
+    # no command loads rpl.gf, not even lazily: only verify builds fields
+    importers = [
+        path.name for path in SOURCES
+        if any("rpl.gf" in _imported_modules(node) for node in ast.walk(ast.parse(path.read_text())))
+    ]
+    assert importers == ["verify.py"], f"rpl.gf imported by {importers}"
