@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rpl import bounds, cli, homma_family, semigroup, verify
+from rpl import bounds, cli, gf, homma_family, semigroup, verify
 from rpl.verify import CheckResult
 
 
@@ -97,6 +97,17 @@ def test_cli_rejections(monkeypatch, capsys, line, cap, message):
     if cap is not None:
         monkeypatch.setenv("RPL_MAX_FIELD", cap)
     assert run_cli(capsys, *line.split()) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("q,cap", [(2097152, None), (128, "100")])
+def test_points_homma_rejects_field_above_cap(monkeypatch, capsys, q, cap):
+    if cap is None:
+        monkeypatch.delenv("RPL_MAX_FIELD", raising=False)
+    else:
+        monkeypatch.setenv("RPL_MAX_FIELD", cap)
+    code, out, err = run_cli(capsys, "points-homma", "--q", str(q), "--ell", "2")
+    assert (code, out) == (2, "")
+    assert "exceeds the enumeration cap" in err
 
 
 def test_points_homma_validates_once(monkeypatch, capsys):
@@ -412,12 +423,40 @@ def test_gs_finishes_at_large_fields(capsys, q, m, genus):
     assert payload["genus"] == payload["gap_count"] == genus
 
 
+@pytest.mark.parametrize("q,cap,err", [
+    (2048, None, "error: q = 2^22 = 4194304 exceeds the enumeration cap 1048576\n"),
+    (16, "100", "error: q = 2^8 = 256 exceeds the enumeration cap 100\n"),
+    # q^2 = 2^14400 has 4335 digits, too many to print: only its exponent is named
+    pytest.param(2**7200, None, "error: q = 2^14400 exceeds the enumeration cap 1048576\n",
+                 id="unprintable"),
+])
+def test_gs_rejects_field_above_cap(monkeypatch, capsys, q, cap, err):
+    # the cap applies to F_{q^2}, the field the tower lives over
+    if cap is not None:
+        monkeypatch.setenv("RPL_MAX_FIELD", cap)
+    assert run_cli(capsys, "gs", "--q", str(q), "--m", "1") == (2, "", err)
+
+
 def test_verify_ignores_the_input_cap(monkeypatch, capsys):
     # RPL_MAX_FIELD bounds command inputs; verify builds F_25 under a cap of 16
     unset = run_cli(capsys, "verify", "gs")
     monkeypatch.setenv("RPL_MAX_FIELD", "16")
     assert run_cli(capsys, "verify", "gs") == unset
     assert unset[0] == 0 and unset[2] == ""
+
+
+@pytest.mark.parametrize("line", [
+    "gs --q 1024 --m 1",
+    "points-homma --q 1048576 --ell 2",
+    "semigroup --q 3 --m 4",
+    "bounds --table 32",
+])
+def test_counting_commands_build_no_field(monkeypatch, capsys, line):
+    def refuse(self, *args):
+        raise AssertionError("a counting command built a field")
+
+    monkeypatch.setattr(gf.FieldContext, "__init__", refuse)
+    assert cli.main(line.split()) == 0
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -461,6 +500,21 @@ def test_gs_reads_generators_from_closed_forms(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "gs", "--q", "2", "--m", "5", "--format", "json")
     assert code == 0
     assert out == expected
+
+
+@pytest.mark.parametrize("command, fmt", [
+    pytest.param(command, fmt, id=command if fmt == "text" else f"{command}-{fmt}")
+    for command in ("gs", "semigroup") for fmt in ("text", "csv", "json")
+])
+def test_conductor_cap_message(capsys, command, fmt):
+    line = (command, "--q", "2", "--m", "24", "--format", fmt)
+    assert run_cli(capsys, *line) == (2, "", f"error: {CONDUCTOR_CAP_ERR}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_semigroup_validation_error_writes_nothing(capsys, fmt):
+    line = ("semigroup", "--q", "1", "--m", "3", "--format", fmt)
+    assert run_cli(capsys, *line) == (2, "", "error: q must be >= 2, got 1\n")
 
 
 @pytest.mark.parametrize("relative, reason", [
