@@ -34,6 +34,7 @@ EPILOG = (
 )
 BLOCK = 1 << 12  # table rows rendered per write
 MEMO_WINDOWS = 64  # distinct window marks _join_marked keeps at once
+TABLE_CAP = 10_000_000  # --table limit: the sieve holds N+1 bytes, and 10^7 takes about 40 s
 
 
 class Rendering(namedtuple("Rendering", "json csv text exit_code", defaults=(0,))):
@@ -223,6 +224,8 @@ def _cmd_bounds(args: argparse.Namespace) -> Rendering:
                          ["\n".join(lines) + "\n"])
     if args.table < 2:
         raise ValidationError(f"--table expects a limit of at least 2, got {args.table}")
+    if args.table > TABLE_CAP:
+        raise ValidationError(f"--table expects a limit of at most {TABLE_CAP}, got {args.table}")
     # one lazy stream of records; only the chosen format consumes it
     objs = map(_summary, prime_powers_upto(args.table))
     return Rendering(

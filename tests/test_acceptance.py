@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import parity
 from rpl import bounds, gs_tower, homma_family, semigroup, verify
 
 QUARTIC_BUDGET_S = 0.001
@@ -29,8 +30,8 @@ TOWER_Q = (2, 3, 4)
 TOWER_M_MAX = 8
 RATIO_Q = (2, 3, 4, 5)
 
-# sha256 of `rpl verify all` stdout, the digest the benchmark also pins
-VERIFY_ALL_SHA256 = "678f1600ec282489293efafa1c6d90dad932e74c828ecc531ff2d51a9278bbf5"
+# `rpl verify all` in the parity corpus, which the benchmark also pins
+VERIFY_ALL = parity.row("verify all")
 
 EXPECTED_FIRST_CONVERGED_N = {
     2: 35, 3: 22, 4: 18, 5: 16, 7: 13, 8: 13, 9: 12, 11: 11, 13: 10, 16: 10,
@@ -231,7 +232,7 @@ def test_criterion_10_byte_identical_cli_runs():
     ok = (
         rc1 == rc2 == rc3 == rc4 == 0
         and verify_first == verify_second
-        and hashlib.sha256(verify_first).hexdigest() == VERIFY_ALL_SHA256
+        and hashlib.sha256(verify_first).hexdigest() == VERIFY_ALL.sha256
         and table_first == table_second
         and verify_first.endswith(b"checks passed\n")
         and len(table_first) > 0

@@ -1,6 +1,5 @@
 """CLI dispatch, output formats, determinism, and exit codes."""
 
-import hashlib
 import json
 import os
 import random
@@ -15,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import parity
 from rpl import bounds, cli, gf, homma_family, semigroup, verify
 from rpl.verify import CheckResult
 
@@ -25,89 +25,142 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_points_homma_json_payload(capsys):
-    code, out, err = run_cli(
-        capsys, "points-homma", "--q", "3", "--ell", "3", "--format", "json"
-    )
-    assert code == 0
-    assert json.loads(out) == {
-        "schema": 1,
-        "affine": 2,
-        "infinity": 4,
-        "total": 6,
-        "degree": 4,
-        "ratio": "3/2",
-    }
+def check(line, cap=None):
+    """Run the parity corpus row of `rpl LINE` and compare it with the row."""
+    row = parity.row(line, cap)
+    assert parity.run(row) == row
 
 
-def test_points_homma_integral_ratio(capsys):
-    code, out, _ = run_cli(
-        capsys, "points-homma", "--q", "4", "--ell", "2", "--format", "json"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["total"] == 9
-    assert payload["degree"] == 3
-    assert payload["ratio"] == "3"
+@pytest.mark.parametrize("row", parity.cases(rejected=True))
+def test_cli_rejections(row):
+    # every rejected input takes one path: exit 2, nothing on stdout, one
+    # stderr line (an argparse usage error: the usage, then one line)
+    assert parity.run(row) == row
 
 
-def test_points_homma_text(capsys):
-    code, out, _ = run_cli(capsys, "points-homma", "--q", "3", "--ell", "3")
-    assert code == 0
-    assert out == "affine 2\ninfinity 4\ntotal 6\ndegree 4\nratio 3/2\n"
+# Single command lines: each test runs the corpus rows that hold what it checks.
+def test_points_homma_json_payload():
+    check("points-homma --q 3 --ell 3 --format json")
 
 
-CONDUCTOR_CAP_ERR = "conductor 16773120 exceeds the bitmap cap 10000000"
-REJECTIONS = [  # (command line, RPL_MAX_FIELD or None, the one error line)
-    ("bounds --table 1", None, "--table expects a limit of at least 2, got 1"),
-    ("bounds --table -5", None, "--table expects a limit of at least 2, got -5"),
-    ("bounds --q 6", None, "q = 6 is not a prime power"),
-    ("gs --q 6 --m 2", None, "q = 6 is not a prime power"),
-    ("points-homma --q 6 --ell 2", None, "q = 6 is not a prime power"),
-    ("gs --q 4 --m 0", None, "m must be >= 1, got 0"),
-    ("semigroup --q 2 --m 0", None, "m must be >= 1, got 0"),
-    ("gs --q 2048 --m 1", None, "q = 2^22 = 4194304 exceeds the enumeration cap 1048576"),
-    ("gs --q 16 --m 1", "100", "q = 2^8 = 256 exceeds the enumeration cap 100"),
-    # q^2 = 2^14400 has 4335 digits, too many to print: only its exponent is named
-    (f"gs --q {2**7200} --m 1", None, "q = 2^14400 exceeds the enumeration cap 1048576"),
-    *((f"{command} --q 2 --m 24 --format {fmt}", None, CONDUCTOR_CAP_ERR)
-      for command in ("gs", "semigroup") for fmt in ("text", "csv", "json")),
-    ("semigroup --q 2 --m 100000", None,
-     "conductor q^m - q^ceil(m/2) at q = 2, m = 100000 exceeds the bitmap cap 10000000"),
-    *((f"semigroup --q 1 --m 3 --format {fmt}", None, "q must be >= 2, got 1")
-      for fmt in ("text", "csv", "json")),
-    ("points-homma --q 2 --ell 3", None, "the curve family needs q > 2, got q = 2"),
-    ("points-homma --q 3 --ell 1", None, "ell must be >= 2, got 1"),
-    ("points-homma --q 3 --ell 14286", None,
-     "degree (q-1)^(ell-1) = 2^14285 has 4301 digits; at most 4300 can be printed"),
-    ("points-homma --q 2097152 --ell 2", None,
-     "q = 2^21 = 2097152 exceeds the enumeration cap 1048576"),
-    ("points-homma --q 128 --ell 2", "100", "q = 2^7 = 128 exceeds the enumeration cap 100"),
-    ("verify --n-max 1", None, "n_max must be >= 2, got 1"),
-]
+def test_points_homma_integral_ratio():
+    check("points-homma --q 4 --ell 2 --format json")
 
 
-@pytest.mark.parametrize("line, cap, message", [
-    pytest.param(line, cap, message,
-                 id=line.replace(str(2**7200), "2**7200") + (f" cap={cap}" if cap else ""))
-    for line, cap, message in REJECTIONS
-])
-def test_cli_rejections(monkeypatch, capsys, line, cap, message):
-    # every rejected input takes one path: exit 2, nothing on stdout, one line on stderr
-    if cap is not None:
-        monkeypatch.setenv("RPL_MAX_FIELD", cap)
-    assert run_cli(capsys, *line.split()) == (2, "", f"error: {message}\n")
+def test_points_homma_text():
+    check("points-homma --q 3 --ell 3")
 
 
 @pytest.mark.parametrize("q,cap", [(2097152, None), (128, "100")])
-def test_points_homma_rejects_field_above_cap(monkeypatch, capsys, q, cap):
-    if cap is None:
-        monkeypatch.delenv("RPL_MAX_FIELD", raising=False)
-    else:
-        monkeypatch.setenv("RPL_MAX_FIELD", cap)
-    code, out, err = run_cli(capsys, "points-homma", "--q", str(q), "--ell", "2")
-    assert (code, out) == (2, "")
-    assert "exceeds the enumeration cap" in err
+def test_points_homma_rejects_field_above_cap(q, cap):
+    check(f"points-homma --q {q} --ell 2", cap)
+
+
+def test_gs_json_payload():
+    check("gs --q 2 --m 4 --format json")
+
+
+def test_gs_level_one_omits_bound_verdicts():
+    check("gs --q 2 --m 1 --format json")
+    check("gs --q 2 --m 1")
+
+
+def test_gs_frozen_3_2():
+    check("gs --q 3 --m 2 --format json")
+
+
+def test_semigroup_csv():
+    check("semigroup --q 2 --m 4 --format csv")
+
+
+def test_bounds_single_q():
+    check("bounds --q 9 --format json")
+
+
+def test_bounds_q2_empty_lower():
+    check("bounds --q 2 --format json")
+
+
+def test_bounds_table_csv():
+    check("bounds --table 32 --format csv")
+
+
+def test_bounds_requires_q_or_table():
+    check("bounds")
+
+
+def test_out_flag_writes_file():
+    # the file holds what stdout would, and stdout stays empty (parity.written)
+    line = "points-homma --q 3 --ell 3 --format json"
+    check(line)
+    check(f"{line} --out points.json")
+    assert parity.row(f"{line} --out points.json")._replace(line=line) == parity.row(line)
+
+
+def test_verify_scope_output():
+    check("verify homma")
+
+
+def test_verify_bounds_names_quartic_check():
+    check("verify bounds")
+
+
+def test_verify_json_schema():
+    check("verify homma --format json")
+
+
+def test_verify_rejects_unknown_scope():
+    check("verify everything")
+
+
+def test_verify_runs_at_n_max_two():
+    check("verify bounds --n-max 2")  # 8/9: too shallow to converge, but every check ran
+
+
+def test_verify_small_scan_window_fails_convergence():
+    check("verify bounds --n-max 10")
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param(row, id=f"{fmt}-{row.sha256}")
+    for fmt in ("text", "json") for row in [parity.row(f"verify bounds --n-max 3 --format {fmt}")]
+])
+def test_verify_fail_path_bytes(row):
+    # a FAIL line shows the first four failures and how many more there are
+    assert parity.run(row) == row
+
+
+def test_missing_subcommand_exits_2():
+    check("")
+
+
+def test_verify_ignores_the_input_cap():
+    # RPL_MAX_FIELD bounds command inputs; verify builds F_25 under a cap of 16
+    check("verify gs")
+    check("verify gs", "16")
+    assert parity.row("verify gs", "16")._replace(cap=None) == parity.row("verify gs")
+
+
+@pytest.mark.parametrize("command, fmt", [
+    pytest.param(command, fmt, id=command if fmt == "text" else f"{command}-{fmt}")
+    for command in ("gs", "semigroup") for fmt in ("text", "csv", "json")
+])
+def test_conductor_cap_message(command, fmt):
+    check(f"{command} --q 2 --m 24 --format {fmt}")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_semigroup_validation_error_writes_nothing(fmt):
+    check(f"semigroup --q 1 --m 3 --format {fmt}")
+
+
+def test_table_limit_admits_ten_million(monkeypatch, capsys):
+    # a table at 10^7 takes 40 s; with no prime powers to render, only the limit is tested
+    monkeypatch.setattr(cli, "prime_powers_upto", lambda qmax: iter(()))
+    header = "q,upper,best_lower,records\n"
+    assert run_cli(capsys, "bounds", "--table", "10000000", "--format", "csv") == (0, header, "")
+    assert run_cli(capsys, "bounds", "--table", "10000001", "--format", "csv") == (
+        2, "", "error: --table expects a limit of at most 10000000, got 10000001\n")
 
 
 def test_points_homma_validates_once(monkeypatch, capsys):
@@ -136,54 +189,6 @@ def test_internal_value_error_is_not_a_rejection(monkeypatch, capsys):
     with pytest.raises(ValueError, match="^boom$"):
         cli.main(["points-homma", "--q", "3", "--ell", "2"])
     assert capsys.readouterr() == ("", "")
-
-
-def test_gs_json_payload(capsys):
-    code, out, _ = run_cli(capsys, "gs", "--q", "2", "--m", "4", "--format", "json")
-    assert code == 0
-    assert json.loads(out) == {
-        "schema": 1,
-        "q": 2,
-        "m": 4,
-        "genus": 9,
-        "split": 16,
-        "conductor": 12,
-        "gap_count": 9,
-        "gamma_first": 8,
-        "gamma_last": 19,
-        "smallest_ok": True,
-        "largest_ok": True,
-    }
-
-
-def test_gs_level_one_omits_bound_verdicts(capsys):
-    code, out, _ = run_cli(capsys, "gs", "--q", "2", "--m", "1", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["genus"] == 0
-    assert payload["split"] == 2
-    assert payload["smallest_ok"] is None
-    assert payload["largest_ok"] is None
-    code, text_out, _ = run_cli(capsys, "gs", "--q", "2", "--m", "1")
-    assert "smallest_ok" not in text_out
-
-
-def test_gs_frozen_3_2(capsys):
-    code, out, _ = run_cli(capsys, "gs", "--q", "3", "--m", "2", "--format", "json")
-    payload = json.loads(out)
-    assert payload["genus"] == 4
-    assert payload["split"] == 18
-    assert payload["conductor"] == 6
-
-
-def test_semigroup_csv(capsys):
-    code, out, _ = run_cli(capsys, "semigroup", "--q", "2", "--m", "4", "--format", "csv")
-    assert code == 0
-    assert out == (
-        "q,m,conductor,gap_count,smallest_positive,generators\n"
-        "2,4,12,9,8,8;10;12;13;14;15;17;19\n"
-    )
-    assert "\r" not in out
 
 
 LOW_BIT = bytes(i & 1 for i in range(256))
@@ -257,93 +262,10 @@ def test_semigroup_renders_within_time_budget():
     assert time.perf_counter() - start < 0.25
 
 
-def test_bounds_single_q(capsys):
-    code, out, _ = run_cli(capsys, "bounds", "--q", "9", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["upper"] == 8
-    assert payload["best_lower"] == "3/2"
-    names = [rec["name"] for rec in payload["records"]]
-    assert names[0] == "nondegenerate-limit"
-    assert "square-tower" in names
-
-
-def test_bounds_q2_empty_lower(capsys):
-    code, out, _ = run_cli(capsys, "bounds", "--q", "2", "--format", "json")
-    payload = json.loads(out)
-    assert payload["upper"] == 1
-    assert payload["best_lower"] is None
-
-
-def test_bounds_table_csv(capsys):
-    code, out, _ = run_cli(capsys, "bounds", "--table", "32", "--format", "csv")
-    assert code == 0
-    lines = out.split("\n")
-    assert lines[0] == "q,upper,best_lower,records"
-    assert lines[1] == "2,1,,nondegenerate-limit=1"
-    rows = [line for line in lines[1:] if line]
-    assert len(rows) == 18
-    assert [row.split(",")[0] for row in rows] == [
-        "2", "3", "4", "5", "7", "8", "9", "11", "13", "16",
-        "17", "19", "23", "25", "27", "29", "31", "32",
-    ]
-
-
-def test_bounds_requires_q_or_table(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["bounds"])
-    assert exc.value.code == 2
-
-
 def test_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "bounds", "--table", "16", "--format", "json")
     _, second, _ = run_cli(capsys, "bounds", "--table", "16", "--format", "json")
     assert first == second
-
-
-def test_out_flag_writes_file(tmp_path, capsys):
-    target = tmp_path / "points.json"
-    code, out, _ = run_cli(
-        capsys,
-        "points-homma", "--q", "3", "--ell", "3", "--format", "json",
-        "--out", str(target),
-    )
-    assert code == 0
-    assert out == ""
-    _, direct, _ = run_cli(capsys, "points-homma", "--q", "3", "--ell", "3", "--format", "json")
-    assert target.read_text(encoding="utf-8") == direct
-
-
-def test_verify_scope_output(capsys):
-    code, out, _ = run_cli(capsys, "verify", "homma")
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert all(" PASS" in line for line in lines[:-1])
-    passed, total = lines[-1].split(" ")[0].split("/")
-    assert passed == total
-    assert int(total) == len(lines) - 1
-
-
-def test_verify_bounds_names_quartic_check(capsys):
-    code, out, _ = run_cli(capsys, "verify", "bounds")
-    assert code == 0
-    assert "exceptional_quartic=14 PASS" in out
-
-
-def test_verify_json_schema(capsys):
-    code, out, _ = run_cli(capsys, "verify", "homma", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["schema"] == 1
-    assert payload["scope"] == "homma"
-    assert payload["passed"] == payload["total"] == len(payload["checks"])
-    assert all(check["ok"] for check in payload["checks"])
-
-
-def test_verify_rejects_unknown_scope(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "everything"])
-    assert exc.value.code == 2
 
 
 def test_verify_failure_sets_exit_code(monkeypatch, capsys):
@@ -368,34 +290,6 @@ def test_verify_rejects_n_max_below_two(monkeypatch, capsys, scope, n_max):
     assert err == f"error: n_max must be >= 2, got {n_max}\n"
 
 
-def test_verify_runs_at_n_max_two(capsys):
-    code, out, _ = run_cli(capsys, "verify", "bounds", "--n-max", "2")
-    assert code == 1  # too shallow for the convergence check, but every check ran
-    assert out.endswith("8/9 checks passed\n")
-
-
-def test_verify_small_scan_window_fails_convergence(capsys):
-    # n_max = 10 is too shallow for q = 2 to get within 1e-9 of the limit
-    code, out, _ = run_cli(capsys, "verify", "bounds", "--n-max", "10")
-    assert code == 1
-    assert "upper_limit_convergence" in out
-    assert "FAIL" in out
-
-
-@pytest.mark.parametrize("fmt, digest", [
-    ("text", "a2e2e446b0fc69501aa827d5afefa49bf41c3799329fd5743093f0876d20e092"),
-    ("json", "e93527915bc2c23c0412d4a2e7f0bb403933c07ca32101381824cdc6774fee2d"),
-])
-def test_verify_fail_path_bytes(capsys, fmt, digest):
-    # a FAIL line shows the first four failures and how many more there are
-    code, out, _ = run_cli(capsys, "verify", "bounds", "--n-max", "3", "--format", fmt)
-    assert code == 1
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-    if fmt == "text":
-        [line] = [line for line in out.splitlines() if "upper_limit_convergence" in line]
-        assert line.endswith("q=5 NotConverged; +6 more)")
-
-
 def test_verify_fail_details_of_broken_bounds(monkeypatch, capsys):
     monkeypatch.setattr(verify, "count_exceptional_quartic", lambda: 13)
     monkeypatch.setattr(bounds, "sziklai_bound", lambda q, d: 0)
@@ -405,12 +299,6 @@ def test_verify_fail_details_of_broken_bounds(monkeypatch, capsys):
     assert "[bounds] exceptional_quartic=14 FAIL (count 13 of 21)" in lines
     assert "[bounds] weil_sziklai_dvz_frozen FAIL (3; 4; 5)" in lines
     assert lines[-1] == "7/9 checks passed"
-
-
-def test_missing_subcommand_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main([])
-    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("q,m,genus", [(32, 2, 961), (1024, 1, 0)])
@@ -435,14 +323,6 @@ def test_gs_rejects_field_above_cap(monkeypatch, capsys, q, cap, err):
     if cap is not None:
         monkeypatch.setenv("RPL_MAX_FIELD", cap)
     assert run_cli(capsys, "gs", "--q", str(q), "--m", "1") == (2, "", err)
-
-
-def test_verify_ignores_the_input_cap(monkeypatch, capsys):
-    # RPL_MAX_FIELD bounds command inputs; verify builds F_25 under a cap of 16
-    unset = run_cli(capsys, "verify", "gs")
-    monkeypatch.setenv("RPL_MAX_FIELD", "16")
-    assert run_cli(capsys, "verify", "gs") == unset
-    assert unset[0] == 0 and unset[2] == ""
 
 
 @pytest.mark.parametrize("line", [
@@ -500,21 +380,6 @@ def test_gs_reads_generators_from_closed_forms(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "gs", "--q", "2", "--m", "5", "--format", "json")
     assert code == 0
     assert out == expected
-
-
-@pytest.mark.parametrize("command, fmt", [
-    pytest.param(command, fmt, id=command if fmt == "text" else f"{command}-{fmt}")
-    for command in ("gs", "semigroup") for fmt in ("text", "csv", "json")
-])
-def test_conductor_cap_message(capsys, command, fmt):
-    line = (command, "--q", "2", "--m", "24", "--format", fmt)
-    assert run_cli(capsys, *line) == (2, "", f"error: {CONDUCTOR_CAP_ERR}\n")
-
-
-@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-def test_semigroup_validation_error_writes_nothing(capsys, fmt):
-    line = ("semigroup", "--q", "1", "--m", "3", "--format", fmt)
-    assert run_cli(capsys, *line) == (2, "", "error: q must be >= 2, got 1\n")
 
 
 @pytest.mark.parametrize("relative, reason", [
@@ -601,17 +466,17 @@ def run_measured(line: str) -> tuple[int, str, int]:
 
 def test_semigroup_streams_generators_in_bounded_memory():
     # 4.2M generators, 36 MB of json: written in blocks, never held at once
-    code, digest, rss = run_measured("semigroup --q 2 --m 23 --format json")
-    assert code == 0
-    assert digest == "39b5aad121722dd821c1637cffa35624e0a08999100f78131fd199ead745b283"
+    row = parity.row("semigroup --q 2 --m 23 --format json")
+    code, digest, rss = run_measured(row.line)
+    assert (code, digest) == (row.code, row.sha256)
     assert rss < 100 * 1024  # KiB on Linux
 
 
 def test_bounds_table_streams_in_bounded_memory():
     # 26K rows, 8.6 MB of json: each row is rendered and written as it is computed
-    code, digest, rss = run_measured("bounds --table 300000 --format json")
-    assert code == 0
-    assert digest == "fb73d2b1349de76f9588461c3b380ee7b9e8b1f277dff1f0a25668c458c6ce4b"
+    row = parity.row("bounds --table 300000 --format json")
+    code, digest, rss = run_measured(row.line)
+    assert (code, digest) == (row.code, row.sha256)
     assert rss < 45 * 1024  # KiB on Linux
 
 

@@ -1,12 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SLOW_IMPORTS = {"dataclasses", "typing"}
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "rpl").glob("*.py"))
+TESTS = Path(__file__).resolve().parent
 
 
 def test_sources_found():
@@ -102,3 +104,11 @@ def test_only_verify_imports_the_field():
         if any("rpl.gf" in _imported_modules(node) for node in ast.walk(ast.parse(path.read_text())))
     ]
     assert importers == ["verify.py"], f"rpl.gf imported by {importers}"
+
+
+def test_digests_live_in_the_parity_corpus():
+    # a re-pin regenerates one table; a digest written anywhere else in
+    # tests/ would be left behind
+    holders = [path.name for path in sorted(TESTS.rglob("*.py"))
+               if path.name != "parity.py" and re.search(r"[0-9a-fA-F]{64}", path.read_text())]
+    assert not holders, f"64-hex-digit literals outside tests/parity.py: {holders}"
