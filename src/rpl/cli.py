@@ -287,7 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="bound records for one q or a prime-power table")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--q", type=int, help="prime power to summarize")
-    group.add_argument("--table", type=int, metavar="QMAX", help="tabulate prime powers <= QMAX")
+    group.add_argument("--table", type=int, metavar="QMAX",
+                       help=f"tabulate prime powers <= QMAX, 2 <= QMAX <= {TABLE_CAP}")
     add_common(p)
     p.set_defaults(handler=_cmd_bounds)
 
