@@ -7,7 +7,9 @@ whole of stderr. A token ``a**b`` in a line stands for the decimal value
 of a**b. A line with --out names a file in a fresh temporary directory;
 its digest is the file's, and the run must leave stdout empty. A change
 that is meant to keep every output byte-identical proves it here; no
-other file in tests/ pins a digest.
+other file in tests/ pins a digest. test_parity.py runs each row once in
+this process, except the rows in SUBPROCESS, which criterion 10 and the
+memory budgets in test_cli.py run in a fresh process.
 
 The expected columns are never edited by hand. They are regenerated from
 a named commit, never from the change under test:
@@ -15,11 +17,12 @@ a named commit, never from the change under test:
     python tests/regen_parity.py REV
 
 REV must reject what the table rejects: a row whose exit code would
-change stops the script before it writes anything. So REV is the commit
-that added the --table limit or a later one (an older one runs the two
-rows above that limit). To add a row, or to change a row's exit code on
-purpose, give it None as its expected values and regenerate. Each digest
-was first pinned from the CLI before the change it guards:
+change stops the script before it writes anything. So REV is 0b83efb
+or a later commit (an older one runs verify bounds --n-max 4001, and one
+older than 2ac6715 the two rows above the --table limit). To add a row,
+or to change a row's exit code on purpose, give it None as its expected
+values and regenerate. Each digest was first pinned from the CLI before
+the change it guards:
 
 - 70cd3a1 (field arithmetic by enumeration): the six benchmark gs runs, points-homma at
   q = 9, 64, 256, bounds --q 9
@@ -32,10 +35,10 @@ was first pinned from the CLI before the change it guards:
 - 70227ea (the field cache): the json of verify homma, gs, semigroup and bounds
 - 50d5de4 (an int per generator): the semigroup runs at the edges of the 1000-number windows
 - 1d4709f (the last commit with the digests spread over the tests): every other row
-- the change that added the --table limit: the two rows above that limit
+- 2ac6715 (the --table limit): the two rows above that limit
+- 0b83efb (the --n-max limit): bounds --help, verify bounds --n-max 4001
 """
 
-import functools
 import hashlib
 import io
 import os
@@ -82,7 +85,6 @@ def written(args: list[str], stdout: bytes) -> str:
     return hashlib.sha256(stdout).hexdigest()
 
 
-@functools.cache  # a row that two tests name runs once
 def run(row: Row) -> Row:
     """The row as `rpl` gives it now, run in this process."""
     from rpl import cli  # here, so that regen_parity.py can load the table without rpl
@@ -108,17 +110,11 @@ def row(line: str, cap: str | None = None) -> Row:
     return ROWS_BY_KEY[line, cap]
 
 
-def cases(rejected: bool) -> list:
-    """The rows run in this process that reject their input (exit 2), or the others."""
-    return [pytest.param(entry, id=(entry.line or "(no arguments)")
-                         + (f" cap={entry.cap}" if entry.cap else ""))
-            for entry in ROWS if (entry.code == 2) == rejected and entry.line not in SUBPROCESS]
-
-
 ROWS = (
     Row("", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage: rpl [-h] {points-homma,gs,semigroup,bounds,verify} ...\nrpl: error: the following arguments are required: command\n"),
     Row("--help", None, 0, "d3c7200f5081c65f890e96df0aa3421d7c08f19baad01b6f30cda56fc0a95fc6", ""),
     Row("bounds", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage: rpl bounds [-h] (--q Q | --table QMAX) [--format {json,csv,text}]\n                  [--out PATH]\nrpl bounds: error: one of the arguments --q --table is required\n"),
+    Row("bounds --help", None, 0, "9ed99240c3d79cebb4f86313d53d6054a5f7327a70b0e2960c271751e8145754", ""),
     Row("verify everything", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage: rpl verify [-h] [--n-max N_MAX] [--format {json,csv,text}] [--out PATH]\n                  [{all,gf,homma,gs,semigroup,bounds}]\nrpl verify: error: argument scope: invalid choice: 'everything' (choose from 'all', 'gf', 'homma', 'gs', 'semigroup', 'bounds')\n"),
     Row("points-homma --q 256 --ell 2 --format json", None, 0, "fe78862cdfa819abbfbe3f88de07eacc507a170979d58a66a45bdc701e1e045d", ""),
     Row("points-homma --q 64 --ell 3", None, 0, "2b076dd844090fb815ec243c768f12c2061f96ab123adce86838f91e9ad7beec", ""),
@@ -228,5 +224,6 @@ ROWS = (
     Row("verify --n-max 1", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: n_max must be >= 2, got 1\n"),
     Row("verify bounds --n-max 1", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: n_max must be >= 2, got 1\n"),
     Row("verify gf --n-max 0", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: n_max must be >= 2, got 0\n"),
+    Row("verify bounds --n-max 4001", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: n_max must be <= 4000, got 4001\n"),
 )
 ROWS_BY_KEY = {(entry.line, entry.cap): entry for entry in ROWS}

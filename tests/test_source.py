@@ -2,9 +2,12 @@
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import parity
 
 SLOW_IMPORTS = {"dataclasses", "typing"}
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "rpl").glob("*.py"))
@@ -112,3 +115,20 @@ def test_digests_live_in_the_parity_corpus():
     holders = [path.name for path in sorted(TESTS.rglob("*.py"))
                if path.name != "parity.py" and re.search(r"[0-9a-fA-F]{64}", path.read_text())]
     assert not holders, f"64-hex-digit literals outside tests/parity.py: {holders}"
+
+
+def test_one_runner_for_the_parity_corpus():
+    # a second function that runs rows would check the same bytes twice
+    runners = [
+        f"{path.name}::{node.name}" for path in sorted(TESTS.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.FunctionDef)
+        and any(isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "run"
+                and getattr(call.func.value, "id", None) == "parity" for call in ast.walk(node))
+    ]
+    assert len(runners) == 1, f"functions that call parity.run: {runners}"
+
+
+def test_parity_keys_are_unique():
+    # ROWS_BY_KEY keeps the last of two equal keys, so parity.row() would read the wrong one
+    counts = Counter((row.line, row.cap) for row in parity.ROWS)
+    assert max(counts.values()) == 1, [key for key, count in counts.items() if count > 1]
