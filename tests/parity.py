@@ -7,9 +7,11 @@ whole of stderr. A token ``a**b`` in a line stands for the decimal value
 of a**b. A line with --out names a file in a fresh temporary directory;
 its digest is the file's, and the run must leave stdout empty. A change
 that is meant to keep every output byte-identical proves it here; no
-other file in tests/ pins a digest. test_parity.py runs each row once in
-this process, except the rows in SUBPROCESS, which criterion 10 and the
-memory budgets in test_cli.py run in a fresh process.
+other file in tests/ pins a digest. check_row() is the one runner: it
+runs each row once in this process, as test_golden.py's
+test_stdout_matches_golden_digest (exit 0 or 1) or test_cli.py's
+test_cli_rejections (exit 2), except the rows in SUBPROCESS, which
+criterion 10 and the memory budgets in test_cli.py run in a fresh process.
 
 The expected columns are never edited by hand. They are regenerated from
 a named commit, never from the change under test:
@@ -104,6 +106,18 @@ def run(row: Row) -> Row:
             code = exc.code
         sha256 = written(args, stdout.getvalue().encode())
     return row._replace(code=code, sha256=sha256, stderr=stderr.getvalue())
+
+
+def check_row(row: Row) -> None:
+    """Run the row in this process; it must give what the table holds."""
+    assert (ran := run(row)) == row, ran
+
+
+def cases(rejected: bool) -> list:
+    """The rows run in this process that reject their input (exit 2), or the others."""
+    return [pytest.param(entry, id=(entry.line or "(no arguments)")
+                         + (f" cap={entry.cap}" if entry.cap else ""))
+            for entry in ROWS if (entry.code == 2) == rejected and entry.line not in SUBPROCESS]
 
 
 def row(line: str, cap: str | None = None) -> Row:

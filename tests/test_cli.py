@@ -25,6 +25,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("row", parity.cases(rejected=True))
+def test_cli_rejections(row):
+    # every rejected input takes one path: exit 2, nothing on stdout, one
+    # stderr line (an argparse usage error: the usage, then one line)
+    parity.check_row(row)
+
+
 def test_table_limit_admits_ten_million(monkeypatch, capsys):
     # a table at 10^7 takes 40 s; with no prime powers to render, only the limit is tested
     monkeypatch.setattr(cli, "prime_powers_upto", lambda qmax: iter(()))

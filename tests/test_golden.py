@@ -1,8 +1,9 @@
-"""The parity corpus (tests/parity.py): the one runner, and its ties to the benchmark.
+"""The parity corpus (tests/parity.py) run in this process, and its ties to the benchmark.
 
-Every row runs here once, in this process, except the rows in
-parity.SUBPROCESS: criterion 10 and the memory budgets run those in a
-fresh process.
+parity.check_row runs each row once: the rows that end in a result (exit
+0 or 1) here, the rows that reject their input as test_cli.py's
+test_cli_rejections, and the rows in parity.SUBPROCESS in the tests that
+need a fresh process.
 """
 
 import runpy
@@ -16,12 +17,9 @@ import parity
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
-@pytest.mark.parametrize("row", [
-    pytest.param(row, id=(row.line or "(no arguments)") + (f" cap={row.cap}" if row.cap else ""))
-    for row in parity.ROWS if row.line not in parity.SUBPROCESS
-])
-def test_run_matches_row(row):
-    assert parity.run(row) == row
+@pytest.mark.parametrize("row", parity.cases(rejected=False))
+def test_stdout_matches_golden_digest(row):
+    parity.check_row(row)
 
 
 def test_rows_that_must_agree():
