@@ -18,7 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DegenerateDenominator, NotConverged, ValidationError
+from .errors import NotConverged, ValidationError
 from .primes import factor_prime_power
 
 
@@ -41,15 +41,13 @@ def nondegenerate_coefficient(q: int, n: int) -> Fraction:
     """Per-degree coefficient of the nondegenerate-curve point bound in P^n.
 
     Equals (q-1)(q^(n+1)-1) / (q(q^n-1) - n(q-1)); strictly above q - 1
-    and converging to it as n grows.
+    and converging to it as n grows.  The denominator is
+    (q-1)(q(1 + q + ... + q^(n-1)) - n) >= (q-1)n > 0 for every q >= 2.
     """
+    factor_prime_power(q)
     if n < 2:
         raise ValidationError(f"dimension n must be >= 2, got {n}")
     den = q * (q**n - 1) - n * (q - 1)
-    if den <= 0:
-        raise DegenerateDenominator(
-            f"coefficient denominator {den} is not positive for q={q}, n={n}"
-        )
     return Fraction((q - 1) * (q ** (n + 1) - 1), den)
 
 

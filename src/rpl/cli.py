@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import chain, compress, islice
 
-from . import DEFAULT_N_MAX, SCOPES, bounds, gs_tower, homma_family, semigroup
+from . import DEFAULT_N_MAX, N_MAX_CAP, SCOPES, bounds, gs_tower, homma_family, semigroup
 from .errors import RplError, ValidationError
 from .primes import DEFAULT_FIELD_CAP, FIELD_CAP_ENV, prime_powers_upto
 
@@ -295,7 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the named self-verification checks")
     p.add_argument("scope", nargs="?", choices=SCOPES, default="all")
     p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX, dest="n_max",
-                   help="scan depth for the convergence checks")
+                   help=f"scan depth for the convergence checks, 2 <= N_MAX <= {N_MAX_CAP} "
+                        f"(default {DEFAULT_N_MAX})")
     add_common(p)
     p.set_defaults(handler=_cmd_verify)
 

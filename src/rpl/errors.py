@@ -43,10 +43,6 @@ class TooLarge(ValidationError):
     """Requested enumeration or bitmap exceeds its documented cap."""
 
 
-class DegenerateDenominator(ValidationError):
-    """Bound formula denominator is not positive."""
-
-
 class DivisionByZero(RplError, ZeroDivisionError):
     """Field division by the zero element."""
 

@@ -10,19 +10,23 @@ the constant term up, so two runs (or two machines) always build the
 identical field.
 
 Addition, subtraction and negation work on the digits: XOR when p = 2,
-``% p`` when e = 1, a digit loop otherwise.  Multiplication, inversion,
+``% p`` when e = 1, a digit loop otherwise.  Which of the three a field
+uses is fixed once, when the field is built.  Multiplication, inversion,
 powers and division are lookups in exp/log tables over the smallest
 primitive element (Huber, IEEE Trans. IT 36, 1990).  The tables are built
 with the field, never at import, in q - 1 steps of multiplication by that
-element.  They take a few bytes per element.  A field is a plain value,
-built anew by every ``make_field`` call with no cache or registry, and
-passed explicitly to every operation that needs one.  Its order is capped
-at 2^20.
+element: ``times_generator``, the polynomial product, directly when e = 1
+and through two small tables of its values otherwise.  They take a few
+bytes per element.  A field is a plain value, built anew by every
+``make_field`` call with no cache or registry, and passed explicitly to
+every operation that needs one.  Its order is capped at 2^20.
 """
 
 from __future__ import annotations
 
+import operator
 from array import array
+from collections.abc import Callable
 from itertools import product
 
 from .errors import DivisionByZero, ValidationError
@@ -187,6 +191,29 @@ def _smallest_primitive(p: int, modulus: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _combine(p: int, a: int, b: int, s: int) -> int:
+    """a + s*b digit by digit in base p."""
+    out, place = 0, 1
+    while a or b:
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        out += (x + s * y) % p * place
+        place *= p
+    return out
+
+
+def times_generator(ctx: FieldContext) -> Callable[[int], int]:
+    """v -> g*v for ctx's primitive element g, by the polynomial product.
+
+    It reads only ctx's modulus and generator, never its tables.
+    """
+    p, e, g = ctx.p, ctx.e, ctx.generator
+    if e == 1:
+        return lambda v: v * g % p
+    f, g_digits = list(ctx.modulus), _digits(g, p, e)
+    return lambda v: _index(_poly_mulmod(_digits(v, p, e), g_digits, f, p), p)
+
+
 class FieldContext:
     """Arithmetic for F_{p^e} on integer-encoded elements.
 
@@ -196,40 +223,42 @@ class FieldContext:
     reduction; ``log[a]`` inverts it on the nonzero elements.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "generator", "exp", "log")
+    __slots__ = ("p", "e", "q", "modulus", "generator", "exp", "log", "add", "sub", "neg")
 
     zero = 0
     one = 1
 
-    def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
-        if len(modulus) != e + 1 or modulus[-1] != 1:
-            raise ValidationError("modulus must be monic of degree e")
+    def __init__(self, p: int, e: int):
         self.p = p
         self.e = e
         self.q = p**e
-        self.modulus = modulus
-        self.generator = _smallest_primitive(p, modulus)
+        self.modulus = _smallest_irreducible(p, e)
+        # the closures hold p, not self, so a field is freed once dropped
+        if p == 2:
+            self.add = self.sub = operator.xor
+            self.neg = operator.pos  # -a = a
+        elif e == 1:
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.neg = lambda a: -a % p
+        else:
+            self.add = lambda a, b: _combine(p, a, b, 1)
+            self.sub = lambda a, b: _combine(p, a, b, -1)
+            self.neg = lambda a: _combine(p, 0, a, -1)
+        self.generator = _smallest_primitive(p, self.modulus)
         self.exp, self.log = self._exp_log_tables()
 
     def __repr__(self) -> str:
         return f"FieldContext(q={self.p}^{self.e})"
 
     def _exp_log_tables(self) -> tuple[array, array]:
-        p, e, q, g = self.p, self.e, self.q, self.generator
+        p, e, q = self.p, self.e, self.q
         n = q - 1
-        if e == 1:
-
-            def step(v: int) -> int:
-                return v * g % p
-
-        else:
+        step = times_g = times_generator(self)
+        if e > 1:
             # v -> g*v is F_p-linear: with v = hi*m + lo, g*v = g*lo + g*(hi*m),
             # so two tables of about sqrt(q) products cover every step
-            f, g_digits, m = list(self.modulus), _digits(g, p, e), p ** (e // 2)
-
-            def times_g(v: int) -> int:
-                return _index(_poly_mulmod(_digits(v, p, e), g_digits, f, p), p)
-
+            m = p ** (e // 2)
             low = [times_g(lo) for lo in range(m)]
             high = [times_g(hi * m) for hi in range(q // m)]
             add = self.add
@@ -257,40 +286,6 @@ class FieldContext:
 
     def elements(self) -> range:
         return range(self.q)
-
-    # -- arithmetic on digits -------------------------------------------
-
-    def _combine(self, a: int, b: int, s: int) -> int:
-        """a + s*b digit by digit, for odd p and e > 1."""
-        p = self.p
-        out, place = 0, 1
-        while a or b:
-            a, x = divmod(a, p)
-            b, y = divmod(b, p)
-            out += (x + s * y) % p * place
-            place *= p
-        return out
-
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.e == 1:
-            return (a + b) % self.p
-        return self._combine(a, b, 1)
-
-    def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.e == 1:
-            return (a - b) % self.p
-        return self._combine(a, b, -1)
-
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.e == 1:
-            return -a % self.p
-        return self._combine(0, a, -1)
 
     # -- arithmetic by table lookup -------------------------------------
 
@@ -324,7 +319,7 @@ class FieldContext:
 def make_field(p: int, e: int) -> FieldContext:
     """Build F_{p^e} with the lexicographically smallest irreducible modulus."""
     _checked_order(p, e, DEFAULT_FIELD_CAP)
-    return FieldContext(p, e, _smallest_irreducible(p, e))
+    return FieldContext(p, e)
 
 
 def field_from_order(q: int) -> FieldContext:

@@ -23,9 +23,9 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, product
 
-from . import DEFAULT_N_MAX, SCOPES, bounds, gs_tower, homma_family, semigroup
+from . import DEFAULT_N_MAX, N_MAX_CAP, SCOPES, bounds, gs_tower, homma_family, semigroup
 from .errors import AdmissibilityViolation, ComputationError, RplError, TooLarge, ValidationError
-from .gf import FieldContext, _digits, _index, _poly_mulmod, field_from_order, make_field
+from .gf import FieldContext, field_from_order, make_field, times_generator
 from .primes import factor_prime_power, prime_powers_upto
 
 HOMMA_Q = (3, 4, 5, 7, 8, 9)
@@ -43,7 +43,6 @@ RATIO_TOL = Fraction(1, 1000)
 AXIOM_FIELD_LIMIT = 1 << 12
 AXIOM_TRIPLES = 1000
 CLOSURE_PAIRS = 500
-N_MAX_CAP = 4000  # --n-max limit: coefficient_monotone takes 4.6 s at 4000 and 31 s at 8000
 
 
 class CheckResult(namedtuple("CheckResult", "scope name ok detail", defaults=("",))):
@@ -106,15 +105,16 @@ def _run(scope: str, *checks: Callable[[], tuple]) -> list[CheckResult]:
 def _exp_log_certified(ctx: FieldContext) -> bool:
     """Whether the exp/log tables make every product in ctx the polynomial one.
 
-    With n = q - 1: exp[0] = 1; each exp[i+1] is g*exp[i], multiplied on
-    digits by _poly_mulmod (mod p when e = 1), never through the tables or
-    the build's split products; exp[:n] lies in 1..q-1 and log inverts it,
-    so its n values are distinct and form a permutation of 1..q-1 (g has
-    order n and the modulus is irreducible); exp[n:] repeats it. Then
-    exp[i] = g^i and log[g^i] = i for every i < n, so mul, inv, div
-    and pow agree with the polynomial product mod the modulus on every pair.
+    With n = q - 1: exp[0] = 1; each exp[i+1] is g*exp[i] by
+    gf.times_generator, the polynomial product that also builds the tables
+    (v*g mod p when e = 1), never through the tables or the split products;
+    exp[:n] lies in 1..q-1 and log inverts it, so its n values are distinct
+    and form a permutation of 1..q-1 (g has order n and the modulus is
+    irreducible); exp[n:] repeats it. Then exp[i] = g^i and log[g^i] = i
+    for every i < n, so mul, inv, div and pow agree with the polynomial
+    product mod the modulus on every pair.
     """
-    p, e, q, g = ctx.p, ctx.e, ctx.q, ctx.generator
+    q = ctx.q
     n = q - 1
     exp, log = ctx.exp, ctx.log
     head = exp[:n]
@@ -123,12 +123,7 @@ def _exp_log_certified(ctx: FieldContext) -> bool:
         return False
     if exp[0] != 1 or exp[n:] != head or [log[v] for v in head] != list(range(n)):
         return False
-    if e == 1:
-        stepped = [v * g % p for v in head]
-    else:
-        f, g_digits = list(ctx.modulus), _digits(g, p, e)
-        stepped = [_index(_poly_mulmod(_digits(v, p, e), g_digits, f, p), p) for v in head]
-    return stepped == exp[1 : n + 1].tolist()
+    return list(map(times_generator(ctx), head)) == exp[1 : n + 1].tolist()
 
 
 def _additive_sample_ok(ctx: FieldContext) -> bool:
