@@ -39,6 +39,7 @@ the change it guards:
 - 1d4709f (the last commit with the digests spread over the tests): every other row
 - 2ac6715 (the --table limit): the two rows above that limit
 - 0b83efb (the --n-max limit): bounds --help, verify bounds --n-max 4001
+- ba93a53 (each field's arithmetic fixed at build): verify --help, which states the --n-max range
 """
 
 import hashlib
@@ -129,6 +130,7 @@ ROWS = (
     Row("--help", None, 0, "d3c7200f5081c65f890e96df0aa3421d7c08f19baad01b6f30cda56fc0a95fc6", ""),
     Row("bounds", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage: rpl bounds [-h] (--q Q | --table QMAX) [--format {json,csv,text}]\n                  [--out PATH]\nrpl bounds: error: one of the arguments --q --table is required\n"),
     Row("bounds --help", None, 0, "9ed99240c3d79cebb4f86313d53d6054a5f7327a70b0e2960c271751e8145754", ""),
+    Row("verify --help", None, 0, "de1456bc97cc94ab612f1bcfd4649720e4f6a6881a84b3e55b87bb93c31b666d", ""),
     Row("verify everything", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage: rpl verify [-h] [--n-max N_MAX] [--format {json,csv,text}] [--out PATH]\n                  [{all,gf,homma,gs,semigroup,bounds}]\nrpl verify: error: argument scope: invalid choice: 'everything' (choose from 'all', 'gf', 'homma', 'gs', 'semigroup', 'bounds')\n"),
     Row("points-homma --q 256 --ell 2 --format json", None, 0, "fe78862cdfa819abbfbe3f88de07eacc507a170979d58a66a45bdc701e1e045d", ""),
     Row("points-homma --q 64 --ell 3", None, 0, "2b076dd844090fb815ec243c768f12c2061f96ab123adce86838f91e9ad7beec", ""),

@@ -16,7 +16,7 @@ from rpl.bounds import (
     upper_limit_check,
     weil_bound,
 )
-from rpl.errors import DegenerateDenominator, NotConverged, NotPrimePower, ValidationError
+from rpl.errors import NotConverged, NotPrimePower, ValidationError
 from rpl.gf import field_from_order
 from rpl.gs_tower import points_per_degree_limit
 from rpl.primes import prime_powers_upto
@@ -64,8 +64,9 @@ def test_coefficient_formula_direct():
 def test_coefficient_validation():
     with pytest.raises(ValidationError):
         nondegenerate_coefficient(3, 1)
-    with pytest.raises(DegenerateDenominator):
-        nondegenerate_coefficient(1, 5)
+    for q in (0, 1, 6):
+        with pytest.raises(NotPrimePower):
+            nondegenerate_coefficient(q, 2)
 
 
 def test_coefficient_decreases_to_limit():

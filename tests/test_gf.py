@@ -190,6 +190,20 @@ def test_exhaustive_tables_small_fields():
                 assert ctx.sub(a, b) == ctx.add(a, ctx.neg(b))
 
 
+@pytest.mark.parametrize("q", [2, 8, 16, 7, 13, 9, 25, 27])  # XOR, % p, the digit loop
+def test_additive_law_matches_digit_oracle(q):
+    # the axiom checks only test add, sub and neg against each other
+    ctx = field_from_order(q)
+    p = ctx.p
+    for a in ctx.elements():
+        da = oracle.digits(ctx, a)
+        assert oracle.digits(ctx, ctx.neg(a)) == tuple(-x % p for x in da)
+        for b in ctx.elements():
+            db = oracle.digits(ctx, b)
+            assert oracle.digits(ctx, ctx.add(a, b)) == tuple((x + y) % p for x, y in zip(da, db))
+            assert oracle.digits(ctx, ctx.sub(a, b)) == tuple((x - y) % p for x, y in zip(da, db))
+
+
 def test_quadratic_extension_table():
     # F_4 = F_2[x]/(x^2+x+1); w = x satisfies w^2 = w + 1 and w^3 = 1
     ctx = make_field(2, 2)

@@ -109,6 +109,18 @@ def test_only_verify_imports_the_field():
     assert importers == ["verify.py"], f"rpl.gf imported by {importers}"
 
 
+def test_verify_imports_no_private_field_name():
+    # the product g*v that certifies the exp table is gf.times_generator,
+    # the one the build uses; a private gf helper would let verify write it again
+    path = next(path for path in SOURCES if path.name == "verify.py")
+    private = [
+        alias.name for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and "rpl.gf" in _imported_modules(node)
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert not private, f"verify.py imports private rpl.gf names: {private}"
+
+
 def test_digests_live_in_the_parity_corpus():
     # a re-pin regenerates one table; a digest written anywhere else in
     # tests/ would be left behind
