@@ -23,7 +23,8 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import chain, compress, islice
 
-from . import DEFAULT_N_MAX, N_MAX_CAP, SCOPES, bounds, gs_tower, homma_family, semigroup
+from . import (DEFAULT_N_MAX, MAX_PRINTED_DIGITS, N_MAX_CAP, SCOPES, bounds, gs_tower,
+               homma_family, semigroup)
 from .errors import RplError, ValidationError
 from .primes import DEFAULT_FIELD_CAP, FIELD_CAP_ENV, prime_powers_upto
 
@@ -304,33 +305,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # the print checks admit MAX_PRINTED_DIGITS digits; str() must too, whatever
+    # PYTHONINTMAXSTRDIGITS says (Python before 3.10.7 has no such limit)
+    caller = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if caller is not None:
+        sys.set_int_max_str_digits(MAX_PRINTED_DIGITS)
     try:
-        result = args.handler(args)
-    except RplError as exc:  # anything else escaping a handler is a bug: a traceback, exit 1
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    pieces = getattr(result, args.format)
-    try:
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        try:
+            result = args.handler(args)
+        except RplError as exc:  # anything else escaping a handler is a bug: a traceback, exit 1
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        pieces = getattr(result, args.format)
+        try:
+            if args.out is None:
+                sys.stdout.writelines(pieces)
+                sys.stdout.flush()
+            else:
+                with open(args.out, "w", encoding="utf-8") as out:
+                    out.writelines(pieces)
+            return result.exit_code
+        except BrokenPipeError:
+            code = result.exit_code  # the reader stopped early (`rpl ... | head`): end quietly
+        except OSError as exc:  # cannot open, write or close: a full disk, a missing directory
+            name = "<stdout>" if args.out is None else args.out
+            print(f"error: cannot write {name}: {exc.strerror}", file=sys.stderr)
+            code = 2
         if args.out is None:
-            sys.stdout.writelines(pieces)
-            sys.stdout.flush()
-        else:
-            with open(args.out, "w", encoding="utf-8") as out:
-                out.writelines(pieces)
-        return result.exit_code
-    except BrokenPipeError:
-        code = result.exit_code  # the reader stopped early (`rpl ... | head`): end quietly
-    except OSError as exc:  # cannot open, write or close: a full disk, a missing directory
-        name = "<stdout>" if args.out is None else args.out
-        print(f"error: cannot write {name}: {exc.strerror}", file=sys.stderr)
-        code = 2
-    if args.out is None:
-        # stdout may still hold unwritten text: point it at devnull so the
-        # interpreter's last flush cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return code
+            # stdout may still hold unwritten text: point it at devnull so the
+            # interpreter's last flush cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
+    finally:
+        if caller is not None:
+            sys.set_int_max_str_digits(caller)
 
 
 def run() -> None:

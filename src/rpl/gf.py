@@ -1,4 +1,4 @@
-"""Deterministic finite fields F_{p^e} with lookup-table arithmetic.
+"""Deterministic finite fields F_{p^e} on integer-encoded elements.
 
 Only ``verify`` and the tests build a field; no command loads this module.
 An element is a plain ``int`` in ``[0, q)``.  The base-p digits of the
@@ -9,15 +9,14 @@ lexicographically smallest monic irreducible, coefficients compared from
 the constant term up, so two runs (or two machines) always build the
 identical field.
 
-Addition, subtraction and negation work on the digits: XOR when p = 2,
-``% p`` when e = 1, a digit loop otherwise.  Which of the three a field
-uses is fixed once, when the field is built.  Multiplication, inversion,
-powers and division are lookups in exp/log tables over the smallest
-primitive element (Huber, IEEE Trans. IT 36, 1990).  The tables are built
-with the field, never at import, in q - 1 steps of multiplication by that
-element: ``times_generator``, the polynomial product, directly when e = 1
-and through two small tables of its values otherwise.  They take a few
-bytes per element.  A field is a plain value, built anew by every
+A field fixes its arithmetic once, when it is built.  Addition,
+subtraction and negation work on the digits: XOR when p = 2, ``% p`` when
+e = 1, a digit loop otherwise.  A prime field multiplies with ``% p`` and
+takes powers and inverses with ``pow(a, k, p)``.  When e >= 2, products
+and powers are lookups in exp/log tables over the smallest primitive
+element (Huber, IEEE Trans. IT 36, 1990), built in q - 1 steps of
+``times_generator``, the polynomial product by that element, through two
+small tables of its values.  A field is a plain value, built anew by every
 ``make_field`` call with no cache or registry, and passed explicitly to
 every operation that needs one.  Its order is capped at 2^20.
 """
@@ -142,8 +141,6 @@ def _is_irreducible(f: list[int], p: int) -> bool:
 
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree e over F_p."""
-    if e == 1:
-        return (0, 1)
     for low in product(range(p), repeat=e):
         f = list(low) + [1]
         if _is_irreducible(f, p):
@@ -203,27 +200,51 @@ def _combine(p: int, a: int, b: int, s: int) -> int:
 
 
 def times_generator(ctx: FieldContext) -> Callable[[int], int]:
-    """v -> g*v for ctx's primitive element g, by the polynomial product.
+    """v -> g*v for the primitive element g of ctx (e >= 2), by the polynomial product.
 
     It reads only ctx's modulus and generator, never its tables.
     """
-    p, e, g = ctx.p, ctx.e, ctx.generator
-    if e == 1:
-        return lambda v: v * g % p
-    f, g_digits = list(ctx.modulus), _digits(g, p, e)
+    p, e = ctx.p, ctx.e
+    f, g_digits = list(ctx.modulus), _digits(ctx.generator, p, e)
     return lambda v: _index(_poly_mulmod(_digits(v, p, e), g_digits, f, p), p)
+
+
+def _exp_log_tables(ctx: FieldContext) -> tuple[array, array]:
+    """exp[i] = g^i for 0 <= i < 2(q-1) and its inverse log, for e >= 2."""
+    p, q = ctx.p, ctx.q
+    n = q - 1
+    times_g = times_generator(ctx)
+    # v -> g*v is F_p-linear: with v = hi*m + lo, g*v = g*lo + g*(hi*m),
+    # so two tables of about sqrt(q) products cover every step
+    m = p ** (ctx.e // 2)
+    low = [times_g(lo) for lo in range(m)]
+    high = [times_g(hi * m) for hi in range(q // m)]
+    add = ctx.add
+    code = "H" if q <= 1 << 16 else "I"
+    exp = array(code, [0]) * (2 * n)
+    log = array(code, [0]) * q
+    v = 1
+    for i in range(n):
+        exp[i] = v
+        log[v] = i
+        v = add(low[v % m], high[v // m])
+    exp[n:] = exp[:n]
+    return exp, log
 
 
 class FieldContext:
     """Arithmetic for F_{p^e} on integer-encoded elements.
 
     Element i has the base-p digits of i as coefficients, constant term
-    first.  ``exp[i]`` is g^i for the primitive element ``generator``,
-    stored for 0 <= i < 2(q-1) so that a sum of two logs needs no
-    reduction; ``log[a]`` inverts it on the nonzero elements.
+    first.  ``__init__`` binds the product and the raw power: ``% p`` and
+    ``pow(a, k, p)`` in a prime field, which has no ``generator``, ``exp`` or
+    ``log``; lookups otherwise, where ``exp[i]`` is g^i for the primitive
+    element ``generator``, stored for 0 <= i < 2(q-1) so that a sum of two
+    logs needs no reduction, and ``log[a]`` inverts it on nonzero elements.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "generator", "exp", "log", "add", "sub", "neg")
+    __slots__ = ("p", "e", "q", "modulus", "generator", "exp", "log",
+                 "add", "sub", "neg", "mul", "_raw_pow")
 
     zero = 0
     one = 1
@@ -231,9 +252,9 @@ class FieldContext:
     def __init__(self, p: int, e: int):
         self.p = p
         self.e = e
-        self.q = p**e
+        self.q = q = p**e
         self.modulus = _smallest_irreducible(p, e)
-        # the closures hold p, not self, so a field is freed once dropped
+        # the closures hold p or the tables, not self, so a dropped field is freed
         if p == 2:
             self.add = self.sub = operator.xor
             self.neg = operator.pos  # -a = a
@@ -245,37 +266,18 @@ class FieldContext:
             self.add = lambda a, b: _combine(p, a, b, 1)
             self.sub = lambda a, b: _combine(p, a, b, -1)
             self.neg = lambda a: _combine(p, 0, a, -1)
-        self.generator = _smallest_primitive(p, self.modulus)
-        self.exp, self.log = self._exp_log_tables()
+        if e == 1:
+            self.mul = lambda a, b: a * b % p
+            self._raw_pow = lambda a, k: pow(a, k, p)
+        else:
+            self.generator = _smallest_primitive(p, self.modulus)
+            exp, log = self.exp, self.log = _exp_log_tables(self)
+            n = q - 1
+            self.mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
+            self._raw_pow = lambda a, k: exp[log[a] * k % n] if a else (0 if k else 1)
 
     def __repr__(self) -> str:
-        return f"FieldContext(q={self.p}^{self.e})"
-
-    def _exp_log_tables(self) -> tuple[array, array]:
-        p, e, q = self.p, self.e, self.q
-        n = q - 1
-        step = times_g = times_generator(self)
-        if e > 1:
-            # v -> g*v is F_p-linear: with v = hi*m + lo, g*v = g*lo + g*(hi*m),
-            # so two tables of about sqrt(q) products cover every step
-            m = p ** (e // 2)
-            low = [times_g(lo) for lo in range(m)]
-            high = [times_g(hi * m) for hi in range(q // m)]
-            add = self.add
-
-            def step(v: int) -> int:
-                return add(low[v % m], high[v // m])
-
-        code = "H" if q <= 1 << 16 else "I"
-        exp = array(code, [0]) * (2 * n)
-        log = array(code, [0]) * q
-        v = 1
-        for i in range(n):
-            exp[i] = v
-            log[v] = i
-            v = step(v)
-        exp[n:] = exp[:n]
-        return exp, log
+        return f"FieldContext(q={self.q})"
 
     # -- enumeration --------------------------------------------------
 
@@ -287,33 +289,20 @@ class FieldContext:
     def elements(self) -> range:
         return range(self.q)
 
-    # -- arithmetic by table lookup -------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        if not a or not b:
-            return 0
-        log = self.log
-        return self.exp[log[a] + log[b]]
+    # -- arithmetic over the bound product and raw power ----------------
 
     def pow(self, a: int, k: int) -> int:
         if k < 0:
             raise ValidationError("exponent must be non-negative")
-        if not a:
-            return 0 if k else 1
-        return self.exp[self.log[a] * k % (self.q - 1)]
+        return self._raw_pow(a, k)
 
     def inv(self, a: int) -> int:
         if not a:
             raise DivisionByZero(f"zero has no inverse in F_{self.q}")
-        return self.exp[self.q - 1 - self.log[a]]
+        return self._raw_pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
-        if not b:
-            raise DivisionByZero(f"zero has no inverse in F_{self.q}")
-        if not a:
-            return 0
-        log = self.log
-        return self.exp[log[a] - log[b] + self.q - 1]
+        return self.mul(a, self.inv(b))
 
 
 def make_field(p: int, e: int) -> FieldContext:

@@ -1,12 +1,14 @@
-"""Reference implementations that the table-driven field is checked against.
+"""Reference implementations that ``rpl.gf``'s fields are checked against.
 
 The product multiplies coefficient tuples and reduces them by the modulus,
-with no tables. The solution sets of y^k = c and x^sub_q + x = c, which
-``rpl.verify`` finds by scanning the field, come here from the discrete-log
-formula and from the tuple product. All are slow and plainly correct, so
-they live here and not in ``rpl``. The Homma curve counts test every tuple
-of the product, with no pruning, as references for the prefix searches in
-``rpl.verify``.
+with no tables and no ``% p`` shortcut. The solution sets of y^k = c and
+x^sub_q + x = c, which ``rpl.verify`` finds by scanning the field, come
+here from the discrete-log formula and from the tuple product; the
+discrete log is read off the powers of a primitive element that the tuple
+product finds and multiplies out, never off the field's own tables. All
+are slow and plainly correct, so they live here and not in ``rpl``. The
+Homma curve counts test every tuple of the product, with no pruning, as
+references for the prefix searches in ``rpl.verify``.
 """
 
 from itertools import product
@@ -53,8 +55,25 @@ def tuple_pow(ctx, a, k):
     return result
 
 
-def power_residues_by_log(ctx, c, k):
-    """Solutions of y^k = c (k >= 1), ascending, from the discrete log of c.
+def has_full_order(ctx, a):
+    """Whether a has multiplicative order q - 1, by tuple_pow."""
+    n = ctx.q - 1
+    primes = [r for r in range(2, n + 1) if n % r == 0 and all(r % d for d in range(2, r))]
+    return all(tuple_pow(ctx, a, n // r) != 1 for r in primes)
+
+
+def generator_powers(ctx):
+    """[g^0, ..., g^(q-2)] for the smallest g of full order, by tuple_mul."""
+    g = next(a for a in range(1, ctx.q) if has_full_order(ctx, a))
+    powers = [1]
+    for _ in range(ctx.q - 2):
+        powers.append(tuple_mul(ctx, powers[-1], g))
+    return powers
+
+
+def power_residues_by_log(powers, c, k):
+    """Solutions of y^k = c (k >= 1), ascending, from the discrete log of c
+    in the unit group listed by powers (from generator_powers).
 
     With n = q - 1 and d = gcd(k, n), a nonzero c = g^L has a k-th root
     iff d | L, and then exactly d of them: g^t for t = t0 + j*n/d, where
@@ -62,14 +81,14 @@ def power_residues_by_log(ctx, c, k):
     """
     if not c:
         return [0]
-    n = ctx.q - 1
+    n = len(powers)
     d = gcd(k, n)
-    log_c = ctx.log[c]
+    log_c = powers.index(c)
     if log_c % d:
         return []
     step = n // d
     t0 = log_c // d * pow(k // d, -1, step) % step
-    return sorted(ctx.exp[t0 + j * step] for j in range(d))
+    return sorted(powers[t0 + j * step] for j in range(d))
 
 
 def artin_schreier_fibers(ctx, sub_q):

@@ -69,6 +69,23 @@ def test_internal_value_error_is_not_a_rejection(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_output_does_not_depend_on_the_int_str_limit(capsys):
+    # the print checks admit 4300 digits; a lower PYTHONINTMAXSTRDIGITS
+    # must neither change the bytes nor leave main's own limit behind
+    lines = [("gs", "--q", "2", "--m", "3000"), ("points-homma", "--q", "3", "--ell", "2200")]
+    expected = [run_cli(capsys, *line) for line in lines]
+    assert [code for code, _, _ in expected] == [2, 0]
+    assert expected[0][2].startswith("error: conductor ")
+    caller = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert [run_cli(capsys, *line) for line in lines] == expected
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(caller)
+
+
 LOW_BIT = bytes(i & 1 for i in range(256))
 
 

@@ -146,8 +146,11 @@ def test_weak_order_criterion_trap_rejected():
 
 
 def test_degree_one_modulus_is_x():
+    # a prime field multiplies with % p and pow: no primitive element, no tables
     for p in (2, 3, 5, 101):
-        assert make_field(p, 1).modulus == (0, 1)
+        ctx = make_field(p, 1)
+        assert ctx.modulus == (0, 1)
+        assert not any(hasattr(ctx, name) for name in ("generator", "exp", "log"))
 
 
 def test_make_field_validation():
@@ -236,25 +239,23 @@ def test_frobenius_is_additive(q, data):
 
 
 def test_division_errors():
-    ctx = make_field(3, 2)
-    with pytest.raises(DivisionByZero):
-        ctx.inv(ctx.zero)
-    with pytest.raises(DivisionByZero):
-        ctx.div(ctx.one, ctx.zero)
-    with pytest.raises(ValueError):
-        ctx.pow(ctx.one, -1)
+    for q in (7, 9, 4):  # % p and pow; tables at odd p; tables at p = 2
+        ctx = field_from_order(q)
+        for a in (ctx.zero, ctx.one, q - 1):
+            with pytest.raises(DivisionByZero, match=rf"^zero has no inverse in F_{q}$"):
+                ctx.div(a, ctx.zero)
+            with pytest.raises(ValueError, match="^exponent must be non-negative$"):
+                ctx.pow(a, -1)
+        with pytest.raises(DivisionByZero, match=rf"^zero has no inverse in F_{q}$"):
+            ctx.inv(ctx.zero)
+        assert ctx.pow(ctx.zero, 0) == ctx.one
+        assert all(ctx.pow(ctx.zero, k) == ctx.zero for k in (1, 2, q - 1, q, 5 * q))
 
 
 def test_division_by_zero_is_zero_division_error():
     ctx = make_field(2, 2)
     with pytest.raises(ZeroDivisionError):
         ctx.inv(ctx.zero)
-
-
-def _has_full_order(ctx, a):
-    n = ctx.q - 1
-    cofactors = [n // r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
-    return all(oracle.tuple_pow(ctx, a, k) != ctx.one for k in cofactors)
 
 
 @pytest.mark.parametrize("q", prime_powers_upto(64))
@@ -288,10 +289,10 @@ def test_primitive_search_where_x_is_not_primitive(p, e, generator):
     # the canonical modulus is x^2 + 1 for F_9, so x has order 4; for
     # F_{2^16} x also generates a proper subgroup
     ctx = make_field(p, e)
-    assert not _has_full_order(ctx, ctx.element(p))
+    assert not oracle.has_full_order(ctx, ctx.element(p))
     assert ctx.generator == generator
-    assert _has_full_order(ctx, generator)
-    assert not any(_has_full_order(ctx, a) for a in range(1, generator))
+    assert oracle.has_full_order(ctx, generator)
+    assert not any(oracle.has_full_order(ctx, a) for a in range(1, generator))
     n = ctx.q - 1
     assert sorted(ctx.exp[:n]) == list(range(1, ctx.q))
     assert list(ctx.exp[n:]) == list(ctx.exp[:n])
@@ -406,10 +407,11 @@ def test_artin_schreier_image_is_subfield_sized():
 @pytest.mark.parametrize("q", prime_powers_upto(256))
 def test_power_residue_matches_enumeration(q):
     ctx = field_from_order(q)
+    powers = oracle.generator_powers(ctx)
     for k in sorted({1, 2, 3, 4, q - 1}):
         table = _power_table(ctx, k)
         for c in ctx.elements():
-            assert verify._solutions(table, c) == oracle.power_residues_by_log(ctx, c, k)
+            assert verify._solutions(table, c) == oracle.power_residues_by_log(powers, c, k)
 
 
 @pytest.mark.parametrize("sub_q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
@@ -431,10 +433,10 @@ def test_artin_schreier_matches_enumeration(sub_q):
 CORRUPT_AT = 1000
 
 
-def _transpose_exp_pair(ctx, i=CORRUPT_AT):
+def _transpose_exp_pair(ctx):
     # swap g^i and g^(i+1) in both copies of exp and in log: the tables stay
     # a consistent bijection, and only the step exp[i+1] = g*exp[i] breaks
-    n = ctx.q - 1
+    n, i = ctx.q - 1, CORRUPT_AT
     a, b = ctx.exp[i], ctx.exp[i + 1]
     ctx.exp[i] = ctx.exp[n + i] = b
     ctx.exp[i + 1] = ctx.exp[n + i + 1] = a
@@ -488,7 +490,7 @@ def _rotated_tables(ctx):
         _rotated_tables,
     ],
 )
-@pytest.mark.parametrize("q", [4093, 4096, 3125])  # e = 1; p = 2; odd p with e > 1
+@pytest.mark.parametrize("q", [4096, 3125])  # p = 2; odd p with e > 1; a prime field has no tables
 def test_field_axioms_certificate_rejects_corrupt_tables(monkeypatch, q, corrupt):
     good, bad = field_from_order(q), field_from_order(q)
     corrupt(bad)
@@ -508,14 +510,27 @@ def test_field_axioms_certificate_rejects_corrupt_tables(monkeypatch, q, corrupt
 
 
 def _patch_swapped_field(monkeypatch, q, i):
-    """F_q with g^i and g^(i+1) swapped in its tables, patched into verify.
+    """F_q with g^i and g^(i+1) swapped, patched into verify.
 
-    The swap keeps exp and log a consistent bijection, but products through
-    the swapped pair go wrong; in F_{sub_q^2} at i = 1, x^sub_q + x is no
-    longer additive, so its fibers stop having sub_q elements each.
+    The product and the raw power are conjugated by the transposition s of
+    g^i and g^(i+1), for the smallest g of full order: mul'(a, b) =
+    s(mul(s(a), s(b))) and pow'(a, k) = s(pow(s(a), k)).  When e >= 2 that
+    is exactly swapping the pair in exp and log, a consistent bijection
+    whose products through the pair go wrong; in F_{sub_q^2} at i = 1,
+    x^sub_q + x is no longer additive, so its fibers stop having sub_q
+    elements each.
     """
     bad = field_from_order(q)
-    _transpose_exp_pair(bad, i)
+    g = next(a for a in range(1, q) if oracle.has_full_order(bad, a))
+    x, y = oracle.tuple_pow(bad, g, i), oracle.tuple_pow(bad, g, i + 1)
+    swap = {x: y, y: x}
+
+    def s(a):
+        return swap.get(a, a)
+
+    mul, raw_pow = bad.mul, bad._raw_pow
+    bad.mul = lambda a, b: s(mul(s(a), s(b)))
+    bad._raw_pow = lambda a, k: s(raw_pow(s(a), k))
     real_make = verify.make_field
 
     def make_field(p, e):

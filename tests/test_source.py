@@ -121,6 +121,21 @@ def test_verify_imports_no_private_field_name():
     assert not private, f"verify.py imports private rpl.gf names: {private}"
 
 
+def test_field_methods_do_not_read_the_degree():
+    # a field binds its arithmetic in __init__; a method that reads self.e
+    # could choose it again on every call
+    path = next(path for path in SOURCES if path.name == "gf.py")
+    [cls] = [node for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.ClassDef) and node.name == "FieldContext"]
+    readers = [
+        f"{method.name}:{node.lineno}" for method in cls.body
+        if isinstance(method, ast.FunctionDef) and method.name != "__init__"
+        for node in ast.walk(method) if isinstance(node, ast.Attribute) and node.attr == "e"
+        and getattr(node.value, "id", None) == "self"
+    ]
+    assert not readers, f"FieldContext methods read self.e: {readers}"
+
+
 def test_digests_live_in_the_parity_corpus():
     # a re-pin regenerates one table; a digest written anywhere else in
     # tests/ would be left behind
