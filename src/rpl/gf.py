@@ -9,16 +9,16 @@ lexicographically smallest monic irreducible, coefficients compared from
 the constant term up, so two runs (or two machines) always build the
 identical field.
 
-A field fixes its arithmetic once, when it is built.  Addition,
-subtraction and negation work on the digits: XOR when p = 2, ``% p`` when
-e = 1, a digit loop otherwise.  A prime field multiplies with ``% p`` and
-takes powers and inverses with ``pow(a, k, p)``.  When e >= 2, products
-and powers are lookups in exp/log tables over the smallest primitive
-element (Huber, IEEE Trans. IT 36, 1990), built in q - 1 steps of
-``times_generator``, the polynomial product by that element, through two
-small tables of its values.  A field is a plain value, built anew by every
-``make_field`` call with no cache or registry, and passed explicitly to
-every operation that needs one.  Its order is capped at 2^20.
+A field fixes its arithmetic once, when it is built.  A prime field is
+the integers mod p: ``% p`` for sums and products, ``pow(a, k, p)`` for
+powers and inverses.  When e >= 2, products and powers are lookups in
+exp/log tables over the smallest primitive element g, built in q - 1 steps
+of ``times_generator``, the product by g as a linear map on packed
+integers; sums are XOR when p = 2 and lookups through Zech's logarithm
+when p is odd (Huber, IEEE Trans. IT 36, 1990).  A field is a plain value,
+built anew by every ``make_field`` call with no cache or registry, and
+passed explicitly to every operation that needs one.  Its order is capped
+at 2^20.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import operator
 from array import array
 from collections.abc import Callable
+from functools import reduce
 from itertools import product
 
 from .errors import DivisionByZero, ValidationError
@@ -188,38 +189,39 @@ def _smallest_primitive(p: int, modulus: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _combine(p: int, a: int, b: int, s: int) -> int:
-    """a + s*b digit by digit in base p."""
-    out, place = 0, 1
-    while a or b:
-        a, x = divmod(a, p)
-        b, y = divmod(b, p)
-        out += (x + s * y) % p * place
-        place *= p
-    return out
-
-
 def times_generator(ctx: FieldContext) -> Callable[[int], int]:
-    """v -> g*v for the primitive element g of ctx (e >= 2), by the polynomial product.
+    """v -> g*v for the primitive element g of ctx (e >= 2), as an F_p-linear map.
 
-    It reads only ctx's modulus and generator, never its tables.
+    Each column g*x^j is a polynomial product, packed into lanes of w bits
+    (one bit for p = 2, where the sum is XOR).  Tables of column sums over
+    v's low and high digits give g*v as one integer sum, whose lanes are
+    read back mod p.  It reads only ctx's modulus and generator.
     """
     p, e = ctx.p, ctx.e
     f, g_digits = list(ctx.modulus), _digits(ctx.generator, p, e)
-    return lambda v: _index(_poly_mulmod(_digits(v, p, e), g_digits, f, p), p)
+    w = 1 if p == 2 else (e * (p - 1) ** 2).bit_length()  # a lane holds e products of two digits
+    cols = [_index(_poly_mulmod([0] * j + [1], g_digits, f, p), 1 << w) for j in range(e)]
+    plus, m = operator.xor if p == 2 else operator.add, p ** (e // 2)
+    low = [reduce(plus, map(operator.mul, _digits(lo, p, e), cols)) for lo in range(m)]
+    high = [reduce(plus, map(operator.mul, _digits(hi, p, e), cols)) for hi in range(0, ctx.q, m)]
+    if p == 2:
+        return lambda v: low[v % m] ^ high[v // m]
+    mask, places = (1 << w) - 1, [p**i for i in range(e)]
+
+    def times_g(v: int) -> int:
+        s, out = low[v % m] + high[v // m], 0
+        for place in places:
+            out += (s & mask) % p * place
+            s >>= w
+        return out
+
+    return times_g
 
 
 def _exp_log_tables(ctx: FieldContext) -> tuple[array, array]:
     """exp[i] = g^i for 0 <= i < 2(q-1) and its inverse log, for e >= 2."""
-    p, q = ctx.p, ctx.q
-    n = q - 1
+    q, n = ctx.q, ctx.q - 1
     times_g = times_generator(ctx)
-    # v -> g*v is F_p-linear: with v = hi*m + lo, g*v = g*lo + g*(hi*m),
-    # so two tables of about sqrt(q) products cover every step
-    m = p ** (ctx.e // 2)
-    low = [times_g(lo) for lo in range(m)]
-    high = [times_g(hi * m) for hi in range(q // m)]
-    add = ctx.add
     code = "H" if q <= 1 << 16 else "I"
     exp = array(code, [0]) * (2 * n)
     log = array(code, [0]) * q
@@ -227,20 +229,43 @@ def _exp_log_tables(ctx: FieldContext) -> tuple[array, array]:
     for i in range(n):
         exp[i] = v
         log[v] = i
-        v = add(low[v % m], high[v // m])
+        v = times_g(v)
     exp[n:] = exp[:n]
     return exp, log
+
+
+def _zech_sum(exp: array, log: array, p: int) -> tuple[Callable, Callable, Callable]:
+    """add, sub and neg for odd p by Zech's logarithm zech[k] = log(1 + g^k).
+
+    a + b = a*(1 + b/a) = exp[log a + zech[log b - log a]], where a negative
+    index wraps mod n = q - 1.  1 + g^k differs from g^k in the constant
+    digit only, and is 0 at k = n/2 (g^k = -1), which zech marks with -1.
+    """
+    h = len(log) // 2  # n/2, as q is odd
+    zech = array("i", [log[v - v % p + (v + 1) % p] for v in exp[: 2 * h]])
+    zech[h] = -1
+
+    def add(a: int, b: int) -> int:
+        if a and b:
+            la = log[a]
+            z = zech[log[b] - la]
+            return exp[la + z] if z >= 0 else 0
+        return a or b
+
+    neg = lambda a: exp[log[a] + h] if a else 0  # noqa: E731
+    return add, lambda a, b: add(a, neg(b)), neg
 
 
 class FieldContext:
     """Arithmetic for F_{p^e} on integer-encoded elements.
 
     Element i has the base-p digits of i as coefficients, constant term
-    first.  ``__init__`` binds the product and the raw power: ``% p`` and
-    ``pow(a, k, p)`` in a prime field, which has no ``generator``, ``exp`` or
-    ``log``; lookups otherwise, where ``exp[i]`` is g^i for the primitive
-    element ``generator``, stored for 0 <= i < 2(q-1) so that a sum of two
-    logs needs no reduction, and ``log[a]`` inverts it on nonzero elements.
+    first.  ``__init__`` binds the sum, the product and the raw power:
+    ``% p`` and ``pow(a, k, p)`` in a prime field, which has no
+    ``generator``, ``exp`` or ``log``; else XOR or ``_zech_sum`` and lookups,
+    where ``exp[i]`` is g^i for the primitive element ``generator``, stored
+    for 0 <= i < 2(q-1) so that a sum of two logs needs no reduction, and
+    ``log[a]`` inverts it on nonzero elements.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "generator", "exp", "log",
@@ -255,24 +280,18 @@ class FieldContext:
         self.q = q = p**e
         self.modulus = _smallest_irreducible(p, e)
         # the closures hold p or the tables, not self, so a dropped field is freed
-        if p == 2:
-            self.add = self.sub = operator.xor
-            self.neg = operator.pos  # -a = a
-        elif e == 1:
+        if e == 1:
             self.add = lambda a, b: (a + b) % p
             self.sub = lambda a, b: (a - b) % p
             self.neg = lambda a: -a % p
-        else:
-            self.add = lambda a, b: _combine(p, a, b, 1)
-            self.sub = lambda a, b: _combine(p, a, b, -1)
-            self.neg = lambda a: _combine(p, 0, a, -1)
-        if e == 1:
             self.mul = lambda a, b: a * b % p
             self._raw_pow = lambda a, k: pow(a, k, p)
         else:
             self.generator = _smallest_primitive(p, self.modulus)
             exp, log = self.exp, self.log = _exp_log_tables(self)
             n = q - 1
+            self.add, self.sub, self.neg = (  # -a = a when p = 2
+                (operator.xor, operator.xor, operator.pos) if p == 2 else _zech_sum(exp, log, p))
             self.mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
             self._raw_pow = lambda a, k: exp[log[a] * k % n] if a else (0 if k else 1)
 

@@ -106,8 +106,8 @@ def _exp_log_certified(ctx: FieldContext) -> bool:
     """Whether an extension field's exp/log tables make every product the polynomial one.
 
     With n = q - 1: exp[0] = 1; each exp[i+1] is g*exp[i] by
-    gf.times_generator, the polynomial product that also builds the tables,
-    never through the tables or the split products;
+    gf.times_generator, the map that also builds the tables, linear on the
+    polynomial products g*x^j and never reading the tables;
     exp[:n] lies in 1..q-1 and log inverts it, so its n values are distinct
     and form a permutation of 1..q-1 (g has order n and the modulus is
     irreducible); exp[n:] repeats it. Then exp[i] = g^i and log[g^i] = i
@@ -129,7 +129,8 @@ def _exp_log_certified(ctx: FieldContext) -> bool:
 def _additive_sample_ok(ctx: FieldContext) -> bool:
     """Additive identities and distributivity on AXIOM_TRIPLES seeded triples."""
     q = ctx.q
-    draws = iter(random.Random(1000003 * q + 12345).choices(range(q), k=3 * AXIOM_TRIPLES))
+    rand = random.Random(1000003 * q + 12345).random  # choices(range(q), k) draws floor(rand() * q)
+    draws = iter([math.floor(rand() * q) for _ in range(3 * AXIOM_TRIPLES)])
     add, mul, neg, zero = ctx.add, ctx.mul, ctx.neg, ctx.zero
     for a, b, c in zip(draws, draws, draws):
         ab, bc = add(a, b), add(b, c)

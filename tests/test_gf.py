@@ -1,8 +1,10 @@
 """Field construction, canonical modulus choice, arithmetic, and the scans
 that solve y^k = c and x^q + x = c in verify's level walks."""
 
+import gc
 import itertools
 import random
+from types import SimpleNamespace
 
 import field_oracles as oracle
 import pytest
@@ -17,7 +19,13 @@ from rpl.errors import (
     NonPrime,
     NotPrimePower,
 )
-from rpl.gf import field_from_order, make_field
+from rpl.gf import (
+    _smallest_irreducible,
+    _smallest_primitive,
+    field_from_order,
+    make_field,
+    times_generator,
+)
 from rpl.primes import (
     DEFAULT_FIELD_CAP,
     FIELD_CAP_ENV,
@@ -193,8 +201,9 @@ def test_exhaustive_tables_small_fields():
                 assert ctx.sub(a, b) == ctx.add(a, ctx.neg(b))
 
 
-@pytest.mark.parametrize("q", [2, 8, 16, 7, 13, 9, 25, 27])  # XOR, % p, the digit loop
+@pytest.mark.parametrize("q", [2, 8, 16, 7, 13, 9, 25, 27, 81, 125, 243])  # XOR, % p, Zech's logarithm
 def test_additive_law_matches_digit_oracle(q):
+    # all pairs include b = -a, where 1 + g^k = 0 and Zech's logarithm has no value
     # the axiom checks only test add, sub and neg against each other
     ctx = field_from_order(q)
     p = ctx.p
@@ -205,6 +214,57 @@ def test_additive_law_matches_digit_oracle(q):
             db = oracle.digits(ctx, b)
             assert oracle.digits(ctx, ctx.add(a, b)) == tuple((x + y) % p for x, y in zip(da, db))
             assert oracle.digits(ctx, ctx.sub(a, b)) == tuple((x - y) % p for x, y in zip(da, db))
+
+
+@pytest.mark.parametrize("q", [4096, 2187, 3125, 3721])
+def test_times_generator_matches_tuple_product(q):
+    ctx = field_from_order(q)
+    times_g = times_generator(ctx)
+    assert [times_g(v) for v in ctx.elements()] == [
+        oracle.tuple_mul(ctx, ctx.generator, v) for v in ctx.elements()
+    ]
+
+
+def test_times_generator_widest_lane():
+    # p = 1021, e = 2 is the widest lane under the 2^20 cap: a lane sums up to
+    # e(p-1)^2 = 2,080,800, which needs 21 bits; a stand-in context skips the
+    # q - 1 steps of building F_{1021^2}
+    p, e = 1021, 2
+    modulus = _smallest_irreducible(p, e)
+    ctx = SimpleNamespace(p=p, e=e, q=p**e, modulus=modulus, generator=_smallest_primitive(p, modulus))
+    times_g = times_generator(ctx)
+    rng = random.Random(1021)
+    for v in [ctx.q - 1, ctx.q - p, p - 1] + [rng.randrange(ctx.q) for _ in range(2000)]:
+        assert times_g(v) == oracle.tuple_mul(ctx, ctx.generator, v)
+
+
+@pytest.mark.parametrize("q", [7, 16, 27])  # % p, XOR, Zech's logarithm
+def test_dropped_field_is_freed_without_the_cycle_collector(q):
+    # the closures a field binds hold p or its tables, never the field itself
+    gc.collect()
+    gc.disable()
+    try:
+        ctx = field_from_order(q)
+        del ctx
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_axiom_triples_are_the_choices_draws():
+    # field_axioms draws floor(random() * q) from its seeded Random, which is
+    # what random.choices(range(q), k) computes; the triples are read back
+    # from the products a*(b+c), a*b, a*c that each one makes in Z/q
+    for q in prime_powers_upto(verify.AXIOM_FIELD_LIMIT):
+        products = []
+        ring = SimpleNamespace(
+            q=q, zero=0, add=lambda a, b, q=q: (a + b) % q, neg=lambda a, q=q: -a % q,
+            mul=lambda a, b, q=q: products.append((a, b)) or a * b % q,
+        )
+        assert verify._additive_sample_ok(ring)
+        triples = [(a, b, c) for (a, b), (_, c) in zip(products[1::3], products[2::3])]
+        draws = random.Random(1000003 * q + 12345).choices(range(q), k=3 * verify.AXIOM_TRIPLES)
+        assert triples == list(zip(*[iter(draws)] * 3))
 
 
 def test_quadratic_extension_table():
