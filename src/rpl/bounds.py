@@ -15,11 +15,13 @@ literature table and from the odd-power tower construction.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import starmap
 from math import isqrt
 
 from .errors import NotConverged, ValidationError
-from .primes import factor_prime_power
+from .primes import factor_prime_power, prime_powers
 
 
 def weil_bound(q: int, g: int) -> int:
@@ -190,7 +192,16 @@ _RECORDS = {  # name -> (direction, source), in the order the records are listed
 
 def dq_summary(q: int) -> DqSummary:
     """Collect every applicable points-per-degree bound record for q."""
-    p, e = factor_prime_power(q)
+    return _dq_summary(q, *factor_prime_power(q))
+
+
+def dq_table(n: int) -> Iterator[DqSummary]:
+    """dq_summary(q) for each prime power q <= n, ascending, with no q factored."""
+    return starmap(_dq_summary, prime_powers(n))
+
+
+def _dq_summary(q: int, p: int, e: int) -> DqSummary:
+    """dq_summary(q) for q = p^e, p prime."""
     r = p ** (e // 2)
     entry = IHARA_HALF_TABLE.get(q)
     values = {

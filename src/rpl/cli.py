@@ -19,23 +19,23 @@ import io
 import os
 import sys
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain, compress, islice
 
 from . import (DEFAULT_N_MAX, MAX_PRINTED_DIGITS, N_MAX_CAP, SCOPES, bounds, gs_tower,
                homma_family, semigroup)
 from .errors import RplError, ValidationError
-from .primes import DEFAULT_FIELD_CAP, FIELD_CAP_ENV, prime_powers_upto
+from .primes import DEFAULT_FIELD_CAP, FIELD_CAP_ENV
 
 EPILOG = (
     f"The environment variable {FIELD_CAP_ENV} lowers the field-size cap "
     f"(default 2^20 = {DEFAULT_FIELD_CAP}); values above the default or "
     "malformed values are ignored."
 )
-BLOCK = 1 << 12  # table rows rendered per write
+BLOCK = 1 << 10  # rendered table rows joined per write
 MEMO_WINDOWS = 64  # distinct window marks _join_marked keeps at once
-TABLE_CAP = 10_000_000  # --table limit: the sieve holds N+1 bytes, and 10^7 takes about 40 s
+TABLE_CAP = 10_000_000  # --table limit: a table at 10^7 takes about 15 s
 
 
 class Rendering(namedtuple("Rendering", "json csv text exit_code", defaults=(0,))):
@@ -48,11 +48,11 @@ class Rendering(namedtuple("Rendering", "json csv text exit_code", defaults=(0,)
     __slots__ = ()
 
 
-def _blocks(items: Iterator, render: Callable[[list], str], sep: str = "") -> Iterator[str]:
-    """render(block) for each block of up to BLOCK items, with sep between blocks."""
+def _blocks(pieces: Iterator[str], sep: str = "") -> Iterator[str]:
+    """sep.join(pieces), as one string per block of up to BLOCK nonempty pieces."""
     lead = ""
-    while block := list(islice(items, BLOCK)):
-        yield lead + render(block)
+    while block := sep.join(islice(pieces, BLOCK)):
+        yield lead + block
         lead = sep
 
 
@@ -194,11 +194,10 @@ def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
 BOUNDS_HEADER = ["q", "upper", "best_lower", "records"]
 
 
-def _summary(q: int) -> dict:
-    """The bounds record of q as a JSON object; its csv row and text lines derive from it."""
-    summary = bounds.dq_summary(q)
+def _summary(summary: bounds.DqSummary) -> dict:
+    """A bounds record as a JSON object; its csv row and text lines derive from it."""
     return {
-        "q": q,
+        "q": summary.q,
         "upper": int(summary.upper),
         "best_lower": None if summary.best_lower is None else str(summary.best_lower),
         "records": [{**rec._asdict(), "value": str(rec.value)} for rec in summary.records],
@@ -216,7 +215,7 @@ def _summary_line(obj: dict) -> str:
 
 def _cmd_bounds(args: argparse.Namespace) -> Rendering:
     if args.table is None:
-        obj = _summary(args.q)
+        obj = _summary(bounds.dq_summary(args.q))
         lines = [f"q {obj['q']}", f"upper {obj['upper']}",
                  f"best_lower {obj['best_lower'] or 'unknown'}",
                  *(f"record {rec['name']} {rec['direction']} {rec['value']}"
@@ -227,13 +226,14 @@ def _cmd_bounds(args: argparse.Namespace) -> Rendering:
         raise ValidationError(f"--table expects a limit of at least 2, got {args.table}")
     if args.table > TABLE_CAP:
         raise ValidationError(f"--table expects a limit of at most {TABLE_CAP}, got {args.table}")
-    # one lazy stream of records; only the chosen format consumes it
-    objs = map(_summary, prime_powers_upto(args.table))
+    # one lazy stream of records; only the chosen format consumes it, each row
+    # becoming text as soon as it is computed
+    objs = map(_summary, bounds.dq_table(args.table))
     return Rendering(
         _json({"schema": 1, "qmax": args.table,
-               "rows": lambda sep: _blocks(objs, lambda block: _dumps(block)[1:-1], sep)}),
-        chain([_csv([BOUNDS_HEADER])], _blocks(map(_summary_row, objs), _csv)),
-        _blocks(map(_summary_line, objs), "".join),
+               "rows": lambda sep: _blocks(map(_dumps, objs), sep)}),
+        chain([_csv([BOUNDS_HEADER])], _blocks(_csv([_summary_row(obj)]) for obj in objs)),
+        _blocks(map(_summary_line, objs)),
     )
 
 

@@ -1,19 +1,27 @@
 """Prime powers and the cap on a command's field order, without building a field.
 
-A command's field order is capped at 2^20; the ``RPL_MAX_FIELD``
-environment variable may lower (never raise) the cap on command inputs,
-which ``field_order`` checks.
+``prime_powers(n)`` yields each prime power up to n with its prime and
+exponent, ascending, from a segmented sieve of Eratosthenes (Bays and
+Hudson, BIT 17, 1977). It holds the base primes up to sqrt(n), one
+segment of max(sqrt(n), SEGMENT) bytes and the sorted powers p^e <= n
+(e >= 2) of the base primes: O(sqrt(n)) memory. A command's field order
+is capped at 2^20; the ``RPL_MAX_FIELD`` environment variable may lower
+(never raise) the cap on command inputs, which ``field_order`` checks.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
+from itertools import compress
+from math import isqrt
 
 from . import PRINT_LIMIT
 from .errors import FieldTooLarge, NonPrime, NotPrimePower, ValidationError
 
 DEFAULT_FIELD_CAP = 1 << 20
 FIELD_CAP_ENV = "RPL_MAX_FIELD"
+SEGMENT = 1 << 15  # least sieve segment, in bytes
 
 
 def field_cap() -> int:
@@ -60,23 +68,25 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-def prime_powers_upto(n: int) -> list[int]:
-    """All prime powers q with 2 <= q <= n, ascending."""
-    if n < 2:
-        return []
-    composite = bytearray(n + 1)
-    out = []
-    for p in range(2, n + 1):
-        if composite[p]:
-            continue
-        for multiple in range(p * p, n + 1, p):
-            composite[multiple] = 1
-        v = p
-        while v <= n:
-            out.append(v)
-            v *= p
-    out.sort()
-    return out
+def prime_powers(n: int) -> Iterator[tuple[int, int, int]]:
+    """(q, p, e) for every prime power q = p^e <= n, p prime, in ascending q."""
+    root = isqrt(n)
+    base = [p for p, _, e in prime_powers(root) if e == 1] if root > 1 else []
+    powers = sorted((p**e, p, e) for p in base for e in range(2, n.bit_length()) if p**e <= n)
+    i = 0  # powers[i] is the least power not yet yielded
+    size = max(root, SEGMENT)
+    for lo in range(2, n + 1, size):
+        hi = min(lo + size, n + 1)
+        prime = bytearray(b"\x01") * (hi - lo)  # prime[k]: is lo + k prime
+        for p in base:
+            first = max(p * p, -(-lo // p) * p) - lo
+            prime[first::p] = bytes(len(range(first, hi - lo, p)))
+        for p in compress(range(lo, hi), prime):
+            while i < len(powers) and powers[i][0] < p:
+                yield powers[i]
+                i += 1
+            yield p, p, 1
+    yield from powers[i:]
 
 
 def _checked_order(p: int, e: int, cap: int) -> int:

@@ -26,7 +26,7 @@ from itertools import chain, compress, product
 from . import DEFAULT_N_MAX, N_MAX_CAP, SCOPES, bounds, gs_tower, homma_family, semigroup
 from .errors import AdmissibilityViolation, ComputationError, RplError, TooLarge, ValidationError
 from .gf import FieldContext, field_from_order, make_field, times_generator
-from .primes import factor_prime_power, prime_powers_upto
+from .primes import factor_prime_power, prime_powers
 
 HOMMA_Q = (3, 4, 5, 7, 8, 9)
 HOMMA_ELL = (2, 3, 4, 5, 6)
@@ -147,10 +147,10 @@ def _additive_sample_ok(ctx: FieldContext) -> bool:
 
 def _check_field_axioms() -> tuple[str, list[str], str]:
     """Every field q <= 4096: the tables (e >= 2 only) by certificate, the sum by sample."""
-    fields = prime_powers_upto(AXIOM_FIELD_LIMIT)
+    fields = list(prime_powers(AXIOM_FIELD_LIMIT))
     failures: list[str] = []
-    for q in fields:
-        ctx = field_from_order(q)
+    for q, p, e in fields:
+        ctx = make_field(p, e)
         if not ((ctx.e == 1 or _exp_log_certified(ctx)) and _additive_sample_ok(ctx)):
             failures.append(f"q={q}")
     name = f"field_axioms q<={AXIOM_FIELD_LIMIT} x{AXIOM_TRIPLES}"
@@ -177,8 +177,8 @@ def _check_canonical_moduli() -> tuple[str, list[str]]:
 
 def _check_unit_group() -> tuple[str, list[str]]:
     failures: list[str] = []
-    for q in prime_powers_upto(256):
-        ctx = field_from_order(q)
+    for q, p, e in prime_powers(256):
+        ctx = make_field(p, e)
         for a in ctx.elements():
             if a == ctx.zero:
                 continue
@@ -832,7 +832,7 @@ def _check_upper_limit_convergence(n_max: int) -> tuple[str, list[str], str]:
 
 def _check_dq_consistency() -> tuple[str, list[str]]:
     failures: list[str] = []
-    for q in prime_powers_upto(1024):
+    for q, _, _ in prime_powers(1024):
         summary = bounds.dq_summary(q)
         if summary.upper != q - 1:
             failures.append(f"q={q} upper {summary.upper}")

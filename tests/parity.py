@@ -40,6 +40,8 @@ the change it guards:
 - 2ac6715 (the --table limit): the two rows above that limit
 - 0b83efb (the --n-max limit): bounds --help, verify bounds --n-max 4001
 - ba93a53 (each field's arithmetic fixed at build): verify --help, which states the --n-max range
+- 0e2f7b5 (a full sieve, each row factored again): the tables past two segment edges (65539) and
+  at a prime square (257^2)
 """
 
 import hashlib
@@ -214,6 +216,10 @@ ROWS = (
     Row("bounds --table 32 --format csv", None, 0, "7af49d2abcdee5674ee9b56137406d07772375829f05da4a160e19b33d0bc2b4", ""),
     Row("bounds --table 2", None, 0, "0c651d9a2c7b86fe85ef70725f42d59e138bffb29062a2faa9c8673a4a7cee96", ""),
     Row("bounds --table 300000 --format json", None, 0, "fb73d2b1349de76f9588461c3b380ee7b9e8b1f277dff1f0a25668c458c6ce4b", ""),
+    Row("bounds --table 65539 --format csv", None, 0, "36408a09ec4f5a11abe92706b0152037a9918ba90b1505b1ee7242a112813193", ""),
+    Row("bounds --table 65539 --format json", None, 0, "6a03a2628dd9db29ff77ddc5c7b1adac1890a63142990bced1b632a859cb5e4b", ""),
+    Row("bounds --table 257**2 --format csv", None, 0, "33b9b9f641b83e78bf83024499b0bbabd40acea28c9f05c1329160169de98efb", ""),
+    Row("bounds --table 257**2 --format json", None, 0, "6bab57facf8eeae77484d391a3d5a09dbb539fa93b2988f10613d57960dde1de", ""),
     Row("bounds --q 6", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 6 is not a prime power\n"),
     Row("bounds --q 1", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 1 is not a prime power\n"),
     Row("bounds --q 0", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 0 is not a prime power\n"),

@@ -164,9 +164,9 @@ def test_criterion_06_generator_bounds_with_equality_cases():
 
 
 def test_criterion_07_coefficient_convergence():
-    from rpl.primes import prime_powers_upto
+    from rpl.primes import prime_powers
 
-    targets = prime_powers_upto(16)
+    targets = [q for q, _, _ in prime_powers(16)]
     assert targets == sorted(EXPECTED_FIRST_CONVERGED_N)
     bad = []
     for q in targets:

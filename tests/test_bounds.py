@@ -3,9 +3,10 @@
 import time
 from fractions import Fraction
 
+import parity
 import pytest
 
-from rpl import bounds
+from rpl import bounds, primes
 from rpl.bounds import (
     IHARA_HALF_TABLE,
     dq_summary,
@@ -19,7 +20,7 @@ from rpl.bounds import (
 from rpl.errors import NotConverged, NotPrimePower, ValidationError
 from rpl.gf import field_from_order
 from rpl.gs_tower import points_per_degree_limit
-from rpl.primes import prime_powers_upto
+from rpl.primes import prime_powers
 from rpl.verify import CONVERGENCE_Q, count_exceptional_quartic, projective_plane_points
 
 
@@ -226,10 +227,20 @@ def test_dq_summary_factors_q_once(monkeypatch):
     calls = []
     factor = bounds.factor_prime_power
     monkeypatch.setattr(bounds, "factor_prime_power", lambda q: calls.append(q) or factor(q))
-    qs = prime_powers_upto(300)
+    qs = [q for q, _, _ in prime_powers(300)]
     for q in qs:
         dq_summary(q)
     assert calls == qs
+
+
+def test_no_table_row_factors_q(monkeypatch):
+    # each row takes its (p, e) from the sieve that found q
+    def factor(*args):
+        raise AssertionError("a table row factored q")
+
+    monkeypatch.setattr(bounds, "factor_prime_power", factor)
+    monkeypatch.setattr(primes, "_smallest_factor", factor)
+    parity.check_row(parity.row("bounds --table 4096 --format csv"))
 
 
 def test_dq_summary_rejects_non_prime_power():

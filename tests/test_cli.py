@@ -33,8 +33,8 @@ def test_cli_rejections(row):
 
 
 def test_table_limit_admits_ten_million(monkeypatch, capsys):
-    # a table at 10^7 takes 40 s; with no prime powers to render, only the limit is tested
-    monkeypatch.setattr(cli, "prime_powers_upto", lambda qmax: iter(()))
+    # a table at 10^7 takes about 15 s; with no prime powers to render, only the limit is tested
+    monkeypatch.setattr(bounds, "prime_powers", lambda qmax: iter(()))
     header = "q,upper,best_lower,records\n"
     assert run_cli(capsys, "bounds", "--table", "10000000", "--format", "csv") == (0, header, "")
     assert run_cli(capsys, "bounds", "--table", "10000001", "--format", "csv") == (
@@ -346,11 +346,14 @@ def test_semigroup_streams_generators_in_bounded_memory():
 
 
 def test_bounds_table_streams_in_bounded_memory():
-    # 26K rows, 8.6 MB of json: each row is rendered and written as it is computed
-    row = parity.row("bounds --table 300000 --format json")
-    code, digest, rss = run_measured(row.line)
-    assert (code, digest) == (row.code, row.sha256)
-    assert rss < 45 * 1024  # KiB on Linux
+    # 26K rows, 8.6 MB of json: the sieve holds O(sqrt(N)) and each row becomes
+    # text as it is computed, so the table costs little more than one record
+    table = parity.row("bounds --table 300000 --format json")
+    one = parity.row("bounds --q 9 --format json")
+    code, digest, rss = run_measured(table.line)
+    one_code, one_digest, one_rss = run_measured(one.line)
+    assert (code, digest, one_code, one_digest) == (table.code, table.sha256, one.code, one.sha256)
+    assert rss < one_rss + 3 * 1024  # KiB on Linux
 
 
 def test_reader_closing_the_pipe_early_is_not_an_error():

@@ -1,8 +1,10 @@
 """Field construction, canonical modulus choice, arithmetic, and the scans
 that solve y^k = c and x^q + x = c in verify's level walks."""
 
+import functools
 import gc
 import itertools
+import math
 import random
 from types import SimpleNamespace
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpl import verify
+from rpl import primes, verify
 from rpl.errors import (
     AdmissibilityViolation,
     DivisionByZero,
@@ -33,7 +35,7 @@ from rpl.primes import (
     field_cap,
     field_order,
     is_prime,
-    prime_powers_upto,
+    prime_powers,
 )
 
 # ---------------------------------------------------------------------------
@@ -100,21 +102,61 @@ def test_factor_prime_power_rejects_composites(q):
         factor_prime_power(q)
 
 
-def test_prime_powers_upto_32_frozen():
-    assert prime_powers_upto(32) == [
+def test_prime_powers_32_frozen():
+    assert [q for q, _, _ in prime_powers(32)] == [
         2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
     ]
 
 
-def test_prime_powers_upto_complete():
-    listed = set(prime_powers_upto(200))
-    for n in range(2, 201):
-        try:
-            factor_prime_power(n)
-            assert n in listed
-        except NotPrimePower:
-            assert n not in listed
-    assert prime_powers_upto(1) == []
+@functools.lru_cache(maxsize=1)
+def _smallest_factors(n):
+    """spf[m] = the smallest prime factor of m, for 2 <= m <= n: one unsegmented sieve."""
+    spf = list(range(n + 1))
+    for d in range(2, math.isqrt(n) + 1):
+        if spf[d] == d:
+            for m in range(d * d, n + 1, d):
+                if spf[m] == m:
+                    spf[m] = d
+    return spf
+
+
+def _oracle_prime_powers(n, spf):
+    """(q, p, e) for each prime power q <= n, read off the smallest-factor table."""
+    out = []
+    for q in range(2, n + 1):
+        p, rest, e = spf[q], q, 0
+        while rest % p == 0:
+            rest, e = rest // p, e + 1
+        if rest == 1:
+            out.append((q, p, e))
+    return out
+
+
+def _segment_edge_limits():
+    # below SEGMENT^2 the sieve cuts [2, n] into segments of SEGMENT numbers
+    # from 2; p^2 is where the base prime p starts to mark, and a power the
+    # merge must place between two primes
+    small_primes = [p for p in range(2, 1000) if is_prime(p)]
+    limits = set()
+    for edge in (2 + primes.SEGMENT, 2 + 2 * primes.SEGMENT):
+        below = max(p for p in small_primes if p * p < edge)
+        above = min(p for p in small_primes if p * p >= edge)
+        limits |= {edge - 1, edge, edge + 1}
+        limits |= {p * p + d for p in (below, above) for d in (-1, 0, 1)}
+    return sorted(limits)
+
+
+ORACLE_LIMIT = 3 * primes.SEGMENT + 1000  # the last limit spans four segments
+
+
+@pytest.mark.parametrize("n", [*range(0, 65), 200, *_segment_edge_limits(), ORACLE_LIMIT])
+def test_prime_powers_match_an_unsegmented_sieve(n):
+    spf = _smallest_factors(ORACLE_LIMIT)
+    stream = list(prime_powers(n))
+    qs = [q for q, _, _ in stream]
+    assert qs == sorted(set(qs))  # strictly ascending
+    assert all(p**e == q and e >= 1 and spf[p] == p for q, p, e in stream)
+    assert stream == _oracle_prime_powers(n, spf)  # complete
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +297,7 @@ def test_axiom_triples_are_the_choices_draws():
     # field_axioms draws floor(random() * q) from its seeded Random, which is
     # what random.choices(range(q), k) computes; the triples are read back
     # from the products a*(b+c), a*b, a*c that each one makes in Z/q
-    for q in prime_powers_upto(verify.AXIOM_FIELD_LIMIT):
+    for q, _, _ in prime_powers(verify.AXIOM_FIELD_LIMIT):
         products = []
         ring = SimpleNamespace(
             q=q, zero=0, add=lambda a, b, q=q: (a + b) % q, neg=lambda a, q=q: -a % q,
@@ -318,7 +360,7 @@ def test_division_by_zero_is_zero_division_error():
         ctx.inv(ctx.zero)
 
 
-@pytest.mark.parametrize("q", prime_powers_upto(64))
+@pytest.mark.parametrize("q", [q for q, _, _ in prime_powers(64)])
 def test_tables_match_polynomial_product_exhaustive(q):
     ctx = field_from_order(q)
     for a in ctx.elements():
@@ -464,7 +506,7 @@ def test_artin_schreier_image_is_subfield_sized():
         assert nonempty == sub_q
 
 
-@pytest.mark.parametrize("q", prime_powers_upto(256))
+@pytest.mark.parametrize("q", [q for q, _, _ in prime_powers(256)])
 def test_power_residue_matches_enumeration(q):
     ctx = field_from_order(q)
     powers = oracle.generator_powers(ctx)
@@ -557,8 +599,8 @@ def test_field_axioms_certificate_rejects_corrupt_tables(monkeypatch, q, corrupt
     assert verify._exp_log_certified(good)
     assert not verify._exp_log_certified(bad)
 
-    monkeypatch.setattr(verify, "prime_powers_upto", lambda n: [q])  # only the corrupt field
-    monkeypatch.setattr(verify, "field_from_order", lambda order: bad)
+    monkeypatch.setattr(verify, "prime_powers", lambda n: [(q, bad.p, bad.e)])  # only this field
+    monkeypatch.setattr(verify, "make_field", lambda p, e: bad)
     [result] = verify._run("gf", verify._check_field_axioms)
     assert not result.ok
     assert result.detail == f"q={q}"
