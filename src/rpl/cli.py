@@ -2,13 +2,13 @@
 
 Subcommands: points-homma, gs, semigroup, bounds, verify. Every command
 renders to json, csv, or text; identical invocations produce byte-identical
-output, written as it is rendered. The semigroup generators are written
-straight from their mark bytes, a window of a thousand numbers at a time,
-without an int per generator; windows with the same marks share one memo of
-the suffixes they pick. Exit codes: 0 success, 1 computation or check
-failure, 2 validation error or a failed write. A command imports only the
-stdlib modules it uses (json only for --format json), and no command but
-verify loads the field module rpl.gf.
+output, written as it is rendered. The semigroup generators are marked a
+segment at a time and written straight from their mark bytes, a window of a
+thousand numbers at a time, without an int per generator; windows with the
+same marks share one memo of the suffixes they pick. Exit codes: 0 success,
+1 computation or check failure, 2 validation error or a failed write. A
+command imports only the stdlib modules it uses (json only for --format
+json), and no command but verify loads the field module rpl.gf.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import io
 import os
 import sys
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import chain, compress, islice
 
@@ -56,47 +56,50 @@ def _blocks(pieces: Iterator[str], sep: str = "") -> Iterator[str]:
         lead = sep
 
 
-def _join_marked(low: int, mark: bytes, sep: str) -> Iterator[str]:
-    """sep.join(map(str, compress(range(low, low + len(mark)), mark))), in pieces.
+def _join_marked(segments: Iterable[tuple[int, bytes]], sep: str) -> Iterator[str]:
+    """sep.join(map(str, ns)), in pieces, for the numbers ns marked in segments (start, mark).
 
-    No int is made per marked number.  From 1000 on, n-space is cut into
-    windows [1000h, 1000h + 1000): a marked number there is str(h) followed
-    by a three-digit suffix, so a window's text is one join of the suffixes
-    its mark bytes pick from a shared table.  Marks repeat from window to
-    window, so the picks are memoized, keyed by the table's length too (the
-    first window's table starts at low's suffix) and cleared at MEMO_WINDOWS
-    entries.  Each piece is one window.
+    A segment marks n at mark[n - start], and no int is made per marked
+    number.  From 1000 on, n-space is cut into windows [1000h, 1000h + 1000):
+    a marked number there is str(h) followed by a three-digit suffix, so a
+    window's text is one join of the suffixes its mark bytes pick from a
+    shared table.  Marks repeat from window to window, so the picks are
+    memoized across segments, keyed by the table's length too (a segment may
+    start inside a window, whose table then starts at that start's suffix)
+    and cleared at MEMO_WINDOWS entries.  Each piece is the part of one
+    window in one segment.
     """
     suffixes = [f"{i:03d}" for i in range(1000)]
     lead = ""
-    head = sep.join(map(str, compress(range(low, min(low + len(mark), 1000)), mark)))
-    if head:
-        yield head
-        lead = sep
-    start = max(low, 1000)
-    h, r = divmod(start, 1000)
-    a = start - low  # mark index of the window's first number
-    table = suffixes[r:]  # low may fall inside a window
     memo = {}  # (len(table), window marks) -> the suffixes they pick
-    while a < len(mark):
-        b = a + len(table)
-        key = len(table), bytes(mark[a:b])  # a window at a time, never all of mark
-        picked = memo.get(key)
-        if picked is None:
-            if len(memo) == MEMO_WINDOWS:
-                memo.clear()
-            picked = memo[key] = list(compress(table, key[1]))
-        if picked:
-            prefix = str(h)
-            yield lead + prefix + (sep + prefix).join(picked)
+    for start, mark in segments:
+        a = min(max(1000 - start, 0), len(mark))  # mark index of the first number from 1000 on
+        head = sep.join(map(str, compress(range(start, start + a), mark)))
+        if head:
+            yield lead + head
             lead = sep
-        h, a, table = h + 1, b, suffixes
+        h, r = divmod(start + a, 1000)
+        table = suffixes[r:]
+        while a < len(mark):
+            b = a + len(table)
+            key = len(table), bytes(mark[a:b])  # a window at a time, never all of mark
+            picked = memo.get(key)
+            if picked is None:
+                if len(memo) == MEMO_WINDOWS:
+                    memo.clear()
+                picked = memo[key] = list(compress(table, key[1]))
+            if picked:
+                prefix = str(h)
+                yield lead + prefix + (sep + prefix).join(picked)
+                lead = sep
+            h, a, table = h + 1, b, suffixes
 
 
-def _dumps(obj: object) -> str:
+def _encoder() -> Callable[[object], str]:
+    """A compact JSON encoder's encode; build one per stream, not one per object."""
     import json  # only json output pays for it
 
-    return json.dumps(obj, separators=(",", ":"))
+    return json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _json(obj: dict) -> Iterator[str]:
@@ -105,13 +108,14 @@ def _json(obj: dict) -> Iterator[str]:
     A callable last field f is an array, streamed as the text that f(",")
     yields: its items joined by ','.
     """
+    encode = _encoder()
     *_, last = obj
     if callable(obj[last]):
-        yield _dumps({**obj, last: []})[:-2]
+        yield encode({**obj, last: []})[:-2]
         yield from obj[last](",")
         yield "]}\n"
     else:
-        yield _dumps(obj) + "\n"
+        yield encode(obj) + "\n"
 
 
 def _csv(rows: Iterable[Iterable[object]]) -> str:
@@ -179,7 +183,7 @@ def _cmd_gs(args: argparse.Namespace) -> Rendering:
 
 def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
     q, m = args.q, args.m
-    low, mark = semigroup.generator_marks(q, m)  # validates and checks the cap
+    _, segments = semigroup.generator_marks(q, m)  # validates and checks the cap
     return _record({
         "schema": 1,
         "q": q,
@@ -187,7 +191,8 @@ def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
         "conductor": semigroup.conductor(q, m),
         "gap_count": semigroup.gap_count(q, m),
         "smallest_positive": semigroup.smallest_positive(q, m),
-        "generators": lambda sep: _join_marked(low, mark, sep),
+        # one format is rendered, so the segments are read once
+        "generators": lambda sep: _join_marked(segments, sep),
     })
 
 
@@ -231,7 +236,7 @@ def _cmd_bounds(args: argparse.Namespace) -> Rendering:
     objs = map(_summary, bounds.dq_table(args.table))
     return Rendering(
         _json({"schema": 1, "qmax": args.table,
-               "rows": lambda sep: _blocks(map(_dumps, objs), sep)}),
+               "rows": lambda sep: _blocks(map(_encoder(), objs), sep)}),
         chain([_csv([BOUNDS_HEADER])], _blocks(_csv([_summary_row(obj)]) for obj in objs)),
         _blocks(map(_summary_line, objs)),
     )

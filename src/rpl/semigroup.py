@@ -26,19 +26,23 @@ No command builds H(m): every number read off it has a closed form.
 
 The membership bitmap of H(m) and the pair-sum generator sieve in
 ``rpl.verify`` are the oracles that certify these forms.  ``generator_marks``
-returns the generators as a byte per number, which ``rpl.cli`` writes out as
-text without making an int per generator.
+returns the generators as a byte per number, marked one segment of at most
+SEGMENT numbers at a time and never in one c_m-byte array, which ``rpl.cli``
+writes out as text without making an int per generator.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
+from itertools import chain, compress
 
 from . import PRINT_LIMIT
 from .errors import TooLarge, ValidationError
 
+# The generators are marked a segment at a time, so the cap bounds the time
+# a command takes, not its memory; the "bitmap cap" messages keep their text.
 CONDUCTOR_CAP = 10**7
+SEGMENT = 65_000  # numbers per mark segment; a multiple of 1000, as rpl.cli writes windows of 1000
 
 
 def check_level(q: int, m: int) -> None:
@@ -93,38 +97,56 @@ def largest_generator(q: int, m: int) -> int:
     return c + q ** (m - 1) - 1 if m > 1 else 1
 
 
-def generator_marks(q: int, m: int) -> tuple[int, bytearray]:
-    """(low, mark) with mark[n - low] set exactly at the minimal generators n.
+def generator_marks(q: int, m: int) -> tuple[int, Iterator[tuple[int, bytearray]]]:
+    """(low, segments): mark[n - start] is set exactly at the minimal generators n.
 
-    low = q^(m-1) is the smallest generator and mark has c_m bytes (one at
-    level 1), so it spans every generator.  Unrolled, the recursion gives
-    disjoint pieces: piece j < m-1 is
+    low = q^(m-1) is the smallest generator, and the lazy segments
+    (start, mark) cover [low, low + c_m) (one number at level 1), so they
+    span every generator.  Each holds at most SEGMENT numbers, and every
+    one after the first starts on a multiple of SEGMENT.  Unrolled, the
+    recursion gives disjoint pieces: piece j < m-1 is
     q^j * { n in [c_(m-j), c_(m-j) + q^(m-j-1)) : q does not divide n },
     exactly the generators divisible by q^j and not by q^(j+1), and the
-    last piece is q^(m-1) itself.  Each piece is marked by two strided
-    slice assignments over [q^(m-1), c_m + q^(m-1)): set its multiples of
-    q^j, then clear its multiples of q^(j+1).  Taken with j ascending, a
-    clear never removes an earlier piece's generator, since those are not
-    divisible by q^(j+1).  Validates and checks the cap before marking.
+    last piece is q^(m-1) itself.  In each segment, each piece is marked by
+    two strided slice assignments over its part of
+    [q^j c_(m-j), q^j c_(m-j) + q^(m-1)): set its multiples of q^j, then
+    clear its multiples of q^(j+1).  Taken with j ascending, a clear never
+    removes an earlier piece's generator, since those are not divisible by
+    q^(j+1).  Validates and checks the cap at the call, before any marking.
     """
     c = capped_conductor(q, m)
     low = q ** (m - 1)
-    mark = bytearray(c or 1)  # level 1 is generated by q^0 = 1
-    for j in range(m - 1):
-        start = q**j * conductor(q, m - j) - low  # n - low, both multiples of q^(j+1)
-        stop = start + low
-        for step, byte in ((q**j, b"\x01"), (q ** (j + 1), b"\x00")):
-            mark[start:stop:step] = byte * len(range(start, stop, step))
-    # q^(m-1) last: for q = 2 it is the start of piece m-2, which clears it
-    mark[0] = 1
-    return low, mark
+    return low, _marked_segments(q, m, low, low + (c or 1))  # level 1 is generated by q^0 = 1
+
+
+def _marked_segments(q: int, m: int, low: int, stop: int) -> Iterator[tuple[int, bytearray]]:
+    # piece j spans [q^j c_(m-j), q^j c_(m-j) + low); both ends are multiples
+    # of q^(j+1), so a segment's multiples of q^j are those of the piece
+    pieces = [(q**j * conductor(q, m - j), q**j) for j in range(m - 1)]
+    start = low
+    while start < stop:
+        end = min(start - start % SEGMENT + SEGMENT, stop)
+        mark = bytearray(end - start)
+        for first, power in pieces:
+            lo, hi = max(first, start), min(first + low, end)
+            if lo < hi:
+                for step, byte in ((power, b"\x01"), (power * q, b"\x00")):
+                    a = -(-lo // step) * step - start
+                    mark[a:hi - start:step] = byte * len(range(a, hi - start, step))
+        if start == low:
+            # q^(m-1) last: for q = 2 it is the start of piece m-2, which clears it
+            mark[0] = 1
+        yield start, mark
+        start = end
 
 
 def minimal_generators(q: int, m: int) -> Iterator[int]:
     """Minimal generating set of the level-m semigroup, ascending.
 
-    The numbers that ``generator_marks`` marks.  Validation and marking
-    happen at the call; the returned iterator only reads the marks.
+    The numbers that ``generator_marks`` marks.  Validation happens at the
+    call; the returned iterator marks and reads one segment at a time.
     """
-    low, mark = generator_marks(q, m)
-    return itertools.compress(range(low, low + len(mark)), mark)
+    _, segments = generator_marks(q, m)
+    return chain.from_iterable(
+        compress(range(start, start + len(mark)), mark) for start, mark in segments
+    )

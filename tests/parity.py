@@ -42,6 +42,8 @@ the change it guards:
 - ba93a53 (each field's arithmetic fixed at build): verify --help, which states the --n-max range
 - 0e2f7b5 (a full sieve, each row factored again): the tables past two segment edges (65539) and
   at a prime square (257^2)
+- c590827 (the generator marks in one c_m-byte array): semigroup (7, 8) and (2, 23) csv, which
+  cross many mark-segment edges, and (2, 2) json, the one-record run of the memory budget
 """
 
 import hashlib
@@ -197,6 +199,9 @@ ROWS = (
     Row("semigroup --q 2 --m 4 --format csv", None, 0, "f10d918413fb189fa2aea93d70d034a13ff51d4888171ed3dbf59cd97408218b", ""),
     Row("semigroup --q 2 --m 22 --format json", None, 0, "8e92e8ac6c240112d434357e7d830f4245cd796bf997c79dfe94755a31e258dc", ""),
     Row("semigroup --q 2 --m 23 --format json", None, 0, "39b5aad121722dd821c1637cffa35624e0a08999100f78131fd199ead745b283", ""),
+    Row("semigroup --q 2 --m 23 --format csv", None, 0, "401e7cab77bc7f98f212425da5518795ff27fe7df441794559f784430bf8f59e", ""),
+    Row("semigroup --q 7 --m 8", None, 0, "cc007fde7a63bf6c975c6dd5500375f7f8ecf597fd87fbdd05edb306428c2540", ""),
+    Row("semigroup --q 2 --m 2 --format json", None, 0, "5404ecca4d750ea639e2a45c802a6758ca683d1f8ddb4ae77eb053bfb1ffcd22", ""),
     Row("semigroup --q 2 --m 0", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: m must be >= 1, got 0\n"),
     Row("semigroup --q 3 --m 15", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor 14342346 exceeds the bitmap cap 10000000\n"),
     Row("semigroup --q 2 --m 24 --format text", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor 16773120 exceeds the bitmap cap 10000000\n"),

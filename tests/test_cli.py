@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from itertools import compress
+from itertools import compress, pairwise
 from pathlib import Path
 
 import pytest
@@ -105,6 +105,13 @@ def mark_runs(draw):
     return bytes(mark)
 
 
+def aligned_segments(low, mark, size=2000):
+    """mark, the marks of [low, low + len(mark)), cut as semigroup.generator_marks
+    cuts its numbers: every segment after the first starts on a multiple of size."""
+    cuts = [low, *range(low - low % size + size, low + len(mark), size), low + len(mark)]
+    return [(a, mark[a - low:b - low]) for a, b in pairwise(cuts) if a < b]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     low=st.one_of(st.sampled_from([0, 1, 999, 1000, 1001, 999_999]), st.integers(0, 10**7)),
@@ -123,7 +130,7 @@ def mark_runs(draw):
 @example(low=1234, mark=random.Random(7).randbytes(2000 * cli.MEMO_WINDOWS).translate(LOW_BIT),
          sep=",")
 def test_join_marked_matches_str_join(low, mark, sep):
-    pieces = list(cli._join_marked(low, mark, sep))
+    pieces = list(cli._join_marked(aligned_segments(low, mark), sep))
     assert "".join(pieces) == sep.join(map(str, compress(range(low, low + len(mark)), mark)))
     assert all(piece.count(sep) <= 1000 for piece in pieces)  # at most one window each
 
@@ -131,20 +138,20 @@ def test_join_marked_matches_str_join(low, mark, sep):
 @pytest.mark.parametrize("sep", [",", ";"])
 def test_join_marked_writes_the_minimal_generators(sep):
     for q, m in verify.semigroup_grid():
-        text = "".join(cli._join_marked(*semigroup.generator_marks(q, m), sep))
+        text = "".join(cli._join_marked(semigroup.generator_marks(q, m)[1], sep))
         assert text == sep.join(map(str, semigroup.minimal_generators(q, m))), (q, m)
 
 
 def test_join_marked_copies_no_whole_mark():
-    low, mark = semigroup.generator_marks(5, 10)  # 9.7 MB of marks
+    # marking and writing (5, 10): 1.95M generators below 11.7M, never 9.7 MB of marks
     tracemalloc.start()
     try:
-        for _ in cli._join_marked(low, mark, ","):
+        for _ in cli._join_marked(semigroup.generator_marks(5, 10)[1], ","):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4_000_000  # about 0.25 MB: one window and the memo at a time
+    assert peak < 600_000  # about 0.45 MB: one segment, one window and the memo at a time
 
 
 def test_semigroup_renders_within_time_budget():
@@ -338,11 +345,14 @@ def run_measured(line: str) -> tuple[int, str, int]:
 
 
 def test_semigroup_streams_generators_in_bounded_memory():
-    # 4.2M generators, 36 MB of json: written in blocks, never held at once
+    # 4.2M generators, 36 MB of json: marked a segment at a time and written in
+    # windows, never held at once, so the run costs little more than one record
     row = parity.row("semigroup --q 2 --m 23 --format json")
+    one = parity.row("semigroup --q 2 --m 2 --format json")
     code, digest, rss = run_measured(row.line)
-    assert (code, digest) == (row.code, row.sha256)
-    assert rss < 100 * 1024  # KiB on Linux
+    one_code, one_digest, one_rss = run_measured(one.line)
+    assert (code, digest, one_code, one_digest) == (row.code, row.sha256, one.code, one.sha256)
+    assert rss < one_rss + 3 * 1024  # KiB on Linux
 
 
 def test_bounds_table_streams_in_bounded_memory():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from rpl import semigroup
 from rpl.errors import TooLarge, ValidationError
 from rpl.gs_tower import genus
 from rpl.semigroup import (
@@ -9,6 +10,7 @@ from rpl.semigroup import (
     capped_conductor,
     conductor,
     gap_count,
+    generator_marks,
     largest_generator,
     minimal_generators,
     smallest_positive,
@@ -146,6 +148,47 @@ def test_generators_regenerate_the_semigroup():
                         reach.add(total)
                         changed = True
         assert reach == set(s.members(span))
+
+
+def whole_array_marks(q, m):
+    """Independent oracle: (low, mark) with mark[n - low] set exactly at the
+    minimal generators n, marked piece by piece in one c_m-byte array."""
+    c = capped_conductor(q, m)
+    low = q ** (m - 1)
+    mark = bytearray(c or 1)  # level 1 is generated by q^0 = 1
+    for j in range(m - 1):
+        start = q**j * conductor(q, m - j) - low  # n - low, both multiples of q^(j+1)
+        stop = start + low
+        for step, byte in ((q**j, b"\x01"), (q ** (j + 1), b"\x00")):
+            mark[start:stop:step] = byte * len(range(start, stop, step))
+    # q^(m-1) last: for q = 2 it is the start of piece m-2, which clears it
+    mark[0] = 1
+    return low, mark
+
+
+def check_segments(q, m, size):
+    low, segments = generator_marks(q, m)
+    segments = list(segments)
+    starts = [start for start, _ in segments]
+    assert starts[0] == low
+    assert all(start % size == 0 for start in starts[1:])
+    assert all(0 < len(mark) <= size for _, mark in segments)
+    assert [start + len(mark) for start, mark in segments[:-1]] == starts[1:]  # contiguous
+    assert (low, b"".join(mark for _, mark in segments)) == whole_array_marks(q, m)
+
+
+# (2, 1) is level 1; (1000, 2) has low = 1000; (5, 10), (7, 8) and (2, 23) have
+# pieces whose step q^j is longer than a segment
+@pytest.mark.parametrize("q,m", [*semigroup_grid(), (2, 1), (1000, 2), (5, 10), (7, 8), (2, 23)])
+def test_segments_match_a_whole_array(q, m):
+    check_segments(q, m, semigroup.SEGMENT)
+
+
+@pytest.mark.parametrize("size,q,m", [(1000, 7, 6), (1000, 2, 16), (7, 3, 6), (7, 2, 9)])
+def test_small_segments_match_a_whole_array(monkeypatch, size, q, m):
+    # each piece spans many segment edges, and at 7^6 the steps 7^4 and 7^5 pass over segments
+    monkeypatch.setattr(semigroup, "SEGMENT", size)
+    check_segments(q, m, size)
 
 
 def extremes(q, m):
