@@ -3,12 +3,12 @@
 Subcommands: points-homma, gs, semigroup, bounds, verify. Every command
 renders to json, csv, or text; identical invocations produce byte-identical
 output, written as it is rendered. The semigroup generators are marked a
-segment at a time and written straight from their mark bytes, a window of a
-thousand numbers at a time, without an int per generator; windows with the
-same marks share one memo of the suffixes they pick. Exit codes: 0 success,
-1 computation or check failure, 2 validation error or a failed write. A
-command imports only the stdlib modules it uses (json only for --format
-json), and no command but verify loads the field module rpl.gf.
+segment at a time, each starting on a multiple of 1000, and written straight
+from their mark bytes a window [1000h, 1000h + 1000) at a time, without an
+int per generator; equal windows share one memo of their picks. Exit codes:
+0 success, 1 computation or check failure, 2 validation error or a failed
+write. A command imports only the stdlib modules it uses (json only for
+--format json), and no command but verify loads the field module rpl.gf.
 """
 
 from __future__ import annotations
@@ -59,40 +59,30 @@ def _blocks(pieces: Iterator[str], sep: str = "") -> Iterator[str]:
 def _join_marked(segments: Iterable[tuple[int, bytes]], sep: str) -> Iterator[str]:
     """sep.join(map(str, ns)), in pieces, for the numbers ns marked in segments (start, mark).
 
-    A segment marks n at mark[n - start], and no int is made per marked
-    number.  From 1000 on, n-space is cut into windows [1000h, 1000h + 1000):
-    a marked number there is str(h) followed by a three-digit suffix, so a
-    window's text is one join of the suffixes its mark bytes pick from a
-    shared table.  Marks repeat from window to window, so the picks are
-    memoized across segments, keyed by the table's length too (a segment may
-    start inside a window, whose table then starts at that start's suffix)
-    and cleared at MEMO_WINDOWS entries.  Each piece is the part of one
-    window in one segment.
+    A segment marks n at mark[n - start] and starts on a multiple of 1000,
+    and no int is made per marked number.  n-space is cut into windows
+    [1000h, 1000h + 1000): a marked number there is str(h) followed by a
+    three-digit suffix (for h = 0, just str(n)), so a window's text is one
+    join of the suffixes its mark bytes pick from a table.  Marks repeat
+    from window to window, so the picks are memoized across segments, keyed
+    by the window's marks and whether h > 0, and cleared at MEMO_WINDOWS
+    entries.  Each piece is one window.
     """
     suffixes = [f"{i:03d}" for i in range(1000)]
     lead = ""
-    memo = {}  # (len(table), window marks) -> the suffixes they pick
+    memo = {}  # (h > 0, window marks) -> the suffixes they pick
     for start, mark in segments:
-        a = min(max(1000 - start, 0), len(mark))  # mark index of the first number from 1000 on
-        head = sep.join(map(str, compress(range(start, start + a), mark)))
-        if head:
-            yield lead + head
-            lead = sep
-        h, r = divmod(start + a, 1000)
-        table = suffixes[r:]
-        while a < len(mark):
-            b = a + len(table)
-            key = len(table), bytes(mark[a:b])  # a window at a time, never all of mark
-            picked = memo.get(key)
-            if picked is None:
+        for h, a in enumerate(range(0, len(mark), 1000), start // 1000):
+            key = h > 0, bytes(mark[a:a + 1000])  # a window at a time, never all of mark
+            if (picked := memo.get(key)) is None:
                 if len(memo) == MEMO_WINDOWS:
                     memo.clear()
+                table = suffixes if h else map(str, range(1000))  # built on a miss at h = 0 only
                 picked = memo[key] = list(compress(table, key[1]))
             if picked:
-                prefix = str(h)
+                prefix = str(h or "")  # window 0 has no prefix
                 yield lead + prefix + (sep + prefix).join(picked)
                 lead = sep
-            h, a, table = h + 1, b, suffixes
 
 
 def _encoder() -> Callable[[object], str]:
@@ -183,7 +173,7 @@ def _cmd_gs(args: argparse.Namespace) -> Rendering:
 
 def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
     q, m = args.q, args.m
-    _, segments = semigroup.generator_marks(q, m)  # validates and checks the cap
+    segments = semigroup.generator_marks(q, m)  # validates and checks the cap
     return _record({
         "schema": 1,
         "q": q,
@@ -234,10 +224,11 @@ def _cmd_bounds(args: argparse.Namespace) -> Rendering:
     # one lazy stream of records; only the chosen format consumes it, each row
     # becoming text as soon as it is computed
     objs = map(_summary, bounds.dq_table(args.table))
+    rows = chain([BOUNDS_HEADER], map(_summary_row, objs))
     return Rendering(
         _json({"schema": 1, "qmax": args.table,
                "rows": lambda sep: _blocks(map(_encoder(), objs), sep)}),
-        chain([_csv([BOUNDS_HEADER])], _blocks(_csv([_summary_row(obj)]) for obj in objs)),
+        iter(lambda: _csv(islice(rows, BLOCK)), ""),  # one csv writer per block of rows
         _blocks(map(_summary_line, objs)),
     )
 

@@ -27,8 +27,8 @@ No command builds H(m): every number read off it has a closed form.
 The membership bitmap of H(m) and the pair-sum generator sieve in
 ``rpl.verify`` are the oracles that certify these forms.  ``generator_marks``
 returns the generators as a byte per number, marked one segment of at most
-SEGMENT numbers at a time and never in one c_m-byte array, which ``rpl.cli``
-writes out as text without making an int per generator.
+SEGMENT numbers at a time and never in one c_m-byte array, each segment
+starting on a multiple of 1000: a window edge of the ``rpl.cli`` writer.
 """
 
 from __future__ import annotations
@@ -97,13 +97,13 @@ def largest_generator(q: int, m: int) -> int:
     return c + q ** (m - 1) - 1 if m > 1 else 1
 
 
-def generator_marks(q: int, m: int) -> tuple[int, Iterator[tuple[int, bytearray]]]:
-    """(low, segments): mark[n - start] is set exactly at the minimal generators n.
+def generator_marks(q: int, m: int) -> Iterator[tuple[int, bytearray]]:
+    """Lazy segments (start, mark): mark[n - start] is set exactly at the minimal generators n.
 
-    low = q^(m-1) is the smallest generator, and the lazy segments
-    (start, mark) cover [low, low + c_m) (one number at level 1), so they
-    span every generator.  Each holds at most SEGMENT numbers, and every
-    one after the first starts on a multiple of SEGMENT.  Unrolled, the
+    With low = q^(m-1) the smallest generator, they cover [low - low % 1000,
+    low + c_m) (low + 1 at level 1), and mark nothing below low.  Each holds
+    at most SEGMENT numbers; the first starts on the multiple of 1000 at or
+    below low, and every later one on a multiple of SEGMENT.  Unrolled, the
     recursion gives disjoint pieces: piece j < m-1 is
     q^j * { n in [c_(m-j), c_(m-j) + q^(m-j-1)) : q does not divide n },
     exactly the generators divisible by q^j and not by q^(j+1), and the
@@ -116,14 +116,14 @@ def generator_marks(q: int, m: int) -> tuple[int, Iterator[tuple[int, bytearray]
     """
     c = capped_conductor(q, m)
     low = q ** (m - 1)
-    return low, _marked_segments(q, m, low, low + (c or 1))  # level 1 is generated by q^0 = 1
+    return _marked_segments(q, m, low, low + (c or 1))  # level 1 is generated by q^0 = 1
 
 
 def _marked_segments(q: int, m: int, low: int, stop: int) -> Iterator[tuple[int, bytearray]]:
     # piece j spans [q^j c_(m-j), q^j c_(m-j) + low); both ends are multiples
     # of q^(j+1), so a segment's multiples of q^j are those of the piece
     pieces = [(q**j * conductor(q, m - j), q**j) for j in range(m - 1)]
-    start = low
+    start = low - low % 1000  # the window edge of rpl.cli at or below low
     while start < stop:
         end = min(start - start % SEGMENT + SEGMENT, stop)
         mark = bytearray(end - start)
@@ -133,9 +133,9 @@ def _marked_segments(q: int, m: int, low: int, stop: int) -> Iterator[tuple[int,
                 for step, byte in ((power, b"\x01"), (power * q, b"\x00")):
                     a = -(-lo // step) * step - start
                     mark[a:hi - start:step] = byte * len(range(a, hi - start, step))
-        if start == low:
+        if start <= low < end:
             # q^(m-1) last: for q = 2 it is the start of piece m-2, which clears it
-            mark[0] = 1
+            mark[low - start] = 1
         yield start, mark
         start = end
 
@@ -146,7 +146,6 @@ def minimal_generators(q: int, m: int) -> Iterator[int]:
     The numbers that ``generator_marks`` marks.  Validation happens at the
     call; the returned iterator marks and reads one segment at a time.
     """
-    _, segments = generator_marks(q, m)
     return chain.from_iterable(
-        compress(range(start, start + len(mark)), mark) for start, mark in segments
+        compress(range(start, start + len(mark)), mark) for start, mark in generator_marks(q, m)
     )

@@ -44,6 +44,8 @@ the change it guards:
   at a prime square (257^2)
 - c590827 (the generator marks in one c_m-byte array): semigroup (7, 8) and (2, 23) csv, which
   cross many mark-segment edges, and (2, 2) json, the one-record run of the memory budget
+- 28ab964 (a first segment that starts at q^(m-1)): semigroup (999, 2), whose one number below
+  1000 is written apart from the windows, and (1001, 2) csv, whose first window starts at suffix 1
 """
 
 import hashlib
@@ -202,6 +204,8 @@ ROWS = (
     Row("semigroup --q 2 --m 23 --format csv", None, 0, "401e7cab77bc7f98f212425da5518795ff27fe7df441794559f784430bf8f59e", ""),
     Row("semigroup --q 7 --m 8", None, 0, "cc007fde7a63bf6c975c6dd5500375f7f8ecf597fd87fbdd05edb306428c2540", ""),
     Row("semigroup --q 2 --m 2 --format json", None, 0, "5404ecca4d750ea639e2a45c802a6758ca683d1f8ddb4ae77eb053bfb1ffcd22", ""),
+    Row("semigroup --q 999 --m 2", None, 0, "4fbbc7ecc2a5457687c64531dc2aeebb42805699b3697c80fbd0718dea7bbf94", ""),
+    Row("semigroup --q 1001 --m 2 --format csv", None, 0, "922e61e8fc2d34bae0a95321272bc24181b030ba9af1afd338c8af32542c95d3", ""),
     Row("semigroup --q 2 --m 0", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: m must be >= 1, got 0\n"),
     Row("semigroup --q 3 --m 15", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor 14342346 exceeds the bitmap cap 10000000\n"),
     Row("semigroup --q 2 --m 24 --format text", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor 16773120 exceeds the bitmap cap 10000000\n"),

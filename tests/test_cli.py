@@ -107,9 +107,13 @@ def mark_runs(draw):
 
 def aligned_segments(low, mark, size=2000):
     """mark, the marks of [low, low + len(mark)), cut as semigroup.generator_marks
-    cuts its numbers: every segment after the first starts on a multiple of size."""
-    cuts = [low, *range(low - low % size + size, low + len(mark), size), low + len(mark)]
-    return [(a, mark[a - low:b - low]) for a, b in pairwise(cuts) if a < b]
+    cuts its numbers: the first segment starts at low - low % 1000, its leading
+    low % 1000 numbers unmarked, and every later one on a multiple of size."""
+    start = low - low % 1000
+    mark = bytes(low - start) + mark
+    stop = start + len(mark)
+    cuts = [start, *range(start - start % size + size, stop, size), stop]
+    return [(a, mark[a - start:b - start]) for a, b in pairwise(cuts) if a < b]
 
 
 @settings(max_examples=300, deadline=None)
@@ -138,7 +142,7 @@ def test_join_marked_matches_str_join(low, mark, sep):
 @pytest.mark.parametrize("sep", [",", ";"])
 def test_join_marked_writes_the_minimal_generators(sep):
     for q, m in verify.semigroup_grid():
-        text = "".join(cli._join_marked(semigroup.generator_marks(q, m)[1], sep))
+        text = "".join(cli._join_marked(semigroup.generator_marks(q, m), sep))
         assert text == sep.join(map(str, semigroup.minimal_generators(q, m))), (q, m)
 
 
@@ -146,7 +150,7 @@ def test_join_marked_copies_no_whole_mark():
     # marking and writing (5, 10): 1.95M generators below 11.7M, never 9.7 MB of marks
     tracemalloc.start()
     try:
-        for _ in cli._join_marked(semigroup.generator_marks(5, 10)[1], ","):
+        for _ in cli._join_marked(semigroup.generator_marks(5, 10), ","):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -167,20 +167,23 @@ def whole_array_marks(q, m):
 
 
 def check_segments(q, m, size):
-    low, segments = generator_marks(q, m)
-    segments = list(segments)
+    segments = list(generator_marks(q, m))
     starts = [start for start, _ in segments]
-    assert starts[0] == low
+    low, expected = whole_array_marks(q, m)
+    assert starts[0] == low - low % 1000  # a window edge of cli._join_marked
     assert all(start % size == 0 for start in starts[1:])
     assert all(0 < len(mark) <= size for _, mark in segments)
     assert [start + len(mark) for start, mark in segments[:-1]] == starts[1:]  # contiguous
-    assert (low, b"".join(mark for _, mark in segments)) == whole_array_marks(q, m)
+    marks = b"".join(mark for _, mark in segments)
+    assert not any(marks[:low % 1000])  # nothing below low is marked
+    assert marks[low % 1000:] == expected
 
 
 # (2, 1) is level 1; (1000, 2) has low = 1000; (5, 10), (7, 8) and (2, 23) have
 # pieces whose step q^j is longer than a segment
 @pytest.mark.parametrize("q,m", [*semigroup_grid(), (2, 1), (1000, 2), (5, 10), (7, 8), (2, 23)])
 def test_segments_match_a_whole_array(q, m):
+    assert semigroup.SEGMENT % 1000 == 0  # so every segment starts on a window edge
     check_segments(q, m, semigroup.SEGMENT)
 
 
