@@ -24,11 +24,11 @@ No command builds H(m): every number read off it has a closed form.
   generator q*k has k <= c_(m-1) + q^(m-2) - 1 (k = 1 at level 1), so it
   is at most q c_(m-1) + q^(m-1) - q <= c_m + q^(m-1) - q.
 
-The membership bitmap of H(m) and the pair-sum generator sieve in
-``rpl.verify`` are the oracles that certify these forms.  ``generator_marks``
-returns the generators as a byte per number, marked one segment of at most
-SEGMENT numbers at a time and never in one c_m-byte array, each segment
-starting on a multiple of 1000: a window edge of the ``rpl.cli`` writer.
+The members of H(m) below c_m, as an ascending tuple, and the pair-sum
+generator sieve in ``rpl.verify`` are the oracles that certify these forms.
+``generator_marks`` returns the generators as a byte per number, marked one
+segment of at most SEGMENT numbers at a time, never in one c_m-byte array,
+each starting on a multiple of 1000: a window edge of the ``rpl.cli`` writer.
 """
 
 from __future__ import annotations

@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 import random
 import traceback
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress, product
+from itertools import chain, pairwise, product
 
 from . import DEFAULT_N_MAX, N_MAX_CAP, SCOPES, bounds, gs_tower, homma_family, semigroup
 from .errors import AdmissibilityViolation, ComputationError, RplError, TooLarge, ValidationError
@@ -493,7 +494,8 @@ def _check_admissible_start_count() -> tuple[str, list[str]]:
 def _check_gap_genus(q: int) -> tuple[str, list[str]]:
     failures: list[str] = []
     for m in range(2, TOWER_M_MAX + 1):
-        gaps = weierstrass_semigroup(q, m).window.count(0)
+        s = weierstrass_semigroup(q, m)
+        gaps = s.conductor - len(s.below)
         if gaps != gs_tower.genus(q, m):
             failures.append(f"m={m} gaps {gaps}")
     return f"gap_count==genus for ({q},2..{TOWER_M_MAX})", failures
@@ -552,73 +554,61 @@ def check_gs(n_max: int = DEFAULT_N_MAX) -> list[CheckResult]:
 class NumericalSemigroup:
     """Cofinite additive submonoid of Z>=0.
 
-    window[n] is 1 exactly when n < conductor is a member; every
+    below is the ascending tuple of its members less than conductor; every
     n >= conductor is a member.  The stored conductor is always minimal
     (conductor - 1 is a gap whenever conductor > 0).
     """
 
-    __slots__ = ("conductor", "window")
+    __slots__ = ("conductor", "below")
 
-    def __init__(self, conductor: int, window: bytes) -> None:
-        if conductor < 0 or len(window) != conductor:
-            raise ValidationError("window length must equal the conductor")
-        if conductor > 0:
-            if not window[0]:
-                raise ValidationError("0 must be a member")
-            if window[conductor - 1]:
-                raise ValidationError("stored conductor is not minimal")
+    def __init__(self, conductor: int, below: tuple[int, ...]) -> None:
+        if conductor < 0 or any(a >= b for a, b in pairwise(below)):
+            raise ValidationError("members must ascend strictly from a conductor >= 0")
+        if conductor > 0 and below[:1] != (0,):
+            raise ValidationError("0 must be a member")
+        if below and below[-1] >= conductor:
+            raise ValidationError("members must lie below the conductor")
+        if conductor - 1 in below[-1:]:
+            raise ValidationError("stored conductor is not minimal")
         self.conductor = conductor
-        self.window = window
-
-    @classmethod
-    def from_window(cls, conductor: int, window: bytes | bytearray) -> "NumericalSemigroup":
-        """Build with the minimal conductor, trimming trailing members."""
-        c = conductor
-        while c > 0 and window[c - 1]:
-            c -= 1
-        return cls(c, bytes(window[:c]))
+        self.below = below
 
     def __contains__(self, n: int) -> bool:
-        if n < 0:
-            return False
         if n >= self.conductor:
             return True
-        return bool(self.window[n])
+        i = bisect_left(self.below, n)
+        return i < len(self.below) and self.below[i] == n
 
     def members(self, stop: int) -> Iterator[int]:
         """Members below stop, ascending."""
-        c = self.conductor
-        return chain(compress(range(min(c, stop)), self.window), range(c, stop))
+        return chain(self.below[:bisect_left(self.below, stop)], range(self.conductor, stop))
 
     def smallest_positive(self) -> int:
-        n = self.window.find(1, 1)
-        return n if n > 0 else max(self.conductor, 1)
+        return self.below[1] if len(self.below) > 1 else max(self.conductor, 1)
 
 
 def weierstrass_semigroup(q: int, m: int) -> NumericalSemigroup:
-    """Level-m membership bitmap by the recursion; the reference for ``rpl.semigroup``."""
+    """Level-m members below the conductor by the recursion; the reference for ``rpl.semigroup``.
+
+    The members below c_m are exactly q*s with s in H(m-1) and q*s < c_m:
+    the members of H(m-1) below ceil(c_m / q), scaled.  Nothing of size
+    c_m is built.
+    """
     c = semigroup.capped_conductor(q, m)
     if m == 1:
-        return NumericalSemigroup(0, b"")
-    prev = weierstrass_semigroup(q, m - 1)
-    win = bytearray(c)
-    # members below c are exactly q*s with s in H(m-1): fill every q-th
-    # slot from the previous window extended by its tail rule
-    n_src = (c + q - 1) // q
-    win[::q] = prev.window[:n_src].ljust(n_src, b"\x01")
-    result = NumericalSemigroup.from_window(c, win)
-    if result.conductor != c:
-        raise ComputationError(
-            f"recursion produced conductor {result.conductor}, expected {c}"
-        )
-    return result
+        return NumericalSemigroup(0, ())
+    below = tuple(q * s for s in weierstrass_semigroup(q, m - 1).members(-(-c // q)))
+    if c - 1 in below[-1:]:
+        raise ComputationError(f"recursion produced the member {c - 1}, so a conductor below {c}")
+    return NumericalSemigroup(c, below)
 
 
 def _check_gap_genus_full_grid() -> tuple[str, list[str], str]:
     grid = semigroup_grid()
     failures: list[str] = []
     for q, m in grid:
-        gaps = weierstrass_semigroup(q, m).window.count(0)
+        s = weierstrass_semigroup(q, m)
+        gaps = s.conductor - len(s.below)
         if gaps != gs_tower.genus(q, m):
             failures.append(f"({q},{m}) gaps {gaps}")
     return "gap_count==genus full grid c_m<=10^6", failures, f"{len(grid)} cells"
@@ -698,7 +688,7 @@ def sieve_generators(s: NumericalSemigroup) -> tuple[int, ...]:
     if c == 0:
         return (1,)
     limit = c + s.smallest_positive()
-    sparse = [n for n in range(1, c) if s.window[n]]
+    sparse = s.below[1:]
     reach = bytearray(limit)
     for i, a in enumerate(sparse):
         for b in sparse[i:]:
@@ -718,10 +708,9 @@ def _check_regeneration() -> tuple[str, list[str]]:
         s = weierstrass_semigroup(q, m)
         span = 2 * s.conductor
         gens = tuple(semigroup.minimal_generators(q, m))
-        reach = _regenerate(gens, span)
-        regenerated = {n for n in range(span) if (reach >> n) & 1}
-        expected = set(s.members(span))
-        if regenerated != expected or gens != sieve_generators(s):
+        below = sum(1 << n for n in s.below)  # distinct bits, so the sum is their OR
+        expected = ((1 << span) - 1) >> s.conductor << s.conductor | below
+        if _regenerate(gens, span) != expected or gens != sieve_generators(s):
             failures.append(f"({q},{m})")
     return "regenerate_from_generators [0,2c)", failures
 

@@ -46,6 +46,7 @@ the change it guards:
   cross many mark-segment edges, and (2, 2) json, the one-record run of the memory budget
 - 28ab964 (a first segment that starts at q^(m-1)): semigroup (999, 2), whose one number below
   1000 is written apart from the windows, and (1001, 2) csv, whose first window starts at suffix 1
+- 4b26473 (the semigroup oracle as a c_m-byte bitmap): verify semigroup as text and csv
 """
 
 import hashlib
@@ -245,6 +246,8 @@ ROWS = (
     Row("verify gs", None, 0, "823df633c5b7cdfb264b33c1663c9e46f5fadb8c763bcb9335da00ef6339d4d3", ""),
     Row("verify gs", "16", 0, "823df633c5b7cdfb264b33c1663c9e46f5fadb8c763bcb9335da00ef6339d4d3", ""),
     Row("verify gs --format json", None, 0, "af9092c91397d6ea8f111e5161c5f0db0a6f60591e64e18c35ca44480de9d133", ""),
+    Row("verify semigroup", None, 0, "4904cb991ee8cadbfbf0d99103728e257a8efa6c90c79a9fdece10e5b6d2c246", ""),
+    Row("verify semigroup --format csv", None, 0, "2ec2cb19fdc268674779be2192b5a4338aea3d77cbf2ae337010953b3895d605", ""),
     Row("verify semigroup --format json", None, 0, "403829b69c7e79b14cd85926a628dd992e8ae01aac5c9d264a7ce36540280da7", ""),
     Row("verify bounds", None, 0, "2e1fe68227d9d1fab5e02cd0e99743dab5af0cd088038afb8903229c25f96138", ""),
     Row("verify bounds --format json", None, 0, "20528296bdfeabd23de352ce5031d319a09d7dfadfa9e8c86631a86654881857", ""),

@@ -1,8 +1,10 @@
-"""Weierstrass semigroup closed forms, the bitmap oracle, and minimal generators."""
+"""Weierstrass semigroup closed forms, the member-tuple oracle, and minimal generators."""
+
+import tracemalloc
 
 import pytest
 
-from rpl import semigroup
+from rpl import gs_tower, semigroup, verify
 from rpl.errors import TooLarge, ValidationError
 from rpl.gs_tower import genus
 from rpl.semigroup import (
@@ -16,6 +18,11 @@ from rpl.semigroup import (
     smallest_positive,
 )
 from rpl.verify import NumericalSemigroup, semigroup_grid, sieve_generators, weierstrass_semigroup
+
+
+def oracle_gaps(s):
+    """The gaps of an oracle semigroup: the numbers below its conductor that it lacks."""
+    return s.conductor - len(s.below)
 
 
 def semigroup_by_set_recursion(q, m, window):
@@ -41,7 +48,7 @@ def test_members_edges_match_plain_loop(q, m):
     s = weierstrass_semigroup(q, m)
     c = s.conductor
     for stop in sorted({0, 1, max(c - 1, 0), c, c + 5}):
-        plain = [n for n in range(stop) if n >= c or s.window[n]]
+        plain = [n for n in range(stop) if n >= c or n in s.below]
         assert list(s.members(stop)) == plain
 
 
@@ -58,23 +65,23 @@ def test_level_one_is_all_nonnegative_integers():
     s = weierstrass_semigroup(2, 1)
     assert s.conductor == 0
     assert list(s.members(5)) == [0, 1, 2, 3, 4]
-    assert s.window.count(0) == 0
+    assert oracle_gaps(s) == 0
     assert -1 not in s
 
 
 def test_frozen_small_semigroups():
     s22 = weierstrass_semigroup(2, 2)
     assert list(s22.members(6)) == [0, 2, 3, 4, 5]
-    assert s22.window.count(0) == 1
+    assert oracle_gaps(s22) == 1
     s23 = weierstrass_semigroup(2, 3)
     assert list(s23.members(8)) == [0, 4, 5, 6, 7]
-    assert s23.window.count(0) == 3
+    assert oracle_gaps(s23) == 3
     s24 = weierstrass_semigroup(2, 4)
     assert list(s24.members(13)) == [0, 8, 10, 12]
-    assert s24.window.count(0) == 9
+    assert oracle_gaps(s24) == 9
     s32 = weierstrass_semigroup(3, 2)
     assert list(s32.members(9)) == [0, 3, 6, 7, 8]
-    assert s32.window.count(0) == 4
+    assert oracle_gaps(s32) == 4
 
 
 def test_stored_conductor_is_minimal():
@@ -89,7 +96,7 @@ def test_gap_count_equals_genus():
     for q in (2, 3, 4, 5):
         for m in range(1, 7):
             s = weierstrass_semigroup(q, m)
-            assert s.window.count(0) == gap_count(q, m) == genus(q, m)
+            assert oracle_gaps(s) == gap_count(q, m) == genus(q, m)
 
 
 def test_smallest_positive_member():
@@ -230,7 +237,7 @@ def test_closed_forms_match_bitmap_oracle(q):
     while conductor(q, m) <= 10**5:
         s = weierstrass_semigroup(q, m)
         assert s.conductor == capped_conductor(q, m)
-        assert s.window.count(0) == gap_count(q, m)
+        assert oracle_gaps(s) == gap_count(q, m)
         assert s.smallest_positive() == smallest_positive(q, m)
         assert sieve_generators(s) == tuple(minimal_generators(q, m))
         assert extremes(q, m) == (smallest_positive(q, m), largest_generator(q, m))
@@ -263,15 +270,14 @@ def test_validation_and_caps():
 
 
 def test_semigroup_type_invariants():
-    with pytest.raises(ValueError):
-        NumericalSemigroup(2, bytes([1, 1]))
-    with pytest.raises(ValueError):
-        NumericalSemigroup(2, bytes([0, 0]))
-    with pytest.raises(ValueError):
-        NumericalSemigroup(3, bytes([1, 0]))
-    trimmed = NumericalSemigroup.from_window(4, bytes([1, 0, 1, 1]))
-    assert trimmed.conductor == 2
-    assert trimmed.window == bytes([1, 0])
+    with pytest.raises(ValueError, match="not minimal"):
+        NumericalSemigroup(2, (0, 1))
+    with pytest.raises(ValueError, match="0 must be a member"):
+        NumericalSemigroup(2, ())
+    with pytest.raises(ValueError, match="below the conductor"):
+        NumericalSemigroup(3, (0, 3))
+    with pytest.raises(ValueError, match="ascend strictly"):
+        NumericalSemigroup(5, (0, 3, 2))
 
 
 def test_cap_boundary():
@@ -294,3 +300,37 @@ def test_cap_message_stays_printable():
         assert str(err.value) == (
             f"conductor q^m - q^ceil(m/2) at q = {q}, m = {m} exceeds the bitmap cap {CONDUCTOR_CAP}"
         )
+
+
+@pytest.mark.parametrize("check", [verify.check_semigroup, verify.check_gs])
+def test_oracle_holds_no_conductor_sized_array(check):
+    # the largest cells, (2, 19) and (3, 12), have conductors near 5 * 10^5
+    # but only 511 and 728 members below them
+    check()  # the first run fills the field caches
+    tracemalloc.start()
+    try:
+        check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512_000  # a c_m-byte bitmap per cell peaked at 2.1 MB and 1.2 MB
+
+
+GAP_CHECKS = [f"gs gap_count==genus for ({q},2..8)" for q in (2, 3, 4, 5)]
+
+
+# the checks that fail when one closed form is off by one, as recorded with
+# the c_m-byte bitmap oracle; gs_tower.genus reads semigroup.gap_count
+@pytest.mark.parametrize("module,name,killed", [
+    (semigroup, "gap_count", ["gs frozen_tower_values", *GAP_CHECKS, "semigroup frozen_semigroups",
+                              "semigroup gap_count==genus full grid c_m<=10^6"]),
+    (semigroup, "smallest_positive", ["semigroup conductor==q^m-q^ceil(m/2) and minimal",
+                                      "semigroup generator_bounds grid m>=2"]),
+    (gs_tower, "genus", ["gs frozen_tower_values", *GAP_CHECKS,
+                         "semigroup gap_count==genus full grid c_m<=10^6"]),
+], ids=["gap_count", "smallest_positive", "genus"])
+def test_an_off_by_one_closed_form_fails_the_same_checks(monkeypatch, module, name, killed):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda q, m: real(q, m) + 1)
+    results = verify.check_gs() + verify.check_semigroup()
+    assert sorted(f"{r.scope} {r.name}" for r in results if not r.ok) == killed
