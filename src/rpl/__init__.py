@@ -10,7 +10,10 @@ The package computes, in exact integer and rational arithmetic only:
   Artin-Schreier tower (``gs_tower``),
 * Weierstrass semigroups at the tower's distinguished place (``semigroup``),
 * classical point bounds and constant tables (``bounds``),
-* a deterministic CLI and self-verification suite (``cli``, ``verify``).
+* a deterministic CLI (``cli``) and a self-verification suite (``verify``),
+  a package with one module per scope (``verify.gf``, ``verify.homma``,
+  ``verify.gs``, ``verify.semigroup``, ``verify.bounds``), each loaded
+  only when its scope runs.
 """
 
 __version__ = "0.1.0"

@@ -7,8 +7,10 @@ segment at a time, each starting on a multiple of 1000, and written straight
 from their mark bytes a window [1000h, 1000h + 1000) at a time, without an
 int per generator; equal windows share one memo of their picks. Exit codes:
 0 success, 1 computation or check failure, 2 validation error or a failed
-write. A command imports only the stdlib modules it uses (json only for
---format json), and no command but verify loads the field module rpl.gf.
+write. Every command loads the stdlib modules that the CLI itself imports
+(argparse, csv, io, fractions); only --format json adds json. No command but
+verify loads the field module rpl.gf, and verify loads only the scope
+modules it runs.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ EPILOG = (
     f"(default 2^20 = {DEFAULT_FIELD_CAP}); values above the default or "
     "malformed values are ignored."
 )
-BLOCK = 1 << 10  # rendered table rows joined per write
+BLOCK = 1 << 8  # rendered table rows joined per write; a json row is about 330 bytes
 MEMO_WINDOWS = 64  # distinct window marks _join_marked keeps at once
 TABLE_CAP = 10_000_000  # --table limit: a table at 10^7 takes about 15 s
 
@@ -234,7 +236,7 @@ def _cmd_bounds(args: argparse.Namespace) -> Rendering:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Rendering:
-    from . import verify  # the largest module, needed by no other command
+    from . import verify  # needed by no other command; it loads each scope as it runs
 
     results = verify.run_verify(args.scope, args.n_max)
     passed = sum(1 for res in results if res.ok)

@@ -47,6 +47,7 @@ the change it guards:
 - 28ab964 (a first segment that starts at q^(m-1)): semigroup (999, 2), whose one number below
   1000 is written apart from the windows, and (1001, 2) csv, whose first window starts at suffix 1
 - 4b26473 (the semigroup oracle as a c_m-byte bitmap): verify semigroup as text and csv
+- a39122b (verify as one module, prefix lists, 1024-row blocks): verify homma and bounds as csv
 """
 
 import hashlib
@@ -240,6 +241,7 @@ ROWS = (
     Row("bounds --table 100000000000000000", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: --table expects a limit of at most 10000000, got 100000000000000000\n"),
     Row("verify all", None, 0, "678f1600ec282489293efafa1c6d90dad932e74c828ecc531ff2d51a9278bbf5", ""),
     Row("verify homma", None, 0, "58126ac2df9d9ea7616a3e8299f344988132dc6a1352f9c2987975cb88fc9bcf", ""),
+    Row("verify homma --format csv", None, 0, "143fe50735411f55f74e16bb6409978e506b08d14c33985a41d1f7f46d41cd43", ""),
     Row("verify homma --format json", None, 0, "40ae360db3d4cf22ea15e5deb85599036a64e7afb80a1a8c13888954d43fa3b5", ""),
     Row("verify gs --format csv", None, 0, "8877ace50244d1bbe8adf770d63185d9e21f6495e0b8f353c945bf0fee5a6f45", ""),
     Row("verify gf --format json", None, 0, "f5bd0e0d1419bfa897756a9e39b05beb0601868b7b2d6015ad4060fcecfbd020", ""),
@@ -250,6 +252,7 @@ ROWS = (
     Row("verify semigroup --format csv", None, 0, "2ec2cb19fdc268674779be2192b5a4338aea3d77cbf2ae337010953b3895d605", ""),
     Row("verify semigroup --format json", None, 0, "403829b69c7e79b14cd85926a628dd992e8ae01aac5c9d264a7ce36540280da7", ""),
     Row("verify bounds", None, 0, "2e1fe68227d9d1fab5e02cd0e99743dab5af0cd088038afb8903229c25f96138", ""),
+    Row("verify bounds --format csv", None, 0, "f705d0db80e9ffb55b584a46d3d9bdf5b7374b77925ed2d73f71a0ee52239129", ""),
     Row("verify bounds --format json", None, 0, "20528296bdfeabd23de352ce5031d319a09d7dfadfa9e8c86631a86654881857", ""),
     Row("verify bounds --n-max 2", None, 1, "49d933bb81ac9626384525f17695d30eebcc81851e06bbad2019666d601735f0", ""),
     Row("verify bounds --n-max 10", None, 1, "6acf77ff8115c572ba8f7b7cde13a9a8a1c45b11c21418505ddb19271f69784f", ""),

@@ -15,6 +15,8 @@ import pytest
 
 import parity
 from rpl import bounds, gs_tower, homma_family, semigroup, verify
+from rpl.verify import bounds as verify_bounds, gf as verify_gf, gs as verify_gs
+from rpl.verify import homma as verify_homma, semigroup as verify_semigroup
 
 QUARTIC_BUDGET_S = 0.001
 GRID_BUDGET_S = 30.0
@@ -50,18 +52,18 @@ def homma_grid():
     for q in GRID_Q:
         for ell in GRID_ELL:
             analytic = homma_family.count_total(q, ell)
-            brute = verify.brute_force_projective(q, ell)
+            brute = verify_homma.brute_force_projective(q, ell)
             results[(q, ell)] = (analytic, brute)
     return results, time.perf_counter() - start
 
 
 def test_criterion_01_exceptional_quartic_count_and_speed():
-    count = verify.count_exceptional_quartic()
+    count = verify_bounds.count_exceptional_quartic()
     plane_bound = bounds.sziklai_bound(4, 4)
     timings = []
     for _ in range(5):
         start = time.perf_counter()
-        again = verify.count_exceptional_quartic()
+        again = verify_bounds.count_exceptional_quartic()
         timings.append(time.perf_counter() - start)
         assert again == count
     best = min(timings)
@@ -107,7 +109,7 @@ def test_criterion_04_split_chain_counts():
     bad = []
     cells = 0
     for q in TOWER_Q:
-        walk = verify.tower_level_states(q, TOWER_M_MAX)
+        walk = verify_gs.tower_level_states(q, TOWER_M_MAX)
         for m, dist in enumerate(walk, start=1):
             cells += 1
             got = gs_tower.count_split_chains(q, m)
@@ -124,10 +126,10 @@ def test_criterion_04_split_chain_counts():
 
 
 def test_criterion_05_gap_count_matches_genus():
-    grid = verify.semigroup_grid()
+    grid = verify_semigroup.semigroup_grid()
     bad = []
     for q, m in grid:
-        s = verify.weierstrass_semigroup(q, m)
+        s = verify_semigroup.weierstrass_semigroup(q, m)
         gaps = s.conductor - len(s.below)
         if not gaps == semigroup.gap_count(q, m) == gs_tower.genus(q, m):
             bad.append(f"({q},{m})")
@@ -139,13 +141,13 @@ def test_criterion_05_gap_count_matches_genus():
 
 
 def test_criterion_06_generator_bounds_with_equality_cases():
-    grid = [(q, m) for q, m in verify.semigroup_grid() if m >= 2]
+    grid = [(q, m) for q, m in verify_semigroup.semigroup_grid() if m >= 2]
     bad = []
     last = {}
     for q, m in grid:
         gens = tuple(semigroup.minimal_generators(q, m))
         c = semigroup.conductor(q, m)
-        smallest = verify.weierstrass_semigroup(q, m).smallest_positive()
+        smallest = verify_semigroup.weierstrass_semigroup(q, m).smallest_positive()
         smallest_ok = gens[0] == smallest == q ** (m - 1) == semigroup.smallest_positive(q, m)
         largest_ok = gens[-1] == c + q ** (m - 1) - 1 == semigroup.largest_generator(q, m)
         if not (smallest_ok and largest_ok):
@@ -201,9 +203,9 @@ def test_criterion_08_ratio_gap_at_level_40():
 
 
 def test_criterion_09_property_sweeps_zero_failures():
-    [axioms] = verify._run("gf", verify._check_field_axioms)
-    [closure] = verify._run("semigroup", verify._check_additive_closure)
-    [mass] = verify._run("homma", verify._check_mass_conservation)
+    [axioms] = verify._run("gf", verify_gf._check_field_axioms)
+    [closure] = verify._run("semigroup", verify_semigroup._check_additive_closure)
+    [mass] = verify._run("homma", verify_homma._check_mass_conservation)
     ok = axioms.ok and closure.ok and mass.ok
     report(
         9, ok,

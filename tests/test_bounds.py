@@ -21,7 +21,7 @@ from rpl.errors import NotConverged, NotPrimePower, ValidationError
 from rpl.gf import field_from_order
 from rpl.gs_tower import points_per_degree_limit
 from rpl.primes import prime_powers
-from rpl.verify import CONVERGENCE_Q, count_exceptional_quartic, projective_plane_points
+from rpl.verify.bounds import CONVERGENCE_Q, count_exceptional_quartic, projective_plane_points
 
 
 def test_weil_bound_frozen():

@@ -1,5 +1,6 @@
 """CLI dispatch, output formats, determinism, and exit codes."""
 
+import argparse
 import json
 import os
 import random
@@ -15,8 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parity
-from rpl import bounds, cli, homma_family, semigroup, verify
+from rpl import SCOPES, bounds, cli, homma_family, semigroup
 from rpl.verify import CheckResult
+from rpl.verify import bounds as verify_bounds, semigroup as verify_semigroup
 
 
 def run_cli(capsys, *argv):
@@ -141,7 +143,7 @@ def test_join_marked_matches_str_join(low, mark, sep):
 
 @pytest.mark.parametrize("sep", [",", ";"])
 def test_join_marked_writes_the_minimal_generators(sep):
-    for q, m in verify.semigroup_grid():
+    for q, m in verify_semigroup.semigroup_grid():
         text = "".join(cli._join_marked(semigroup.generator_marks(q, m), sep))
         assert text == sep.join(map(str, semigroup.minimal_generators(q, m))), (q, m)
 
@@ -156,6 +158,21 @@ def test_join_marked_copies_no_whole_mark():
     finally:
         tracemalloc.stop()
     assert peak < 600_000  # about 0.45 MB: one segment, one window and the memo at a time
+
+
+def test_bounds_table_json_holds_one_block():
+    # 9.7K rows of about 330 bytes each, rendered BLOCK rows per piece; a
+    # 1024-row block, held as the rows, their join and the lead plus the join,
+    # peaked at 1.6 MB
+    rendering = cli._cmd_bounds(argparse.Namespace(q=None, table=100_000))
+    tracemalloc.start()
+    try:
+        for _ in rendering.json:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # 0.4 to 0.6 MB
 
 
 def test_semigroup_renders_within_time_budget():
@@ -189,7 +206,8 @@ def test_verify_failure_sets_exit_code(monkeypatch, capsys):
 
 @pytest.mark.parametrize("scope, n_max", [("bounds", 1), ("gf", 0)])
 def test_verify_rejects_n_max_below_two(monkeypatch, capsys, scope, n_max):
-    monkeypatch.setattr(verify, "_SCOPE_RUNNERS", {})  # no check may run
+    for name in SCOPES[1:]:  # no scope module may load, so no check may run
+        monkeypatch.setitem(sys.modules, f"rpl.verify.{name}", None)
     code, out, err = run_cli(capsys, "verify", scope, "--n-max", str(n_max))
     assert code == 2
     assert out == ""
@@ -198,12 +216,12 @@ def test_verify_rejects_n_max_below_two(monkeypatch, capsys, scope, n_max):
 
 def test_verify_admits_n_max_at_its_limit(monkeypatch, capsys):
     # a bounds scan at 4000 takes about 5 s; with no check to run, only the limit is tested
-    monkeypatch.setattr(verify, "_SCOPE_RUNNERS", {"bounds": lambda n_max: []})
+    monkeypatch.setattr(verify_bounds, "check_bounds", lambda n_max: [])
     assert run_cli(capsys, "verify", "bounds", "--n-max", "4000") == (0, "0/0 checks passed\n", "")
 
 
 def test_verify_fail_details_of_broken_bounds(monkeypatch, capsys):
-    monkeypatch.setattr(verify, "count_exceptional_quartic", lambda: 13)
+    monkeypatch.setattr(verify_bounds, "count_exceptional_quartic", lambda: 13)
     monkeypatch.setattr(bounds, "sziklai_bound", lambda q, d: 0)
     code, out, _ = run_cli(capsys, "verify", "bounds")
     assert code == 1
@@ -251,6 +269,30 @@ def test_command_import_footprint(name):
                           env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == f"{loaded}\n"
+
+
+# the verify modules each scope loads: its own, and for gs the semigroup oracle it reads
+VERIFY_FOOTPRINT = {
+    "gf": ["rpl.verify", "rpl.verify.gf"],
+    "homma": ["rpl.verify", "rpl.verify.homma"],
+    "gs": ["rpl.verify", "rpl.verify.gs", "rpl.verify.semigroup"],
+    "semigroup": ["rpl.verify", "rpl.verify.semigroup"],
+    "bounds": ["rpl.verify", "rpl.verify.bounds"],
+}
+
+
+@pytest.mark.parametrize("scope", VERIFY_FOOTPRINT)
+def test_verify_scope_import_footprint(scope):
+    # a scope's module is imported just before it runs, so a run compiles only its own scopes
+    code = (
+        f"import sys; from rpl import cli; cli.main(['verify', {scope!r}]); "
+        "print(sorted(name for name in sys.modules if name.startswith('rpl.verify')),"
+        " file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"{VERIFY_FOOTPRINT[scope]}\n"
 
 
 def test_gs_reads_generators_from_closed_forms(monkeypatch, capsys):
@@ -391,7 +433,7 @@ def test_verify_isolates_a_raising_check(monkeypatch, capsys):
     def _check_conductor_minimal():
         raise RuntimeError("broken check")
 
-    monkeypatch.setattr(verify, "_check_conductor_minimal", _check_conductor_minimal)
+    monkeypatch.setattr(verify_semigroup, "_check_conductor_minimal", _check_conductor_minimal)
     code, out, err = run_cli(capsys, "verify", "semigroup")
     assert code == 1
     before, after = clean.splitlines(), out.splitlines()

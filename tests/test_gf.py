@@ -37,6 +37,8 @@ from rpl.primes import (
     is_prime,
     prime_powers,
 )
+from rpl.verify import bounds as verify_bounds, gf as verify_gf, gs as verify_gs
+from rpl.verify import homma as verify_homma
 
 # ---------------------------------------------------------------------------
 # independent polynomial oracle: trial division over F_p, low-degree-first
@@ -297,15 +299,15 @@ def test_axiom_triples_are_the_choices_draws():
     # field_axioms draws floor(random() * q) from its seeded Random, which is
     # what random.choices(range(q), k) computes; the triples are read back
     # from the products a*(b+c), a*b, a*c that each one makes in Z/q
-    for q, _, _ in prime_powers(verify.AXIOM_FIELD_LIMIT):
+    for q, _, _ in prime_powers(verify_gf.AXIOM_FIELD_LIMIT):
         products = []
         ring = SimpleNamespace(
             q=q, zero=0, add=lambda a, b, q=q: (a + b) % q, neg=lambda a, q=q: -a % q,
             mul=lambda a, b, q=q: products.append((a, b)) or a * b % q,
         )
-        assert verify._additive_sample_ok(ring)
+        assert verify_gf._additive_sample_ok(ring)
         triples = [(a, b, c) for (a, b), (_, c) in zip(products[1::3], products[2::3])]
-        draws = random.Random(1000003 * q + 12345).choices(range(q), k=3 * verify.AXIOM_TRIPLES)
+        draws = random.Random(1000003 * q + 12345).choices(range(q), k=3 * verify_gf.AXIOM_TRIPLES)
         assert triples == list(zip(*[iter(draws)] * 3))
 
 
@@ -596,12 +598,12 @@ def _rotated_tables(ctx):
 def test_field_axioms_certificate_rejects_corrupt_tables(monkeypatch, q, corrupt):
     good, bad = field_from_order(q), field_from_order(q)
     corrupt(bad)
-    assert verify._exp_log_certified(good)
-    assert not verify._exp_log_certified(bad)
+    assert verify_gf._exp_log_certified(good)
+    assert not verify_gf._exp_log_certified(bad)
 
-    monkeypatch.setattr(verify, "prime_powers", lambda n: [(q, bad.p, bad.e)])  # only this field
-    monkeypatch.setattr(verify, "make_field", lambda p, e: bad)
-    [result] = verify._run("gf", verify._check_field_axioms)
+    monkeypatch.setattr(verify_gf, "prime_powers", lambda n: [(q, bad.p, bad.e)])  # only this field
+    monkeypatch.setattr(verify_gf, "make_field", lambda p, e: bad)
+    [result] = verify._run("gf", verify_gf._check_field_axioms)
     assert not result.ok
     assert result.detail == f"q={q}"
 
@@ -612,7 +614,7 @@ def test_field_axioms_certificate_rejects_corrupt_tables(monkeypatch, q, corrupt
 
 
 def _patch_swapped_field(monkeypatch, q, i):
-    """F_q with g^i and g^(i+1) swapped, patched into verify.
+    """F_q with g^i and g^(i+1) swapped, patched into every verify scope that builds fields.
 
     The product and the raw power are conjugated by the transposition s of
     g^i and g^(i+1), for the smallest g of full order: mul'(a, b) =
@@ -633,20 +635,24 @@ def _patch_swapped_field(monkeypatch, q, i):
     mul, raw_pow = bad.mul, bad._raw_pow
     bad.mul = lambda a, b: s(mul(s(a), s(b)))
     bad._raw_pow = lambda a, k: s(raw_pow(s(a), k))
-    real_make = verify.make_field
+    real_make = verify_gf.make_field
 
     def make_field(p, e):
         return bad if p**e == q else real_make(p, e)
 
-    monkeypatch.setattr(verify, "make_field", make_field)
-    monkeypatch.setattr(verify, "field_from_order", lambda n: make_field(*factor_prime_power(n)))
+    fakes = {"make_field": make_field,
+             "field_from_order": lambda n: make_field(*factor_prime_power(n))}
+    for module in (verify_bounds, verify_gf, verify_gs, verify_homma):
+        for name, fake in fakes.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fake)
 
 
 @pytest.mark.parametrize("sub_q", [3, 4])
 def test_corrupt_field_fails_fiber_checks_by_name(monkeypatch, capsys, sub_q):
     _patch_swapped_field(monkeypatch, sub_q * sub_q, 1)
-    [fibers] = verify._run("gf", verify._check_artin_schreier_fibers)
-    [split] = verify._run("gs", verify._check_split_closed_form)
+    [fibers] = verify._run("gf", verify_gf._check_artin_schreier_fibers)
+    [split] = verify._run("gs", verify_gs._check_split_closed_form)
     assert (fibers.name, fibers.ok) == ("artin_schreier_fibers q in {2,3,4,5}", False)
     assert fibers.detail.startswith(f"q={sub_q} ")
     assert (split.name, split.ok) == ("split_count==(q-1)q^m (q in {2,3,4}, m in 1..8)", False)
@@ -659,7 +665,7 @@ def test_tower_walk_rejects_a_broken_fiber(monkeypatch, sub_q):
     _patch_swapped_field(monkeypatch, sub_q * sub_q, 1)
     broken = rf"level 2: fiber of size \d+, expected {sub_q}"
     with pytest.raises(AdmissibilityViolation, match=broken):
-        list(verify.tower_level_states(sub_q, 3))
+        list(verify_gs.tower_level_states(sub_q, 3))
 
 
 # The homma and gs checks that failed on each swapped field while fields
@@ -686,13 +692,13 @@ SWAPPED_FIELD_FAILURES = {
 @pytest.fixture(scope="module")
 def homma_gs_names():
     """Check names as printed on sound fields; a raising check prints a shorter one."""
-    return [r.name for r in verify.check_homma() + verify.check_gs()]
+    return [r.name for r in verify_homma.check_homma() + verify_gs.check_gs()]
 
 
 @pytest.mark.parametrize("q,i", [(q, i) for q in (4, 5, 7, 8, 9) for i in range(q - 2)])
 def test_swapped_field_corpus_fails_the_same_checks(monkeypatch, capsys, homma_gs_names, q, i):
     _patch_swapped_field(monkeypatch, q, i)
-    results = dict(zip(homma_gs_names, verify.check_homma() + verify.check_gs()))
+    results = dict(zip(homma_gs_names, verify_homma.check_homma() + verify_gs.check_gs()))
     failed = {name for name, result in results.items() if not result.ok}
     assert SWAPPED_FIELD_FAILURES.get((q, i), set()) <= failed
     if i == 0:

@@ -13,7 +13,7 @@ from rpl.gs_tower import (
     points_per_degree_limit,
     tower_ratio_sequence,
 )
-from rpl.verify import tower_level_states
+from rpl.verify.gs import tower_level_states
 
 
 def chains_by_explicit_extension(q, m):

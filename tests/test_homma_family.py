@@ -2,11 +2,11 @@
 
 import itertools
 import time
+import tracemalloc
 
 import pytest
 
 import field_oracles as oracle
-from rpl import verify
 from rpl.errors import NotPrimePower, QTooSmall, TooLarge, ValidationError
 from rpl.gf import field_from_order
 from rpl.homma_family import (
@@ -16,7 +16,8 @@ from rpl.homma_family import (
     count_total,
     curve_degree,
 )
-from rpl.verify import (
+from rpl.verify import homma as verify_homma
+from rpl.verify.homma import (
     BRUTE_FORCE_CAP,
     HOMMA_Q,
     affine_level_states,
@@ -113,9 +114,23 @@ def test_prefix_search_near_the_cap(q, ell):
     assert brute.infinity == count_infinity(q, ell)
 
 
+def test_prefix_search_holds_no_level():
+    # 32,776 points of P^6(F_9); the levels are chained generators, where a
+    # list of each level's surviving prefixes peaked at 305 KB
+    brute_force_projective(9, 6)  # the first call builds F_9
+    tracemalloc.start()
+    try:
+        brute = brute_force_projective(9, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert brute == count_total(9, 6)
+    assert peak < 64_000  # about 5 KB
+
+
 def test_verify_homma_time_budget():
     start = time.perf_counter()
-    results = verify.check_homma()
+    results = verify_homma.check_homma()
     elapsed = time.perf_counter() - start
     assert all(r.ok for r in results), [r for r in results if not r.ok]
     assert elapsed < 0.3, f"verify homma took {elapsed:.2f} s"

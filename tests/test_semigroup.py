@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from rpl import gs_tower, semigroup, verify
+from rpl import gs_tower, semigroup
 from rpl.errors import TooLarge, ValidationError
 from rpl.gs_tower import genus
 from rpl.semigroup import (
@@ -17,7 +17,13 @@ from rpl.semigroup import (
     minimal_generators,
     smallest_positive,
 )
-from rpl.verify import NumericalSemigroup, semigroup_grid, sieve_generators, weierstrass_semigroup
+from rpl.verify import gs as verify_gs, semigroup as verify_semigroup
+from rpl.verify.semigroup import (
+    NumericalSemigroup,
+    semigroup_grid,
+    sieve_generators,
+    weierstrass_semigroup,
+)
 
 
 def oracle_gaps(s):
@@ -302,7 +308,7 @@ def test_cap_message_stays_printable():
         )
 
 
-@pytest.mark.parametrize("check", [verify.check_semigroup, verify.check_gs])
+@pytest.mark.parametrize("check", [verify_semigroup.check_semigroup, verify_gs.check_gs])
 def test_oracle_holds_no_conductor_sized_array(check):
     # the largest cells, (2, 19) and (3, 12), have conductors near 5 * 10^5
     # but only 511 and 728 members below them
@@ -332,5 +338,5 @@ GAP_CHECKS = [f"gs gap_count==genus for ({q},2..8)" for q in (2, 3, 4, 5)]
 def test_an_off_by_one_closed_form_fails_the_same_checks(monkeypatch, module, name, killed):
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda q, m: real(q, m) + 1)
-    results = verify.check_gs() + verify.check_semigroup()
+    results = verify_gs.check_gs() + verify_semigroup.check_semigroup()
     assert sorted(f"{r.scope} {r.name}" for r in results if not r.ok) == killed

@@ -10,39 +10,50 @@ import pytest
 import parity
 
 SLOW_IMPORTS = {"dataclasses", "typing"}
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "rpl").glob("*.py"))
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rpl"
+SOURCES = sorted(PACKAGE.rglob("*.py"))
 TESTS = Path(__file__).resolve().parent
 
 
+def _name(path):
+    """A source's path under rpl: gf.py, verify/gf.py."""
+    return path.relative_to(PACKAGE).as_posix()
+
+
+VERIFY = [path for path in SOURCES if _name(path).startswith("verify/")]
+
+
 def test_sources_found():
-    assert {path.name for path in SOURCES} >= {"__init__.py", "gf.py", "verify.py"}
+    assert {_name(path) for path in SOURCES} >= {
+        "__init__.py", "gf.py", "verify/__init__.py", "verify/gf.py", "verify/homma.py",
+        "verify/gs.py", "verify/semigroup.py", "verify/bounds.py"}
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=_name)
 def test_no_assert_statements(path):
     # python -O drops assert statements, so a check written as one would
     # silently stop running; raise a typed error instead
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert not lines, f"{path.name}: assert at line(s) {lines}"
+    assert not lines, f"{_name(path)}: assert at line(s) {lines}"
 
 
 def test_verify_forms_every_verdict_in_run():
     # a check returns its name and failures; only _run turns them into a
-    # CheckResult, so scope, PASS/FAIL and detail follow one rule
-    path = next(path for path in SOURCES if path.name == "verify.py")
-    tree = ast.parse(path.read_text(), filename=str(path))
-
-    def calls(node):
+    # CheckResult, so scope, PASS/FAIL and detail follow one rule, in every scope
+    def calls(path, node):
         return {
-            call.lineno for call in ast.walk(node)
+            (_name(path), call.lineno) for call in ast.walk(node)
             if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "CheckResult"
         }
 
-    [run] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_run"]
-    assert calls(run), "_run builds no CheckResult"
-    stray = sorted(calls(tree) - calls(run))
-    assert not stray, f"verify.py: CheckResult built outside _run at line(s) {stray}"
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in VERIFY}
+    init = PACKAGE / "verify/__init__.py"
+    [run] = [node for node in trees[init].body
+             if isinstance(node, ast.FunctionDef) and node.name == "_run"]
+    assert calls(init, run), "_run builds no CheckResult"
+    stray = sorted(set().union(*map(calls, trees, trees.values())) - calls(init, run))
+    assert not stray, f"CheckResult built outside verify._run at {stray}"
 
 
 def _names(node):
@@ -50,7 +61,7 @@ def _names(node):
     return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=_name)
 def test_no_bare_value_error_raises(path):
     # every input rule raises a ValidationError (also a ValueError), so
     # rejected input takes one path through cli.main
@@ -60,13 +71,13 @@ def test_no_bare_value_error_raises(path):
         if isinstance(node, ast.Raise) and node.exc is not None
         and "ValueError" in _names(getattr(node.exc, "func", node.exc))
     ]
-    assert not lines, f"{path.name}: raise ValueError at line(s) {lines}"
+    assert not lines, f"{_name(path)}: raise ValueError at line(s) {lines}"
 
 
 def test_cli_main_does_not_catch_value_error():
     # a ValueError escaping a handler is a bug: it must surface as a
     # traceback with exit 1, not be reported as rejected input
-    path = next(path for path in SOURCES if path.name == "cli.py")
+    path = PACKAGE / "cli.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     [main] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"]
     handlers = [node for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
@@ -76,7 +87,7 @@ def test_cli_main_does_not_catch_value_error():
     assert not lines, f"cli.py: main catches ValueError at line(s) {lines}"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=_name)
 def test_no_dataclasses_or_typing_imports(path):
     # each costs every command milliseconds of start-up: dataclasses pulls in
     # inspect and ast; collections.namedtuple and collections.abc do the job
@@ -87,44 +98,48 @@ def test_no_dataclasses_or_typing_imports(path):
             alias.name.split(".")[0] in SLOW_IMPORTS for alias in node.names)
         or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in SLOW_IMPORTS
     ]
-    assert not lines, f"{path.name}: dataclasses or typing import at line(s) {lines}"
+    assert not lines, f"{_name(path)}: dataclasses or typing import at line(s) {lines}"
 
 
-def _imported_modules(node):
-    """Dotted modules an import statement names; a relative one is under rpl."""
+def _imported_modules(node, path):
+    """Dotted modules an import statement in path names, a relative one resolved from path."""
     if isinstance(node, ast.Import):
         return {alias.name for alias in node.names}
     if isinstance(node, ast.ImportFrom):
-        base = ".".join(filter(None, ("rpl" if node.level else "", node.module)))
+        package = ["rpl", *path.relative_to(PACKAGE).parent.parts]
+        base = ".".join(filter(None, (*package[:len(package) + 1 - node.level], node.module))
+                        if node.level else (node.module,))
         return {base} | {f"{base}.{alias.name}" for alias in node.names}
     return set()
 
 
 def test_only_verify_imports_the_field():
-    # no command loads rpl.gf, not even lazily: only verify builds fields
+    # no command loads rpl.gf, not even lazily: only the verify scopes build fields
     importers = [
-        path.name for path in SOURCES
-        if any("rpl.gf" in _imported_modules(node) for node in ast.walk(ast.parse(path.read_text())))
+        _name(path) for path in SOURCES
+        if any("rpl.gf" in _imported_modules(node, path)
+               for node in ast.walk(ast.parse(path.read_text())))
     ]
-    assert importers == ["verify.py"], f"rpl.gf imported by {importers}"
+    assert importers == ["verify/bounds.py", "verify/gf.py", "verify/gs.py", "verify/homma.py"], \
+        f"rpl.gf imported by {importers}"
 
 
 def test_verify_imports_no_private_field_name():
     # the product g*v that certifies the exp table is gf.times_generator,
     # the one the build uses; a private gf helper would let verify write it again
-    path = next(path for path in SOURCES if path.name == "verify.py")
     private = [
-        alias.name for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.ImportFrom) and "rpl.gf" in _imported_modules(node)
+        f"{_name(path)}: {alias.name}" for path in VERIFY
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and "rpl.gf" in _imported_modules(node, path)
         for alias in node.names if alias.name.startswith("_")
     ]
-    assert not private, f"verify.py imports private rpl.gf names: {private}"
+    assert not private, f"verify imports private rpl.gf names: {private}"
 
 
 def test_field_methods_do_not_read_the_degree():
     # a field binds its arithmetic in __init__; a method that reads self.e
     # could choose it again on every call
-    path = next(path for path in SOURCES if path.name == "gf.py")
+    path = PACKAGE / "gf.py"
     [cls] = [node for node in ast.parse(path.read_text()).body
              if isinstance(node, ast.ClassDef) and node.name == "FieldContext"]
     readers = [
