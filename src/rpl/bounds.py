@@ -100,6 +100,12 @@ class IharaTableEntry(namedtuple("IharaTableEntry", "q printed half_lower refere
     __slots__ = ()
 
 
+class BoundRecord(namedtuple("BoundRecord", "name direction value source")):
+    """One bound: its direction is "upper" or "lower", its value a Fraction."""
+
+    __slots__ = ()
+
+
 # the twelve tabulated A(q)/2 lower bounds (truncated literature values), by q
 IHARA_HALF_TABLE = {
     q: IharaTableEntry(q=q, printed=printed, half_lower=Fraction(printed), reference=ref)
@@ -117,6 +123,13 @@ IHARA_HALF_TABLE = {
         (29, "0.9523", "Hall-Seelig 2013"),
         (31, "0.9523", "Hall-Seelig 2013"),
     )
+}
+
+# the half-ihara-table record of each tabulated q, its source formatted once
+_HALF_TABLE_RECORDS = {
+    q: BoundRecord("half-ihara-table", "lower", entry.half_lower,
+                   f"half of the tabulated A(q) bound ({entry.reference})")
+    for q, entry in IHARA_HALF_TABLE.items()
 }
 
 
@@ -163,31 +176,20 @@ def drinfeld_vladut_upper(q: int) -> SurdBound:
 # ---------------------------------------------------------------------------
 
 
-class BoundRecord(namedtuple("BoundRecord", "name direction value source")):
-    """One bound: its direction is "upper" or "lower", its value a Fraction."""
+class DqSummary(namedtuple("DqSummary", "q records best_lower")):
+    """All applicable bound records for one prime power q, in listing order.
 
-    __slots__ = ()
-
-
-class DqSummary(namedtuple("DqSummary", "q records upper best_lower")):
-    """All applicable bound records for one prime power q.
-
-    best_lower is None when no lower record applies (q = 2).
+    records[0] is the upper bound q - 1 (the nondegenerate limit), which
+    every q has, and each record after it is a lower bound.  best_lower is
+    the largest lower value, always positive, or None when there is none (q = 2).
     """
 
     __slots__ = ()
 
 
-_RECORDS = {  # name -> (direction, source), in the order the records are listed
-    "nondegenerate-limit": (
-        "upper", "limit of the nondegenerate point bound over growing dimension"),
-    "explicit-family": (
-        "lower", "recursive projective family with as many points as its degree"),
-    "square-tower": ("lower", "one-point embeddings of an optimal recursive tower"),
-    "half-ihara-table": ("lower", "half of the tabulated A(q) bound ({})"),
-    "half-ihara-odd-power": (
-        "lower", "half of the odd-power tower bound (Bassa-Beelen-Garcia-Stichtenoth 2015)"),
-}
+_EXPLICIT_FAMILY = BoundRecord(
+    "explicit-family", "lower", Fraction(1),
+    "recursive projective family with as many points as its degree")
 
 
 def dq_summary(q: int) -> DqSummary:
@@ -201,24 +203,19 @@ def dq_table(n: int) -> Iterator[DqSummary]:
 
 
 def _dq_summary(q: int, p: int, e: int) -> DqSummary:
-    """dq_summary(q) for q = p^e, p prime."""
-    r = p ** (e // 2)
-    entry = IHARA_HALF_TABLE.get(q)
-    values = {
-        "nondegenerate-limit": Fraction(q - 1),
-        "explicit-family": Fraction(1) if q > 2 else None,
-        "square-tower": Fraction(r * r - r, r + 1) if e % 2 == 0 else None,
-        "half-ihara-table": entry and entry.half_lower,
-        "half-ihara-odd-power": half_ihara_odd_power(p, e),
-    }
-    records = tuple(
-        BoundRecord(name, direction, values[name], source.format(entry and entry.reference))
-        for name, (direction, source) in _RECORDS.items()
-        if values[name] is not None
-    )
-    return DqSummary(
-        q=q,
-        records=records,
-        upper=Fraction(q - 1),
-        best_lower=max((rec.value for rec in records if rec.direction == "lower"), default=None),
-    )
+    """dq_summary(q) for q = p^e, p prime: each rule appends its record, in listing order."""
+    records = [BoundRecord("nondegenerate-limit", "upper", Fraction(q - 1),
+                           "limit of the nondegenerate point bound over growing dimension")]
+    if q > 2:
+        records.append(_EXPLICIT_FAMILY)
+    if e % 2 == 0:
+        r = p ** (e // 2)
+        records.append(BoundRecord("square-tower", "lower", Fraction(r * r - r, r + 1),
+                                   "one-point embeddings of an optimal recursive tower"))
+    if q in _HALF_TABLE_RECORDS:
+        records.append(_HALF_TABLE_RECORDS[q])
+    if (half := half_ihara_odd_power(p, e)) is not None:
+        records.append(BoundRecord(
+            "half-ihara-odd-power", "lower", half,
+            "half of the odd-power tower bound (Bassa-Beelen-Garcia-Stichtenoth 2015)"))
+    return DqSummary(q, tuple(records), max((rec.value for rec in records[1:]), default=None))

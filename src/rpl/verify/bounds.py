@@ -90,11 +90,11 @@ def _check_dq_consistency() -> tuple[str, list[str]]:
     failures: list[str] = []
     for q, _, _ in prime_powers(1024):
         summary = bounds.dq_summary(q)
-        if summary.upper != q - 1:
-            failures.append(f"q={q} upper {summary.upper}")
+        if (upper := summary.records[0].value) != q - 1:
+            failures.append(f"q={q} upper {upper}")
         elif q == 2 and summary.best_lower is not None:
             failures.append("q=2 has a lower bound")
-        elif q > 2 and not (summary.best_lower is not None and summary.best_lower <= summary.upper):
+        elif q > 2 and not (summary.best_lower is not None and summary.best_lower <= upper):
             failures.append(f"q={q} best {summary.best_lower}")
     return "dq_lower<=upper q<=1024", failures
 
@@ -151,11 +151,11 @@ def _check_dq_frozen() -> tuple[str, list[str]]:
     s32 = bounds.dq_summary(32)
     names4 = {rec.name: rec.value for rec in s4.records}
     checks = (
-        s9.upper == 8 and s9.best_lower == Fraction(3, 2),
-        s4.upper == 3 and s4.best_lower == 1,
+        s9.records[0].value == 8 and s9.best_lower == Fraction(3, 2),
+        s4.records[0].value == 3 and s4.best_lower == 1,
         names4.get("square-tower") == Fraction(2, 3),
         names4.get("half-ihara-table") == Fraction(1, 2),
-        s2.upper == 1 and s2.best_lower is None,
+        s2.records[0].value == 1 and s2.best_lower is None,
         s32.best_lower == Fraction(21, 10),
     )
     return "dq_frozen_summaries", [str(i) for i, ok in enumerate(checks) if not ok]

@@ -48,6 +48,8 @@ the change it guards:
   1000 is written apart from the windows, and (1001, 2) csv, whose first window starts at suffix 1
 - 4b26473 (the semigroup oracle as a c_m-byte bitmap): verify semigroup as text and csv
 - a39122b (verify as one module, prefix lists, 1024-row blocks): verify homma and bounds as csv
+- fe17ec0 (each bound row built three times, through a dict): bounds --q 2 as text, --q 3 as
+  csv and json, --q 8 as text, --q 32 as json and --q 4096 as csv
 """
 
 import hashlib
@@ -221,6 +223,12 @@ ROWS = (
     Row("bounds --q 9 --format json", None, 0, "d973369fba72ca93e155e4b6f5036da11fe48d0db1ee8c2f5d53c462078f393a", ""),
     Row("bounds --q 2 --format csv", None, 0, "d72ab642d8e34d76517d1f2d428ea9eccca22984f5220e0bd4711bde980fb55c", ""),
     Row("bounds --q 2 --format json", None, 0, "67bd44c8b28fdce7cbb0011986a167439b8c753a343e4235f6cc1e00118efa4a", ""),
+    Row("bounds --q 2", None, 0, "06e605ceefef565f338a6c8b570e3b87e6949df8fc7e11cb1a426e84e7b50f5c", ""),
+    Row("bounds --q 3 --format csv", None, 0, "6f6f2b529caaaf737d5b2578f576185c101445c5e46929ae8ed60aaf9e8bb44b", ""),
+    Row("bounds --q 3 --format json", None, 0, "fff748cf3344278d440e0ab0a9c21afc47a24fd92c9fb8b4ba6bd5c0b8048572", ""),
+    Row("bounds --q 8", None, 0, "75a4267ffbc09cb0ff6a0179cc0ea57de8e14ee8a52e0d65798ed2ce6edd1b2a", ""),
+    Row("bounds --q 32 --format json", None, 0, "5a897467248db389bdeafbea4a65b5ed0034d06e983ce277102a54f9183d635a", ""),
+    Row("bounds --q 4096 --format csv", None, 0, "c9647fa1b41c5789cafde7042e1d8301b327cc30dff646147478fcaab526611d", ""),
     Row("bounds --table 100000", None, 0, "e41b7aec8d323256d06bce8497e12df74fc8892ae97068a581a89d6334a83928", ""),
     Row("bounds --table 100000 --format json", None, 0, "e0d03264d3cc1d8b39b5ae789ba122494f1ffa68233d4840344ec2fd5dd27333", ""),
     Row("bounds --table 4096 --format csv", None, 0, "068b82d4c6a5e8ac18a768fdb824fcf6d6fe3710d6348f377eca72e4b3a7a835", ""),

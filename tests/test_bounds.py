@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from math import isqrt
 
 import parity
 import pytest
@@ -187,7 +188,7 @@ def test_drinfeld_vladut_upper():
 
 def test_dq_summary_q9():
     summary = dq_summary(9)
-    assert int(summary.upper) == 8
+    assert summary.records[0].value == 8
     assert summary.best_lower == Fraction(3, 2)
     names = {rec.name for rec in summary.records}
     assert "square-tower" in names
@@ -205,7 +206,7 @@ def test_dq_summary_q4():
 
 def test_dq_summary_q2_has_no_lower_bound():
     summary = dq_summary(2)
-    assert int(summary.upper) == 1
+    assert summary.records[0].value == 1
     assert summary.best_lower is None
     assert all(rec.direction == "upper" for rec in summary.records)
 
@@ -213,6 +214,40 @@ def test_dq_summary_q2_has_no_lower_bound():
 def test_dq_summary_q32_uses_odd_power_bound():
     summary = dq_summary(32)
     assert summary.best_lower == Fraction(21, 10)
+
+
+def test_dq_summary_follows_the_rules_for_every_q():
+    # each rule written out on its own, for every prime power q <= 10^4,
+    # found here by trial division
+    table_qs = (3, 4, 5, 7, 8, 11, 13, 17, 19, 23, 29, 31)
+    walked = 0
+    for q in range(2, 10**4 + 1):
+        p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+        e, rest = 0, q
+        while rest % p == 0:
+            rest, e = rest // p, e + 1
+        if rest != 1:
+            continue
+        expected = [("nondegenerate-limit", Fraction(q - 1))]
+        if q > 2:
+            expected.append(("explicit-family", Fraction(1)))
+        if e % 2 == 0:
+            r = isqrt(q)
+            expected.append(("square-tower", Fraction(r * (r - 1), r + 1)))
+        if q in table_qs:
+            expected.append(("half-ihara-table", Fraction(IHARA_HALF_TABLE[q].printed)))
+        if e % 2 == 1 and e >= 3:
+            a, b = p ** (e // 2) - 1, p ** (e // 2 + 1) - 1
+            expected.append(("half-ihara-odd-power", Fraction(a * b, a + b)))
+        summary = dq_summary(q)
+        assert summary.q == q
+        assert [(rec.name, rec.value) for rec in summary.records] == expected, q
+        assert [rec.direction for rec in summary.records] == ["upper"] + ["lower"] * (
+            len(expected) - 1), q
+        lower = [value for _, value in expected[1:]]
+        assert summary.best_lower == (max(lower) if lower else None), q
+        walked += 1
+    assert walked == 1280  # 1229 primes and 51 higher powers
 
 
 def test_dq_summary_square_matches_tower_limit():

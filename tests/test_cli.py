@@ -1,9 +1,11 @@
 """CLI dispatch, output formats, determinism, and exit codes."""
 
 import argparse
+import ast
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -35,12 +37,58 @@ def test_cli_rejections(row):
 
 
 def test_table_limit_admits_ten_million(monkeypatch, capsys):
-    # a table at 10^7 takes about 15 s; with no prime powers to render, only the limit is tested
+    # a table at 10^7 takes about 5 s; with no prime powers to render, only the limit is tested
     monkeypatch.setattr(bounds, "prime_powers", lambda qmax: iter(()))
     header = "q,upper,best_lower,records\n"
     assert run_cli(capsys, "bounds", "--table", "10000000", "--format", "csv") == (0, header, "")
     assert run_cli(capsys, "bounds", "--table", "10000001", "--format", "csv") == (
         2, "", "error: --table expects a limit of at most 10000000, got 10000001\n")
+
+
+def test_csv_and_text_bound_rows_build_no_json_object(monkeypatch):
+    # csv and text render each bound row straight from its DqSummary; only
+    # json output turns a summary into a dict
+    def summary(*args):
+        raise AssertionError("a csv or text bound row built a json object")
+
+    monkeypatch.setattr(cli, "_summary", summary)
+    for line in ("bounds --table 4096 --format csv", "bounds --table 100000", "bounds --q 9"):
+        parity.check_row(parity.row(line))
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_hold(capsys):
+    # every `$ rpl ...` line in README's sh blocks writes the text under it
+    # (for output elided with `...`, its first and last lines), and every
+    # line of the Library block equals the value its comment leads with
+    text = README.read_text()
+    shell = "\n".join(re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S))
+    examples = re.findall(r"^\$ rpl (.*)\n((?:.+\n)*)", shell, re.M)
+    assert [line for line, _ in examples] == [
+        "points-homma --q 3 --ell 3 --format json", "gs --q 2 --m 4", "semigroup --q 3 --m 2",
+        "bounds --q 9", "bounds --table 8 --format csv", "verify all"]
+    for line, expected in examples:
+        code, out, err = run_cli(capsys, *line.split())
+        assert (code, err) == (0, ""), line
+        if "\n...\n" in expected:
+            want, got = expected.splitlines(), out.splitlines()
+            assert [got[0], got[-1]] == [want[0], want[-1]], line
+        else:
+            assert out == expected, line
+    [library] = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    namespace, compared = {}, 0
+    for line in library.splitlines():
+        code, _, comment = line.partition("#")
+        if not comment:
+            exec(code, namespace)  # the imports
+            continue
+        value = ast.parse(comment.strip(), mode="eval").body
+        leading = value.left if isinstance(value, ast.Compare) else value  # `9 == genus`: 9
+        assert eval(code, namespace) == eval(ast.unparse(leading), namespace), line
+        compared += 1
+    assert compared == 6
 
 
 def test_points_homma_validates_once(monkeypatch, capsys):
