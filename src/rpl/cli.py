@@ -7,8 +7,9 @@ segment at a time, each starting on a multiple of 1000, and written straight
 from their mark bytes a window [1000h, 1000h + 1000) at a time, without an
 int per generator; equal windows share one memo of their picks. Exit codes:
 0 success, 1 computation or check failure, 2 validation error or a failed
-write. Every command loads the stdlib modules that the CLI itself imports
-(argparse, csv, io, fractions); only --format json adds json. No command but
+write. Each handler imports the rpl modules it reads, so --help loads none
+and points-homma, gs and semigroup load neither fractions nor decimal; only
+--format json loads json and only --format csv loads csv. No command but
 verify loads the field module rpl.gf, and verify loads only the scope
 modules it runs.
 """
@@ -16,17 +17,15 @@ modules it runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from fractions import Fraction
 from itertools import chain, compress, islice
+from math import gcd
 
-from . import (DEFAULT_N_MAX, MAX_PRINTED_DIGITS, N_MAX_CAP, SCOPES, bounds, gs_tower,
-               homma_family, semigroup)
+from . import DEFAULT_N_MAX, MAX_PRINTED_DIGITS, N_MAX_CAP, SCOPES
 from .errors import RplError, ValidationError
 from .primes import DEFAULT_FIELD_CAP, FIELD_CAP_ENV
 
@@ -90,7 +89,6 @@ def _join_marked(segments: Iterable[tuple[int, bytes]], sep: str) -> Iterator[st
 def _encoder() -> Callable[[object], str]:
     """A compact JSON encoder's encode; build one per stream, not one per object."""
     import json  # only json output pays for it
-
     return json.JSONEncoder(separators=(",", ":")).encode
 
 
@@ -111,6 +109,7 @@ def _json(obj: dict) -> Iterator[str]:
 
 
 def _csv(rows: Iterable[Iterable[object]]) -> str:
+    import csv  # only csv output pays for it
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
@@ -129,16 +128,23 @@ def _record(obj: dict) -> Rendering:
         key: "" if value is None or value is tail else value
         for key, value in list(obj.items())[1:]
     }
-    row = _csv([list(cells), cells.values()])
+    row = (_csv([list(one), one.values()])[:-1] for one in [cells])  # made only if read
     lines = "".join(f"{key} {cell}\n" for key, cell in cells.items() if obj[key] is not None)
     # the tail is the last cell: it ends just before the final newline
     tail_text = tail(";")
     return Rendering(
-        _json(obj), chain([row[:-1]], tail_text, ["\n"]), chain([lines[:-1]], tail_text, ["\n"])
+        _json(obj), chain(row, tail_text, ["\n"]), chain([lines[:-1]], tail_text, ["\n"])
     )
 
 
+def _ratio(a: int, b: int) -> str:
+    """str(Fraction(a, b)) for positive a and b, without loading fractions."""
+    g = gcd(a, b)
+    return str(a // g) if b == g else f"{a // g}/{b // g}"
+
+
 def _cmd_points_homma(args: argparse.Namespace) -> Rendering:
+    from . import homma_family
     count = homma_family.count_total(args.q, args.ell)  # validates (q, ell) once
     return _record({
         "schema": 1,
@@ -146,11 +152,12 @@ def _cmd_points_homma(args: argparse.Namespace) -> Rendering:
         "infinity": count.infinity,
         "total": count.total,
         "degree": count.infinity,  # the points at infinity number the degree
-        "ratio": str(Fraction(count.total, count.infinity)),
+        "ratio": _ratio(count.total, count.infinity),
     })
 
 
 def _cmd_gs(args: argparse.Namespace) -> Rendering:
+    from . import gs_tower, semigroup
     q, m = args.q, args.m
     gs_tower.check_level(q, m)
     c = semigroup.capped_conductor(q, m)  # before q^m is formed
@@ -174,6 +181,7 @@ def _cmd_gs(args: argparse.Namespace) -> Rendering:
 
 
 def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
+    from . import semigroup
     q, m = args.q, args.m
     segments = semigroup.generator_marks(q, m)  # validates and checks the cap
     return _record({
@@ -202,8 +210,10 @@ def _summary(summary: bounds.DqSummary) -> dict:
 
 
 def _summary_row(summary: bounds.DqSummary) -> list[object]:
-    records = ";".join(f"{rec.name}={rec.value}" for rec in summary.records)
-    return [summary.q, summary.records[0].value, summary.best_lower or "", records]
+    first, *lower = summary.records
+    upper = str(first.value)  # formatted once for both cells
+    records = ";".join([f"{first.name}={upper}", *(f"{rec.name}={rec.value}" for rec in lower)])
+    return [summary.q, upper, summary.best_lower or "", records]
 
 
 def _summary_line(summary: bounds.DqSummary) -> str:
@@ -212,6 +222,7 @@ def _summary_line(summary: bounds.DqSummary) -> str:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> Rendering:
+    from . import bounds
     if args.table is None:
         summary = bounds.dq_summary(args.q)
         lines = [f"q {summary.q}", f"upper {summary.records[0].value}",
@@ -219,7 +230,8 @@ def _cmd_bounds(args: argparse.Namespace) -> Rendering:
                  *(f"record {rec.name} {rec.direction} {rec.value}" for rec in summary.records)]
         return Rendering(  # the json object is built only when the json pieces are read
             (piece for one in [summary] for piece in _json({"schema": 1, **_summary(one)})),
-            [_csv([BOUNDS_HEADER, _summary_row(summary)])], ["\n".join(lines) + "\n"])
+            (_csv([BOUNDS_HEADER, _summary_row(one)]) for one in [summary]),
+            ["\n".join(lines) + "\n"])
     if args.table < 2:
         raise ValidationError(f"--table expects a limit of at least 2, got {args.table}")
     if args.table > TABLE_CAP:
@@ -238,7 +250,6 @@ def _cmd_bounds(args: argparse.Namespace) -> Rendering:
 
 def _cmd_verify(args: argparse.Namespace) -> Rendering:
     from . import verify  # needed by no other command; it loads each scope as it runs
-
     results = verify.run_verify(args.scope, args.n_max)
     passed = sum(1 for res in results if res.ok)
     checks = [res._asdict() for res in results]  # scope, name, ok, detail
@@ -248,7 +259,8 @@ def _cmd_verify(args: argparse.Namespace) -> Rendering:
     return Rendering(
         _json({"schema": 1, "scope": args.scope, "checks": checks,
                "passed": passed, "total": len(results)}),
-        [_csv([["scope", "name", "ok", "detail"], *(check.values() for check in checks)])],
+        (_csv([["scope", "name", "ok", "detail"], *(check.values() for check in one)])
+         for one in [checks]),
         ["\n".join(lines) + "\n"],
         exit_code=0 if passed == len(results) else 1,
     )

@@ -19,8 +19,6 @@ Genus and the points-per-degree ratio sequence have closed forms too.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import semigroup
 from .errors import ValidationError
 from .primes import factor_prime_power, field_order
@@ -53,6 +51,7 @@ def count_split_chains(q: int, m: int) -> int:
 
 def points_per_degree_limit(q: int) -> Fraction:
     """Limit (q^2-q)/(q+1) of the ratio sequence."""
+    from fractions import Fraction  # only verify and the tests read the ratios
     semigroup.check_level(q, 1)  # q >= 2
     return Fraction(q * q - q, q + 1)
 
@@ -65,6 +64,7 @@ def tower_ratio_sequence(q: int, m_max: int) -> list[Fraction]:
     undefined (c_1 + q^0 - 1 is zero), so the sequence starts at level 2;
     m_max = 1 gives an empty list.
     """
+    from fractions import Fraction
     semigroup.check_level(q, 1)  # q >= 2
     if m_max < 1:
         raise ValidationError(f"m_max must be >= 1, got {m_max}")

@@ -28,7 +28,6 @@ oracles in ``rpl.verify``.
 from __future__ import annotations
 
 from collections import namedtuple
-from decimal import Decimal
 
 from . import MAX_PRINTED_DIGITS, PRINT_LIMIT
 from .errors import QTooSmall, TooLarge, ValidationError
@@ -59,16 +58,18 @@ def _check_family_params(q: int, ell: int) -> int:
         raise QTooSmall(f"the curve family needs q > 2, got q = {q}")
     if ell < 2:
         raise ValidationError(f"ell must be >= 2, got {ell}")
-    # the total is the longest number printed; the power is formed only
-    # when log10 of the degree does not already settle the question
-    log_degree = (ell - 1) * Decimal(q - 1).log10()
-    if (log_degree > MAX_PRINTED_DIGITS
-            or (degree := (q - 1) ** (ell - 1)) + _affine(q, ell) >= PRINT_LIMIT):
-        raise TooLarge(
-            f"degree (q-1)^(ell-1) = {q - 1}^{ell - 1} has {int(log_degree) + 1} "
-            f"digits; at most {MAX_PRINTED_DIGITS} can be printed"
-        )
-    return degree
+    # the total is the longest number printed.  A degree of at most 14280 bits
+    # prints, as 2^14280 < 10^4299; past that, the power is formed only when
+    # log10 of the degree does not already settle the question
+    if (ell - 1) * (q - 1).bit_length() > 14280:
+        from decimal import Decimal  # only a degree that may not print pays for it
+        log_degree = (ell - 1) * Decimal(q - 1).log10()
+        if log_degree > MAX_PRINTED_DIGITS or (q - 1) ** (ell - 1) + _affine(q, ell) >= PRINT_LIMIT:
+            raise TooLarge(
+                f"degree (q-1)^(ell-1) = {q - 1}^{ell - 1} has {int(log_degree) + 1} "
+                f"digits; at most {MAX_PRINTED_DIGITS} can be printed"
+            )
+    return (q - 1) ** (ell - 1)
 
 
 def _affine(q: int, ell: int) -> int:

@@ -111,8 +111,9 @@ def _check_generator_bounds_grid() -> tuple[str, list[str]]:
     for q, m in semigroup_grid():
         if m < 2:
             continue
-        gens = semigroup.minimal_generators(q, m)  # ascending
-        first, last = next(gens), max(gens)
+        ends = [(start + mark.find(1), start + mark.rfind(1))  # a pair per segment, not the marks
+                for start, mark in semigroup.generator_marks(q, m) if 1 in mark]
+        first, last = ends[0][0], ends[-1][1]
         if first != semigroup.smallest_positive(q, m) or last != semigroup.largest_generator(q, m):
             failures.append(f"({q},{m})")
     for q, m, largest in ((2, 3, 7), (2, 4, 19)):

@@ -50,6 +50,8 @@ the change it guards:
 - a39122b (verify as one module, prefix lists, 1024-row blocks): verify homma and bounds as csv
 - fe17ec0 (each bound row built three times, through a dict): bounds --q 2 as text, --q 3 as
   csv and json, --q 8 as text, --q 32 as json and --q 4096 as csv
+- 3bd6ae0 (log10 of every degree through Decimal): points-homma (3, 7141), the last degree of
+  at most 14280 bits, which skips the log10, and (3, 7142), the first that takes it
 """
 
 import hashlib
@@ -155,6 +157,8 @@ ROWS = (
     Row("points-homma --q 3 --ell 3 --format json --out points.json", None, 0, "7d8c97fb7426ae38985312a16396f0ba96954c9ff2a06d4be833c2ded1a1d399", ""),
     Row("points-homma --q 4 --ell 2 --format json", None, 0, "1bff78f29163750df5b1d56c7fbe38914e976501473b8bf3bb4e52495dd5319c", ""),
     Row("points-homma --q 64 --ell 2", "100", 0, "94a5b96980904b67fa9e7c1652ad083017552736b66ed4ac464969a5e66c32fa", ""),
+    Row("points-homma --q 3 --ell 7141", None, 0, "1909ecd87a7c0930d94ae00c6d94843df024f8c31b3cc4a1f91e1d95aff94c0b", ""),
+    Row("points-homma --q 3 --ell 7142", None, 0, "d1ad7946be57dc3131066784271436235b08e555ac80a4dbd8f56014a6e0b54a", ""),
     Row("points-homma --q 3 --ell 14285", None, 0, "7f85e8a02302b4303ce2387f47d130b0d0b5ee32a8758d1e380d080d676b431d", ""),
     Row("points-homma --q 6 --ell 2", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 6 is not a prime power\n"),
     Row("points-homma --q 0 --ell 2", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 0 is not a prime power\n"),

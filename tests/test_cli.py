@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import compress, pairwise
 from pathlib import Path
 
@@ -104,6 +105,16 @@ def test_points_homma_validates_once(monkeypatch, capsys):
     assert code == 0
     assert out == "affine 8\ninfinity 32768\ntotal 32776\ndegree 32768\nratio 4097/4096\n"
     assert calls == [(9, 6)]
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.integers(1, 10**40), st.integers(1, 10**40), st.integers(1, 10**6))
+@example(1, 1, 1)
+@example(2**64, 2**32, 2)
+def test_ratio_is_str_of_fraction(a, b, k):
+    # points-homma formats total/degree with gcd, without loading fractions
+    assert cli._ratio(a, b) == str(Fraction(a, b))
+    assert cli._ratio(k * b, b) == str(Fraction(k * b, b)) == str(k)  # b divides a
 
 
 def test_internal_value_error_is_not_a_rejection(monkeypatch, capsys):
@@ -290,28 +301,47 @@ def test_gs_finishes_at_large_fields(capsys, q, m, genus):
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# a command that never imports rpl.gf builds no field
-UNUSED_MODULES = ("dataclasses", "inspect", "typing", "json", "rpl.verify", "rpl.gf", "array")
+# the modules the footprint test looks for: a command that never imports
+# rpl.gf builds no field, and each command imports only the rpl modules it reads
+PROBED_MODULES = ("dataclasses", "inspect", "typing", "json", "csv", "fractions", "decimal",
+                  "rpl.verify", "rpl.gf", "array",
+                  "rpl.bounds", "rpl.gs_tower", "rpl.homma_family", "rpl.semigroup")
+GS = ["rpl.gs_tower", "rpl.semigroup"]
+BOUNDS = ["fractions", "decimal", "rpl.bounds"]  # fractions imports decimal
+# each line and the probed modules it loads, in PROBED_MODULES order; every
+# other probed module must stay unloaded
 FOOTPRINT_LINES = {
-    "gs": "gs --q 16 --m 3",
-    "gs-largest-field": "gs --q 1024 --m 1",
-    "semigroup": "semigroup --q 3 --m 4",
-    "points-homma": "points-homma --q 3 --ell 3",
-    "points-homma-largest-field": "points-homma --q 1048576 --ell 2",
-    "bounds": "bounds --q 9",
-    "bounds-table": "bounds --table 32",
-    "gs-json": "gs --q 2 --m 3 --format json",  # loads json: the probe does see imports
+    "gs": ("gs --q 16 --m 3", GS),
+    "gs-largest-field": ("gs --q 1024 --m 1", GS),
+    "gs-json": ("gs --q 2 --m 3 --format json", ["json", *GS]),  # the probe does see imports
+    "gs-csv": ("gs --q 2 --m 3 --format csv", ["csv", *GS]),
+    "semigroup": ("semigroup --q 3 --m 4", ["rpl.semigroup"]),
+    "semigroup-csv": ("semigroup --q 3 --m 2 --format csv", ["csv", "rpl.semigroup"]),
+    "points-homma": ("points-homma --q 3 --ell 3", ["rpl.homma_family"]),
+    "points-homma-largest-field": ("points-homma --q 1048576 --ell 2", ["rpl.homma_family"]),
+    # past 14280 bits of degree, the print check takes log10 of the degree
+    "points-homma-long-degree": ("points-homma --q 3 --ell 7142", ["decimal", "rpl.homma_family"]),
+    "points-homma-csv": ("points-homma --q 3 --ell 3 --format csv", ["csv", "rpl.homma_family"]),
+    "bounds": ("bounds --q 9", BOUNDS),
+    "bounds-csv": ("bounds --q 9 --format csv", ["csv", *BOUNDS]),
+    "bounds-table": ("bounds --table 32", BOUNDS),
+    "bounds-table-csv": ("bounds --table 32 --format csv", ["csv", *BOUNDS]),
+    "verify-csv": ("verify homma --format csv",
+                   ["csv", "fractions", "decimal", "rpl.verify", "rpl.gf", "array",
+                    "rpl.homma_family"]),
+    "help": ("--help", []),
 }
 
 
 @pytest.mark.parametrize("name", FOOTPRINT_LINES)
 def test_command_import_footprint(name):
     # -S keeps site hooks from preloading modules such as typing
-    line = FOOTPRINT_LINES[name]
-    loaded = ["json"] if "--format json" in line else []
+    line, loaded = FOOTPRINT_LINES[name]
     code = (
-        f"import sys; from rpl import cli; cli.main({line.split()!r}); "
-        f"print([name for name in {UNUSED_MODULES!r} if name in sys.modules], file=sys.stderr)"
+        "import sys\nfrom rpl import cli\n"
+        f"try:\n    cli.main({line.split()!r})\n"
+        "except SystemExit:\n    pass\n"  # argparse ends --help with SystemExit(0)
+        f"print([name for name in {PROBED_MODULES!r} if name in sys.modules], file=sys.stderr)"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)})

@@ -17,6 +17,7 @@ from rpl.semigroup import (
     minimal_generators,
     smallest_positive,
 )
+from rpl.verify import CheckResult, _run
 from rpl.verify import gs as verify_gs, semigroup as verify_semigroup
 from rpl.verify.semigroup import (
     NumericalSemigroup,
@@ -340,3 +341,21 @@ def test_an_off_by_one_closed_form_fails_the_same_checks(monkeypatch, module, na
     monkeypatch.setattr(module, name, lambda q, m: real(q, m) + 1)
     results = verify_gs.check_gs() + verify_semigroup.check_semigroup()
     assert sorted(f"{r.scope} {r.name}" for r in results if not r.ok) == killed
+
+
+def test_generator_bounds_fail_without_the_last_generator(monkeypatch):
+    # the check reads the first and last marked numbers of the segments, so
+    # marks that lose their largest generator must fail every cell with m >= 2
+    marks = semigroup.generator_marks
+
+    def without_last(q, m):
+        segments = list(marks(q, m))
+        mark = next(mark for _, mark in reversed(segments) if 1 in mark)
+        mark[mark.rfind(1)] = 0
+        return iter(segments)
+
+    monkeypatch.setattr(semigroup, "generator_marks", without_last)
+    [result] = _run("semigroup", verify_semigroup._check_generator_bounds_grid)
+    cells = [f"({q},{m})" for q, m in semigroup_grid() if m >= 2]
+    assert result == CheckResult("semigroup", "generator_bounds grid m>=2", False,
+                                 "; ".join(cells[:4]) + f"; +{len(cells) - 4} more")
