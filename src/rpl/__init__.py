@@ -6,9 +6,9 @@ The package computes, in exact integer and rational arithmetic only:
 * deterministic finite-field arithmetic with a canonical modulus choice
   (``gf``), built only by ``verify`` and the tests,
 * point counts for a recursive family of projective curves (``homma_family``),
-* split-place counts and genus data for an asymptotically optimal
+* split-place counts and ratios for an asymptotically optimal
   Artin-Schreier tower (``gs_tower``),
-* Weierstrass semigroups at the tower's distinguished place (``semigroup``),
+* Weierstrass semigroups of the tower and its genus (``semigroup``),
 * classical point bounds and constant tables (``bounds``),
 * a deterministic CLI (``cli``) and a self-verification suite (``verify``),
   a package with one module per scope (``verify.gf``, ``verify.homma``,

@@ -161,7 +161,7 @@ def _cmd_gs(args: argparse.Namespace) -> Rendering:
     q, m = args.q, args.m
     gs_tower.check_level(q, m)
     c = semigroup.capped_conductor(q, m)  # before q^m is formed
-    genus = gs_tower.genus(q, m)
+    genus = semigroup.gap_count(q, m)
     # the generator bounds hold for every m >= 2 (Pellikaan-Stichtenoth-Torres
     # 1998); verify semigroup certifies them for q in 2..5 with c_m <= 10^6
     verdict = True if m >= 2 else None

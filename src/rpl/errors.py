@@ -1,9 +1,9 @@
 """Typed errors shared by every module.
 
-Two families matter to the CLI: validation errors (bad parameters, exit
-code 2; every input rule raises one, and it is also a ValueError) and
-computation errors (an internal certificate failed or a computation did
-not reach its target, exit code 1).
+Every rejected input raises ``ValidationError``, a ValueError whose message
+states the rule, and the CLI exits with code 2.  The other types (exit code
+1) name what went wrong in a computation, and ``verify`` prints that name in
+its FAIL details.
 """
 
 
@@ -21,26 +21,6 @@ class ComputationError(RplError):
     """A computation failed one of its own certificates."""
 
     exit_code = 1
-
-
-class NonPrime(ValidationError):
-    """Characteristic is not a prime number."""
-
-
-class NotPrimePower(ValidationError):
-    """Field order is not p^e for any prime p."""
-
-
-class FieldTooLarge(ValidationError):
-    """Field order exceeds the enumeration cap."""
-
-
-class QTooSmall(ValidationError):
-    """The curve family requires q strictly larger than 2."""
-
-
-class TooLarge(ValidationError):
-    """Requested enumeration or bitmap exceeds its documented cap."""
 
 
 class DivisionByZero(RplError, ZeroDivisionError):

@@ -14,7 +14,7 @@ that nonzero right-hand side as its trace, hence admissible again.  The
 chains of solutions from the admissible starts give (q^2 - q) q^(m-1) =
 (q-1) q^m split places at level m (Garcia-Stichtenoth, Invent. Math. 121,
 1995).  Walking every chain over F_{q^2} is the oracle in ``rpl.verify``.
-Genus and the points-per-degree ratio sequence have closed forms too.
+The genus is ``semigroup.gap_count(q, m)``; the ratio sequence has a closed form.
 """
 
 from __future__ import annotations
@@ -22,12 +22,6 @@ from __future__ import annotations
 from . import semigroup
 from .errors import ValidationError
 from .primes import factor_prime_power, field_order
-
-
-def genus(q: int, m: int) -> int:
-    """Genus of level m, the gap count of its Weierstrass semigroup."""
-    factor_prime_power(q)
-    return semigroup.gap_count(q, m)
 
 
 def check_level(q: int, m: int) -> None:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import MAX_PRINTED_DIGITS, PRINT_LIMIT
-from .errors import QTooSmall, TooLarge, ValidationError
+from .errors import ValidationError
 from .primes import factor_prime_power, field_order
 
 
@@ -55,7 +55,7 @@ def _check_family_params(q: int, ell: int) -> int:
     """Degree (q-1)^(ell-1) of a valid (q, ell): capped field, q > 2, ell >= 2, printable."""
     field_order(*factor_prime_power(q))
     if q <= 2:
-        raise QTooSmall(f"the curve family needs q > 2, got q = {q}")
+        raise ValidationError(f"the curve family needs q > 2, got q = {q}")
     if ell < 2:
         raise ValidationError(f"ell must be >= 2, got {ell}")
     # the total is the longest number printed.  A degree of at most 14280 bits
@@ -65,7 +65,7 @@ def _check_family_params(q: int, ell: int) -> int:
         from decimal import Decimal  # only a degree that may not print pays for it
         log_degree = (ell - 1) * Decimal(q - 1).log10()
         if log_degree > MAX_PRINTED_DIGITS or (q - 1) ** (ell - 1) + _affine(q, ell) >= PRINT_LIMIT:
-            raise TooLarge(
+            raise ValidationError(
                 f"degree (q-1)^(ell-1) = {q - 1}^{ell - 1} has {int(log_degree) + 1} "
                 f"digits; at most {MAX_PRINTED_DIGITS} can be printed"
             )
@@ -76,23 +76,7 @@ def _affine(q: int, ell: int) -> int:
     return q - 1 if q % 2 else ell * (q - 2) + 2
 
 
-def curve_degree(q: int, ell: int) -> int:
-    """Degree (q-1)^(ell-1) of the ell-th curve of the family."""
-    return _check_family_params(q, ell)
-
-
-def count_affine(q: int, ell: int) -> int:
-    """Number of affine points (z = 1): q-1 for odd q, ell(q-2)+2 for even q."""
-    _check_family_params(q, ell)
-    return _affine(q, ell)
-
-
-def count_infinity(q: int, ell: int) -> int:
-    """Number of points with z = 0: always (q-1)^(ell-1), the degree."""
-    return curve_degree(q, ell)
-
-
 def count_total(q: int, ell: int) -> PointCount:
-    """Affine plus infinity counts for the ell-th curve over F_q."""
+    """Affine plus infinity counts for the ell-th curve over F_q; infinity is its degree."""
     degree = _check_family_params(q, ell)
     return PointCount.of(_affine(q, ell), degree)

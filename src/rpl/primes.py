@@ -17,7 +17,7 @@ from itertools import compress
 from math import isqrt
 
 from . import PRINT_LIMIT
-from .errors import FieldTooLarge, NonPrime, NotPrimePower, ValidationError
+from .errors import ValidationError
 
 DEFAULT_FIELD_CAP = 1 << 20
 FIELD_CAP_ENV = "RPL_MAX_FIELD"
@@ -55,23 +55,25 @@ def is_prime(n: int) -> bool:
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, e) with q = p^e, p prime, or raise NotPrimePower."""
+    """Return (p, e) with q = p^e, p prime, or reject q."""
     if q < 2:
-        raise NotPrimePower(f"q = {q} is not a prime power")
+        raise ValidationError(f"q = {q} is not a prime power")
     p = _smallest_factor(q)
     e, rest = 0, q
     while rest % p == 0:
         rest //= p
         e += 1
     if rest != 1:
-        raise NotPrimePower(f"q = {q} is not a prime power")
+        raise ValidationError(f"q = {q} is not a prime power")
     return p, e
 
 
 def prime_powers(n: int) -> Iterator[tuple[int, int, int]]:
-    """(q, p, e) for every prime power q = p^e <= n, p prime, in ascending q."""
+    """(q, p, e) for every prime power q = p^e <= n, p prime, in ascending q; none for n < 2."""
+    if n < 2:
+        return
     root = isqrt(n)
-    base = [p for p, _, e in prime_powers(root) if e == 1] if root > 1 else []
+    base = [p for p, _, e in prime_powers(root) if e == 1]
     powers = sorted((p**e, p, e) for p in base for e in range(2, n.bit_length()) if p**e <= n)
     i = 0  # powers[i] is the least power not yet yielded
     size = max(root, SEGMENT)
@@ -90,9 +92,9 @@ def prime_powers(n: int) -> Iterator[tuple[int, int, int]]:
 
 
 def _checked_order(p: int, e: int, cap: int) -> int:
-    """Order p^e for prime p and e >= 1, or FieldTooLarge above cap."""
+    """Order p^e for prime p and e >= 1, rejected above cap."""
     if not is_prime(p):
-        raise NonPrime(f"p = {p} is not prime")
+        raise ValidationError(f"p = {p} is not prime")
     if e < 1:
         raise ValidationError(f"extension degree must be >= 1, got {e}")
     if e * (p.bit_length() - 1) < PRINT_LIMIT.bit_length():
@@ -100,8 +102,8 @@ def _checked_order(p: int, e: int, cap: int) -> int:
         if q <= cap:
             return q
         if q < PRINT_LIMIT:
-            raise FieldTooLarge(f"q = {p}^{e} = {q} exceeds the enumeration cap {cap}")
-    raise FieldTooLarge(f"q = {p}^{e} exceeds the enumeration cap {cap}")
+            raise ValidationError(f"q = {p}^{e} = {q} exceeds the enumeration cap {cap}")
+    raise ValidationError(f"q = {p}^{e} exceeds the enumeration cap {cap}")
 
 
 def field_order(p: int, e: int) -> int:

@@ -37,7 +37,7 @@ from collections.abc import Iterator
 from itertools import chain, compress
 
 from . import PRINT_LIMIT
-from .errors import TooLarge, ValidationError
+from .errors import ValidationError
 
 # The generators are marked a segment at a time, so the cap bounds the time
 # a command takes, not its memory; the "bitmap cap" messages keep their text.
@@ -60,7 +60,7 @@ def conductor(q: int, m: int) -> int:
 
 
 def capped_conductor(q: int, m: int) -> int:
-    """The conductor, or TooLarge above CONDUCTOR_CAP, naming q and m if it is unprintable.
+    """The conductor, rejected above CONDUCTOR_CAP, naming q and m if it is unprintable.
 
     An unprintable conductor is never formed: c_m >= q^(m-1) >= 2^((m-1)(bit_length(q)-1)).
     """
@@ -70,8 +70,8 @@ def capped_conductor(q: int, m: int) -> int:
         if c <= CONDUCTOR_CAP:
             return c
         if c < PRINT_LIMIT:
-            raise TooLarge(f"conductor {c} exceeds the bitmap cap {CONDUCTOR_CAP}")
-    raise TooLarge(
+            raise ValidationError(f"conductor {c} exceeds the bitmap cap {CONDUCTOR_CAP}")
+    raise ValidationError(
         f"conductor q^m - q^ceil(m/2) at q = {q}, m = {m} exceeds the bitmap cap {CONDUCTOR_CAP}"
     )
 

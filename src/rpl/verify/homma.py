@@ -6,7 +6,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from .. import DEFAULT_N_MAX, homma_family
-from ..errors import ComputationError, TooLarge
+from ..errors import ComputationError, ValidationError
 from ..gf import FieldContext, field_from_order
 from ..primes import factor_prime_power
 from . import CheckResult, _run, _solutions
@@ -23,10 +23,10 @@ def homma_grid() -> list[tuple[int, int]]:
 def affine_level_states(q: int, ell: int) -> Iterator[dict[int, int]]:
     """Distributions of attained x_i values, one per level 1..ell.
 
-    The reference for ``homma_family.count_affine``.  Level 1 is uniform
-    over F_q; each later level maps a value v to every y in F_q with
-    y^{q-1} = -1 + (v+1)^{q-1}, found by scanning the field, multiplicities
-    carried along.  Mass can never grow by more than a factor q per level
+    The reference for ``homma_family.count_total(q, ell).affine``.  Level 1
+    is uniform over F_q; each later level maps a value v to every y in F_q
+    with y^{q-1} = -1 + (v+1)^{q-1}, found by scanning the field,
+    multiplicities carried along.  Mass can never grow by more than a factor q per level
     (fibers have at most q elements).
     """
     homma_family._check_family_params(q, ell)
@@ -57,7 +57,7 @@ def brute_force_projective(q: int, ell: int) -> homma_family.PointCount:
     """
     homma_family._check_family_params(q, ell)
     if q**ell > BRUTE_FORCE_CAP:
-        raise TooLarge(
+        raise ValidationError(
             f"q^ell = {q**ell} exceeds the brute-force cap {BRUTE_FORCE_CAP}"
         )
     pw, rows = _power_tables(field_from_order(q))
@@ -109,7 +109,7 @@ def _check_infinity_closed_form() -> tuple[str, list[str]]:
     failures = [
         f"({q},{ell})"
         for q, ell in homma_grid()
-        if homma_family.count_infinity(q, ell) != brute_force_projective(q, ell).infinity
+        if homma_family.count_total(q, ell).infinity != brute_force_projective(q, ell).infinity
     ]
     return "infinity_count==(q-1)^(ell-1) grid", failures
 
@@ -128,8 +128,7 @@ def _check_brute_force_agreement() -> tuple[str, list[str], str]:
 def _check_total_at_least_degree() -> tuple[str, list[str]]:
     failures: list[str] = []
     for q, ell in homma_grid():
-        total = homma_family.count_total(q, ell).total
-        degree = homma_family.curve_degree(q, ell)
+        _, degree, total = homma_family.count_total(q, ell)  # infinity numbers the degree
         if Fraction(total, degree) < 1:
             failures.append(f"({q},{ell}) {total}<{degree}")
     return "total>=degree grid", failures
@@ -152,7 +151,7 @@ def _check_mass_conservation() -> tuple[str, list[str]]:
                 failures.append(f"({q},{ell})")
                 break
         else:
-            if sum(states[-1].values()) != homma_family.count_affine(q, ell):
+            if sum(states[-1].values()) != homma_family.count_total(q, ell).affine:
                 failures.append(f"({q},{ell}) final mass")
     return "level_mass_conservation grid", failures
 
@@ -162,9 +161,9 @@ def _check_frozen_point_counts() -> tuple[str, list[str]]:
         homma_family.count_total(3, 3) == homma_family.PointCount(2, 4, 6),
         homma_family.count_total(4, 2) == homma_family.PointCount(6, 3, 9),
         homma_family.count_total(3, 2) == homma_family.PointCount(2, 2, 4),
-        homma_family.count_affine(5, 2) == 4,
-        homma_family.count_infinity(9, 5) == 4096,
-        homma_family.curve_degree(5, 4) == 64,
+        homma_family.count_total(5, 2).affine == 4,
+        homma_family.count_total(9, 5).infinity == 4096,
+        homma_family.count_total(5, 4).infinity == 64,
         brute_force_projective(3, 4) == homma_family.count_total(3, 4),
     )
     return "frozen_point_counts", [str(i) for i, ok in enumerate(checks) if not ok]

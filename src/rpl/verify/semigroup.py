@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain, pairwise
 
-from .. import DEFAULT_N_MAX, gs_tower, semigroup
+from .. import DEFAULT_N_MAX, semigroup
 from ..errors import ComputationError, ValidationError
 from . import CheckResult, _run
 
@@ -79,14 +79,18 @@ def weierstrass_semigroup(q: int, m: int) -> NumericalSemigroup:
     return NumericalSemigroup(c, below)
 
 
-def _check_gap_genus_full_grid() -> tuple[str, list[str], str]:
-    grid = semigroup_grid()
-    failures: list[str] = []
-    for q, m in grid:
+def gap_mismatches(cells: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int, int]]:
+    """(q, m, gaps) for each cell whose recursion gap count is not ``semigroup.gap_count``."""
+    for q, m in cells:
         s = weierstrass_semigroup(q, m)
         gaps = s.conductor - len(s.below)
-        if gaps != gs_tower.genus(q, m):
-            failures.append(f"({q},{m}) gaps {gaps}")
+        if gaps != semigroup.gap_count(q, m):
+            yield q, m, gaps
+
+
+def _check_gap_genus_full_grid() -> tuple[str, list[str], str]:
+    grid = semigroup_grid()
+    failures = [f"({q},{m}) gaps {gaps}" for q, m, gaps in gap_mismatches(grid)]
     return "gap_count==genus full grid c_m<=10^6", failures, f"{len(grid)} cells"
 
 

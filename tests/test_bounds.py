@@ -18,7 +18,7 @@ from rpl.bounds import (
     upper_limit_check,
     weil_bound,
 )
-from rpl.errors import NotConverged, NotPrimePower, ValidationError
+from rpl.errors import NotConverged, ValidationError
 from rpl.gf import field_from_order
 from rpl.gs_tower import points_per_degree_limit
 from rpl.primes import prime_powers
@@ -67,7 +67,7 @@ def test_coefficient_validation():
     with pytest.raises(ValidationError):
         nondegenerate_coefficient(3, 1)
     for q in (0, 1, 6):
-        with pytest.raises(NotPrimePower):
+        with pytest.raises(ValidationError, match=f"^q = {q} is not a prime power$"):
             nondegenerate_coefficient(q, 2)
 
 
@@ -279,8 +279,15 @@ def test_no_table_row_factors_q(monkeypatch):
 
 
 def test_dq_summary_rejects_non_prime_power():
-    with pytest.raises(NotPrimePower):
+    with pytest.raises(ValidationError, match="^q = 6 is not a prime power$"):
         dq_summary(6)
+
+
+@pytest.mark.parametrize("n", [-5, -1, 0, 1])
+def test_no_prime_power_below_two(n):
+    # an empty table, as at n = 0 and 1, rather than math.isqrt's ValueError
+    assert list(prime_powers(n)) == []
+    assert list(bounds.dq_table(n)) == []
 
 
 def test_record_fields_populated():

@@ -14,13 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpl import primes, verify
-from rpl.errors import (
-    AdmissibilityViolation,
-    DivisionByZero,
-    FieldTooLarge,
-    NonPrime,
-    NotPrimePower,
-)
+from rpl.errors import AdmissibilityViolation, DivisionByZero, ValidationError
 from rpl.gf import (
     _smallest_irreducible,
     _smallest_primitive,
@@ -100,7 +94,7 @@ def test_factor_prime_power_examples():
 
 @pytest.mark.parametrize("q", [0, 1, 6, 12, 100, 1000])
 def test_factor_prime_power_rejects_composites(q):
-    with pytest.raises(NotPrimePower):
+    with pytest.raises(ValidationError, match=f"^q = {q} is not a prime power$"):
         factor_prime_power(q)
 
 
@@ -206,9 +200,9 @@ def test_degree_one_modulus_is_x():
 
 
 def test_make_field_validation():
-    with pytest.raises(NonPrime):
+    with pytest.raises(ValidationError, match="^p = 4 is not prime$"):
         make_field(4, 2)
-    with pytest.raises(NonPrime):
+    with pytest.raises(ValidationError, match="^p = 1 is not prime$"):
         make_field(1, 3)
     with pytest.raises(ValueError):
         make_field(2, 0)
@@ -411,7 +405,8 @@ def test_primitive_search_where_x_is_not_primitive(p, e, generator):
 def test_default_cap(monkeypatch):
     monkeypatch.delenv(FIELD_CAP_ENV, raising=False)
     assert field_cap() == DEFAULT_FIELD_CAP
-    with pytest.raises(FieldTooLarge):
+    message = rf"^q = 2\^21 = {2**21} exceeds the enumeration cap {DEFAULT_FIELD_CAP}$"
+    with pytest.raises(ValidationError, match=message):
         make_field(2, 21)
 
 
@@ -421,15 +416,15 @@ def test_default_cap(monkeypatch):
 def test_cap_names_an_unprintable_order_by_its_exponent(monkeypatch, p, e):
     monkeypatch.delenv(FIELD_CAP_ENV, raising=False)
     message = rf"^q = {p}\^{e} exceeds the enumeration cap {DEFAULT_FIELD_CAP}$"
-    with pytest.raises(FieldTooLarge, match=message):
+    with pytest.raises(ValidationError, match=message):
         make_field(p, e)
-    with pytest.raises(FieldTooLarge, match=message):
+    with pytest.raises(ValidationError, match=message):
         field_order(p, e)
 
 
 @pytest.mark.parametrize("p,e", [(2, 14284), (3, 9012)])
 def test_cap_prints_the_largest_printable_order(p, e):
-    with pytest.raises(FieldTooLarge) as exc:
+    with pytest.raises(ValidationError) as exc:
         make_field(p, e)
     assert str(exc.value) == f"q = {p}^{e} = {p**e} exceeds the enumeration cap {DEFAULT_FIELD_CAP}"
 
@@ -437,7 +432,7 @@ def test_cap_prints_the_largest_printable_order(p, e):
 def test_cap_env_lowers(monkeypatch):
     monkeypatch.setenv(FIELD_CAP_ENV, "100")
     assert field_cap() == 100
-    with pytest.raises(FieldTooLarge):
+    with pytest.raises(ValidationError, match=r"^q = 2\^7 = 128 exceeds the enumeration cap 100$"):
         field_order(2, 7)
     assert field_order(2, 6) == 64
     assert make_field(2, 7).q == 128  # building a field meets only the fixed limit

@@ -5,14 +5,10 @@ from fractions import Fraction
 import pytest
 
 from rpl import semigroup
-from rpl.errors import NotPrimePower, ValidationError
+from rpl.errors import ValidationError
 from rpl.gf import field_from_order
-from rpl.gs_tower import (
-    count_split_chains,
-    genus,
-    points_per_degree_limit,
-    tower_ratio_sequence,
-)
+from rpl.gs_tower import count_split_chains, points_per_degree_limit, tower_ratio_sequence
+from rpl.semigroup import gap_count
 from rpl.verify.gs import tower_level_states
 
 
@@ -65,11 +61,11 @@ def test_lower_bound_frozen():
 
 
 def test_genus_frozen():
-    assert genus(2, 2) == 1
-    assert genus(2, 3) == 3
-    assert genus(3, 1) == 0
-    assert genus(2, 4) == 9
-    assert genus(3, 2) == 4
+    assert gap_count(2, 2) == 1
+    assert gap_count(2, 3) == 3
+    assert gap_count(3, 1) == 0
+    assert gap_count(2, 4) == 9
+    assert gap_count(3, 2) == 4
 
 
 def test_genus_closed_form():
@@ -79,7 +75,7 @@ def test_genus_closed_form():
                 expected = (q ** (m // 2) - 1) ** 2
             else:
                 expected = (q ** ((m + 1) // 2) - 1) * (q ** ((m - 1) // 2) - 1)
-            assert genus(q, m) == expected
+            assert gap_count(q, m) == expected
 
 
 def test_level_states_start_set_and_masses():
@@ -133,10 +129,10 @@ def test_ratio_sequence_decreasing_and_above_limit():
 
 
 def test_validation():
-    with pytest.raises(NotPrimePower):
+    with pytest.raises(ValidationError, match="^q = 6 is not a prime power$"):
         count_split_chains(6, 2)
-    with pytest.raises(ValidationError):
-        genus(2, 0)
+    with pytest.raises(ValidationError, match="^m must be >= 1, got 0$"):
+        gap_count(2, 0)
     with pytest.raises(ValidationError):
         count_split_chains(3, 0)
     with pytest.raises(ValidationError):

@@ -7,15 +7,9 @@ import tracemalloc
 import pytest
 
 import field_oracles as oracle
-from rpl.errors import NotPrimePower, QTooSmall, TooLarge, ValidationError
+from rpl.errors import ValidationError
 from rpl.gf import field_from_order
-from rpl.homma_family import (
-    PointCount,
-    count_affine,
-    count_infinity,
-    count_total,
-    curve_degree,
-)
+from rpl.homma_family import PointCount, count_total
 from rpl.verify import homma as verify_homma
 from rpl.verify.homma import (
     BRUTE_FORCE_CAP,
@@ -48,37 +42,38 @@ def affine_count_by_tuple_enumeration(q, ell):
     "q,ell", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2), (7, 2), (9, 2)]
 )
 def test_affine_count_matches_tuple_enumeration(q, ell):
-    assert count_affine(q, ell) == affine_count_by_tuple_enumeration(q, ell)
+    assert count_total(q, ell).affine == affine_count_by_tuple_enumeration(q, ell)
 
 
 def test_frozen_counts():
     assert count_total(3, 3) == PointCount(2, 4, 6)
     assert count_total(4, 2) == PointCount(6, 3, 9)
     assert count_total(3, 2) == PointCount(2, 2, 4)
-    assert count_affine(5, 2) == 4
-    assert count_infinity(9, 5) == 4096
-    assert count_infinity(3, 3) == 4
-    assert count_infinity(4, 2) == 3
+    assert count_total(5, 2).affine == 4
+    assert count_total(9, 5).infinity == 4096
+    assert count_total(3, 3).infinity == 4
+    assert count_total(4, 2).infinity == 3
 
 
 def test_degree_closed_form():
-    assert curve_degree(5, 4) == 64
-    assert curve_degree(3, 2) == 2
+    # the points at infinity number the degree (q-1)^(ell-1)
+    assert count_total(5, 4).infinity == 64
+    assert count_total(3, 2).infinity == 2
     for q in (3, 4, 5, 7):
         for ell in (2, 3, 4):
-            assert curve_degree(q, ell) == (q - 1) ** (ell - 1)
+            assert count_total(q, ell).infinity == (q - 1) ** (ell - 1)
 
 
 def test_infinity_equals_degree():
     for q in (3, 4, 5, 7, 8, 9):
         for ell in (2, 3, 4):
-            assert count_infinity(q, ell) == curve_degree(q, ell)
+            assert brute_force_projective(q, ell).infinity == (q - 1) ** (ell - 1)
 
 
 def test_total_at_least_degree():
     for q in (3, 4, 5, 7, 8, 9):
         for ell in (2, 3, 4, 5):
-            assert count_total(q, ell).total >= curve_degree(q, ell)
+            assert count_total(q, ell).total >= (q - 1) ** (ell - 1)
 
 
 def test_brute_force_agrees_with_analytic():
@@ -111,7 +106,7 @@ def test_prefix_search_near_the_cap(q, ell):
     assert q**ell <= BRUTE_FORCE_CAP
     brute = brute_force_projective(q, ell)
     assert brute == count_total(q, ell)
-    assert brute.infinity == count_infinity(q, ell)
+    assert brute.infinity == (q - 1) ** (ell - 1)
 
 
 def test_prefix_search_holds_no_level():
@@ -138,24 +133,24 @@ def test_verify_homma_time_budget():
 
 def test_brute_force_cap():
     assert 3**20 > BRUTE_FORCE_CAP
-    with pytest.raises(TooLarge):
+    with pytest.raises(ValidationError, match=f"^q\\^ell = {3**20} exceeds the brute-force cap"):
         brute_force_projective(3, 20)
 
 
 def test_validation_errors():
-    with pytest.raises(QTooSmall):
-        curve_degree(2, 3)
-    with pytest.raises(QTooSmall):
+    with pytest.raises(ValidationError, match="^the curve family needs q > 2, got q = 2$"):
+        count_total(2, 3)
+    with pytest.raises(ValidationError, match="^the curve family needs q > 2, got q = 2$"):
         count_total(2, 2)
-    with pytest.raises(ValidationError):
-        count_affine(3, 1)
-    with pytest.raises(NotPrimePower):
+    with pytest.raises(ValidationError, match="^ell must be >= 2, got 1$"):
+        count_total(3, 1)
+    with pytest.raises(ValidationError, match="^q = 6 is not a prime power$"):
         count_total(6, 2)
 
 
 def test_q_too_small_is_validation_error():
-    with pytest.raises(ValidationError):
-        count_infinity(2, 4)
+    with pytest.raises(ValidationError, match="^the curve family needs q > 2, got q = 2$"):
+        count_total(2, 4)
 
 
 def test_point_count_invariants():
@@ -174,7 +169,7 @@ def test_level_states_shape_and_mass():
         assert sum(states[0].values()) == q
         for prev, nxt in zip(states, states[1:]):
             assert sum(nxt.values()) <= q * sum(prev.values())
-        assert sum(states[-1].values()) == count_affine(q, ell)
+        assert sum(states[-1].values()) == count_total(q, ell).affine
 
 
 def test_level_values_satisfy_recursion():
@@ -198,25 +193,24 @@ def test_level_values_satisfy_recursion():
 def test_closed_form_matches_value_propagation(q):
     for ell in range(2, 9):
         *_, last = affine_level_states(q, ell)
-        assert count_affine(q, ell) == sum(last.values())
+        assert count_total(q, ell).affine == sum(last.values())
 
 
 @pytest.mark.parametrize("q,ell", [(3, 14285), (4, 9013), (256, 1787)])
 def test_largest_printable_degree_is_accepted(q, ell):
     count = count_total(q, ell)
     assert len(str(count.total)) <= 4300
-    assert count.infinity == curve_degree(q, ell) == (q - 1) ** (ell - 1)
+    assert count.infinity == (q - 1) ** (ell - 1)
 
 
 @pytest.mark.parametrize("q,ell", [(3, 14286), (4, 9014), (256, 1788)])
 def test_unprintable_degree_is_too_large(q, ell):
-    for count in (count_total, count_affine, count_infinity, curve_degree):
-        with pytest.raises(TooLarge, match="has 4301 digits"):
-            count(q, ell)
+    with pytest.raises(ValidationError, match="has 4301 digits"):
+        count_total(q, ell)
 
 
 def test_huge_ell_is_rejected_at_once():
     start = time.perf_counter()
-    with pytest.raises(TooLarge, match="has 24065400 digits"):
+    with pytest.raises(ValidationError, match="has 24065400 digits"):
         count_total(256, 10**7)
     assert time.perf_counter() - start < 0.5

@@ -74,6 +74,17 @@ def test_no_bare_value_error_raises(path):
     assert not lines, f"{_name(path)}: raise ValueError at line(s) {lines}"
 
 
+def test_one_type_for_rejected_input():
+    # every input rule raises ValidationError itself and its message states
+    # the rule; a subclass per rule would be a second name no caller reads
+    subclasses = [
+        f"{_name(path)}: {node.name}" for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)
+        and "ValidationError" in set().union(*map(_names, node.bases))
+    ]
+    assert not subclasses, f"ValidationError subclasses: {subclasses}"
+
+
 def test_cli_main_does_not_catch_value_error():
     # a ValueError escaping a handler is a bug: it must surface as a
     # traceback with exit 1, not be reported as rejected input
