@@ -1,17 +1,17 @@
 """Deterministic command-line interface.
 
-Subcommands: points-homma, gs, semigroup, bounds, verify. Every command
-renders to json, csv, or text; identical invocations produce byte-identical
-output, written as it is rendered. The semigroup generators are marked a
-segment at a time, each starting on a multiple of 1000, and written straight
-from their mark bytes a window [1000h, 1000h + 1000) at a time, without an
-int per generator; equal windows share one memo of their picks. Exit codes:
-0 success, 1 computation or check failure, 2 validation error or a failed
+Subcommands: points-homma, gs, semigroup, bounds, verify. Each handler
+validates its input, then renders only the format --format chose (json,
+csv or text), written as it is rendered; identical invocations produce
+byte-identical output. The semigroup generators are marked a segment at a
+time, each starting on a multiple of 1000, and written straight from their
+mark bytes a window [1000h, 1000h + 1000) at a time, without an int per
+generator; equal windows share one memo of their picks. Exit codes: 0
+success, 1 computation or check failure, 2 validation error or a failed
 write. Each handler imports the rpl modules it reads, so --help loads none
-and points-homma, gs and semigroup load neither fractions nor decimal; only
---format json loads json and only --format csv loads csv. No command but
-verify loads the field module rpl.gf, and verify loads only the scope
-modules it runs.
+and gs and semigroup load neither fractions nor decimal; only --format json
+loads json and only --format csv loads csv. No command but verify loads the
+field module rpl.gf, and verify loads only the scope modules it runs.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ MEMO_WINDOWS = 64  # distinct window marks _join_marked keeps at once
 TABLE_CAP = 10_000_000  # --table limit: a table at 10^7 takes about 5 s
 
 
-class Rendering(namedtuple("Rendering", "json csv text exit_code", defaults=(0,))):
-    """A command's output in each format, as pieces of text written in order.
+class Rendering(namedtuple("Rendering", "pieces exit_code", defaults=(0,))):
+    """A command's output in the chosen format, as pieces of text written in order.
 
-    The pieces are lazy: only the chosen format is rendered, and a streamed
-    part (the generators, the table rows) a bounded piece at a time.
+    A handler renders only args.format, after it has validated its input;
+    a streamed part (the generators, the table rows) is rendered a bounded
+    piece at a time as the pieces are written.
     """
 
     __slots__ = ()
@@ -92,20 +93,10 @@ def _encoder() -> Callable[[object], str]:
     return json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _json(obj: dict) -> Iterator[str]:
-    """obj as one line of json.
-
-    A callable last field f is an array, streamed as the text that f(",")
-    yields: its items joined by ','.
-    """
-    encode = _encoder()
-    *_, last = obj
-    if callable(obj[last]):
-        yield encode({**obj, last: []})[:-2]
-        yield from obj[last](",")
-        yield "]}\n"
-    else:
-        yield encode(obj) + "\n"
+def _json(obj: dict, items: Iterable[str] | None = None) -> Iterable[str]:
+    """obj as one line of json; with items, its last field lists their text, joined by ','."""
+    text = _encoder()(obj)
+    return [text + "\n"] if items is None else chain([text[:-2]], items, ["]}\n"])
 
 
 def _csv(rows: Iterable[Iterable[object]]) -> str:
@@ -115,26 +106,20 @@ def _csv(rows: Iterable[Iterable[object]]) -> str:
     return buffer.getvalue()
 
 
-def _record(obj: dict) -> Rendering:
-    """Render a one-record JSON object as a csv row and text lines, after "schema".
-
-    None becomes an empty cell and no text line.  A callable last field f
-    is a list, streamed as the text that f(";") yields: its items joined
-    by ';'.
+def _record(fmt: str, fields: dict, items: Iterable[str] | None = None) -> Iterable[str]:
+    """One JSON object in fmt: as json, or after "schema" as a csv row under its
+    header or as text lines.  None and the empty list become an empty cell, and
+    None no text line.  With items, the last field is an empty list filled by
+    the text of items, elements joined by ',' in json and ';' in csv and text.
     """
-    *_, last = obj
-    tail = obj[last] if callable(obj[last]) else lambda sep: ()
-    cells = {
-        key: "" if value is None or value is tail else value
-        for key, value in list(obj.items())[1:]
-    }
-    row = (_csv([list(one), one.values()])[:-1] for one in [cells])  # made only if read
-    lines = "".join(f"{key} {cell}\n" for key, cell in cells.items() if obj[key] is not None)
-    # the tail is the last cell: it ends just before the final newline
-    tail_text = tail(";")
-    return Rendering(
-        _json(obj), chain(row, tail_text, ["\n"]), chain([lines[:-1]], tail_text, ["\n"])
-    )
+    if fmt == "json":
+        return _json(fields, items)
+    cells = {key: "" if value in (None, []) else value for key, value in list(fields.items())[1:]}
+    if fmt == "csv":
+        head = _csv([list(cells), cells.values()])
+    else:
+        head = "".join(f"{key} {cell}\n" for key, cell in cells.items() if fields[key] is not None)
+    return chain([head[:-1]], items or (), ["\n"])  # the items end just before the final newline
 
 
 def _ratio(a: int, b: int) -> str:
@@ -146,26 +131,26 @@ def _ratio(a: int, b: int) -> str:
 def _cmd_points_homma(args: argparse.Namespace) -> Rendering:
     from . import homma_family
     count = homma_family.count_total(args.q, args.ell)  # validates (q, ell) once
-    return _record({
+    return Rendering(_record(args.format, {
         "schema": 1,
         "affine": count.affine,
         "infinity": count.infinity,
         "total": count.total,
         "degree": count.infinity,  # the points at infinity number the degree
         "ratio": _ratio(count.total, count.infinity),
-    })
+    }))
 
 
 def _cmd_gs(args: argparse.Namespace) -> Rendering:
     from . import gs_tower, semigroup
     q, m = args.q, args.m
-    gs_tower.check_level(q, m)
+    gs_tower.check_tower_field(q, m)
     c = semigroup.capped_conductor(q, m)  # before q^m is formed
     genus = semigroup.gap_count(q, m)
     # the generator bounds hold for every m >= 2 (Pellikaan-Stichtenoth-Torres
     # 1998); verify semigroup certifies them for q in 2..5 with c_m <= 10^6
     verdict = True if m >= 2 else None
-    return _record({
+    return Rendering(_record(args.format, {
         "schema": 1,
         "q": q,
         "m": m,
@@ -177,23 +162,22 @@ def _cmd_gs(args: argparse.Namespace) -> Rendering:
         "gamma_last": semigroup.largest_generator(q, m),
         "smallest_ok": verdict,
         "largest_ok": verdict,
-    })
+    }))
 
 
 def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
     from . import semigroup
     q, m = args.q, args.m
     segments = semigroup.generator_marks(q, m)  # validates and checks the cap
-    return _record({
+    return Rendering(_record(args.format, {
         "schema": 1,
         "q": q,
         "m": m,
         "conductor": semigroup.conductor(q, m),
         "gap_count": semigroup.gap_count(q, m),
         "smallest_positive": semigroup.smallest_positive(q, m),
-        # one format is rendered, so the segments are read once
-        "generators": lambda sep: _join_marked(segments, sep),
-    })
+        "generators": [],
+    }, _join_marked(segments, "," if args.format == "json" else ";")))
 
 
 BOUNDS_HEADER = ["q", "upper", "best_lower", "records"]
@@ -225,45 +209,43 @@ def _cmd_bounds(args: argparse.Namespace) -> Rendering:
     from . import bounds
     if args.table is None:
         summary = bounds.dq_summary(args.q)
-        lines = [f"q {summary.q}", f"upper {summary.records[0].value}",
-                 f"best_lower {summary.best_lower or 'unknown'}",
-                 *(f"record {rec.name} {rec.direction} {rec.value}" for rec in summary.records)]
-        return Rendering(  # the json object is built only when the json pieces are read
-            (piece for one in [summary] for piece in _json({"schema": 1, **_summary(one)})),
-            (_csv([BOUNDS_HEADER, _summary_row(one)]) for one in [summary]),
-            ["\n".join(lines) + "\n"])
+        if args.format == "json":
+            return Rendering(_json({"schema": 1, **_summary(summary)}))
+        if args.format == "csv":
+            return Rendering([_csv([BOUNDS_HEADER, _summary_row(summary)])])
+        lines = "".join(f"record {rec.name} {rec.direction} {rec.value}\n"
+                        for rec in summary.records)
+        return Rendering([f"q {summary.q}\nupper {summary.records[0].value}\n"
+                          f"best_lower {summary.best_lower or 'unknown'}\n{lines}"])
     if args.table < 2:
         raise ValidationError(f"--table expects a limit of at least 2, got {args.table}")
     if args.table > TABLE_CAP:
         raise ValidationError(f"--table expects a limit of at most {TABLE_CAP}, got {args.table}")
-    # one lazy stream of records; only the chosen format consumes it, each row
-    # becoming text as soon as it is computed
+    # one lazy stream of records, each row becoming text as soon as it is computed
     summaries = bounds.dq_table(args.table)
-    rows = chain([BOUNDS_HEADER], map(_summary_row, summaries))
-    return Rendering(
-        _json({"schema": 1, "qmax": args.table,
-               "rows": lambda sep: _blocks(map(_encoder(), map(_summary, summaries)), sep)}),
-        iter(lambda: _csv(islice(rows, BLOCK)), ""),  # one csv writer per block of rows
-        _blocks(map(_summary_line, summaries)),
-    )
+    if args.format == "json":
+        rows = _blocks(map(_encoder(), map(_summary, summaries)), ",")
+        return Rendering(_json({"schema": 1, "qmax": args.table, "rows": []}, rows))
+    if args.format == "csv":
+        rows = chain([BOUNDS_HEADER], map(_summary_row, summaries))
+        return Rendering(iter(lambda: _csv(islice(rows, BLOCK)), ""))  # one csv writer per block
+    return Rendering(_blocks(map(_summary_line, summaries)))
 
 
 def _cmd_verify(args: argparse.Namespace) -> Rendering:
     from . import verify  # needed by no other command; it loads each scope as it runs
     results = verify.run_verify(args.scope, args.n_max)
     passed = sum(1 for res in results if res.ok)
-    checks = [res._asdict() for res in results]  # scope, name, ok, detail
-    lines = [f"[{res.scope}] {res.name} {'PASS' if res.ok else f'FAIL ({res.detail})'}"
-             for res in results]
-    lines.append(f"{passed}/{len(results)} checks passed")
-    return Rendering(
-        _json({"schema": 1, "scope": args.scope, "checks": checks,
-               "passed": passed, "total": len(results)}),
-        (_csv([["scope", "name", "ok", "detail"], *(check.values() for check in one)])
-         for one in [checks]),
-        ["\n".join(lines) + "\n"],
-        exit_code=0 if passed == len(results) else 1,
-    )
+    if args.format == "json":
+        pieces = _json({"schema": 1, "scope": args.scope,
+                        "checks": [res._asdict() for res in results],  # scope, name, ok, detail
+                        "passed": passed, "total": len(results)})
+    elif args.format == "csv":
+        pieces = [_csv([verify.CheckResult._fields, *results])]
+    else:
+        pieces = [*(f"[{res.scope}] {res.name} {'PASS' if res.ok else f'FAIL ({res.detail})'}\n"
+                    for res in results), f"{passed}/{len(results)} checks passed\n"]
+    return Rendering(pieces, exit_code=0 if passed == len(results) else 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -329,14 +311,13 @@ def main(argv: list[str] | None = None) -> int:
         except RplError as exc:  # anything else escaping a handler is a bug: a traceback, exit 1
             print(f"error: {exc}", file=sys.stderr)
             return exc.exit_code
-        pieces = getattr(result, args.format)
         try:
             if args.out is None:
-                sys.stdout.writelines(pieces)
+                sys.stdout.writelines(result.pieces)
                 sys.stdout.flush()
             else:
                 with open(args.out, "w", encoding="utf-8") as out:
-                    out.writelines(pieces)
+                    out.writelines(result.pieces)
             return result.exit_code
         except BrokenPipeError:
             code = result.exit_code  # the reader stopped early (`rpl ... | head`): end quietly

@@ -24,7 +24,7 @@ from .errors import ValidationError
 from .primes import factor_prime_power, field_order
 
 
-def check_level(q: int, m: int) -> None:
+def check_tower_field(q: int, m: int) -> None:
     """Reject q that is not a prime power, then m < 1, then F_{q^2} over the field cap."""
     p, e = factor_prime_power(q)
     semigroup.check_level(q, m)
@@ -39,7 +39,7 @@ def count_split_chains(q: int, m: int) -> int:
     this stays a bound rather than a claimed exact total.  F_{q^2} must be
     under the field cap, as for every field the package works over.
     """
-    check_level(q, m)
+    check_tower_field(q, m)
     return (q - 1) * q**m
 
 

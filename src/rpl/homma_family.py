@@ -33,6 +33,8 @@ from . import MAX_PRINTED_DIGITS, PRINT_LIMIT
 from .errors import ValidationError
 from .primes import factor_prime_power, field_order
 
+COUNTED_EXP_DIGITS = 1000  # a degree's digits are counted up to this exponent length (17 ms)
+
 
 class PointCount(namedtuple("PointCount", "affine infinity total")):
     """Affine / infinity split of a projective point count."""
@@ -60,16 +62,31 @@ def _check_family_params(q: int, ell: int) -> int:
         raise ValidationError(f"ell must be >= 2, got {ell}")
     # the total is the longest number printed.  A degree of at most 14280 bits
     # prints, as 2^14280 < 10^4299; past that, the power is formed only when
-    # log10 of the degree does not already settle the question
+    # its digit count does not already settle the question
     if (ell - 1) * (q - 1).bit_length() > 14280:
-        from decimal import Decimal  # only a degree that may not print pays for it
-        log_degree = (ell - 1) * Decimal(q - 1).log10()
-        if log_degree > MAX_PRINTED_DIGITS or (q - 1) ** (ell - 1) + _affine(q, ell) >= PRINT_LIMIT:
-            raise ValidationError(
-                f"degree (q-1)^(ell-1) = {q - 1}^{ell - 1} has {int(log_degree) + 1} "
-                f"digits; at most {MAX_PRINTED_DIGITS} can be printed"
-            )
+        digits = _digit_count(q - 1, ell - 1)
+        if (digits is None or digits > MAX_PRINTED_DIGITS
+                or (q - 1) ** (ell - 1) + _affine(q, ell) >= PRINT_LIMIT):
+            count = f"more than {MAX_PRINTED_DIGITS}" if digits is None else digits
+            raise ValidationError(f"degree (q-1)^(ell-1) = {q - 1}^{ell - 1} has {count} digits; "
+                                  f"at most {MAX_PRINTED_DIGITS} can be printed")
     return (q - 1) ** (ell - 1)
+
+
+def _digit_count(base: int, exp: int) -> int | None:
+    """Digits of base**exp for 2 <= base < 10^10; None, for a count past
+    MAX_PRINTED_DIGITS, if exp has over COUNTED_EXP_DIGITS digits or log10
+    leaves the count open.  log10 is correctly rounded to 20 digits more than
+    exp has, so exp * log10(base) is off by under 10^-19, and within that of
+    an integer k the count is k or k + 1."""
+    if exp >= 10**COUNTED_EXP_DIGITS:
+        return None
+    from decimal import Context, Decimal, localcontext  # only a degree that may not print pays
+    with localcontext(Context(prec=len(str(exp)) + 20)):  # not the caller's context
+        x = exp * Decimal(base).log10()
+        if abs(x - (k := round(x))) > Decimal("1e-19"):
+            return int(x) + 1
+    return k + (base**exp >= 10**k) if k <= MAX_PRINTED_DIGITS else None
 
 
 def _affine(q: int, ell: int) -> int:

@@ -12,6 +12,8 @@ runs each row once in this process, as test_golden.py's
 test_stdout_matches_golden_digest (exit 0 or 1) or test_cli.py's
 test_cli_rejections (exit 2), except the rows in SUBPROCESS, which
 criterion 10 and the memory budgets in test_cli.py run in a fresh process.
+check_row needs no pytest, so tests/parity_interpreters.py runs every
+row through it under each interpreter it is given.
 
 The expected columns are never edited by hand. They are regenerated from
 a named commit, never from the change under test:
@@ -61,8 +63,7 @@ import re
 import tempfile
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout
-
-import pytest
+from unittest import mock
 
 # Rows that their own tests run in a subprocess: criterion 10 runs `verify
 # all` twice, and the memory budgets need a fresh process's peak RSS.
@@ -105,13 +106,13 @@ def run(row: Row) -> Row:
     from rpl import cli  # here, so that regen_parity.py can load the table without rpl
 
     stdout, stderr = io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as out_dir, \
+    with mock.patch.dict(os.environ), tempfile.TemporaryDirectory() as out_dir, \
             redirect_stdout(stdout), redirect_stderr(stderr):
         for key, value in variables(row.cap).items():
             if value is None:
-                patch.delenv(key, raising=False)
+                os.environ.pop(key, None)
             else:
-                patch.setenv(key, value)
+                os.environ[key] = value
         args = argv(row.line, out_dir)
         try:
             code = cli.main(args)
@@ -128,6 +129,8 @@ def check_row(row: Row) -> None:
 
 def cases(rejected: bool) -> list:
     """The rows run in this process that reject their input (exit 2), or the others."""
+    import pytest  # here, so that the rows run where pytest is not installed
+
     return [pytest.param(entry, id=(entry.line or "(no arguments)")
                          + (f" cap={entry.cap}" if entry.cap else ""))
             for entry in ROWS if (entry.code == 2) == rejected and entry.line not in SUBPROCESS]

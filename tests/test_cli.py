@@ -219,14 +219,15 @@ def test_join_marked_copies_no_whole_mark():
     assert peak < 600_000  # about 0.45 MB: one segment, one window and the memo at a time
 
 
-def test_bounds_table_json_holds_one_block():
-    # 9.7K rows of about 330 bytes each, rendered BLOCK rows per piece; a
-    # 1024-row block, held as the rows, their join and the lead plus the join,
-    # peaked at 1.6 MB
-    rendering = cli._cmd_bounds(argparse.Namespace(q=None, table=100_000))
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_bounds_table_holds_one_block(fmt):
+    # 9.7K rows, rendered BLOCK rows per piece in every format, never all at
+    # once; a 1024-row json block (rows of about 330 bytes), held as the rows,
+    # their join and the lead plus the join, peaked at 1.6 MB
+    rendering = cli._cmd_bounds(argparse.Namespace(q=None, table=100_000, format=fmt))
     tracemalloc.start()
     try:
-        for _ in rendering.json:
+        for _ in rendering.pieces:
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:

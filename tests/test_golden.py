@@ -6,7 +6,10 @@ test_cli_rejections, and the rows in parity.SUBPROCESS in the tests that
 need a fresh process.
 """
 
+import re
 import runpy
+import subprocess
+import sys
 from itertools import chain
 from pathlib import Path
 
@@ -15,6 +18,7 @@ import pytest
 import parity
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+INTERPRETERS = Path(__file__).resolve().parent / "parity_interpreters.py"
 
 
 @pytest.mark.parametrize("row", parity.cases(rejected=False))
@@ -38,3 +42,15 @@ def test_benchmark_pins_match_the_corpus():
     pinned = {pin.label(): (pin.exit_code, pin.sha256) for pin in pins}
     rows = {line: parity.row(line) for line in pinned}
     assert {line: (row.code, row.sha256) for line, row in rows.items()} == pinned
+
+
+def test_parity_interpreters_script_runs():
+    # the script that runs the corpus under other interpreters, run on this
+    # one without its slowest rows (verify and the bound tables, about 3 s)
+    fast = "^(?!verify|bounds --table)"
+    proc = subprocess.run([sys.executable, str(INTERPRETERS), "--match", fast, sys.executable],
+                          capture_output=True, text=True)
+    rows = sum(1 for row in parity.ROWS if re.search(fast, row.line))
+    version = sys.version.split()[0]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, f"{sys.executable}: 0 mismatches in {rows} rows on Python {version}\n", "")

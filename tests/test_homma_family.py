@@ -196,7 +196,7 @@ def test_closed_form_matches_value_propagation(q):
         assert count_total(q, ell).affine == sum(last.values())
 
 
-@pytest.mark.parametrize("q,ell", [(3, 14285), (4, 9013), (256, 1787)])
+@pytest.mark.parametrize("q,ell", [(3, 14285), (4, 9013), (256, 1787), (11, 4300)])
 def test_largest_printable_degree_is_accepted(q, ell):
     count = count_total(q, ell)
     assert len(str(count.total)) <= 4300
@@ -206,6 +206,20 @@ def test_largest_printable_degree_is_accepted(q, ell):
 @pytest.mark.parametrize("q,ell", [(3, 14286), (4, 9014), (256, 1788)])
 def test_unprintable_degree_is_too_large(q, ell):
     with pytest.raises(ValidationError, match="has 4301 digits"):
+        count_total(q, ell)
+
+
+@pytest.mark.parametrize("q,ell,digits", [
+    # past the 28 digits of Decimal's default precision
+    (3, 10**40, "3010299956639811952137388947244930267682"),
+    # the longest exponent that gets a count (1000 digits); the count's first 56 digits
+    (3, 10**1000, "30102999566398119521373889472449302676818988146210854131[0-9]{944}"),
+    (11, 4301, "4301"),  # 10^4300: log10 lands on an integer, so the power decides
+    (11, 4302, "more than 4300"),  # 10^4301: the power is not formed, nor a count claimed
+    (3, 10**1000 + 1, "more than 4300"),  # an exponent past 1000 digits gets no count
+], ids=["3-10**40", "3-10**1000", "11-4301", "11-4302", "3-10**1000+1"])
+def test_unprintable_degree_digit_count_is_exact(q, ell, digits):
+    with pytest.raises(ValidationError, match=f" has {digits} digits; "):
         count_total(q, ell)
 
 
