@@ -29,4 +29,15 @@ N_MAX_CAP = 4000  # --n-max limit: coefficient_monotone takes 4.6 s at 4000 and 
 MAX_PRINTED_DIGITS = 4300
 PRINT_LIMIT = 10**MAX_PRINTED_DIGITS
 
+
+def printable_power(base: int, exp: int) -> int | None:
+    """base**exp below PRINT_LIMIT, else None; as base**exp >= 2^(exp * (bit_length(base) - 1)),
+    an unprintable power is never formed past about 1.6 times the limit's bits."""
+    if exp * (base.bit_length() - 1) < PRINT_LIMIT.bit_length():
+        power = base**exp
+        if power < PRINT_LIMIT:
+            return power
+    return None
+
+
 __all__ = ["__version__"]

@@ -30,7 +30,8 @@ from functools import reduce
 from itertools import product
 
 from .errors import DivisionByZero, ValidationError
-from .primes import DEFAULT_FIELD_CAP, _checked_order, _smallest_factor, factor_prime_power
+from .primes import (DEFAULT_FIELD_CAP, _smallest_factor, capped_order, factor_prime_power,
+                     is_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +327,11 @@ class FieldContext:
 
 def make_field(p: int, e: int) -> FieldContext:
     """Build F_{p^e} with the lexicographically smallest irreducible modulus."""
-    _checked_order(p, e, DEFAULT_FIELD_CAP)
+    if not is_prime(p):
+        raise ValidationError(f"p = {p} is not prime")
+    if e < 1:
+        raise ValidationError(f"extension degree must be >= 1, got {e}")
+    capped_order(p, e, DEFAULT_FIELD_CAP)
     return FieldContext(p, e)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from . import MAX_PRINTED_DIGITS, PRINT_LIMIT
+from . import MAX_PRINTED_DIGITS, PRINT_LIMIT, printable_power
 from .errors import ValidationError
 from .primes import factor_prime_power, field_order
 
@@ -60,17 +60,13 @@ def _check_family_params(q: int, ell: int) -> int:
         raise ValidationError(f"the curve family needs q > 2, got q = {q}")
     if ell < 2:
         raise ValidationError(f"ell must be >= 2, got {ell}")
-    # the total is the longest number printed.  A degree of at most 14280 bits
-    # prints, as 2^14280 < 10^4299; past that, the power is formed only when
-    # its digit count does not already settle the question
-    if (ell - 1) * (q - 1).bit_length() > 14280:
+    degree = printable_power(q - 1, ell - 1)
+    if degree is None or degree + _affine(q, ell) >= PRINT_LIMIT:  # the total is printed too
         digits = _digit_count(q - 1, ell - 1)
-        if (digits is None or digits > MAX_PRINTED_DIGITS
-                or (q - 1) ** (ell - 1) + _affine(q, ell) >= PRINT_LIMIT):
-            count = f"more than {MAX_PRINTED_DIGITS}" if digits is None else digits
-            raise ValidationError(f"degree (q-1)^(ell-1) = {q - 1}^{ell - 1} has {count} digits; "
-                                  f"at most {MAX_PRINTED_DIGITS} can be printed")
-    return (q - 1) ** (ell - 1)
+        count = f"more than {MAX_PRINTED_DIGITS}" if digits is None else digits
+        raise ValidationError(f"degree (q-1)^(ell-1) = {q - 1}^{ell - 1} has {count} digits; "
+                              f"at most {MAX_PRINTED_DIGITS} can be printed")
+    return degree
 
 
 def _digit_count(base: int, exp: int) -> int | None:

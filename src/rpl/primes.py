@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from itertools import compress
 from math import isqrt
 
-from . import PRINT_LIMIT
+from . import printable_power
 from .errors import ValidationError
 
 DEFAULT_FIELD_CAP = 1 << 20
@@ -91,21 +91,17 @@ def prime_powers(n: int) -> Iterator[tuple[int, int, int]]:
     yield from powers[i:]
 
 
-def _checked_order(p: int, e: int, cap: int) -> int:
-    """Order p^e for prime p and e >= 1, rejected above cap."""
-    if not is_prime(p):
-        raise ValidationError(f"p = {p} is not prime")
-    if e < 1:
-        raise ValidationError(f"extension degree must be >= 1, got {e}")
-    if e * (p.bit_length() - 1) < PRINT_LIMIT.bit_length():
-        q = p**e
-        if q <= cap:
-            return q
-        if q < PRINT_LIMIT:
-            raise ValidationError(f"q = {p}^{e} = {q} exceeds the enumeration cap {cap}")
-    raise ValidationError(f"q = {p}^{e} exceeds the enumeration cap {cap}")
+def capped_order(p: int, e: int, cap: int) -> int:
+    """Order p^e, rejected above cap, naming only p and e if it is unprintable."""
+    q = printable_power(p, e)
+    if q is None:
+        raise ValidationError(f"q = {p}^{e} exceeds the enumeration cap {cap}")
+    if q > cap:
+        raise ValidationError(f"q = {p}^{e} = {q} exceeds the enumeration cap {cap}")
+    return q
 
 
 def field_order(p: int, e: int) -> int:
-    """Order p^e of a command's field under the input cap, validated without building it."""
-    return _checked_order(p, e, field_cap())
+    """Order p^e of a command's field under the input cap, validated without building it;
+    p and e come from ``factor_prime_power``, which has proved p prime and e >= 1."""
+    return capped_order(p, e, field_cap())

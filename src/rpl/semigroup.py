@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import chain, compress
 
-from . import PRINT_LIMIT
+from . import PRINT_LIMIT, printable_power
 from .errors import ValidationError
 
 # The generators are marked a segment at a time, so the cap bounds the time
@@ -62,10 +62,10 @@ def conductor(q: int, m: int) -> int:
 def capped_conductor(q: int, m: int) -> int:
     """The conductor, rejected above CONDUCTOR_CAP, naming q and m if it is unprintable.
 
-    An unprintable conductor is never formed: c_m >= q^(m-1) >= 2^((m-1)(bit_length(q)-1)).
+    An unprintable conductor is never formed: c_m >= q^(m-1), which must print first.
     """
     check_level(q, m)
-    if (m - 1) * (q.bit_length() - 1) < PRINT_LIMIT.bit_length():
+    if printable_power(q, m - 1) is not None:
         c = conductor(q, m)
         if c <= CONDUCTOR_CAP:
             return c

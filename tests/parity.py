@@ -52,8 +52,8 @@ the change it guards:
 - a39122b (verify as one module, prefix lists, 1024-row blocks): verify homma and bounds as csv
 - fe17ec0 (each bound row built three times, through a dict): bounds --q 2 as text, --q 3 as
   csv and json, --q 8 as text, --q 32 as json and --q 4096 as csv
-- 3bd6ae0 (log10 of every degree through Decimal): points-homma (3, 7141), the last degree of
-  at most 14280 bits, which skips the log10, and (3, 7142), the first that takes it
+- 3bd6ae0 (log10 of every degree through Decimal): points-homma (3, 7141) and (3, 7142), the
+  printable degrees 2^7140 and 2^7141
 """
 
 import hashlib

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpl import primes, verify
+from rpl import PRINT_LIMIT, primes, printable_power, verify
 from rpl.errors import AdmissibilityViolation, DivisionByZero, ValidationError
 from rpl.gf import (
     _smallest_irreducible,
@@ -427,6 +427,23 @@ def test_cap_prints_the_largest_printable_order(p, e):
     with pytest.raises(ValidationError) as exc:
         make_field(p, e)
     assert str(exc.value) == f"q = {p}^{e} = {p**e} exceeds the enumeration cap {DEFAULT_FIELD_CAP}"
+
+
+# base: its largest printable exponent, and the largest its bit length lets
+# printable_power form; exponents 1 past each are unprintable
+PRINTABLE_EXPONENTS = {2: (14284, 14284), 3: (9012, 14284), 10: (4299, 4761), 11: (4129, 4761),
+                       1023: (1428, 1587), 2**20 - 1: (714, 751)}
+
+
+@pytest.mark.parametrize("base,exp", [
+    (base, exp) for base, edges in PRINTABLE_EXPONENTS.items()
+    for exp in sorted({0, 1, *edges, *(edge + 1 for edge in edges)})])
+def test_printable_power_is_the_power_below_the_limit(base, exp):
+    assert printable_power(base, exp) == (base**exp if base**exp < PRINT_LIMIT else None)
+
+
+def test_printable_power_does_not_form_a_huge_power():
+    assert printable_power(2, 10**4000) is None  # 2^(10^4000) would never finish
 
 
 def test_cap_env_lowers(monkeypatch):

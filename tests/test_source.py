@@ -187,3 +187,30 @@ def test_parity_keys_are_unique():
     # ROWS_BY_KEY keeps the last of two equal keys, so parity.row() would read the wrong one
     counts = Counter((row.line, row.cap) for row in parity.ROWS)
     assert max(counts.values()) == 1, [key for key, count in counts.items() if count > 1]
+
+
+def test_one_print_guard():
+    # "is this power printable" is decided in rpl.printable_power alone; a
+    # module that reads the limit's bit length, or a bit-length switch of its
+    # own, writes that rule a second time
+    readers = [
+        f"{_name(path)}:{node.lineno}" for path in SOURCES if _name(path) != "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "bit_length"
+        and "PRINT_LIMIT" in _names(node.func.value)
+    ]
+    assert not readers, f"PRINT_LIMIT.bit_length() read outside rpl/__init__.py at {readers}"
+    switches = [_name(path) for path in SOURCES if re.search(r"\b14280\b", path.read_text())]
+    assert not switches, f"the 14280-bit switch is back in {switches}"
+
+
+def test_only_make_field_proves_a_prime():
+    # a command's p comes from factor_prime_power, which has proved it prime;
+    # only gf.make_field is handed an unfactored (p, e)
+    callers = {
+        f"{_name(path)}::{func.name}" for path in SOURCES
+        for func in ast.walk(ast.parse(path.read_text())) if isinstance(func, ast.FunctionDef)
+        for call in ast.walk(func) if isinstance(call, ast.Call)
+        and "is_prime" in {getattr(call.func, "id", None), getattr(call.func, "attr", None)}
+    }
+    assert callers == {"gf.py::make_field"}, f"is_prime called by {sorted(callers)}"
