@@ -9,11 +9,17 @@ The package computes, in exact integer and rational arithmetic only:
 * split-place counts and ratios for an asymptotically optimal
   Artin-Schreier tower (``gs_tower``),
 * Weierstrass semigroups of the tower and its genus (``semigroup``),
-* classical point bounds and constant tables (``bounds``),
+* the bound records on D(q) and their tables (``bounds``),
 * a deterministic CLI (``cli``) and a self-verification suite (``verify``),
   a package with one module per scope (``verify.gf``, ``verify.homma``,
   ``verify.gs``, ``verify.semigroup``, ``verify.bounds``), each loaded
   only when its scope runs.
+
+The production modules hold only what a command or the library reads.
+References that only a check reads live in the scope that reads them: the
+classical bounds and the coefficient scan in ``verify.bounds``, the tower's
+ratio sequence and its limit in ``verify.gs``, the generator list in
+``verify.semigroup``; the primality test is ``gf.is_prime``.
 """
 
 __version__ = "0.1.0"

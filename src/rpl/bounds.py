@@ -1,8 +1,8 @@
 """Exact bound formulas for rational points and points-per-degree ratios.
 
-Everything here is integer or Fraction arithmetic: square roots go
-through math.isqrt, literature decimals are kept verbatim as exact
-decimal fractions, and no float ever enters a comparison.
+Everything here is integer or Fraction arithmetic: literature decimals
+are kept verbatim as exact decimal fractions, and no float ever enters a
+comparison.
 
 The summary object collects, for a prime power q, the known upper bound
 q - 1 on the asymptotic points-per-degree ratio of projective curves
@@ -18,25 +18,9 @@ from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import starmap
-from math import isqrt
 
-from .errors import NotConverged, ValidationError
+from .errors import ValidationError
 from .primes import factor_prime_power, prime_powers
-
-
-def weil_bound(q: int, g: int) -> int:
-    """Hasse-Weil upper bound floor(q + 1 + 2g*sqrt(q)), exactly."""
-    factor_prime_power(q)
-    if g < 0:
-        raise ValidationError(f"genus must be >= 0, got {g}")
-    return q + 1 + isqrt(4 * g * g * q)
-
-
-def sziklai_bound(q: int, d: int) -> int:
-    """Sziklai's bound (d-1)q + 1 for plane curves of degree d."""
-    if d < 1:
-        raise ValidationError(f"degree must be >= 1, got {d}")
-    return (d - 1) * q + 1
 
 
 def nondegenerate_coefficient(q: int, n: int) -> Fraction:
@@ -51,42 +35,6 @@ def nondegenerate_coefficient(q: int, n: int) -> Fraction:
         raise ValidationError(f"dimension n must be >= 2, got {n}")
     den = q * (q**n - 1) - n * (q - 1)
     return Fraction((q - 1) * (q ** (n + 1) - 1), den)
-
-
-class ConvergenceReport(namedtuple("ConvergenceReport", "q n_max eps n0 final_gap")):
-    """Witness that the coefficient stays within eps of q - 1 from n0 on."""
-
-    __slots__ = ()
-
-
-def upper_limit_check(q: int, n_max: int, eps: Fraction) -> ConvergenceReport:
-    """Find the least n0 with |coefficient(q, n) - (q-1)| < eps for all
-    n in [n0, n_max], scanning exactly; NotConverged if no tail qualifies.
-
-    The gap coefficient - (q-1) is (q-1)^2 (n+1) / D(n), D(n) = q^(n+1) - q - n(q-1), and
-    (n+1) D(n+1) - (n+2) D(n) = q^(n+1) ((n+1)(q-1) - 1) + 1 > 0 for q >= 2, n >= 1: the gap
-    is positive and falls strictly, so the first n inside the window starts the tail.
-    """
-    factor_prime_power(q)
-    if n_max < 2:
-        raise ValidationError(f"n_max must be >= 2, got {n_max}")
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
-    target = q - 1
-    n0 = next((n for n in range(2, n_max + 1) if nondegenerate_coefficient(q, n) - target < eps),
-              None)
-    if n0 is None:
-        raise NotConverged(
-            f"coefficient never entered the eps-window of q - 1 up to n_max = {n_max}"
-        )
-    return ConvergenceReport(
-        q=q,
-        n_max=n_max,
-        eps=eps,
-        n0=n0,
-        final_gap=nondegenerate_coefficient(q, n_max) - target,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -145,30 +93,6 @@ def half_ihara_odd_power(p: int, e: int) -> Fraction | None:
     m = (e - 1) // 2
     a, b = p**m - 1, p ** (m + 1) - 1
     return Fraction(a * b, a + b)
-
-
-class SurdBound(namedtuple("SurdBound", "q is_square exact radicand rational_upper")):
-    """sqrt(q) - 1, exact for square q, else a surd with a rational cover."""
-
-    __slots__ = ()
-
-
-def drinfeld_vladut_upper(q: int) -> SurdBound:
-    """Upper bound sqrt(q) - 1 on the Ihara constant A(q).
-
-    Attained with equality when q is a square.  For non-squares the
-    value is irrational; any rational at or above it is a valid cover,
-    and the one returned is sqrt(q) rounded up at 6 decimal digits.
-    """
-    factor_prime_power(q)
-    r = isqrt(q)
-    if r * r == q:
-        return SurdBound(q=q, is_square=True, exact=r - 1, radicand=None,
-                         rational_upper=Fraction(r - 1))
-    scale = 10**6
-    cover = Fraction(isqrt(q * scale * scale) + 1, scale) - 1
-    return SurdBound(q=q, is_square=False, exact=None, radicand=q,
-                     rational_upper=cover)
 
 
 # ---------------------------------------------------------------------------

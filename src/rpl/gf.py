@@ -30,8 +30,7 @@ from functools import reduce
 from itertools import product
 
 from .errors import DivisionByZero, ValidationError
-from .primes import (DEFAULT_FIELD_CAP, _smallest_factor, capped_order, factor_prime_power,
-                     is_prime)
+from .primes import DEFAULT_FIELD_CAP, _smallest_factor, capped_order, factor_prime_power
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +277,7 @@ class FieldContext:
     def __init__(self, p: int, e: int):
         self.p = p
         self.e = e
-        self.q = q = p**e
+        self.q = q = capped_order(p, e, DEFAULT_FIELD_CAP)
         self.modulus = _smallest_irreducible(p, e)
         # the closures hold p or the tables, not self, so a dropped field is freed
         if e == 1:
@@ -325,17 +324,19 @@ class FieldContext:
         return self.mul(a, self.inv(b))
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and _smallest_factor(n) == n
+
+
 def make_field(p: int, e: int) -> FieldContext:
     """Build F_{p^e} with the lexicographically smallest irreducible modulus."""
     if not is_prime(p):
         raise ValidationError(f"p = {p} is not prime")
     if e < 1:
         raise ValidationError(f"extension degree must be >= 1, got {e}")
-    capped_order(p, e, DEFAULT_FIELD_CAP)
     return FieldContext(p, e)
 
 
 def field_from_order(q: int) -> FieldContext:
-    """Build F_q from its order."""
-    p, e = factor_prime_power(q)
-    return make_field(p, e)
+    """Build F_q from its order; factor_prime_power has proved its prime, so no second check."""
+    return FieldContext(*factor_prime_power(q))

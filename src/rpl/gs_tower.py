@@ -14,13 +14,13 @@ that nonzero right-hand side as its trace, hence admissible again.  The
 chains of solutions from the admissible starts give (q^2 - q) q^(m-1) =
 (q-1) q^m split places at level m (Garcia-Stichtenoth, Invent. Math. 121,
 1995).  Walking every chain over F_{q^2} is the oracle in ``rpl.verify``.
-The genus is ``semigroup.gap_count(q, m)``; the ratio sequence has a closed form.
+The genus is ``semigroup.gap_count(q, m)``; the ratios of the split count to
+the embedding degree, and their limit, are references in ``rpl.verify.gs``.
 """
 
 from __future__ import annotations
 
 from . import semigroup
-from .errors import ValidationError
 from .primes import factor_prime_power, field_order
 
 
@@ -41,27 +41,3 @@ def count_split_chains(q: int, m: int) -> int:
     """
     check_tower_field(q, m)
     return (q - 1) * q**m
-
-
-def points_per_degree_limit(q: int) -> Fraction:
-    """Limit (q^2-q)/(q+1) of the ratio sequence."""
-    from fractions import Fraction  # only verify and the tests read the ratios
-    semigroup.check_level(q, 1)  # q >= 2
-    return Fraction(q * q - q, q + 1)
-
-
-def tower_ratio_sequence(q: int, m_max: int) -> list[Fraction]:
-    """Exact ratios (q-1)q^m / (c_m + q^(m-1) - 1) for m = 2..m_max.
-
-    The denominator is the largest minimal generator of the level-m
-    semigroup, the degree of the one-point embedding.  The m = 1 term is
-    undefined (c_1 + q^0 - 1 is zero), so the sequence starts at level 2;
-    m_max = 1 gives an empty list.
-    """
-    from fractions import Fraction
-    semigroup.check_level(q, 1)  # q >= 2
-    if m_max < 1:
-        raise ValidationError(f"m_max must be >= 1, got {m_max}")
-    return [
-        Fraction((q - 1) * q**m, semigroup.largest_generator(q, m)) for m in range(2, m_max + 1)
-    ]

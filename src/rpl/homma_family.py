@@ -37,16 +37,9 @@ COUNTED_EXP_DIGITS = 1000  # a degree's digits are counted up to this exponent l
 
 
 class PointCount(namedtuple("PointCount", "affine infinity total")):
-    """Affine / infinity split of a projective point count."""
+    """Affine / infinity split of a projective point count; ``of`` forms the total."""
 
     __slots__ = ()
-
-    def __new__(cls, affine: int, infinity: int, total: int) -> "PointCount":
-        if affine < 0 or infinity < 0:
-            raise ValidationError("point counts must be non-negative")
-        if total != affine + infinity:
-            raise ValidationError("total must equal affine + infinity")
-        return super().__new__(cls, affine, infinity, total)
 
     @classmethod
     def of(cls, affine: int, infinity: int) -> "PointCount":

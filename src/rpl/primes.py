@@ -50,10 +50,6 @@ def _smallest_factor(n: int) -> int:
     return n
 
 
-def is_prime(n: int) -> bool:
-    return n >= 2 and _smallest_factor(n) == n
-
-
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p^e, p prime, or reject q."""
     if q < 2:

@@ -34,7 +34,6 @@ each starting on a multiple of 1000: a window edge of the ``rpl.cli`` writer.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import chain, compress
 
 from . import PRINT_LIMIT, printable_power
 from .errors import ValidationError
@@ -138,14 +137,3 @@ def _marked_segments(q: int, m: int, low: int, stop: int) -> Iterator[tuple[int,
             mark[low - start] = 1
         yield start, mark
         start = end
-
-
-def minimal_generators(q: int, m: int) -> Iterator[int]:
-    """Minimal generating set of the level-m semigroup, ascending.
-
-    The numbers that ``generator_marks`` marks.  Validation happens at the
-    call; the returned iterator marks and reads one segment at a time.
-    """
-    return chain.from_iterable(
-        compress(range(start, start + len(mark)), mark) for start, mark in generator_marks(q, m)
-    )

@@ -1,19 +1,98 @@
-"""The bounds scope: the bound records, their limits and the exceptional quartic."""
+"""The bounds scope: the bound records, their limits and the exceptional quartic,
+with the classical bounds and the coefficient's scan to q - 1, which no command reads."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import isqrt
 
-from .. import DEFAULT_N_MAX, bounds, gs_tower
-from ..errors import RplError
+from .. import DEFAULT_N_MAX, bounds
+from ..errors import NotConverged, RplError, ValidationError
 from ..gf import FieldContext, field_from_order, make_field
-from ..primes import prime_powers
+from ..primes import factor_prime_power, prime_powers
 from . import CheckResult, _run
+from .gs import points_per_degree_limit
 
 CONVERGENCE_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 CONVERGENCE_EPS = Fraction(1, 10**9)
+
+
+def weil_bound(q: int, g: int) -> int:
+    """Hasse-Weil upper bound floor(q + 1 + 2g*sqrt(q)), exactly."""
+    factor_prime_power(q)
+    if g < 0:
+        raise ValidationError(f"genus must be >= 0, got {g}")
+    return q + 1 + isqrt(4 * g * g * q)
+
+
+def sziklai_bound(q: int, d: int) -> int:
+    """Sziklai's bound (d-1)q + 1 for plane curves of degree d."""
+    if d < 1:
+        raise ValidationError(f"degree must be >= 1, got {d}")
+    return (d - 1) * q + 1
+
+
+class SurdBound(namedtuple("SurdBound", "q is_square exact radicand rational_upper")):
+    """sqrt(q) - 1, exact for square q, else a surd with a rational cover."""
+
+    __slots__ = ()
+
+
+def drinfeld_vladut_upper(q: int) -> SurdBound:
+    """Upper bound sqrt(q) - 1 on the Ihara constant A(q).
+
+    Attained with equality when q is a square.  For non-squares the
+    value is irrational; any rational at or above it is a valid cover,
+    and the one returned is sqrt(q) rounded up at 6 decimal digits.
+    """
+    factor_prime_power(q)
+    r = isqrt(q)
+    if r * r == q:
+        return SurdBound(q=q, is_square=True, exact=r - 1, radicand=None,
+                         rational_upper=Fraction(r - 1))
+    scale = 10**6
+    cover = Fraction(isqrt(q * scale * scale) + 1, scale) - 1
+    return SurdBound(q=q, is_square=False, exact=None, radicand=q,
+                     rational_upper=cover)
+
+
+class ConvergenceReport(namedtuple("ConvergenceReport", "q n_max eps n0 final_gap")):
+    """Witness that the coefficient stays within eps of q - 1 from n0 on."""
+
+    __slots__ = ()
+
+
+def upper_limit_check(q: int, n_max: int, eps: Fraction) -> ConvergenceReport:
+    """Find the least n0 with |coefficient(q, n) - (q-1)| < eps for all
+    n in [n0, n_max], scanning exactly; NotConverged if no tail qualifies.
+
+    The gap coefficient - (q-1) is (q-1)^2 (n+1) / D(n), D(n) = q^(n+1) - q - n(q-1), and
+    (n+1) D(n+1) - (n+2) D(n) = q^(n+1) ((n+1)(q-1) - 1) + 1 > 0 for q >= 2, n >= 1: the gap
+    is positive and falls strictly, so the first n inside the window starts the tail.
+    """
+    factor_prime_power(q)
+    if n_max < 2:
+        raise ValidationError(f"n_max must be >= 2, got {n_max}")
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValidationError(f"eps must be positive, got {eps}")
+    target = q - 1
+    n0 = next((n for n in range(2, n_max + 1)
+               if bounds.nondegenerate_coefficient(q, n) - target < eps), None)
+    if n0 is None:
+        raise NotConverged(
+            f"coefficient never entered the eps-window of q - 1 up to n_max = {n_max}"
+        )
+    return ConvergenceReport(
+        q=q,
+        n_max=n_max,
+        eps=eps,
+        n0=n0,
+        final_gap=bounds.nondegenerate_coefficient(q, n_max) - target,
+    )
 
 
 def projective_plane_points(ctx: FieldContext) -> list[tuple[int, int, int]]:
@@ -47,7 +126,7 @@ def _check_exceptional_quartic() -> tuple[str, list[str], str]:
     ctx = field_from_order(4)
     points = len(projective_plane_points(ctx))
     count = count_exceptional_quartic()
-    plane_bound = bounds.sziklai_bound(4, 4)
+    plane_bound = sziklai_bound(4, 4)
     ok = points == 21 and count == 14 and plane_bound == 13 and count > plane_bound
     detail = f"count {count} of {points}"
     return "exceptional_quartic=14", [] if ok else [detail], detail
@@ -78,7 +157,7 @@ def _check_upper_limit_convergence(n_max: int) -> tuple[str, list[str], str]:
     found: list[str] = []
     for q in CONVERGENCE_Q:
         try:
-            report = bounds.upper_limit_check(q, n_max, CONVERGENCE_EPS)
+            report = upper_limit_check(q, n_max, CONVERGENCE_EPS)
         except RplError as exc:
             failures.append(f"q={q} {type(exc).__name__}")
             continue
@@ -103,7 +182,7 @@ def _check_square_tower_cross_module() -> tuple[str, list[str]]:
     failures: list[str] = []
     for r in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 31, 32):
         summary = bounds.dq_summary(r * r)
-        expected = gs_tower.points_per_degree_limit(r)
+        expected = points_per_degree_limit(r)
         records = [rec for rec in summary.records if rec.name == "square-tower"]
         if len(records) != 1 or records[0].value != expected:
             failures.append(f"r={r}")
@@ -127,17 +206,17 @@ def _check_aq_half_table() -> tuple[str, list[str]]:
 
 
 def _check_classical_bounds_frozen() -> tuple[str, list[str]]:
-    dvz2 = bounds.drinfeld_vladut_upper(2)
+    dvz2 = drinfeld_vladut_upper(2)
     cover = dvz2.rational_upper + 1
     checks = (
-        bounds.weil_bound(4, 1) == 9,
-        bounds.weil_bound(2, 0) == 3,
-        bounds.weil_bound(2, 3) == 11,
-        bounds.sziklai_bound(4, 4) == 13,
-        bounds.sziklai_bound(3, 1) == 1,
-        bounds.sziklai_bound(5, 10) == 46,
-        bounds.drinfeld_vladut_upper(4).exact == 1,
-        bounds.drinfeld_vladut_upper(9).exact == 2,
+        weil_bound(4, 1) == 9,
+        weil_bound(2, 0) == 3,
+        weil_bound(2, 3) == 11,
+        sziklai_bound(4, 4) == 13,
+        sziklai_bound(3, 1) == 1,
+        sziklai_bound(5, 10) == 46,
+        drinfeld_vladut_upper(4).exact == 1,
+        drinfeld_vladut_upper(9).exact == 2,
         not dvz2.is_square and dvz2.radicand == 2,
         cover * cover >= 2 > (cover - Fraction(1, 10**5)) ** 2,
     )

@@ -1,5 +1,6 @@
 """The gs scope: the tower's split counts against a walk of its levels, its genus
-against the semigroup's gaps, and its ratio sequence against its limit.
+against the semigroup's gaps, and its ratio sequence against its limit; no command
+prints those two, so they are defined here, and ``verify.bounds`` reads the limit.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from fractions import Fraction
 from functools import partial
 
 from .. import DEFAULT_N_MAX, gs_tower, semigroup
-from ..errors import AdmissibilityViolation, RplError
+from ..errors import AdmissibilityViolation, RplError, ValidationError
 from ..gf import field_from_order, make_field
 from ..primes import factor_prime_power
 from . import CheckResult, _run, _solutions
@@ -20,6 +21,28 @@ TOWER_M_MAX = 8
 RATIO_Q = (2, 3, 4, 5)
 RATIO_M = 40
 RATIO_TOL = Fraction(1, 1000)
+
+
+def points_per_degree_limit(q: int) -> Fraction:
+    """Limit (q^2-q)/(q+1) of the ratio sequence."""
+    semigroup.check_level(q, 1)  # q >= 2
+    return Fraction(q * q - q, q + 1)
+
+
+def tower_ratio_sequence(q: int, m_max: int) -> list[Fraction]:
+    """Exact ratios (q-1)q^m / (c_m + q^(m-1) - 1) for m = 2..m_max.
+
+    The denominator is the largest minimal generator of the level-m
+    semigroup, the degree of the one-point embedding.  The m = 1 term is
+    undefined (c_1 + q^0 - 1 is zero), so the sequence starts at level 2;
+    m_max = 1 gives an empty list.
+    """
+    semigroup.check_level(q, 1)  # q >= 2
+    if m_max < 1:
+        raise ValidationError(f"m_max must be >= 1, got {m_max}")
+    return [
+        Fraction((q - 1) * q**m, semigroup.largest_generator(q, m)) for m in range(2, m_max + 1)
+    ]
 
 
 def tower_level_states(q: int, m: int) -> Iterator[dict[int, int]]:
@@ -105,8 +128,8 @@ def _check_gap_genus(q: int) -> tuple[str, list[str]]:
 def _check_ratio_limit() -> tuple[str, list[str]]:
     failures: list[str] = []
     for q in RATIO_Q:
-        seq = gs_tower.tower_ratio_sequence(q, RATIO_M)
-        gap = abs(seq[-1] - gs_tower.points_per_degree_limit(q))
+        seq = tower_ratio_sequence(q, RATIO_M)
+        gap = abs(seq[-1] - points_per_degree_limit(q))
         if gap >= RATIO_TOL:
             failures.append(f"q={q} gap {gap}")
     return "ratio_gap_at_m=40 < 1/1000 (q in {2,3,4,5})", failures
@@ -115,8 +138,8 @@ def _check_ratio_limit() -> tuple[str, list[str]]:
 def _check_ratio_monotone() -> tuple[str, list[str]]:
     failures: list[str] = []
     for q in RATIO_Q:
-        seq = gs_tower.tower_ratio_sequence(q, 45)
-        limit = gs_tower.points_per_degree_limit(q)
+        seq = tower_ratio_sequence(q, 45)
+        limit = points_per_degree_limit(q)
         if any(a <= b for a, b in zip(seq, seq[1:])):
             failures.append(f"q={q} not decreasing")
         if any(r <= limit for r in seq):
@@ -134,9 +157,9 @@ def _check_frozen_tower_values() -> tuple[str, list[str]]:
         semigroup.gap_count(2, 3) == 3,
         semigroup.gap_count(3, 1) == 0,
         semigroup.gap_count(2, 4) == 9,
-        gs_tower.tower_ratio_sequence(2, 4)[-1] == Fraction(16, 19),
-        gs_tower.points_per_degree_limit(2) == Fraction(2, 3),
-        gs_tower.points_per_degree_limit(3) == Fraction(3, 2),
+        tower_ratio_sequence(2, 4)[-1] == Fraction(16, 19),
+        points_per_degree_limit(2) == Fraction(2, 3),
+        points_per_degree_limit(3) == Fraction(3, 2),
     )
     return "frozen_tower_values", [str(i) for i, ok in enumerate(checks) if not ok]
 

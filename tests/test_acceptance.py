@@ -59,7 +59,7 @@ def homma_grid():
 
 def test_criterion_01_exceptional_quartic_count_and_speed():
     count = verify_bounds.count_exceptional_quartic()
-    plane_bound = bounds.sziklai_bound(4, 4)
+    plane_bound = verify_bounds.sziklai_bound(4, 4)
     timings = []
     for _ in range(5):
         start = time.perf_counter()
@@ -150,7 +150,7 @@ def test_criterion_06_generator_bounds_with_equality_cases():
     bad = []
     last = {}
     for q, m in grid:
-        gens = tuple(semigroup.minimal_generators(q, m))
+        gens = tuple(verify_semigroup.minimal_generators(q, m))
         c = semigroup.conductor(q, m)
         smallest = verify_semigroup.weierstrass_semigroup(q, m).smallest_positive()
         smallest_ok = gens[0] == smallest == q ** (m - 1) == semigroup.smallest_positive(q, m)
@@ -178,7 +178,7 @@ def test_criterion_07_coefficient_convergence():
     assert targets == sorted(EXPECTED_FIRST_CONVERGED_N)
     bad = []
     for q in targets:
-        rep = bounds.upper_limit_check(q, COEFF_N_MAX, COEFF_EPS)
+        rep = verify_bounds.upper_limit_check(q, COEFF_N_MAX, COEFF_EPS)
         gap_at_n0 = bounds.nondegenerate_coefficient(q, rep.n0) - (q - 1)
         if rep.n0 != EXPECTED_FIRST_CONVERGED_N[q]:
             bad.append(f"q={q} n0={rep.n0}")
@@ -195,8 +195,8 @@ def test_criterion_08_ratio_gap_at_level_40():
     bad = []
     gaps = []
     for q in RATIO_Q:
-        seq = gs_tower.tower_ratio_sequence(q, RATIO_LEVEL)
-        gap = seq[-1] - gs_tower.points_per_degree_limit(q)
+        seq = verify_gs.tower_ratio_sequence(q, RATIO_LEVEL)
+        gap = seq[-1] - verify_gs.points_per_degree_limit(q)
         gaps.append(f"q={q} {float(gap):.2e}")
         if not (0 < gap < RATIO_TOL):
             bad.append(f"q={q} gap {gap}")

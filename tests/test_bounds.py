@@ -8,21 +8,20 @@ import parity
 import pytest
 
 from rpl import bounds, primes
-from rpl.bounds import (
-    IHARA_HALF_TABLE,
-    dq_summary,
+from rpl.bounds import IHARA_HALF_TABLE, dq_summary, half_ihara_odd_power, nondegenerate_coefficient
+from rpl.errors import NotConverged, ValidationError
+from rpl.gf import field_from_order
+from rpl.primes import prime_powers
+from rpl.verify.bounds import (
+    CONVERGENCE_Q,
+    count_exceptional_quartic,
     drinfeld_vladut_upper,
-    half_ihara_odd_power,
-    nondegenerate_coefficient,
+    projective_plane_points,
     sziklai_bound,
     upper_limit_check,
     weil_bound,
 )
-from rpl.errors import NotConverged, ValidationError
-from rpl.gf import field_from_order
-from rpl.gs_tower import points_per_degree_limit
-from rpl.primes import prime_powers
-from rpl.verify.bounds import CONVERGENCE_Q, count_exceptional_quartic, projective_plane_points
+from rpl.verify.gs import points_per_degree_limit
 
 
 def test_weil_bound_frozen():

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parity
-from rpl import SCOPES, bounds, cli, homma_family, primes, semigroup
+from rpl import SCOPES, bounds, cli, gf, homma_family, semigroup
 from rpl.verify import CheckResult
 from rpl.verify import bounds as verify_bounds, semigroup as verify_semigroup
 
@@ -204,7 +204,7 @@ def test_join_marked_matches_str_join(low, mark, sep):
 def test_join_marked_writes_the_minimal_generators(sep):
     for q, m in verify_semigroup.semigroup_grid():
         text = "".join(cli._join_marked(semigroup.generator_marks(q, m), sep))
-        assert text == sep.join(map(str, semigroup.minimal_generators(q, m))), (q, m)
+        assert text == sep.join(map(str, verify_semigroup.minimal_generators(q, m))), (q, m)
 
 
 def test_join_marked_copies_no_whole_mark():
@@ -287,7 +287,7 @@ def test_verify_admits_n_max_at_its_limit(monkeypatch, capsys):
 
 def test_verify_fail_details_of_broken_bounds(monkeypatch, capsys):
     monkeypatch.setattr(verify_bounds, "count_exceptional_quartic", lambda: 13)
-    monkeypatch.setattr(bounds, "sziklai_bound", lambda q, d: 0)
+    monkeypatch.setattr(verify_bounds, "sziklai_bound", lambda q, d: 0)
     code, out, _ = run_cli(capsys, "verify", "bounds")
     assert code == 1
     lines = out.splitlines()
@@ -359,13 +359,14 @@ def test_command_import_footprint(name):
     assert probed == str(loaded)
 
 
-# the verify modules each scope loads: its own, and for gs the semigroup oracle it reads
+# the verify modules each scope loads: its own, for gs the semigroup oracle it reads,
+# and for bounds the tower limit in verify.gs
 VERIFY_FOOTPRINT = {
     "gf": ["rpl.verify", "rpl.verify.gf"],
     "homma": ["rpl.verify", "rpl.verify.homma"],
     "gs": ["rpl.verify", "rpl.verify.gs", "rpl.verify.semigroup"],
     "semigroup": ["rpl.verify", "rpl.verify.semigroup"],
-    "bounds": ["rpl.verify", "rpl.verify.bounds"],
+    "bounds": ["rpl.verify", "rpl.verify.bounds", "rpl.verify.gs", "rpl.verify.semigroup"],
 }
 
 
@@ -393,7 +394,7 @@ def test_commands_prove_no_prime_again(monkeypatch, capsys):
     def refuse(n):
         raise AssertionError(f"a command called is_prime({n})")
 
-    monkeypatch.setattr(primes, "is_prime", refuse)
+    monkeypatch.setattr(gf, "is_prime", refuse)
     assert [run_cli(capsys, *line.split()) for line in lines] == expected
     assert [code for code, _, _ in expected] == [0, 0, 2]
 
@@ -404,7 +405,6 @@ def test_gs_reads_generators_from_closed_forms(monkeypatch, capsys):
     def refuse(q, m):
         raise AssertionError("gs must not list the generators")
 
-    monkeypatch.setattr(semigroup, "minimal_generators", refuse)
     monkeypatch.setattr(semigroup, "generator_marks", refuse)
     code, out, _ = run_cli(capsys, "gs", "--q", "2", "--m", "5", "--format", "json")
     assert code == 0

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpl import PRINT_LIMIT, primes, printable_power, verify
+from rpl import PRINT_LIMIT, gf, primes, printable_power, verify
 from rpl.errors import AdmissibilityViolation, DivisionByZero, ValidationError
 from rpl.gf import (
     _smallest_irreducible,
     _smallest_primitive,
     field_from_order,
+    is_prime,
     make_field,
     times_generator,
 )
@@ -28,7 +29,6 @@ from rpl.primes import (
     factor_prime_power,
     field_cap,
     field_order,
-    is_prime,
     prime_powers,
 )
 from rpl.verify import bounds as verify_bounds, gf as verify_gf, gs as verify_gs
@@ -206,6 +206,26 @@ def test_make_field_validation():
         make_field(1, 3)
     with pytest.raises(ValueError):
         make_field(2, 0)
+
+
+def test_field_from_order_proves_no_prime_again(monkeypatch):
+    # factor_prime_power has proved p prime, so building F_q never calls is_prime
+    small = make_field(3, 2)
+    with pytest.raises(ValidationError) as unpatched:
+        field_from_order(2**21)
+
+    def refuse(n):
+        raise AssertionError(f"field_from_order called is_prime({n})")
+
+    monkeypatch.setattr(gf, "is_prime", refuse)
+    again = field_from_order(9)
+    assert (again.q, again.modulus, again.generator, list(again.exp), list(again.log)) == (
+        small.q, small.modulus, small.generator, list(small.exp), list(small.log))
+    large = field_from_order(2**20)
+    assert (large.q, large.modulus) == (2**20, _smallest_irreducible(2, 20))
+    with pytest.raises(ValidationError) as patched:
+        field_from_order(2**21)
+    assert str(patched.value) == str(unpatched.value)
 
 
 # ---------------------------------------------------------------------------

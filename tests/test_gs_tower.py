@@ -7,9 +7,9 @@ import pytest
 from rpl import semigroup
 from rpl.errors import ValidationError
 from rpl.gf import field_from_order
-from rpl.gs_tower import count_split_chains, points_per_degree_limit, tower_ratio_sequence
+from rpl.gs_tower import count_split_chains
 from rpl.semigroup import gap_count
-from rpl.verify.gs import tower_level_states
+from rpl.verify.gs import points_per_degree_limit, tower_level_states, tower_ratio_sequence
 
 
 def chains_by_explicit_extension(q, m):

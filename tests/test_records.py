@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from rpl import bounds, homma_family, verify
+from rpl.verify import bounds as verify_bounds
 
 RECORDS = {  # type name -> (its first field, an instance)
-    "ConvergenceReport": ("q", lambda: bounds.upper_limit_check(3, 60, Fraction(1, 10**9))),
+    "ConvergenceReport": ("q", lambda: verify_bounds.upper_limit_check(3, 60, Fraction(1, 10**9))),
     "IharaTableEntry": ("q", lambda: bounds.IHARA_HALF_TABLE[3]),
-    "SurdBound": ("q", lambda: bounds.drinfeld_vladut_upper(5)),
+    "SurdBound": ("q", lambda: verify_bounds.drinfeld_vladut_upper(5)),
     "BoundRecord": ("name", lambda: bounds.dq_summary(9).records[0]),
     "DqSummary": ("q", lambda: bounds.dq_summary(9)),
     "PointCount": ("affine", lambda: homma_family.count_total(3, 3)),

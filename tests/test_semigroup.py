@@ -13,13 +13,13 @@ from rpl.semigroup import (
     gap_count,
     generator_marks,
     largest_generator,
-    minimal_generators,
     smallest_positive,
 )
 from rpl.verify import CheckResult, _run
 from rpl.verify import gs as verify_gs, semigroup as verify_semigroup
 from rpl.verify.semigroup import (
     NumericalSemigroup,
+    minimal_generators,
     semigroup_grid,
     sieve_generators,
     weierstrass_semigroup,

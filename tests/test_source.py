@@ -135,6 +135,49 @@ def test_only_verify_imports_the_field():
         f"rpl.gf imported by {importers}"
 
 
+PRODUCTION = ("__init__.py", "errors.py", "cli.py", "primes.py", "homma_family.py",
+              "gs_tower.py", "semigroup.py", "bounds.py")
+COMPUTING = ("primes", "homma_family", "gs_tower", "semigroup", "bounds")
+
+
+def _public_names(tree):
+    """Names a module defines at top level, by def, class or assignment, without a leading _."""
+    names = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    names |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Name)}
+    return {name for name in names if not name.startswith("_")}
+
+
+def _top_modules(node, path):
+    """rpl.x for each module rpl.x or rpl.x.y that an import statement in path names."""
+    return {".".join(module.split(".")[:2]) for module in _imported_modules(node, path)}
+
+
+def test_production_holds_only_what_is_read():
+    # production computes answers; a name only a check or a test reads is a
+    # reference, and it lives in rpl.verify (or rpl.gf, which only verify builds)
+    trees = {name: ast.parse((PACKAGE / name).read_text()) for name in PRODUCTION}
+    [verify_cmd] = [node for node in trees["cli.py"].body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_cmd_verify"]
+    in_verify_cmd = {id(node) for node in ast.walk(verify_cmd)}
+    crossings = [
+        f"{name}:{node.lineno}" for name, tree in trees.items() for node in ast.walk(tree)
+        if "rpl.gf" in (tops := _top_modules(node, PACKAGE / name))
+        or "rpl.verify" in tops and id(node) not in in_verify_cmd
+    ]
+    assert not crossings, f"production imports rpl.verify or rpl.gf at {crossings}"
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    reads = {node.name for node in nodes if isinstance(node, ast.alias)}  # imported names
+    reads |= {getattr(node, "id", getattr(node, "attr", None)) for node in nodes
+              if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    library = re.search(r"## Library\n+```python\n(.*?)```", readme, re.S).group(1)
+    shown = set(re.findall(rf"\b(?:{'|'.join(COMPUTING)})\.(\w+)", library))
+    unread = [f"{module}.{name}" for module in COMPUTING
+              for name in sorted(_public_names(trees[f"{module}.py"]) - reads - shown)]
+    assert not unread, f"production names no command, module or README example reads: {unread}"
+
+
 def test_verify_imports_no_private_field_name():
     # the product g*v that certifies the exp table is gf.times_generator,
     # the one the build uses; a private gf helper would let verify write it again
