@@ -2,21 +2,22 @@
 
 Subcommands: points-homma, gs, semigroup, bounds, verify. Each handler
 validates its input, then renders only the format --format chose (json,
-csv or text), written as it is rendered; identical invocations produce
-byte-identical output. The semigroup generators are marked a segment at a
-time, each starting on a multiple of 1000, and written straight from their
-mark bytes a window [1000h, 1000h + 1000) at a time, without an int per
-generator; equal windows share one memo of their picks. Exit codes: 0
-success, 1 computation or check failure, 2 validation error or a failed
-write. Each handler imports the rpl modules it reads, so --help loads none
-and gs and semigroup load neither fractions nor decimal; only --format json
-loads json and only --format csv loads csv. No command but verify loads the
-field module rpl.gf, and verify loads only the scope modules it runs.
+csv or text), written about 32 KiB at a time as it is rendered; identical
+invocations produce byte-identical output. The semigroup generators are
+marked a segment at a time, each starting on a multiple of 1000, and
+written straight from their mark bytes a window [1000h, 1000h + 1000) at a
+time, without an int per generator; equal windows share one memo of their
+picks. Exit codes: 0 success, 1 computation or check failure, 2 validation
+error or a failed write. Each handler imports the rpl modules it reads, so
+--help loads none and gs and semigroup load neither fractions nor decimal;
+only --format json loads json and only --format csv loads csv. No command
+but verify loads rpl.gf, and verify loads only the scope modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import os
 import sys
@@ -34,9 +35,10 @@ EPILOG = (
     f"(default 2^20 = {DEFAULT_FIELD_CAP}); values above the default or "
     "malformed values are ignored."
 )
-BLOCK = 1 << 8  # rendered table rows joined per write; a json row is about 330 bytes
+BLOCK = 1 << 8  # rendered table rows joined per piece; a json row is about 330 bytes
 MEMO_WINDOWS = 64  # distinct window marks _join_marked keeps at once
 TABLE_CAP = 10_000_000  # --table limit: a table at 10^7 takes about 5 s
+WRITE_CHARS = 1 << 15  # pieces are joined into writes of at least this many characters
 
 
 class Rendering(namedtuple("Rendering", "pieces exit_code", defaults=(0,))):
@@ -71,8 +73,8 @@ def _join_marked(segments: Iterable[tuple[int, bytes]], sep: str) -> Iterator[st
     entries.  Each piece is one window.
     """
     suffixes = [f"{i:03d}" for i in range(1000)]
-    lead = ""
-    memo = {}  # (h > 0, window marks) -> the suffixes they pick
+    skip = len(sep)  # the first window written drops its leading separator
+    memo = {}  # (h > 0, window marks) -> "" and the suffixes they pick
     for start, mark in segments:
         for h, a in enumerate(range(0, len(mark), 1000), start // 1000):
             key = h > 0, bytes(mark[a:a + 1000])  # a window at a time, never all of mark
@@ -80,11 +82,23 @@ def _join_marked(segments: Iterable[tuple[int, bytes]], sep: str) -> Iterator[st
                 if len(memo) == MEMO_WINDOWS:
                     memo.clear()
                 table = suffixes if h else map(str, range(1000))  # built on a miss at h = 0 only
-                picked = memo[key] = list(compress(table, key[1]))
-            if picked:
+                picked = memo[key] = ["", *compress(table, key[1])]
+            if len(picked) > 1:
                 prefix = str(h or "")  # window 0 has no prefix
-                yield lead + prefix + (sep + prefix).join(picked)
-                lead = sep
+                yield (sep + prefix).join(picked)[skip:]  # sep and the window, in one join
+                skip = 0
+
+
+def _write(stream: io.TextIOBase, pieces: Iterable[str]) -> None:
+    """stream.writelines(pieces), joining pieces until WRITE_CHARS characters are held."""
+    held, size = [], 0
+    for piece in pieces:
+        held.append(piece)
+        if (size := size + len(piece)) >= WRITE_CHARS:
+            stream.write("".join(held))
+            held, size = [], 0
+    if size:
+        stream.write("".join(held))
 
 
 def _encoder() -> Callable[[object], str]:
@@ -313,11 +327,13 @@ def main(argv: list[str] | None = None) -> int:
             return exc.exit_code
         try:
             if args.out is None:
-                sys.stdout.writelines(result.pieces)
+                if sys.stdout is None:  # fd 1 was closed when the interpreter started
+                    raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+                _write(sys.stdout, result.pieces)
                 sys.stdout.flush()
             else:
                 with open(args.out, "w", encoding="utf-8") as out:
-                    out.writelines(result.pieces)
+                    _write(out, result.pieces)
             return result.exit_code
         except BrokenPipeError:
             code = result.exit_code  # the reader stopped early (`rpl ... | head`): end quietly
@@ -325,9 +341,8 @@ def main(argv: list[str] | None = None) -> int:
             name = "<stdout>" if args.out is None else args.out
             print(f"error: cannot write {name}: {exc.strerror}", file=sys.stderr)
             code = 2
-        if args.out is None:
-            # stdout may still hold unwritten text: point it at devnull so the
-            # interpreter's last flush cannot fail
+        if args.out is None and sys.stdout is not None:
+            # stdout may hold unwritten text: point it at devnull so the final flush cannot fail
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     finally:

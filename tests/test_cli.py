@@ -2,6 +2,8 @@
 
 import argparse
 import ast
+import hashlib
+import io
 import json
 import os
 import random
@@ -442,6 +444,42 @@ def test_failed_write_to_stdout(m):
                                "--m", str(m)], stdout=full, stderr=subprocess.PIPE, text=True)
     assert proc.returncode == 2
     assert proc.stderr == "error: cannot write <stdout>: No space left on device\n"
+
+
+def test_closed_stdout_is_a_failed_write():
+    # `rpl ... >&-`: Python sets sys.stdout to None, and the run fails as a write to a bad fd does
+    proc = subprocess.run([sys.executable, "-m", "rpl.cli", "gs", "--q", "3", "--m", "2"],
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write <stdout>: Bad file descriptor\n"
+
+
+class WriteLog(io.RawIOBase):
+    """A raw stream that keeps the length and the digest of what is written to it."""
+
+    def __init__(self):
+        self.sizes, self.digest = [], hashlib.sha256()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        self.digest.update(data)
+        return len(data)
+
+
+def test_stdout_is_written_in_write_chars_pieces(monkeypatch):
+    # 12.75 MB of text in 1,733 windows of at most 8,000 bytes, written as
+    # 320 writes; an unbuffered stdout makes each write a system call
+    row = parity.row("semigroup --q 3 --m 14")
+    raw = WriteLog()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+    assert cli.main(row.line.split()) == row.code
+    total = sum(raw.sizes)
+    assert all(size >= cli.WRITE_CHARS for size in raw.sizes[:-1])
+    assert len(raw.sizes) <= -(-total // cli.WRITE_CHARS) + 1
+    assert raw.digest.hexdigest() == row.sha256
 
 
 def test_failed_run_creates_no_out_file(tmp_path, capsys):
