@@ -23,7 +23,7 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from math import gcd
 
 from . import DEFAULT_N_MAX, MAX_PRINTED_DIGITS, N_MAX_CAP, SCOPES
@@ -35,7 +35,6 @@ EPILOG = (
     f"(default 2^20 = {DEFAULT_FIELD_CAP}); values above the default or "
     "malformed values are ignored."
 )
-BLOCK = 1 << 8  # rendered table rows joined per piece; a json row is about 330 bytes
 MEMO_WINDOWS = 64  # distinct window marks _join_marked keeps at once
 TABLE_CAP = 10_000_000  # --table limit: a table at 10^7 takes about 5 s
 WRITE_CHARS = 1 << 15  # pieces are joined into writes of at least this many characters
@@ -45,19 +44,11 @@ class Rendering(namedtuple("Rendering", "pieces exit_code", defaults=(0,))):
     """A command's output in the chosen format, as pieces of text written in order.
 
     A handler renders only args.format, after it has validated its input;
-    a streamed part (the generators, the table rows) is rendered a bounded
-    piece at a time as the pieces are written.
+    a streamed part is rendered a window of generators or a table row at a
+    time, as the pieces are written.
     """
 
     __slots__ = ()
-
-
-def _blocks(pieces: Iterator[str], sep: str = "") -> Iterator[str]:
-    """sep.join(pieces), as one string per block of up to BLOCK nonempty pieces."""
-    lead = ""
-    while block := sep.join(islice(pieces, BLOCK)):
-        yield lead + block
-        lead = sep
 
 
 def _join_marked(segments: Iterable[tuple[int, bytes]], sep: str) -> Iterator[str]:
@@ -113,11 +104,11 @@ def _json(obj: dict, items: Iterable[str] | None = None) -> Iterable[str]:
     return [text + "\n"] if items is None else chain([text[:-2]], items, ["]}\n"])
 
 
-def _csv(rows: Iterable[Iterable[object]]) -> str:
+def _csv(rows: Iterable[Iterable[object]]) -> Iterator[str]:
+    """rows as csv lines, one piece per row, from one csv writer."""
     import csv  # only csv output pays for it
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    return buffer.getvalue()
+    # writerow returns what its file's write returns: here str, the line itself
+    return map(csv.writer(argparse.Namespace(write=str), lineterminator="\n").writerow, rows)
 
 
 def _record(fmt: str, fields: dict, items: Iterable[str] | None = None) -> Iterable[str]:
@@ -130,7 +121,7 @@ def _record(fmt: str, fields: dict, items: Iterable[str] | None = None) -> Itera
         return _json(fields, items)
     cells = {key: "" if value in (None, []) else value for key, value in list(fields.items())[1:]}
     if fmt == "csv":
-        head = _csv([list(cells), cells.values()])
+        head = "".join(_csv([list(cells), cells.values()]))
     else:
         head = "".join(f"{key} {cell}\n" for key, cell in cells.items() if fields[key] is not None)
     return chain([head[:-1]], items or (), ["\n"])  # the items end just before the final newline
@@ -226,7 +217,7 @@ def _cmd_bounds(args: argparse.Namespace) -> Rendering:
         if args.format == "json":
             return Rendering(_json({"schema": 1, **_summary(summary)}))
         if args.format == "csv":
-            return Rendering([_csv([BOUNDS_HEADER, _summary_row(summary)])])
+            return Rendering(_csv([BOUNDS_HEADER, _summary_row(summary)]))
         lines = "".join(f"record {rec.name} {rec.direction} {rec.value}\n"
                         for rec in summary.records)
         return Rendering([f"q {summary.q}\nupper {summary.records[0].value}\n"
@@ -235,15 +226,15 @@ def _cmd_bounds(args: argparse.Namespace) -> Rendering:
         raise ValidationError(f"--table expects a limit of at least 2, got {args.table}")
     if args.table > TABLE_CAP:
         raise ValidationError(f"--table expects a limit of at most {TABLE_CAP}, got {args.table}")
-    # one lazy stream of records, each row becoming text as soon as it is computed
+    # one lazy stream of records, each row becoming one piece of text as soon as it is computed
     summaries = bounds.dq_table(args.table)
     if args.format == "json":
-        rows = _blocks(map(_encoder(), map(_summary, summaries)), ",")
+        rows = map(_encoder(), map(_summary, summaries))
+        rows = chain([next(rows)], map(",".__add__, rows))  # q = 2 is always the first row
         return Rendering(_json({"schema": 1, "qmax": args.table, "rows": []}, rows))
     if args.format == "csv":
-        rows = chain([BOUNDS_HEADER], map(_summary_row, summaries))
-        return Rendering(iter(lambda: _csv(islice(rows, BLOCK)), ""))  # one csv writer per block
-    return Rendering(_blocks(map(_summary_line, summaries)))
+        return Rendering(_csv(chain([BOUNDS_HEADER], map(_summary_row, summaries))))
+    return Rendering(map(_summary_line, summaries))
 
 
 def _cmd_verify(args: argparse.Namespace) -> Rendering:
@@ -255,7 +246,7 @@ def _cmd_verify(args: argparse.Namespace) -> Rendering:
                         "checks": [res._asdict() for res in results],  # scope, name, ok, detail
                         "passed": passed, "total": len(results)})
     elif args.format == "csv":
-        pieces = [_csv([verify.CheckResult._fields, *results])]
+        pieces = _csv([verify.CheckResult._fields, *results])
     else:
         pieces = [*(f"[{res.scope}] {res.name} {'PASS' if res.ok else f'FAIL ({res.detail})'}\n"
                     for res in results), f"{passed}/{len(results)} checks passed\n"]

@@ -221,16 +221,17 @@ def test_join_marked_copies_no_whole_mark():
     assert peak < 600_000  # about 0.45 MB: one segment, one window and the memo at a time
 
 
-# peak bytes per format: json peaks at 0.41 to 0.76 MB, csv at 0.31 MB and
-# text at 0.10 MB, while a text rendering that lists all its lines peaks at 0.91 MB
-TABLE_BUDGETS = {"json": 1_000_000, "csv": 1_000_000, "text": 400_000}
+# peak bytes per format, with json and rpl.bounds loaded: json peaks at
+# 0.08 MB, csv at 0.20 MB (loading csv included) and text at 0.07 MB, while
+# a text rendering that lists all its lines peaks at 0.91 MB
+TABLE_BUDGETS = {"json": 200_000, "csv": 1_000_000, "text": 400_000}
 
 
 @pytest.mark.parametrize("fmt", TABLE_BUDGETS)
-def test_bounds_table_holds_one_block(fmt):
-    # 9.7K rows, rendered BLOCK rows per piece in every format, never all at
-    # once; a 1024-row json block (rows of about 330 bytes), held as the rows,
-    # their join and the lead plus the join, peaked at 1.6 MB
+def test_bounds_table_holds_one_row(fmt):
+    # 9.7K rows, rendered one row per piece in every format, never all at
+    # once; the json budget fails pieces of 256 rows (rows of about 330
+    # bytes), which peaked at 0.40 MB
     tracemalloc.start()
     try:
         rendering = cli._cmd_bounds(argparse.Namespace(q=None, table=100_000, format=fmt))
@@ -240,6 +241,29 @@ def test_bounds_table_holds_one_block(fmt):
     finally:
         tracemalloc.stop()
     assert peak < TABLE_BUDGETS[fmt]
+
+
+def _bounds_output(fmt, q=None, table=None):
+    out = io.StringIO()
+    cli._write(out, cli._cmd_bounds(argparse.Namespace(q=q, table=table, format=fmt)).pieces)
+    return out.getvalue()
+
+
+def test_bounds_q_agrees_with_its_table_row():
+    # bounds --q factors q, bounds --table takes p and e from the sieve; both
+    # build their rows through the same code, for every prime power q <= 4096
+    start = time.perf_counter()
+    header, *lines = _bounds_output("csv", table=4096).splitlines(keepends=True)
+    rows = json.loads(_bounds_output("json", table=4096))["rows"]
+    assert [row["q"] for row in rows] == [
+        q for q in range(2, 4097)
+        if q in {(p := next(d for d in range(2, q + 1) if q % d == 0)) ** k for k in range(1, 13)}
+    ]
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        assert _bounds_output("csv", q=row["q"]) == header + line
+        assert json.loads(_bounds_output("json", q=row["q"])) == {"schema": 1, **row}
+    assert time.perf_counter() - start < 1.0
 
 
 def test_semigroup_renders_within_time_budget():
@@ -470,16 +494,20 @@ class WriteLog(io.RawIOBase):
 
 
 def test_stdout_is_written_in_write_chars_pieces(monkeypatch):
-    # 12.75 MB of text in 1,733 windows of at most 8,000 bytes, written as
-    # 320 writes; an unbuffered stdout makes each write a system call
-    row = parity.row("semigroup --q 3 --m 14")
-    raw = WriteLog()
-    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
-    assert cli.main(row.line.split()) == row.code
-    total = sum(raw.sizes)
-    assert all(size >= cli.WRITE_CHARS for size in raw.sizes[:-1])
-    assert len(raw.sizes) <= -(-total // cli.WRITE_CHARS) + 1
-    assert raw.digest.hexdigest() == row.sha256
+    # semigroup --q 3 --m 14: 12.75 MB of text in 1,733 windows of at most
+    # 8,000 bytes, written as 320 writes; the tables: 9.7K rows of at most
+    # 0.4 KB each; an unbuffered stdout makes each write a system call
+    for line in ("semigroup --q 3 --m 14", "bounds --table 100000 --format json",
+                 "bounds --table 100000"):
+        row = parity.row(line)
+        raw = WriteLog()
+        monkeypatch.setattr(sys, "stdout",
+                            io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+        assert cli.main(row.line.split()) == row.code
+        total = sum(raw.sizes)
+        assert all(size >= cli.WRITE_CHARS for size in raw.sizes[:-1]), line
+        assert len(raw.sizes) <= -(-total // cli.WRITE_CHARS) + 1, line
+        assert raw.digest.hexdigest() == row.sha256, line
 
 
 def test_failed_run_creates_no_out_file(tmp_path, capsys):
