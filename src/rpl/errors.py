@@ -1,35 +1,11 @@
-"""Typed errors shared by every module.
+"""The one error type that production raises.
 
 Every rejected input raises ``ValidationError``, a ValueError whose message
-states the rule, and the CLI exits with code 2.  The other types (exit code
-1) name what went wrong in a computation, and ``verify`` prints that name in
-its FAIL details.
+states the rule, and the CLI prints it and exits with code 2.  The types a
+failed check raises live beside their raisers in ``rpl.verify`` (and
+``rpl.gf``, which only verify builds).
 """
 
 
-class RplError(Exception):
-    exit_code = 1
-
-
-class ValidationError(RplError, ValueError):
+class ValidationError(ValueError):
     """Input rejected before any computation ran."""
-
-    exit_code = 2
-
-
-class ComputationError(RplError):
-    """A computation failed one of its own certificates."""
-
-    exit_code = 1
-
-
-class DivisionByZero(RplError, ZeroDivisionError):
-    """Field division by the zero element."""
-
-
-class AdmissibilityViolation(ComputationError):
-    """A tower transition left the admissible value set or had a bad fiber."""
-
-
-class NotConverged(ComputationError):
-    """Convergence target not reached within the allowed window."""

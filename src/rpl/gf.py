@@ -29,7 +29,7 @@ from collections.abc import Callable
 from functools import reduce
 from itertools import product
 
-from .errors import DivisionByZero, ValidationError
+from .errors import ValidationError
 from .primes import DEFAULT_FIELD_CAP, _smallest_factor, capped_order, factor_prime_power
 
 
@@ -254,6 +254,10 @@ def _zech_sum(exp: array, log: array, p: int) -> tuple[Callable, Callable, Calla
 
     neg = lambda a: exp[log[a] + h] if a else 0  # noqa: E731
     return add, lambda a, b: add(a, neg(b)), neg
+
+
+class DivisionByZero(ZeroDivisionError):
+    """Field division by the zero element."""
 
 
 class FieldContext:

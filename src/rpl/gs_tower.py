@@ -24,20 +24,18 @@ from . import semigroup
 from .primes import factor_prime_power, field_order
 
 
-def check_tower_field(q: int, m: int) -> None:
-    """Reject q that is not a prime power, then m < 1, then F_{q^2} over the field cap."""
-    p, e = factor_prime_power(q)
-    semigroup.check_level(q, m)
-    field_order(p, 2 * e)
-
-
 def count_split_chains(q: int, m: int) -> int:
     """Split places (q-1)*q^m of level m, a certified lower bound on its rational places.
 
     Only the completely split places above the q^2 - q admissible starting
     values are counted; the one totally ramified rational place is not added, so
-    this stays a bound rather than a claimed exact total.  F_{q^2} must be
-    under the field cap, as for every field the package works over.
+    this stays a bound rather than a claimed exact total.  Rejects q that is
+    not a prime power, then m < 1, then F_{q^2} over the field cap (as for
+    every field the package works over), then a level whose conductor is over
+    the bitmap cap, so q^m is formed only for a level that ``gs`` accepts.
     """
-    check_tower_field(q, m)
+    p, e = factor_prime_power(q)
+    semigroup.check_level(q, m)
+    field_order(p, 2 * e)
+    semigroup.capped_conductor(q, m)
     return (q - 1) * q**m

@@ -27,6 +27,10 @@ from .. import DEFAULT_N_MAX, N_MAX_CAP, SCOPES
 from ..errors import ValidationError
 
 
+class ComputationError(Exception):
+    """A computation failed one of its own certificates."""
+
+
 class CheckResult(namedtuple("CheckResult", "scope name ok detail", defaults=("",))):
     """One named check's verdict; detail says what failed, or what was covered."""
 

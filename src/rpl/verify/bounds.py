@@ -10,7 +10,7 @@ from itertools import product
 from math import isqrt
 
 from .. import DEFAULT_N_MAX, bounds
-from ..errors import NotConverged, RplError, ValidationError
+from ..errors import ValidationError
 from ..gf import FieldContext, field_from_order, make_field
 from ..primes import factor_prime_power, prime_powers
 from . import CheckResult, _run
@@ -57,6 +57,10 @@ def drinfeld_vladut_upper(q: int) -> SurdBound:
     cover = Fraction(isqrt(q * scale * scale) + 1, scale) - 1
     return SurdBound(q=q, is_square=False, exact=None, radicand=q,
                      rational_upper=cover)
+
+
+class NotConverged(Exception):
+    """Convergence target not reached within the allowed window."""
 
 
 class ConvergenceReport(namedtuple("ConvergenceReport", "q n_max eps n0 final_gap")):
@@ -158,7 +162,7 @@ def _check_upper_limit_convergence(n_max: int) -> tuple[str, list[str], str]:
     for q in CONVERGENCE_Q:
         try:
             report = upper_limit_check(q, n_max, CONVERGENCE_EPS)
-        except RplError as exc:
+        except (NotConverged, ValidationError) as exc:
             failures.append(f"q={q} {type(exc).__name__}")
             continue
         found.append(f"{q}:{report.n0}")

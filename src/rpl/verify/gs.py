@@ -10,11 +10,15 @@ from fractions import Fraction
 from functools import partial
 
 from .. import DEFAULT_N_MAX, gs_tower, semigroup
-from ..errors import AdmissibilityViolation, RplError, ValidationError
+from ..errors import ValidationError
 from ..gf import field_from_order, make_field
 from ..primes import factor_prime_power
 from . import CheckResult, _run, _solutions
 from .semigroup import SEMIGROUP_Q, gap_mismatches
+
+class AdmissibilityViolation(Exception):
+    """A tower transition left the admissible value set or had a bad fiber."""
+
 
 TOWER_Q = (2, 3, 4)
 TOWER_M_MAX = 8
@@ -90,7 +94,7 @@ def _check_split_closed_form() -> tuple[str, list[str]]:
                 mass = sum(dist.values())
                 if mass != gs_tower.count_split_chains(q, level):
                     failures.append(f"({q},{level}) {mass}")
-        except RplError as exc:
+        except (AdmissibilityViolation, ValidationError) as exc:  # the latter from RPL_MAX_FIELD
             failures.append(f"({q},{level + 1}) {type(exc).__name__}")
     return "split_count==(q-1)q^m (q in {2,3,4}, m in 1..8)", failures
 

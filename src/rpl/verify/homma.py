@@ -6,10 +6,10 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from .. import DEFAULT_N_MAX, homma_family
-from ..errors import ComputationError, ValidationError
+from ..errors import ValidationError
 from ..gf import FieldContext, field_from_order
 from ..primes import factor_prime_power
-from . import CheckResult, _run, _solutions
+from . import CheckResult, ComputationError, _run, _solutions
 
 HOMMA_Q = (3, 4, 5, 7, 8, 9)
 HOMMA_ELL = (2, 3, 4, 5, 6)

@@ -8,8 +8,8 @@ from collections.abc import Iterable, Iterator
 from itertools import chain, compress, pairwise
 
 from .. import DEFAULT_N_MAX, semigroup
-from ..errors import ComputationError, ValidationError
-from . import CheckResult, _run
+from ..errors import ValidationError
+from . import CheckResult, ComputationError, _run
 
 SEMIGROUP_Q = (2, 3, 4, 5)
 SEMIGROUP_CONDUCTOR_CAP = 10**6

@@ -9,11 +9,12 @@ import pytest
 
 from rpl import bounds, primes
 from rpl.bounds import IHARA_HALF_TABLE, dq_summary, half_ihara_odd_power, nondegenerate_coefficient
-from rpl.errors import NotConverged, ValidationError
+from rpl.errors import ValidationError
 from rpl.gf import field_from_order
 from rpl.primes import prime_powers
 from rpl.verify.bounds import (
     CONVERGENCE_Q,
+    NotConverged,
     count_exceptional_quartic,
     drinfeld_vladut_upper,
     projective_plane_points,

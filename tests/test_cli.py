@@ -21,8 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parity
-from rpl import SCOPES, bounds, cli, gf, homma_family, semigroup
-from rpl.verify import CheckResult
+from rpl import SCOPES, bounds, cli, gf, gs_tower, homma_family, semigroup
+from rpl.verify import CheckResult, ComputationError
 from rpl.verify import bounds as verify_bounds, semigroup as verify_semigroup
 
 
@@ -109,6 +109,16 @@ def test_points_homma_validates_once(monkeypatch, capsys):
     assert calls == [(9, 6)]
 
 
+def test_gs_factors_q_once(monkeypatch, capsys):
+    # count_split_chains validates (q, m) for the whole record, so trial division runs once
+    calls = []
+    factor = gs_tower.factor_prime_power
+    monkeypatch.setattr(gs_tower, "factor_prime_power", lambda q: calls.append(q) or factor(q))
+    code, _, _ = run_cli(capsys, "gs", "--q", "9", "--m", "3")
+    assert code == 0
+    assert calls == [9]
+
+
 @settings(max_examples=300, derandomize=True)
 @given(st.integers(1, 10**40), st.integers(1, 10**40), st.integers(1, 10**6))
 @example(1, 1, 1)
@@ -119,15 +129,16 @@ def test_ratio_is_str_of_fraction(a, b, k):
     assert cli._ratio(k * b, b) == str(Fraction(k * b, b)) == str(k)  # b divides a
 
 
-def test_internal_value_error_is_not_a_rejection(monkeypatch, capsys):
+@pytest.mark.parametrize("error", [ValueError, ComputationError])
+def test_internal_value_error_is_not_a_rejection(monkeypatch, capsys, error):
     # only a ValidationError is rejected input (exit 2); any other error
-    # escaping a handler is a bug and propagates, so the script exits 1
-    # with a traceback instead of "error: boom"
+    # escaping a handler, a check's own type included, is a bug and
+    # propagates, so the script exits 1 with a traceback instead of "error: boom"
     def broken(q, ell):
-        raise ValueError("boom")
+        raise error("boom")
 
     monkeypatch.setattr(homma_family, "count_total", broken)
-    with pytest.raises(ValueError, match="^boom$"):
+    with pytest.raises(error, match="^boom$"):
         cli.main(["points-homma", "--q", "3", "--ell", "2"])
     assert capsys.readouterr() == ("", "")
 
@@ -221,10 +232,11 @@ def test_join_marked_copies_no_whole_mark():
     assert peak < 600_000  # about 0.45 MB: one segment, one window and the memo at a time
 
 
-# peak bytes per format, with json and rpl.bounds loaded: json peaks at
-# 0.08 MB, csv at 0.20 MB (loading csv included) and text at 0.07 MB, while
-# a text rendering that lists all its lines peaks at 0.91 MB
-TABLE_BUDGETS = {"json": 200_000, "csv": 1_000_000, "text": 400_000}
+# peak bytes per format, with json and rpl.bounds loaded: streamed, json
+# peaks at 0.09 MB, csv at 0.20 MB (loading csv included) and text at
+# 0.07 MB; a rendering that lists every row first peaks at 3.76 MB in json,
+# 1.28 MB in csv and 0.91 MB in text, so each budget fails its list form
+TABLE_BUDGETS = {"json": 200_000, "csv": 400_000, "text": 400_000}
 
 
 @pytest.mark.parametrize("fmt", TABLE_BUDGETS)

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpl import PRINT_LIMIT, gf, primes, printable_power, verify
-from rpl.errors import AdmissibilityViolation, DivisionByZero, ValidationError
+from rpl.errors import ValidationError
 from rpl.gf import (
+    DivisionByZero,
     _smallest_irreducible,
     _smallest_primitive,
     field_from_order,
@@ -33,6 +34,7 @@ from rpl.primes import (
 )
 from rpl.verify import bounds as verify_bounds, gf as verify_gf, gs as verify_gs
 from rpl.verify import homma as verify_homma
+from rpl.verify.gs import AdmissibilityViolation
 
 # ---------------------------------------------------------------------------
 # independent polynomial oracle: trial division over F_p, low-degree-first

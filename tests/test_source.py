@@ -137,7 +137,7 @@ def test_only_verify_imports_the_field():
 
 PRODUCTION = ("__init__.py", "errors.py", "cli.py", "primes.py", "homma_family.py",
               "gs_tower.py", "semigroup.py", "bounds.py")
-COMPUTING = ("primes", "homma_family", "gs_tower", "semigroup", "bounds")
+COMPUTING = ("errors", "primes", "homma_family", "gs_tower", "semigroup", "bounds")
 
 
 def _public_names(tree):
