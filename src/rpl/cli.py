@@ -4,15 +4,14 @@ Subcommands: points-homma, gs, semigroup, bounds, verify. Each handler
 validates its input, then renders only the format --format chose (json,
 csv or text), written about 32 KiB at a time as it is rendered; identical
 invocations produce byte-identical output. The semigroup generators are
-marked a segment at a time, each starting on a multiple of 1000, and
-written straight from their mark bytes a window [1000h, 1000h + 1000) at a
-time, without an int per generator; equal windows share one memo of their
-picks. Exit codes: 0 success, 1 a failed verify check (or a bug, shown as
-a traceback), 2 a rejected input or a failed write. Each handler imports
-the rpl modules it reads, so --help loads none and gs and semigroup load
-neither fractions nor decimal; only --format json loads json and only
---format csv loads csv. No command but verify loads rpl.gf, and verify
-loads only the scope modules it runs.
+marked a segment at a time and written straight from their mark bytes a
+window [1000h, 1000h + 1000) at a time, without an int per generator;
+equal windows share one memo of their picks. Exit codes: 0 success, 1 a
+failed verify check (or a bug, shown as a traceback), 2 a rejected input
+or a failed write. Each handler imports the rpl modules it reads, so
+--help loads none and gs and semigroup load neither fractions nor decimal;
+only --format json loads json and only --format csv loads csv. No command
+but verify loads rpl.gf, and verify loads only the scope modules it runs.
 """
 
 from __future__ import annotations
@@ -57,21 +56,23 @@ class Rendering(namedtuple("Rendering", "pieces exit_code", defaults=(0,))):
 def _join_marked(segments: Iterable[tuple[int, bytes]], sep: str) -> Iterator[str]:
     """sep.join(map(str, ns)), in pieces, for the numbers ns marked in segments (start, mark).
 
-    A segment marks n at mark[n - start] and starts on a multiple of 1000,
-    and no int is made per marked number.  n-space is cut into windows
-    [1000h, 1000h + 1000): a marked number there is str(h) followed by a
-    three-digit suffix (for h = 0, just str(n)), so a window's text is one
-    join of the suffixes its mark bytes pick from a table.  Marks repeat
+    A segment marks n at mark[n - start], each starting where the one before
+    it ended, and no int is made per marked number.  n-space is cut into
+    windows [1000h, 1000h + 1000): a marked number there is str(h) followed
+    by a three-digit suffix (for h = 0, just str(n)), so a window's text is
+    one join of the suffixes its mark bytes pick from a table.  Marks repeat
     from window to window, so the picks are memoized across segments, keyed
     by the window's marks and whether h > 0, and cleared at MEMO_WINDOWS
-    entries.  Each piece is one window.
+    entries.  Each piece is one window, or its part in one segment: a window
+    that a segment edge cuts is written as two pieces with the same h.
     """
     suffixes = [f"{i:03d}" for i in range(1000)]
     skip = len(sep)  # the first window written drops its leading separator
     memo = {}  # (h > 0, window marks) -> "" and the suffixes they pick
     for start, mark in segments:
-        for h, a in enumerate(range(0, len(mark), 1000), start // 1000):
-            key = h > 0, bytes(mark[a:a + 1000])  # a window at a time, never all of mark
+        for h, a in enumerate(range(-(start % 1000), len(mark), 1000), start // 1000):
+            # a window at a time, never all of mark; the first is padded to its edge
+            key = h > 0, bytes(-a) + mark[:a + 1000] if a < 0 else bytes(mark[a:a + 1000])
             if (picked := memo.get(key)) is None:
                 if len(memo) == MEMO_WINDOWS:
                     memo.clear()

@@ -27,8 +27,7 @@ No command builds H(m): every number read off it has a closed form.
 The members of H(m) below c_m, as an ascending tuple, and the pair-sum
 generator sieve in ``rpl.verify`` are the oracles that certify these forms.
 ``generator_marks`` returns the generators as a byte per number, marked one
-segment of at most SEGMENT numbers at a time, never in one c_m-byte array,
-each starting on a multiple of 1000: a window edge of the ``rpl.cli`` writer.
+segment of at most SEGMENT numbers at a time, never in one c_m-byte array.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .errors import ValidationError
 # The generators are marked a segment at a time, so the cap bounds the time
 # a command takes, not its memory; the "bitmap cap" messages keep their text.
 CONDUCTOR_CAP = 10**7
-SEGMENT = 65_000  # numbers per mark segment; a multiple of 1000, as rpl.cli writes windows of 1000
+SEGMENT = 65_000  # numbers per mark segment
 
 
 def check_level(q: int, m: int) -> None:
@@ -99,11 +98,10 @@ def largest_generator(q: int, m: int) -> int:
 def generator_marks(q: int, m: int) -> Iterator[tuple[int, bytearray]]:
     """Lazy segments (start, mark): mark[n - start] is set exactly at the minimal generators n.
 
-    With low = q^(m-1) the smallest generator, they cover [low - low % 1000,
-    low + c_m) (low + 1 at level 1), and mark nothing below low.  Each holds
-    at most SEGMENT numbers; the first starts on the multiple of 1000 at or
-    below low, and every later one on a multiple of SEGMENT.  Unrolled, the
-    recursion gives disjoint pieces: piece j < m-1 is
+    With low = q^(m-1) the smallest generator, they cover [low, low + c_m)
+    (low + 1 at level 1), each at most SEGMENT numbers long: the first
+    starts at low and each later one where the one before it ended.
+    Unrolled, the recursion gives disjoint pieces: piece j < m-1 is
     q^j * { n in [c_(m-j), c_(m-j) + q^(m-j-1)) : q does not divide n },
     exactly the generators divisible by q^j and not by q^(j+1), and the
     last piece is q^(m-1) itself.  In each segment, each piece is marked by
@@ -122,9 +120,8 @@ def _marked_segments(q: int, m: int, low: int, stop: int) -> Iterator[tuple[int,
     # piece j spans [q^j c_(m-j), q^j c_(m-j) + low); both ends are multiples
     # of q^(j+1), so a segment's multiples of q^j are those of the piece
     pieces = [(q**j * conductor(q, m - j), q**j) for j in range(m - 1)]
-    start = low - low % 1000  # the window edge of rpl.cli at or below low
-    while start < stop:
-        end = min(start - start % SEGMENT + SEGMENT, stop)
+    for start in range(low, stop, SEGMENT):
+        end = min(start + SEGMENT, stop)
         mark = bytearray(end - start)
         for first, power in pieces:
             lo, hi = max(first, start), min(first + low, end)
@@ -132,8 +129,7 @@ def _marked_segments(q: int, m: int, low: int, stop: int) -> Iterator[tuple[int,
                 for step, byte in ((power, b"\x01"), (power * q, b"\x00")):
                     a = -(-lo // step) * step - start
                     mark[a:hi - start:step] = byte * len(range(a, hi - start, step))
-        if start <= low < end:
+        if start == low:
             # q^(m-1) last: for q = 2 it is the start of piece m-2, which clears it
-            mark[low - start] = 1
+            mark[0] = 1
         yield start, mark
-        start = end

@@ -85,17 +85,18 @@ def tower_level_states(q: int, m: int) -> Iterator[dict[int, int]]:
 
 
 def _check_split_closed_form() -> tuple[str, list[str]]:
-    """One walk per q to level TOWER_M_MAX; a raise is named after its level."""
+    """One walk per q to level TOWER_M_MAX; a raise names the level built or compared."""
     failures: list[str] = []
     for q in TOWER_Q:
-        level = 0
+        level = 1
         try:
-            for level, dist in enumerate(tower_level_states(q, TOWER_M_MAX), start=1):
+            for dist in tower_level_states(q, TOWER_M_MAX):
                 mass = sum(dist.values())
                 if mass != gs_tower.count_split_chains(q, level):
                     failures.append(f"({q},{level}) {mass}")
+                level += 1
         except (AdmissibilityViolation, ValidationError) as exc:  # the latter from RPL_MAX_FIELD
-            failures.append(f"({q},{level + 1}) {type(exc).__name__}")
+            failures.append(f"({q},{level}) {type(exc).__name__}")
     return "split_count==(q-1)q^m (q in {2,3,4}, m in 1..8)", failures
 
 

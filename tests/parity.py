@@ -256,6 +256,7 @@ ROWS = (
     Row("bounds --table 100000000000000000", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: --table expects a limit of at most 10000000, got 100000000000000000\n"),
     Row("verify all", None, 0, "678f1600ec282489293efafa1c6d90dad932e74c828ecc531ff2d51a9278bbf5", ""),
     Row("verify homma", None, 0, "58126ac2df9d9ea7616a3e8299f344988132dc6a1352f9c2987975cb88fc9bcf", ""),
+    Row("verify homma", "9", 0, "58126ac2df9d9ea7616a3e8299f344988132dc6a1352f9c2987975cb88fc9bcf", ""),
     Row("verify homma --format csv", None, 0, "143fe50735411f55f74e16bb6409978e506b08d14c33985a41d1f7f46d41cd43", ""),
     Row("verify homma --format json", None, 0, "40ae360db3d4cf22ea15e5deb85599036a64e7afb80a1a8c13888954d43fa3b5", ""),
     Row("verify gs --format csv", None, 0, "8877ace50244d1bbe8adf770d63185d9e21f6495e0b8f353c945bf0fee5a6f45", ""),

@@ -179,15 +179,20 @@ def mark_runs(draw):
     return bytes(mark)
 
 
-def aligned_segments(low, mark, size=2000):
-    """mark, the marks of [low, low + len(mark)), cut as semigroup.generator_marks
-    cuts its numbers: the first segment starts at low - low % 1000, its leading
-    low % 1000 numbers unmarked, and every later one on a multiple of size."""
-    start = low - low % 1000
-    mark = bytes(low - start) + mark
-    stop = start + len(mark)
-    cuts = [start, *range(start - start % size + size, stop, size), stop]
-    return [(a, mark[a - start:b - start]) for a, b in pairwise(cuts) if a < b]
+def cut_segments(low, mark, cuts):
+    """mark, the marks of [low, low + len(mark)), as contiguous segments: the
+    first starts at low, and one more starts at each of cuts inside the range."""
+    stop = low + len(mark)
+    edges = sorted({low, stop, *(c for c in cuts if low < c < stop)})
+    return [(a, mark[a - low:b - low]) for a, b in pairwise(edges)]
+
+
+# a cut n at an offset from the window edge at or below low: anywhere, or a
+# window's first or last number
+CUT_OFFSETS = st.one_of(
+    st.integers(0, 13_000),
+    st.integers(0, 13).flatmap(lambda k: st.sampled_from([1000 * k, 1000 * k + 999])),
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -195,20 +200,27 @@ def aligned_segments(low, mark, size=2000):
     low=st.one_of(st.sampled_from([0, 1, 999, 1000, 1001, 999_999]), st.integers(0, 10**7)),
     mark=mark_runs(),
     sep=st.sampled_from(",;"),
+    offsets=st.lists(CUT_OFFSETS, max_size=8),
 )
-@example(low=1000, mark=bytes(2500), sep=",")  # no mark at all
-@example(low=1500, mark=b"\x01" * 300 + bytes(1200) + b"\x01" * 700, sep=";")  # an empty window
-@example(low=998, mark=b"\x01" * 2005, sep=";")  # both ends inside a window
-@example(low=0, mark=b"", sep=",")
+@example(low=1000, mark=bytes(2500), sep=",", offsets=[])  # no mark at all
+@example(low=1500, mark=b"\x01" * 300 + bytes(1200) + b"\x01" * 700, sep=";",
+         offsets=[])  # an empty window
+@example(low=998, mark=b"\x01" * 2005, sep=";", offsets=[])  # both ends inside a window
+@example(low=0, mark=b"", sep=",", offsets=[])
 # the first and last windows have equal marks but different suffix tables
-@example(low=1500, mark=b"\x01" * 2000, sep=",")
+@example(low=1500, mark=b"\x01" * 2000, sep=",", offsets=[])
 # a period that does not divide 1000: the memo hits on rotating patterns
-@example(low=1000, mark=b"\x00\x01\x01" * 5000, sep=";")
+@example(low=1000, mark=b"\x00\x01\x01" * 5000, sep=";", offsets=[2000, 4000])
 # more distinct windows than the memo keeps, so it is cleared
 @example(low=1234, mark=random.Random(7).randbytes(2000 * cli.MEMO_WINDOWS).translate(LOW_BIT),
-         sep=",")
-def test_join_marked_matches_str_join(low, mark, sep):
-    pieces = list(cli._join_marked(aligned_segments(low, mark), sep))
+         sep=",", offsets=[])
+# segments starting inside a window, at a window's last number, at an edge and past it
+@example(low=243, mark=b"\x01" * 3000, sep=";", offsets=[500, 999, 1000, 1999, 2001])
+# segments of one number each, across a window edge
+@example(low=997, mark=b"\x01\x00\x01\x01\x01", sep=",", offsets=range(998, 1002))
+def test_join_marked_matches_str_join(low, mark, sep, offsets):
+    segments = cut_segments(low, mark, [low - low % 1000 + offset for offset in offsets])
+    pieces = list(cli._join_marked(segments, sep))
     assert "".join(pieces) == sep.join(map(str, compress(range(low, low + len(mark)), mark)))
     assert all(piece.count(sep) <= 1000 for piece in pieces)  # at most one window each
 

@@ -694,6 +694,15 @@ def test_corrupt_field_fails_fiber_checks_by_name(monkeypatch, capsys, sub_q):
     assert capsys.readouterr().err == ""  # neither check raised
 
 
+def test_split_check_names_the_level_the_cap_rejects(monkeypatch, capsys):
+    # the walk builds F_9 and F_16 without reading the cap of 8;
+    # gs_tower.count_split_chains(q, 1), compared at level 1, rejects them
+    monkeypatch.setenv(FIELD_CAP_ENV, "8")
+    [split] = verify._run("gs", verify_gs._check_split_closed_form)
+    assert (split.ok, split.detail) == (False, "(3,1) ValidationError; (4,1) ValidationError")
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("sub_q", [3, 4])
 def test_tower_walk_rejects_a_broken_fiber(monkeypatch, sub_q):
     _patch_swapped_field(monkeypatch, sub_q * sub_q, 1)

@@ -32,6 +32,8 @@ def test_rows_that_must_agree():
     assert parity.row(f"{line} --out points.json")._replace(line=line) == parity.row(line)
     # RPL_MAX_FIELD bounds command inputs; verify builds F_25 under a cap of 16
     assert parity.row("verify gs", "16")._replace(cap=None) == parity.row("verify gs")
+    # verify homma counts over F_q for q up to 9, so a cap of 9 changes nothing
+    assert parity.row("verify homma", "9")._replace(cap=None) == parity.row("verify homma")
 
 
 def test_benchmark_pins_match_the_corpus():

@@ -1,10 +1,11 @@
 """Weierstrass semigroup closed forms, the member-tuple oracle, and minimal generators."""
 
 import tracemalloc
+from itertools import compress
 
 import pytest
 
-from rpl import semigroup
+from rpl import cli, semigroup
 from rpl.errors import ValidationError
 from rpl.semigroup import (
     CONDUCTOR_CAP,
@@ -183,20 +184,16 @@ def check_segments(q, m, size):
     segments = list(generator_marks(q, m))
     starts = [start for start, _ in segments]
     low, expected = whole_array_marks(q, m)
-    assert starts[0] == low - low % 1000  # a window edge of cli._join_marked
-    assert all(start % size == 0 for start in starts[1:])
+    assert starts[0] == low
     assert all(0 < len(mark) <= size for _, mark in segments)
     assert [start + len(mark) for start, mark in segments[:-1]] == starts[1:]  # contiguous
-    marks = b"".join(mark for _, mark in segments)
-    assert not any(marks[:low % 1000])  # nothing below low is marked
-    assert marks[low % 1000:] == expected
+    assert b"".join(mark for _, mark in segments) == expected
 
 
 # (2, 1) is level 1; (1000, 2) has low = 1000; (5, 10), (7, 8) and (2, 23) have
 # pieces whose step q^j is longer than a segment
 @pytest.mark.parametrize("q,m", [*semigroup_grid(), (2, 1), (1000, 2), (5, 10), (7, 8), (2, 23)])
 def test_segments_match_a_whole_array(q, m):
-    assert semigroup.SEGMENT % 1000 == 0  # so every segment starts on a window edge
     check_segments(q, m, semigroup.SEGMENT)
 
 
@@ -205,6 +202,10 @@ def test_small_segments_match_a_whole_array(monkeypatch, size, q, m):
     # each piece spans many segment edges, and at 7^6 the steps 7^4 and 7^5 pass over segments
     monkeypatch.setattr(semigroup, "SEGMENT", size)
     check_segments(q, m, size)
+    # segments that start inside windows of the writer are written as one array would be
+    low, mark = whole_array_marks(q, m)
+    text = "".join(cli._join_marked(generator_marks(q, m), ";"))
+    assert text == ";".join(map(str, compress(range(low, low + len(mark)), mark)))
 
 
 def extremes(q, m):
