@@ -114,7 +114,6 @@ class DqSummary(namedtuple("DqSummary", "q records best_lower")):
 _EXPLICIT_FAMILY = BoundRecord(
     "explicit-family", "lower", Fraction(1),
     "recursive projective family with as many points as its degree")
-SHARED_RECORDS = (_EXPLICIT_FAMILY, *_HALF_TABLE_RECORDS.values())  # one object each, never copied
 
 
 def dq_summary(q: int) -> DqSummary:

@@ -4,13 +4,14 @@ Subcommands: points-homma, gs, semigroup, bounds, verify. Each handler
 validates its input, then renders only the format --format chose (json,
 csv or text), written about 32 KiB at a time as it is rendered; identical
 invocations produce byte-identical output. Semigroup generators are
-written from their mark bytes a window at a time, and bound rows from
-record templates built once per stream. Exit codes: 0 success, 1 a
-failed verify check (or a bug, shown as a traceback), 2 a rejected input
-or a failed write. Each handler imports the rpl modules it reads, so
---help loads none and gs and semigroup load neither fractions nor decimal;
-only --format json loads json and only --format csv loads csv. No command
-but verify loads rpl.gf, and verify loads only the scope modules it runs.
+written from their mark bytes a window at a time, and each bound record
+as its value between its kind's two ends, found once per stream. Exit
+codes: 0 success, 1 a failed verify check (or a bug, shown as a
+traceback), 2 a rejected input or a failed write. Each handler imports
+the rpl modules it reads, so --help loads none and gs and semigroup load
+neither fractions nor decimal; only --format json loads json and only
+--format csv loads csv. No command but verify loads rpl.gf, and verify
+loads only the scope modules it runs.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def _encoder() -> Callable[[object], str]:
 
 
 def _json(obj: dict, items: Iterable[str] | None = None) -> Iterable[str]:
-    """obj as one line of json; with items, its last field lists their text, joined by ','."""
+    """obj as one line of json; with items, its last field is their text, separators included."""
     text = _encoder()(obj)
     return [text + "\n"] if items is None else chain([text[:-2]], items, ["]}\n"])
 
@@ -118,7 +119,8 @@ def _record(fmt: str, fields: dict, items: Iterable[str] | None = None) -> Itera
     """One JSON object in fmt: as json, or after "schema" as a csv row under its
     header or as text lines.  None and the empty list become an empty cell, and
     None no text line.  With items, the last field is an empty list filled by
-    the text of items, elements joined by ',' in json and ';' in csv and text.
+    the text of items as it comes: the caller writes the separators, ',' in
+    json and ';' in csv and text.
     """
     if fmt == "json":
         return _json(fields, items)
@@ -188,7 +190,7 @@ def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> Rendering:
-    """Each row is rendered from what its stream builds once: kinds' ends and shared records."""
+    """Each record is its value's text between the two ends of its kind, found once per stream."""
     from . import bounds
     if (qmax := args.table) is not None and not 2 <= qmax <= TABLE_CAP:
         limit = "least 2" if qmax < 2 else f"most {TABLE_CAP}"
@@ -202,24 +204,18 @@ def _cmd_bounds(args: argparse.Namespace) -> Rendering:
             "text": lambda rec: f"record {rec.name} {rec.direction} \0\n"}[fmt]
     kinds = {}  # (name, direction, source) -> the text of its piece before and after the value
 
-    def render(rec: bounds.BoundRecord) -> tuple[str, str]:  # str(rec.value) and rec's piece
-        kind = rec.name, rec.direction, rec.source
-        head, tail = kinds.get(kind) or kinds.setdefault(kind, ends(rec).split("\0"))
-        return (text := str(rec.value)), head + text + tail
-
-    shared = {id(rec): render(rec) for rec in bounds.SHARED_RECORDS} if qmax else {}  # constants
-
-    def best(summary: bounds.DqSummary) -> str | None:  # best_lower's text, most often records[1]'s
-        if (value := summary.best_lower) is not None and summary.records[1].value is value:
-            return (shared.get(id(rec := summary.records[1])) or render(rec))[0]
-        return None if value is None else str(value)
-
     def cells(summary: bounds.DqSummary) -> tuple[int, str, str | None, list[str]]:
-        done = [shared.get(id(rec)) or render(rec) for rec in summary.records]
-        return summary.q, done[0][0], best(summary), [piece for _, piece in done]
+        pieces = []
+        for rec in summary.records:  # each its value between its kind's two ends
+            kind = rec.name, rec.direction, rec.source
+            head, tail = kinds.get(kind) or kinds.setdefault(kind, ends(rec).split("\0"))
+            pieces.append(head + str(rec.value) + tail)
+        best = summary.best_lower
+        return summary.q, str(summary.records[0].value), None if best is None else str(best), pieces
 
     if fmt == "text" and qmax:  # a line per row, without its records
-        return Rendering(f"q={s.q} upper={s.records[0].value} best_lower={best(s) or 'unknown'}\n"
+        return Rendering(f"q={s.q} upper={str(s.records[0].value)} best_lower="
+                         f"{'unknown' if s.best_lower is None else str(s.best_lower)}\n"
                          for s in summaries)
     rows = map(cells, summaries)
     if fmt == "csv":

@@ -52,8 +52,8 @@ def test_table_limit_admits_ten_million(monkeypatch, capsys):
 
 def test_bound_records_are_encoded_once_per_kind(monkeypatch):
     # json encodes each record kind (all of a record but its value), the row's
-    # frame and the header once per stream, never an object per row; csv and
-    # text never call the encoder
+    # frame and a table's header once per stream, never an object per row; csv
+    # and text never call the encoder
     objects = []
     encoder = cli._encoder
 
@@ -61,12 +61,18 @@ def test_bound_records_are_encoded_once_per_kind(monkeypatch):
         encode = encoder()
         return lambda obj: (isinstance(obj, dict) and objects.append(obj)) or encode(obj)
 
+    def kinds(summaries):
+        return {(rec.name, rec.direction, rec.source) for s in summaries for rec in s.records}
+
     monkeypatch.setattr(cli, "_encoder", counted)
     parity.check_row(parity.row("bounds --table 100000 --format json"))
-    kinds = {(rec.name, rec.direction, rec.source)
-             for summary in bounds.dq_table(100_000) for rec in summary.records}
-    assert len(kinds) == 10  # six of them half-table records, by their references
-    assert len(objects) <= len(kinds) + 2
+    table_kinds = kinds(bounds.dq_table(100_000))
+    assert len(table_kinds) == 10  # six of them half-table records, by their references
+    assert len(objects) <= len(table_kinds) + 2
+    for q in (9, 32768):  # one row: its own kinds (square-tower, odd-power) and the row frame
+        objects.clear()
+        parity.check_row(parity.row(f"bounds --q {q} --format json"))
+        assert len(objects) <= len(kinds([bounds.dq_summary(q)])) + 1 == 4, q
 
     def refused():
         raise AssertionError("a csv or text bound row called the json encoder")
@@ -336,8 +342,8 @@ def test_bound_rendering_matches_an_object_at_a_time(fmt):
 
 
 # tracemalloc peaks of cli.main(["bounds", "--table", "100000", "--format", F,
-# "--out", os.devnull]) after a first run has loaded every module: json 0.20 MB,
-# csv 0.34 MB, text 0.25 MB (0.19, 0.34 and 0.24 MB when each row was rendered
+# "--out", os.devnull]) after a first run has loaded every module: json 0.19 MB,
+# csv 0.35 MB, text 0.25 MB (0.19, 0.34 and 0.24 MB when each row was rendered
 # as its own objects); writing one string of every row instead peaks at 6.9,
 # 1.8 and 1.2 MB, so each budget fails that form
 MAIN_BUDGETS = {"json": 400_000, "csv": 600_000, "text": 450_000}
