@@ -35,9 +35,8 @@ EPILOG = (
     f"(default 2^20 = {DEFAULT_FIELD_CAP}); values above the default or "
     "malformed values are ignored."
 )
-MEMO_WINDOWS = 64  # distinct window marks _join_marked keeps at once
-# --table limit: a fresh table at 10^7 takes 3.9 s in json, 5.3 s in csv and 3.1 s in
-# text (medians of 5 runs on a 2-vCPU Intel Xeon, Python 3.11.7)
+# --table limit: a fresh table at 10^7 takes 3.5 s in json (3.2-4.0), 3.9 s in csv (3.6-5.0)
+# and 2.1 s in text (1.9-3.4): medians and ranges of 7 runs, 2-vCPU Intel Xeon, Python 3.11.7
 TABLE_CAP = 10_000_000
 WRITE_CHARS = 1 << 15  # pieces are joined into writes of at least this many characters
 
@@ -60,28 +59,26 @@ def _join_marked(segments: Iterable[tuple[int, bytes]], sep: str) -> Iterator[st
     it ended, and no int is made per marked number.  n-space is cut into
     windows [1000h, 1000h + 1000): a marked number there is str(h) followed
     by a three-digit suffix (for h = 0, just str(n)), so a window's text is
-    one join of the suffixes its mark bytes pick from a table.  Marks repeat
-    from window to window, so the picks are memoized across segments, keyed
-    by the window's marks and whether h > 0, and cleared at MEMO_WINDOWS
-    entries.  Each piece is one window, or its part in one segment: a window
-    that a segment edge cuts is written as two pieces with the same h.
+    one join of the suffixes its mark bytes pick from a table.  Only windows
+    that hold a marked number are visited, each found by mark.find from the
+    last, and a window whose marks and h > 0 equal the last visited one's
+    reuses its picks.  Each piece is one window, or its part in one segment:
+    a window that a segment edge cuts is written as two pieces with the same h.
     """
     suffixes = [f"{i:03d}" for i in range(1000)]
     skip = len(sep)  # the first window written drops its leading separator
-    memo = {}  # (h > 0, window marks) -> "" and the suffixes they pick
+    last = picked = None  # the last visited window's (h > 0, marks), and "" and its picks
     for start, mark in segments:
-        for h, a in enumerate(range(-(start % 1000), len(mark), 1000), start // 1000):
-            # a window at a time, never all of mark; the first is padded to its edge
-            key = h > 0, bytes(-a) + mark[:a + 1000] if a < 0 else bytes(mark[a:a + 1000])
-            if (picked := memo.get(key)) is None:
-                if len(memo) == MEMO_WINDOWS:
-                    memo.clear()
-                table = suffixes if h else map(str, range(1000))  # built on a miss at h = 0 only
-                picked = memo[key] = ["", *compress(table, key[1])]
-            if len(picked) > 1:
-                prefix = str(h or "")  # window 0 has no prefix
-                yield (sep + prefix).join(picked)[skip:]  # sep and the window, in one join
-                skip = 0
+        i = mark.find(1)
+        while i >= 0:
+            h, r = divmod(start + i, 1000)
+            a = i - r  # window h's edge in mark: each window is copied alone, padded if a < 0
+            key = h > 0, bytes(-a) + mark[:a + 1000] if a < 0 else mark[a:a + 1000]
+            if key != last:  # h > 0 picks suffixes, window 0 the numbers themselves
+                last, picked = key, ["", *compress(suffixes if h else map(str, range(1000)), key[1])]
+            yield (sep + str(h or "")).join(picked)[skip:]  # sep and the window, in one join
+            skip = 0
+            i = mark.find(1, a + 1000)
 
 
 def _write(stream: io.TextIOBase, pieces: Iterable[str]) -> None:
@@ -205,13 +202,14 @@ def _cmd_bounds(args: argparse.Namespace) -> Rendering:
     kinds = {}  # (name, direction, source) -> the text of its piece before and after the value
 
     def cells(summary: bounds.DqSummary) -> tuple[int, str, str | None, list[str]]:
-        pieces = []
+        pieces, upper = [], ""
         for rec in summary.records:  # each its value between its kind's two ends
             kind = rec.name, rec.direction, rec.source
             head, tail = kinds.get(kind) or kinds.setdefault(kind, ends(rec).split("\0"))
-            pieces.append(head + str(rec.value) + tail)
+            pieces.append(head + (text := str(rec.value)) + tail)
+            upper = upper or text  # the upper cell is the first record's text
         best = summary.best_lower
-        return summary.q, str(summary.records[0].value), None if best is None else str(best), pieces
+        return summary.q, upper, None if best is None else str(best), pieces
 
     if fmt == "text" and qmax:  # a line per row, without its records
         return Rendering(f"q={s.q} upper={str(s.records[0].value)} best_lower="

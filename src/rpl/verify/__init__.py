@@ -9,7 +9,8 @@ A check returns its name and its failures, and optionally what it covered;
 it passes when it reports no failures. ``_run`` alone turns that into a
 verdict: the scope, PASS or FAIL, and a detail that is the first four
 failures plus ``+N more``, or else what the check covered. A check that
-raises fails under its own name, and the others still run.
+raises fails under its own name, and the others still run; ``traceback``
+is imported only to print a bug's traceback.
 
 Each scope's checks live in the module of the same name (``gf``, ``homma``,
 ``gs``, ``semigroup``, ``bounds``), as ``check_<scope>``; ``run_verify``
@@ -19,7 +20,7 @@ holds only the scopes it asks for.
 
 from __future__ import annotations
 
-import traceback
+import sys
 from collections import namedtuple
 from collections.abc import Callable
 
@@ -56,16 +57,22 @@ def _run(scope: str, *checks: Callable[[], tuple]) -> list[CheckResult]:
     when failures is empty. The detail is the first four failures plus
     ``+N more``, or else covered. A check that raises fails with the
     exception's type as its one failure, named after the function (and a
-    partial's arguments), with the traceback on stderr.
+    partial's arguments). A ValidationError, an input cap that a check's
+    own call met, is one stderr line naming the check and the rule; any
+    other exception is a bug, and its traceback goes to stderr.
     """
     results = []
     for check in checks:
         try:
             name, failures, *covered = check()
         except Exception as exc:  # one broken check must not end the run
-            traceback.print_exc()
             func, args = getattr(check, "func", check), getattr(check, "args", ())  # a partial
             name = " ".join([func.__name__.removeprefix("_check_"), *map(str, args)])
+            if isinstance(exc, ValidationError):
+                print(f"[{scope}] {name}: {exc}", file=sys.stderr)
+            else:
+                import traceback  # only a raising bug pays for it
+                traceback.print_exc()
             failures, covered = [type(exc).__name__], []
         detail = _fail_detail(failures) or "".join(covered)
         results.append(CheckResult(scope, name, not failures, detail))

@@ -83,6 +83,17 @@ def test_bound_records_are_encoded_once_per_kind(monkeypatch):
         parity.check_row(parity.row(line))
 
 
+def test_bound_rows_format_each_value_once(monkeypatch):
+    # a record's value is formatted once, for its piece, and the upper cell is
+    # the first piece's text; only the best lower bound is formatted apart
+    summaries = list(bounds.dq_table(1000))
+    calls = []
+    to_str = Fraction.__str__
+    monkeypatch.setattr(Fraction, "__str__", lambda self: calls.append(self) or to_str(self))
+    assert json.loads(_bounds_output("json", table=1000))["qmax"] == 1000
+    assert 0 < len(calls) <= sum(len(s.records) + (s.best_lower is not None) for s in summaries)
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -233,10 +244,18 @@ CUT_OFFSETS = st.one_of(
 @example(low=0, mark=b"", sep=",", offsets=[])
 # the first and last windows have equal marks but different suffix tables
 @example(low=1500, mark=b"\x01" * 2000, sep=",", offsets=[])
-# a period that does not divide 1000: the memo hits on rotating patterns
+# a period that does not divide 1000: each window's marks rotate from the last one's
 @example(low=1000, mark=b"\x00\x01\x01" * 5000, sep=";", offsets=[2000, 4000])
-# more distinct windows than the memo keeps, so it is cleared
-@example(low=1234, mark=random.Random(7).randbytes(2000 * cli.MEMO_WINDOWS).translate(LOW_BIT),
+# long runs of windows with no mark between marked ones, cut inside those runs, one
+# segment holding no mark and one cut between two marks of a window
+@example(low=2500, mark=b"\x01" * 3 + bytes(20_000) + b"\x01\x00\x01" + bytes(35_000) + b"\x01",
+         sep=",", offsets=[5000, 12_999, 13_000, 20_504, 30_000, 40_500])
+# alternating marks, so that no window reuses the last one's picks: windows 0 and 1
+# have equal marks but different suffix tables, and a cut pads a window's second part
+@example(low=0, mark=b"\x01" * 2000 + (b"\x01\x00" * 500 + b"\x00\x01" * 500) * 5, sep=";",
+         offsets=[1000, 4500])
+# many distinct windows
+@example(low=1234, mark=random.Random(7).randbytes(128_000).translate(LOW_BIT),
          sep=",", offsets=[])
 # segments starting inside a window, at a window's last number, at an edge and past it
 @example(low=243, mark=b"\x01" * 3000, sep=";", offsets=[500, 999, 1000, 1999, 2001])
@@ -265,7 +284,9 @@ def test_join_marked_copies_no_whole_mark():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 600_000  # about 0.45 MB: one segment, one window and the memo at a time
+    # about 0.33 MB: one segment, one window and the last window's picks at a time; a
+    # memo of 64 windows' picks peaked at 0.47 MB, which this budget fails
+    assert peak < 400_000
 
 
 # peak bytes per format, with json and rpl.bounds loaded: streamed, json
@@ -383,8 +404,10 @@ def test_bounds_q_agrees_with_its_table_row():
 
 def test_semigroup_renders_within_time_budget():
     # 1.95M generators, 17 MB of csv, written from the mark bytes in about
-    # 0.05 s, since each window joins a memoized list of its picked
-    # suffixes; a compress over every window's marks took about 0.13 s
+    # 0.05 s, since only windows that hold a generator are visited and each
+    # joins its picked suffixes, picked again only when its marks differ from
+    # the last visited window's; a compress over every window's marks took
+    # about 0.13 s
     start = time.perf_counter()
     assert cli.main(["semigroup", "--q", "5", "--m", "10", "--format", "csv",
                      "--out", os.devnull]) == 0
@@ -449,9 +472,10 @@ def test_gs_finishes_at_large_fields(capsys, q, m, genus):
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # the modules the footprint test looks for: a command that never imports
-# rpl.gf builds no field, and each command imports only the rpl modules it reads
+# rpl.gf builds no field, each command imports only the rpl modules it reads,
+# and only a failing verify check imports traceback
 PROBED_MODULES = ("dataclasses", "inspect", "typing", "json", "csv", "fractions", "decimal",
-                  "rpl.verify", "rpl.gf", "array",
+                  "traceback", "rpl.verify", "rpl.gf", "array",
                   "rpl.bounds", "rpl.gs_tower", "rpl.homma_family", "rpl.semigroup")
 GS = ["rpl.gs_tower", "rpl.semigroup"]
 BOUNDS = ["fractions", "decimal", "rpl.bounds"]  # fractions imports decimal
@@ -513,11 +537,12 @@ VERIFY_FOOTPRINT = {
 
 @pytest.mark.parametrize("scope", VERIFY_FOOTPRINT)
 def test_verify_scope_import_footprint(scope):
-    # a scope's module is imported just before it runs, so a run compiles only its own scopes
+    # a scope's module is imported just before it runs, so a run compiles only its own
+    # scopes; a passing run never imports traceback
     code = (
         f"import sys; from rpl import cli; cli.main(['verify', {scope!r}]); "
-        "print(sorted(name for name in sys.modules if name.startswith('rpl.verify')),"
-        " file=sys.stderr)"
+        "print(sorted(name for name in sys.modules if name.startswith('rpl.verify')"
+        " or name == 'traceback'), file=sys.stderr)"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
@@ -726,4 +751,19 @@ def test_verify_isolates_a_raising_check(monkeypatch, capsys):
     assert changed == [1, 6]
     assert after[1] == "[semigroup] conductor_minimal FAIL (RuntimeError)"
     assert after[6] == "5/6 checks passed"
-    assert "RuntimeError: broken check" in err
+    assert err.startswith("Traceback") and "RuntimeError: broken check" in err
+
+
+def test_verify_reports_a_capped_input_without_a_traceback(monkeypatch, capsys):
+    # the homma checks compare their oracles with homma_family.count_total, which
+    # applies the input cap: each check fails with one stderr line naming the rule
+    # and no traceback
+    monkeypatch.setenv("RPL_MAX_FIELD", "8")
+    names = ["infinity_closed_form", "brute_force_agreement", "total_at_least_degree",
+             "mass_conservation", "frozen_point_counts"]
+    code, out, err = run_cli(capsys, "verify", "homma")
+    assert code == 1
+    assert out == "".join(f"[homma] {name} FAIL (ValidationError)\n" for name in names) + (
+        "0/5 checks passed\n")
+    assert err == "".join(f"[homma] {name}: q = 3^2 = 9 exceeds the enumeration cap 8\n"
+                          for name in names)
