@@ -4,12 +4,12 @@ Everything here is integer or Fraction arithmetic: literature decimals
 are kept verbatim as exact decimal fractions, and no float ever enters a
 comparison.
 
-The summary object collects, for a prime power q, the known upper bound
-q - 1 on the asymptotic points-per-degree ratio of projective curves
-(often written D(q)) together with every applicable lower-bound record:
-the explicit family (ratio >= 1 for q > 2), the optimal-tower bound for
-square q, and halved lower bounds on the Ihara constant A(q) from the
-literature table and from the odd-power tower construction.
+Each bound on the asymptotic points-per-degree ratio D(q) of projective
+curves is a rule stated once: the upper bound q - 1, the explicit family
+(ratio >= 1 for q > 2), the optimal-tower bound for square q, and halved
+lower bounds on the Ihara constant A(q) from the literature table and from
+the odd-power tower construction.  A row pairs the rules that hold at q
+with their values; a summary gives the same records as Fractions.
 """
 
 from __future__ import annotations
@@ -48,12 +48,6 @@ class IharaTableEntry(namedtuple("IharaTableEntry", "q printed half_lower refere
     __slots__ = ()
 
 
-class BoundRecord(namedtuple("BoundRecord", "name direction value source")):
-    """One bound: its direction is "upper" or "lower", its value a Fraction."""
-
-    __slots__ = ()
-
-
 # the twelve tabulated A(q)/2 lower bounds (truncated literature values), by q
 IHARA_HALF_TABLE = {
     q: IharaTableEntry(q=q, printed=printed, half_lower=Fraction(printed), reference=ref)
@@ -73,13 +67,6 @@ IHARA_HALF_TABLE = {
     )
 }
 
-# the half-ihara-table record of each tabulated q, its source formatted once
-_HALF_TABLE_RECORDS = {
-    q: BoundRecord("half-ihara-table", "lower", entry.half_lower,
-                   f"half of the tabulated A(q) bound ({entry.reference})")
-    for q, entry in IHARA_HALF_TABLE.items()
-}
-
 
 def half_ihara_odd_power(p: int, e: int) -> Fraction | None:
     """Half of the odd-power tower bound on A(q), for q = p^e with e = 2m+1, m >= 1.
@@ -96,8 +83,15 @@ def half_ihara_odd_power(p: int, e: int) -> Fraction | None:
 
 
 # ---------------------------------------------------------------------------
-# points-per-degree summary
+# points-per-degree rules and summary
 # ---------------------------------------------------------------------------
+
+
+class BoundRecord(namedtuple("BoundRecord", "name direction value source")):
+    """One bound: its direction is "upper" or "lower", its value a Fraction.  A rule is stated
+    once, as a record of the value all its records share or None; rules of one kind are equal."""
+
+    __slots__ = ()
 
 
 class DqSummary(namedtuple("DqSummary", "q records best_lower")):
@@ -111,37 +105,51 @@ class DqSummary(namedtuple("DqSummary", "q records best_lower")):
     __slots__ = ()
 
 
-_EXPLICIT_FAMILY = BoundRecord(
-    "explicit-family", "lower", Fraction(1),
-    "recursive projective family with as many points as its degree")
+_NONDEGENERATE_LIMIT, _EXPLICIT_FAMILY, _SQUARE_TOWER, _ODD_POWER = starmap(BoundRecord, (
+    ("nondegenerate-limit", "upper", None,
+     "limit of the nondegenerate point bound over growing dimension"),
+    ("explicit-family", "lower", 1,
+     "recursive projective family with as many points as its degree"),
+    ("square-tower", "lower", None, "one-point embeddings of an optimal recursive tower"),
+    ("half-ihara-odd-power", "lower", None,
+     "half of the odd-power tower bound (Bassa-Beelen-Garcia-Stichtenoth 2015)")))
+_HALF_TABLE = {q: (BoundRecord("half-ihara-table", "lower", None,
+                               f"half of the tabulated A(q) bound ({entry.reference})"),
+                   entry.half_lower) for q, entry in IHARA_HALF_TABLE.items()}
 
 
-def dq_summary(q: int) -> DqSummary:
-    """Collect every applicable points-per-degree bound record for q."""
-    return _dq_summary(q, *factor_prime_power(q))
+def dq_row(q: int, p: int | None = None, e: int | None = None) -> tuple:
+    """(q, records, best): each rule that holds at q = p^e (q factored if p is None) with its
+    value, an int if it is one, in listing order; best indexes the largest lower one or is None."""
+    if p is None:
+        p, e = factor_prime_power(q)
+    records = [(_NONDEGENERATE_LIMIT, q - 1)]  # at every q
+    if q > 2:
+        records.append((_EXPLICIT_FAMILY, 1))
+    if e == 1 and q not in _HALF_TABLE:  # q = 2, or a prime q > 31 with one lower record
+        return q, records, 1 if q > 2 else None
+    if e % 2 == 0:  # square q
+        r = p ** (e // 2)
+        records.append((_SQUARE_TOWER, Fraction(r * r - r, r + 1)))
+    if q in _HALF_TABLE:
+        records.append(_HALF_TABLE[q])
+    if (half := half_ihara_odd_power(p, e)) is not None:  # odd e >= 3
+        records.append((_ODD_POWER, half))
+    return q, records, max(range(1, len(records)), key=lambda i: records[i][1])
+
+
+def dq_rows(n: int) -> Iterator[tuple]:
+    """dq_row(q) for each prime power q <= n, ascending, with no q factored."""
+    return starmap(dq_row, prime_powers(n))
+
+
+def dq_summary(q: int, p: int | None = None, e: int | None = None) -> DqSummary:
+    """Collect every applicable points-per-degree bound record for q, as dq_row does."""
+    q, records, best = dq_row(q, p, e)
+    return DqSummary(q, tuple(rule._replace(value=Fraction(value)) for rule, value in records),
+                     None if best is None else Fraction(records[best][1]))
 
 
 def dq_table(n: int) -> Iterator[DqSummary]:
     """dq_summary(q) for each prime power q <= n, ascending, with no q factored."""
-    return starmap(_dq_summary, prime_powers(n))
-
-
-def _dq_summary(q: int, p: int, e: int) -> DqSummary:
-    """dq_summary(q) for q = p^e, p prime: each rule appends its record, in listing order."""
-    records = [BoundRecord("nondegenerate-limit", "upper", Fraction(q - 1),
-                           "limit of the nondegenerate point bound over growing dimension")]
-    if q > 2:
-        records.append(_EXPLICIT_FAMILY)
-    if e % 2 == 0:
-        r = p ** (e // 2)
-        records.append(BoundRecord("square-tower", "lower", Fraction(r * r - r, r + 1),
-                                   "one-point embeddings of an optimal recursive tower"))
-    if q in _HALF_TABLE_RECORDS:
-        records.append(_HALF_TABLE_RECORDS[q])
-    if (half := half_ihara_odd_power(p, e)) is not None:
-        records.append(BoundRecord(
-            "half-ihara-odd-power", "lower", half,
-            "half of the odd-power tower bound (Bassa-Beelen-Garcia-Stichtenoth 2015)"))
-    # a lone lower record, as every prime q > 31 has, is the best one: no max
-    return DqSummary(q, tuple(records), records[1].value if len(records) == 2 else
-                     max((rec.value for rec in records[1:]), default=None))
+    return starmap(dq_summary, prime_powers(n))

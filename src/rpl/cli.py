@@ -5,13 +5,13 @@ validates its input, then renders only the format --format chose (json,
 csv or text), written about 32 KiB at a time as it is rendered; identical
 invocations produce byte-identical output. Semigroup generators are
 written from their mark bytes a window at a time, and each bound record
-as its value between its kind's two ends, found once per stream. Exit
+as its value between its rule's two ends, built once per stream. Exit
 codes: 0 success, 1 a failed verify check (or a bug, shown as a
 traceback), 2 a rejected input or a failed write. Each handler imports
 the rpl modules it reads, so --help loads none and gs and semigroup load
-neither fractions nor decimal; only --format json loads json and only
---format csv loads csv. No command but verify loads rpl.gf, and verify
-loads only the scope modules it runs.
+neither fractions nor decimal; only --format json loads json, and only
+--format csv loads csv, for every command but bounds. No command but
+verify loads rpl.gf, and verify loads only the scope modules it runs.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ EPILOG = (
     f"(default 2^20 = {DEFAULT_FIELD_CAP}); values above the default or "
     "malformed values are ignored."
 )
-# --table limit: a fresh table at 10^7 takes 3.5 s in json (3.2-4.0), 3.9 s in csv (3.6-5.0)
-# and 2.1 s in text (1.9-3.4): medians and ranges of 7 runs, 2-vCPU Intel Xeon, Python 3.11.7
+# --table limit: a fresh table at 10^7 takes 1.6 s in json (1.5-2.2), 1.6 s in csv (1.4-2.0)
+# and 1.1 s in text (0.9-1.8): medians and ranges of 7 runs, 2-vCPU Intel Xeon, Python 3.11.7
 TABLE_CAP = 10_000_000
 WRITE_CHARS = 1 << 15  # pieces are joined into writes of at least this many characters
 
@@ -187,47 +187,47 @@ def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> Rendering:
-    """Each record is its value's text between the two ends of its kind, found once per stream."""
+    """Each record is its value's text between its rule's two ends, built once per stream."""
     from . import bounds
     if (qmax := args.table) is not None and not 2 <= qmax <= TABLE_CAP:
         limit = "least 2" if qmax < 2 else f"most {TABLE_CAP}"
         raise ValidationError(f"--table expects a limit of at {limit}, got {qmax}")
-    # --q's one summary, or one lazy stream of rows, each rendered as soon as it is computed
-    summaries = [bounds.dq_summary(args.q)] if qmax is None else bounds.dq_table(qmax)
-    if (fmt := args.format) == "json":
+    # --q's one row, or one lazy stream of rows, each rendered as soon as it is computed
+    rows = [bounds.dq_row(args.q)] if qmax is None else bounds.dq_rows(qmax)
+    if (fmt := args.format) == "text" and qmax:  # a line per row, without its records
+        return Rendering(f"q={q} upper={records[0][1]} best_lower="
+                         f"{'unknown' if best is None else str(records[best][1])}\n"
+                         for q, records, best in rows)
+    if fmt == "json":
         encode, slot = _encoder(), '"\\u0000"'  # where a "\0" went: no source holds a NUL
-    ends = {"json": lambda rec: encode({**rec._asdict(), "value": "\0"}).replace(slot, '"\0"'),
-            "csv": lambda rec: f"{rec.name}=\0",
-            "text": lambda rec: f"record {rec.name} {rec.direction} \0\n"}[fmt]
-    kinds = {}  # (name, direction, source) -> the text of its piece before and after the value
+    ends = {"json": lambda rule: encode({**rule._asdict(), "value": "\0"}).replace(slot, '"\0"'),
+            "csv": lambda rule: f"{rule.name}=\0",
+            "text": lambda rule: f"record {rule.name} {rule.direction} \0\n"}[fmt]
+    known = {}  # each rule met: its two ends, or for a rule of one value its whole record and None
 
-    def cells(summary: bounds.DqSummary) -> tuple[int, str, str | None, list[str]]:
-        pieces, upper = [], ""
-        for rec in summary.records:  # each its value between its kind's two ends
-            kind = rec.name, rec.direction, rec.source
-            head, tail = kinds.get(kind) or kinds.setdefault(kind, ends(rec).split("\0"))
-            pieces.append(head + (text := str(rec.value)) + tail)
-            upper = upper or text  # the upper cell is the first record's text
-        best = summary.best_lower
-        return summary.q, upper, None if best is None else str(best), pieces
+    def cells(row: tuple) -> tuple[int, str, str | None, list[str]]:
+        q, records, best = row
+        texts, pieces = [], []
+        for rule, value in records:  # the best lower cell reuses its record's text
+            head, tail = known.get(rule) or known.setdefault(rule, ends(rule).split("\0") if (
+                rule.value is None) else (ends(rule).replace("\0", str(rule.value)), None))
+            texts.append(text := str(value))
+            pieces.append(head if tail is None else head + text + tail)
+        return q, texts[0], None if best is None else texts[best], pieces
 
-    if fmt == "text" and qmax:  # a line per row, without its records
-        return Rendering(f"q={s.q} upper={str(s.records[0].value)} best_lower="
-                         f"{'unknown' if s.best_lower is None else str(s.best_lower)}\n"
-                         for s in summaries)
-    rows = map(cells, summaries)
-    if fmt == "csv":
-        return Rendering(_csv(chain([["q", "upper", "best_lower", "records"]], (
-            [q, upper, lower or "", ";".join(pieces)] for q, upper, lower, pieces in rows))))
+    rows = map(cells, rows)
+    if fmt == "csv":  # without csv.writer: no cell holds a comma, a quote or a line break
+        return Rendering(chain(["q,upper,best_lower,records\n"], (
+            f"{q},{upper},{lower or ''},{';'.join(pieces)}\n" for q, upper, lower, pieces in rows)))
     if fmt == "text":
         return Rendering(f"q {q}\nupper {upper}\nbest_lower {lower or 'unknown'}\n{''.join(pieces)}"
                          for q, upper, lower, pieces in rows)
-    null, quoted = encode(None), '"{}"'.format
     fields = {"q": "\0", "upper": "\0", "best_lower": "\0", "records": ["\0"]}
     a, b, c, d, e = encode(fields if qmax else {"schema": 1, **fields}).split(slot)
-    rows = (f"{a}{q}{b}{upper}{c}{null if lower is None else quoted(lower)}{d}{','.join(pieces)}{e}"
-            for q, upper, lower, pieces in rows)
-    out = chain([next(rows)], map(",".__add__, rows))  # --q's one row, or q = 2 first in a table
+    q, upper, lower, pieces = next(rows)  # --q's one row, or q = 2 first in a table
+    out = chain([f"{a}{q}{b}{upper}{c}{encode(lower)}{d}{','.join(pieces)}{e}"], (  # then rows
+        f',{a}{q}{b}{upper}{c}"{lower}"{d}{",".join(pieces)}{e}'  # that have a best lower bound
+        for q, upper, lower, pieces in rows))
     return Rendering(_json({"schema": 1, "qmax": qmax, "rows": []}, out) if qmax else [*out, "\n"])
 
 
