@@ -28,8 +28,9 @@ from math import gcd
 
 from . import DEFAULT_N_MAX, MAX_PRINTED_DIGITS, N_MAX_CAP, SCOPES
 from .errors import ValidationError
-from .primes import DEFAULT_FIELD_CAP, FIELD_CAP_ENV
+from .primes import DEFAULT_FIELD_CAP, capped_order, factor_prime_power
 
+FIELD_CAP_ENV = "RPL_MAX_FIELD"
 EPILOG = (
     f"The environment variable {FIELD_CAP_ENV} lowers the field-size cap "
     f"(default 2^20 = {DEFAULT_FIELD_CAP}); values above the default or "
@@ -129,6 +130,20 @@ def _record(fmt: str, fields: dict, items: Iterable[str] | None = None) -> Itera
     return chain([head[:-1]], items or (), ["\n"])  # the items end just before the final newline
 
 
+def field_cap() -> int:
+    """Cap on the field order of a command's input; the env override can only lower it."""
+    raw = os.environ.get(FIELD_CAP_ENV)
+    if raw is None:
+        return DEFAULT_FIELD_CAP
+    try:
+        value = int(raw)
+    except ValueError:
+        return DEFAULT_FIELD_CAP
+    if value < 2:  # a cap below the smallest field is ignored
+        return DEFAULT_FIELD_CAP
+    return min(value, DEFAULT_FIELD_CAP)
+
+
 def _ratio(a: int, b: int) -> str:
     """str(Fraction(a, b)) for positive a and b, without loading fractions."""
     g = gcd(a, b)
@@ -137,7 +152,9 @@ def _ratio(a: int, b: int) -> str:
 
 def _cmd_points_homma(args: argparse.Namespace) -> Rendering:
     from . import homma_family
-    count = homma_family.count_total(args.q, args.ell)  # validates (q, ell) once
+    if (q := args.q) > (cap := field_cap()):  # rejected: name the first rule q breaks
+        capped_order(*factor_prime_power(q), cap)
+    count = homma_family.count_total(q, args.ell)  # validates (q, ell) once
     return Rendering(_record(args.format, {
         "schema": 1,
         "affine": count.affine,
@@ -151,7 +168,11 @@ def _cmd_points_homma(args: argparse.Namespace) -> Rendering:
 def _cmd_gs(args: argparse.Namespace) -> Rendering:
     from . import gs_tower, semigroup
     q, m = args.q, args.m
-    split = gs_tower.count_split_chains(q, m)  # validates q and m, and checks both caps
+    if q * q > (cap := field_cap()):  # F_{q^2} over the cap: name the first rule broken
+        p, e = factor_prime_power(q)
+        semigroup.check_level(q, m)
+        capped_order(p, 2 * e, cap)
+    split = gs_tower.count_split_chains(q, m)  # validates q and m, and checks the conductor cap
     genus = semigroup.gap_count(q, m)
     # the generator bounds hold for every m >= 2 (Pellikaan-Stichtenoth-Torres
     # 1998); verify semigroup certifies them for q in 2..5 with c_m <= 10^6

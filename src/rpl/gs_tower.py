@@ -21,7 +21,7 @@ the embedding degree, and their limit, are references in ``rpl.verify.gs``.
 from __future__ import annotations
 
 from . import semigroup
-from .primes import factor_prime_power, field_order
+from .primes import factor_prime_power
 
 
 def count_split_chains(q: int, m: int) -> int:
@@ -30,12 +30,10 @@ def count_split_chains(q: int, m: int) -> int:
     Only the completely split places above the q^2 - q admissible starting
     values are counted; the one totally ramified rational place is not added, so
     this stays a bound rather than a claimed exact total.  Rejects q that is
-    not a prime power, then m < 1, then F_{q^2} over the field cap (as for
-    every field the package works over), then a level whose conductor is over
-    the bitmap cap, so q^m is formed only for a level that ``gs`` accepts.
+    not a prime power, then m < 1, then a level whose conductor is over the
+    bitmap cap, so q^m is formed only for a level under that cap.
     """
-    p, e = factor_prime_power(q)
+    factor_prime_power(q)
     semigroup.check_level(q, m)
-    field_order(p, 2 * e)
     semigroup.capped_conductor(q, m)
     return (q - 1) * q**m

@@ -31,7 +31,7 @@ from collections import namedtuple
 
 from . import MAX_PRINTED_DIGITS, PRINT_LIMIT, printable_power
 from .errors import ValidationError
-from .primes import factor_prime_power, field_order
+from .primes import factor_prime_power
 
 COUNTED_EXP_DIGITS = 1000  # a degree's digits are counted up to this exponent length (17 ms)
 
@@ -47,8 +47,8 @@ class PointCount(namedtuple("PointCount", "affine infinity total")):
 
 
 def _check_family_params(q: int, ell: int) -> int:
-    """Degree (q-1)^(ell-1) of a valid (q, ell): capped field, q > 2, ell >= 2, printable."""
-    field_order(*factor_prime_power(q))
+    """Degree (q-1)^(ell-1) of a valid (q, ell): a prime power q > 2, ell >= 2, printable."""
+    factor_prime_power(q)
     if q <= 2:
         raise ValidationError(f"the curve family needs q > 2, got q = {q}")
     if ell < 2:

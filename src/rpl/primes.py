@@ -1,17 +1,16 @@
-"""Prime powers and the cap on a command's field order, without building a field.
+"""Prime powers and the bound on a field's order, without building a field.
 
 ``prime_powers(n)`` yields each prime power up to n with its prime and
 exponent, ascending, from a segmented sieve of Eratosthenes (Bays and
 Hudson, BIT 17, 1977). It holds the base primes up to sqrt(n), one
 segment of max(sqrt(n), SEGMENT) bytes and the sorted powers p^e <= n
-(e >= 2) of the base primes: O(sqrt(n)) memory. A command's field order
-is capped at 2^20; the ``RPL_MAX_FIELD`` environment variable may lower
-(never raise) the cap on command inputs, which ``field_order`` checks.
+(e >= 2) of the base primes: O(sqrt(n)) memory. ``capped_order`` checks
+an order p^e against the cap it is given: 2^20 for a field ``gf`` builds,
+and ``rpl.cli.field_cap`` for a command's input.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator
 from itertools import compress
 from math import isqrt
@@ -20,22 +19,7 @@ from . import printable_power
 from .errors import ValidationError
 
 DEFAULT_FIELD_CAP = 1 << 20
-FIELD_CAP_ENV = "RPL_MAX_FIELD"
 SEGMENT = 1 << 15  # least sieve segment, in bytes
-
-
-def field_cap() -> int:
-    """Cap on the field order of a command's input; the env override can only lower it."""
-    raw = os.environ.get(FIELD_CAP_ENV)
-    if raw is None:
-        return DEFAULT_FIELD_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_FIELD_CAP
-    if value < 2:  # a cap below the smallest field is ignored
-        return DEFAULT_FIELD_CAP
-    return min(value, DEFAULT_FIELD_CAP)
 
 
 def _smallest_factor(n: int) -> int:
@@ -95,9 +79,3 @@ def capped_order(p: int, e: int, cap: int) -> int:
     if q > cap:
         raise ValidationError(f"q = {p}^{e} = {q} exceeds the enumeration cap {cap}")
     return q
-
-
-def field_order(p: int, e: int) -> int:
-    """Order p^e of a command's field under the input cap, validated without building it;
-    p and e come from ``factor_prime_power``, which has proved p prime and e >= 1."""
-    return capped_order(p, e, field_cap())

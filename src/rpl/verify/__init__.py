@@ -20,7 +20,6 @@ holds only the scopes it asks for.
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 from collections.abc import Callable
 
@@ -57,9 +56,8 @@ def _run(scope: str, *checks: Callable[[], tuple]) -> list[CheckResult]:
     when failures is empty. The detail is the first four failures plus
     ``+N more``, or else covered. A check that raises fails with the
     exception's type as its one failure, named after the function (and a
-    partial's arguments). A ValidationError, an input cap that a check's
-    own call met, is one stderr line naming the check and the rule; any
-    other exception is a bug, and its traceback goes to stderr.
+    partial's arguments). Any exception is a bug, a ValidationError too:
+    its traceback goes to stderr.
     """
     results = []
     for check in checks:
@@ -68,11 +66,8 @@ def _run(scope: str, *checks: Callable[[], tuple]) -> list[CheckResult]:
         except Exception as exc:  # one broken check must not end the run
             func, args = getattr(check, "func", check), getattr(check, "args", ())  # a partial
             name = " ".join([func.__name__.removeprefix("_check_"), *map(str, args)])
-            if isinstance(exc, ValidationError):
-                print(f"[{scope}] {name}: {exc}", file=sys.stderr)
-            else:
-                import traceback  # only a raising bug pays for it
-                traceback.print_exc()
+            import traceback  # only a raising bug pays for it
+            traceback.print_exc()
             failures, covered = [type(exc).__name__], []
         detail = _fail_detail(failures) or "".join(covered)
         results.append(CheckResult(scope, name, not failures, detail))

@@ -85,7 +85,7 @@ def tower_level_states(q: int, m: int) -> Iterator[dict[int, int]]:
 
 
 def _check_split_closed_form() -> tuple[str, list[str]]:
-    """One walk per q to level TOWER_M_MAX; a raise names the level built or compared."""
+    """One walk per q to level TOWER_M_MAX; an AdmissibilityViolation names its level."""
     failures: list[str] = []
     for q in TOWER_Q:
         level = 1
@@ -95,7 +95,7 @@ def _check_split_closed_form() -> tuple[str, list[str]]:
                 if mass != gs_tower.count_split_chains(q, level):
                     failures.append(f"({q},{level}) {mass}")
                 level += 1
-        except (AdmissibilityViolation, ValidationError) as exc:  # the latter from RPL_MAX_FIELD
+        except AdmissibilityViolation as exc:
             failures.append(f"({q},{level}) {type(exc).__name__}")
     return "split_count==(q-1)q^m (q in {2,3,4}, m in 1..8)", failures
 

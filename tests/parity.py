@@ -57,6 +57,8 @@ the change it guards:
 - d8a986a (each bound record rendered as its own object): bounds --q 4 as text, with the
   square-tower and half-table records together, --q 2^15 as json, the odd-power record at
   e = 15, and --q 2^20 as csv, the square-tower record at r = 1024
+- 9be96e8 (the field cap applied in the closed forms): the gs and points-homma inputs that
+  break two rules, each rejected by the first rule it breaks
 """
 
 import hashlib
@@ -173,6 +175,9 @@ ROWS = (
     Row("points-homma --q 3 --ell 14286", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: degree (q-1)^(ell-1) = 2^14285 has 4301 digits; at most 4300 can be printed\n"),
     Row("points-homma --q 2097152 --ell 2", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 2^21 = 2097152 exceeds the enumeration cap 1048576\n"),
     Row("points-homma --q 128 --ell 2", "100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 2^7 = 128 exceeds the enumeration cap 100\n"),
+    Row("points-homma --q 1024 --ell 100000", "100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 2^10 = 1024 exceeds the enumeration cap 100\n"),
+    Row("points-homma --q 1000 --ell 1", "100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 1000 is not a prime power\n"),
+    Row("points-homma --q 128 --ell 1", "100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 2^7 = 128 exceeds the enumeration cap 100\n"),
     Row("gs --q 16 --m 3 --format json", None, 0, "058bf98d25097ce8fb367b03eea205fe51465d2095a96564c5e81e3b95919936", ""),
     Row("gs --q 9 --m 3", None, 0, "6e1f19ec27f0bd505dc65a1be50dbfbd934106615e11ea6c65a65a83e673ec85", ""),
     Row("gs --q 8 --m 4 --format csv", None, 0, "4d609d8b532ba77cbfe427a5863c8785d4b9f12b0b1fcb50ed6899a7c647dfca", ""),
@@ -197,6 +202,10 @@ ROWS = (
     Row("gs --q 4 --m 0", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: m must be >= 1, got 0\n"),
     Row("gs --q 2048 --m 1", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 2^22 = 4194304 exceeds the enumeration cap 1048576\n"),
     Row("gs --q 16 --m 1", "100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 2^8 = 256 exceeds the enumeration cap 100\n"),
+    Row("gs --q 2048 --m 0", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: m must be >= 1, got 0\n"),
+    Row("gs --q 32 --m 0", "100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: m must be >= 1, got 0\n"),
+    Row("gs --q 11 --m 30", "100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 11^2 = 121 exceeds the enumeration cap 100\n"),
+    Row("gs --q 6 --m 0", "100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 6 is not a prime power\n"),
     Row("gs --q 2**7200 --m 1", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 2^14400 exceeds the enumeration cap 1048576\n"),
     Row("gs --q 2 --m 24 --format text", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor 16773120 exceeds the bitmap cap 10000000\n"),
     Row("gs --q 2 --m 24 --format csv", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor 16773120 exceeds the bitmap cap 10000000\n"),

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpl import PRINT_LIMIT, gf, primes, printable_power, verify
+from rpl.cli import FIELD_CAP_ENV, field_cap
 from rpl.errors import ValidationError
 from rpl.gf import (
     DivisionByZero,
@@ -24,14 +25,7 @@ from rpl.gf import (
     make_field,
     times_generator,
 )
-from rpl.primes import (
-    DEFAULT_FIELD_CAP,
-    FIELD_CAP_ENV,
-    factor_prime_power,
-    field_cap,
-    field_order,
-    prime_powers,
-)
+from rpl.primes import DEFAULT_FIELD_CAP, capped_order, factor_prime_power, prime_powers
 from rpl.verify import bounds as verify_bounds, gf as verify_gf, gs as verify_gs
 from rpl.verify import homma as verify_homma
 from rpl.verify.gs import AdmissibilityViolation
@@ -441,7 +435,7 @@ def test_cap_names_an_unprintable_order_by_its_exponent(monkeypatch, p, e):
     with pytest.raises(ValidationError, match=message):
         make_field(p, e)
     with pytest.raises(ValidationError, match=message):
-        field_order(p, e)
+        capped_order(p, e, field_cap())
 
 
 @pytest.mark.parametrize("p,e", [(2, 14284), (3, 9012)])
@@ -472,8 +466,8 @@ def test_cap_env_lowers(monkeypatch):
     monkeypatch.setenv(FIELD_CAP_ENV, "100")
     assert field_cap() == 100
     with pytest.raises(ValidationError, match=r"^q = 2\^7 = 128 exceeds the enumeration cap 100$"):
-        field_order(2, 7)
-    assert field_order(2, 6) == 64
+        capped_order(2, 7, field_cap())
+    assert capped_order(2, 6, field_cap()) == 64
     assert make_field(2, 7).q == 128  # building a field meets only the fixed limit
 
 
@@ -692,15 +686,6 @@ def test_corrupt_field_fails_fiber_checks_by_name(monkeypatch, capsys, sub_q):
     assert (split.name, split.ok) == ("split_count==(q-1)q^m (q in {2,3,4}, m in 1..8)", False)
     assert f"({sub_q},2) AdmissibilityViolation" in split.detail
     assert capsys.readouterr().err == ""  # neither check raised
-
-
-def test_split_check_names_the_level_the_cap_rejects(monkeypatch, capsys):
-    # the walk builds F_9 and F_16 without reading the cap of 8;
-    # gs_tower.count_split_chains(q, 1), compared at level 1, rejects them
-    monkeypatch.setenv(FIELD_CAP_ENV, "8")
-    [split] = verify._run("gs", verify_gs._check_split_closed_form)
-    assert (split.ok, split.detail) == (False, "(3,1) ValidationError; (4,1) ValidationError")
-    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("sub_q", [3, 4])

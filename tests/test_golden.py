@@ -30,10 +30,13 @@ def test_rows_that_must_agree():
     # --out writes to the file what stdout would, and leaves stdout empty
     line = "points-homma --q 3 --ell 3 --format json"
     assert parity.row(f"{line} --out points.json")._replace(line=line) == parity.row(line)
-    # RPL_MAX_FIELD bounds command inputs; verify builds F_25 under a cap of 16
+    # RPL_MAX_FIELD caps command inputs alone: verify prints the same bytes under
+    # any cap, also below the fields it builds (F_9 in homma, F_16 and F_25 in gs)
     assert parity.row("verify gs", "16")._replace(cap=None) == parity.row("verify gs")
-    # verify homma counts over F_q for q up to 9, so a cap of 9 changes nothing
     assert parity.row("verify homma", "9")._replace(cap=None) == parity.row("verify homma")
+    for line in ("verify homma", "verify gs"):
+        for cap in ("2", "8"):
+            parity.check_row(parity.row(line)._replace(cap=cap))  # code, digest and stderr
 
 
 def test_benchmark_pins_match_the_corpus():

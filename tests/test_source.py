@@ -85,6 +85,17 @@ def test_one_type_for_rejected_input():
     assert not subclasses, f"ValidationError subclasses: {subclasses}"
 
 
+def test_only_the_cli_reads_the_environment():
+    # resource caps belong to the commands: a closed form or a verify check
+    # that read a variable would print what the caller's environment says
+    readers = [
+        f"{_name(path)}:{node.lineno}" for path in SOURCES if _name(path) != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv")
+    ]
+    assert not readers, f"environment read outside cli.py at {readers}"
+
+
 def test_cli_main_does_not_catch_value_error():
     # a ValueError escaping a handler is a bug: it must surface as a
     # traceback with exit 1, not be reported as rejected input
