@@ -24,11 +24,10 @@ ratio sequence and its limit in ``verify.gs``, the generator list in
 
 __version__ = "0.1.0"
 
-# Scopes, default scan depth and its limit for the ``verify`` subcommand;
-# kept here so the CLI builds its parser without importing the verify suite.
+# Scopes and default scan depth of the ``verify`` subcommand; kept here so
+# the CLI builds its parser without importing the verify suite.
 SCOPES = ("all", "gf", "homma", "gs", "semigroup", "bounds")
 DEFAULT_N_MAX = 60
-N_MAX_CAP = 4000  # --n-max limit: coefficient_monotone takes 4.6 s at 4000 and 31 s at 8000
 
 # CPython's default limit on int-to-str conversion: a count prints only
 # below PRINT_LIMIT, with at most MAX_PRINTED_DIGITS digits.

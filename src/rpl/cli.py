@@ -1,7 +1,7 @@
 """Deterministic command-line interface.
 
 Subcommands: points-homma, gs, semigroup, bounds, verify. Each handler
-validates its input, then renders only the format --format chose (json,
+checks its input, then renders only the format --format chose (json,
 csv or text), written about 32 KiB at a time as it is rendered; identical
 invocations produce byte-identical output. Semigroup generators are
 written from their mark bytes a window at a time, and each bound record
@@ -12,6 +12,9 @@ the rpl modules it reads, so --help loads none and gs and semigroup load
 neither fractions nor decimal; only --format json loads json, and only
 --format csv loads csv, for every command but bounds. No command but
 verify loads rpl.gf, and verify loads only the scope modules it runs.
+The caps on a command's cost (field_cap, capped_conductor, TABLE_CAP and
+N_MAX_CAP) live here alone, checked before the work they bound; closed
+forms and verify check only the rules of their own domain.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, compress
 from math import gcd
 
-from . import DEFAULT_N_MAX, MAX_PRINTED_DIGITS, N_MAX_CAP, SCOPES
+from . import DEFAULT_N_MAX, MAX_PRINTED_DIGITS, PRINT_LIMIT, SCOPES, printable_power
 from .errors import ValidationError
 from .primes import DEFAULT_FIELD_CAP, capped_order, factor_prime_power
 
@@ -39,6 +42,11 @@ EPILOG = (
 # --table limit: a fresh table at 10^7 takes 1.6 s in json (1.5-2.2), 1.6 s in csv (1.4-2.0)
 # and 1.1 s in text (0.9-1.8): medians and ranges of 7 runs, 2-vCPU Intel Xeon, Python 3.11.7
 TABLE_CAP = 10_000_000
+# semigroup marks its generators a segment at a time, so this caps its time, not its memory: one
+# pass over c_m marks plus the q^(m-1) generators written. A fresh --q 2 --m 23 (c_m = 8,384,512;
+# 36 MB of text) takes 0.13-0.18 s per format (medians of 5 runs, 2-vCPU Intel Xeon, Python 3.11.7)
+CONDUCTOR_CAP = 10**7
+N_MAX_CAP = 4000  # --n-max limit: coefficient_monotone takes 4.6 s at 4000 and 31 s at 8000
 WRITE_CHARS = 1 << 15  # pieces are joined into writes of at least this many characters
 
 
@@ -144,6 +152,18 @@ def field_cap() -> int:
     return min(value, DEFAULT_FIELD_CAP)
 
 
+def capped_conductor(q: int, m: int) -> int:
+    """The conductor c_m; rejects q < 2, then m < 1, then a c_m above CONDUCTOR_CAP."""
+    from . import semigroup
+    semigroup.check_level(q, m)
+    # c_m >= q^(m-1): if that cannot print, c_m is not formed and PRINT_LIMIT stands in for it
+    c = semigroup.conductor(q, m) if printable_power(q, m - 1) is not None else PRINT_LIMIT
+    if c <= CONDUCTOR_CAP:
+        return c
+    shown = c if c < PRINT_LIMIT else f"q^m - q^ceil(m/2) at q = {q}, m = {m}"
+    raise ValidationError(f"conductor {shown} exceeds the bitmap cap {CONDUCTOR_CAP}")
+
+
 def _ratio(a: int, b: int) -> str:
     """str(Fraction(a, b)) for positive a and b, without loading fractions."""
     g = gcd(a, b)
@@ -172,7 +192,12 @@ def _cmd_gs(args: argparse.Namespace) -> Rendering:
         p, e = factor_prime_power(q)
         semigroup.check_level(q, m)
         capped_order(p, 2 * e, cap)
-    split = gs_tower.count_split_chains(q, m)  # validates q and m, and checks the conductor cap
+    try:
+        c = capped_conductor(q, m)
+    except ValidationError:  # a q that is not a prime power is named first
+        factor_prime_power(q)
+        raise
+    split = gs_tower.count_split_chains(q, m)  # trial-divides q, the one time an accepted q is
     genus = semigroup.gap_count(q, m)
     # the generator bounds hold for every m >= 2 (Pellikaan-Stichtenoth-Torres
     # 1998); verify semigroup certifies them for q in 2..5 with c_m <= 10^6
@@ -183,7 +208,7 @@ def _cmd_gs(args: argparse.Namespace) -> Rendering:
         "m": m,
         "genus": genus,
         "split": split,
-        "conductor": semigroup.conductor(q, m),
+        "conductor": c,
         "gap_count": genus,
         "gamma_first": semigroup.smallest_positive(q, m),
         "gamma_last": semigroup.largest_generator(q, m),
@@ -195,16 +220,16 @@ def _cmd_gs(args: argparse.Namespace) -> Rendering:
 def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
     from . import semigroup
     q, m = args.q, args.m
-    segments = semigroup.generator_marks(q, m)  # validates and checks the cap
+    c = capped_conductor(q, m)  # before any marking
     return Rendering(_record(args.format, {
         "schema": 1,
         "q": q,
         "m": m,
-        "conductor": semigroup.conductor(q, m),
+        "conductor": c,
         "gap_count": semigroup.gap_count(q, m),
         "smallest_positive": semigroup.smallest_positive(q, m),
         "generators": [],
-    }, _join_marked(segments, "," if args.format == "json" else ";")))
+    }, _join_marked(semigroup.generator_marks(q, m), "," if args.format == "json" else ";")))
 
 
 def _cmd_bounds(args: argparse.Namespace) -> Rendering:
@@ -253,6 +278,8 @@ def _cmd_bounds(args: argparse.Namespace) -> Rendering:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Rendering:
+    if args.n_max > N_MAX_CAP:
+        raise ValidationError(f"n_max must be <= {N_MAX_CAP}, got {args.n_max}")
     from . import verify  # needed by no other command; it loads each scope as it runs
     results = verify.run_verify(args.scope, args.n_max)
     passed = sum(1 for res in results if res.ok)

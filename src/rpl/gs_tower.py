@@ -30,10 +30,8 @@ def count_split_chains(q: int, m: int) -> int:
     Only the completely split places above the q^2 - q admissible starting
     values are counted; the one totally ramified rational place is not added, so
     this stays a bound rather than a claimed exact total.  Rejects q that is
-    not a prime power, then m < 1, then a level whose conductor is over the
-    bitmap cap, so q^m is formed only for a level under that cap.
+    not a prime power, then m < 1; no command cap is checked here.
     """
     factor_prime_power(q)
     semigroup.check_level(q, m)
-    semigroup.capped_conductor(q, m)
     return (q - 1) * q**m

@@ -28,21 +28,15 @@ The members of H(m) below c_m, as an ascending tuple, and the pair-sum
 generator sieve in ``rpl.verify`` are the oracles that certify these forms.
 ``generator_marks`` returns the generators as a byte per number, marked one
 segment of at most SEGMENT numbers at a time, never in one c_m-byte array.
+Each form checks only q >= 2 and m >= 1; ``rpl.cli`` caps c_m for a command.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from . import PRINT_LIMIT, printable_power
 from .errors import ValidationError
 
-# The generators are marked a segment at a time, so the cap bounds the time
-# a command takes, not its memory; the "bitmap cap" messages keep their text.
-# Time is one pass over c_m marks plus the q^(m-1) generators written: a fresh
-# semigroup --q 2 --m 23 (c_m = 8,384,512; 36 MB of text) takes 0.13-0.18 s per
-# format (medians of 5 runs on a 2-vCPU Intel Xeon, Python 3.11.7)
-CONDUCTOR_CAP = 10**7
 SEGMENT = 65_000  # numbers per mark segment
 
 
@@ -58,23 +52,6 @@ def conductor(q: int, m: int) -> int:
     """Conductor q^m - q^ceil(m/2) of the level-m semigroup."""
     check_level(q, m)
     return q**m - q ** ((m + 1) // 2)
-
-
-def capped_conductor(q: int, m: int) -> int:
-    """The conductor, rejected above CONDUCTOR_CAP, naming q and m if it is unprintable.
-
-    An unprintable conductor is never formed: c_m >= q^(m-1), which must print first.
-    """
-    check_level(q, m)
-    if printable_power(q, m - 1) is not None:
-        c = conductor(q, m)
-        if c <= CONDUCTOR_CAP:
-            return c
-        if c < PRINT_LIMIT:
-            raise ValidationError(f"conductor {c} exceeds the bitmap cap {CONDUCTOR_CAP}")
-    raise ValidationError(
-        f"conductor q^m - q^ceil(m/2) at q = {q}, m = {m} exceeds the bitmap cap {CONDUCTOR_CAP}"
-    )
 
 
 def gap_count(q: int, m: int) -> int:
@@ -112,9 +89,9 @@ def generator_marks(q: int, m: int) -> Iterator[tuple[int, bytearray]]:
     [q^j c_(m-j), q^j c_(m-j) + q^(m-1)): set its multiples of q^j, then
     clear its multiples of q^(j+1).  Taken with j ascending, a clear never
     removes an earlier piece's generator, since those are not divisible by
-    q^(j+1).  Validates and checks the cap at the call, before any marking.
+    q^(j+1).  Validates q and m at the call, before any marking.
     """
-    c = capped_conductor(q, m)
+    c = conductor(q, m)
     low = q ** (m - 1)
     return _marked_segments(q, m, low, low + (c or 1))  # level 1 is generated by q^0 = 1
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 
-from .. import DEFAULT_N_MAX, N_MAX_CAP, SCOPES
+from .. import DEFAULT_N_MAX, SCOPES
 from ..errors import ValidationError
 
 
@@ -79,8 +79,6 @@ def run_verify(scope: str = "all", n_max: int = DEFAULT_N_MAX) -> list[CheckResu
         raise ValidationError(f"unknown scope {scope!r}; expected one of {', '.join(SCOPES)}")
     if n_max < 2:  # before any check runs, whichever scope reads it
         raise ValidationError(f"n_max must be >= 2, got {n_max}")
-    if n_max > N_MAX_CAP:
-        raise ValidationError(f"n_max must be <= {N_MAX_CAP}, got {n_max}")
     results: list[CheckResult] = []
     for name in SCOPES[1:] if scope == "all" else (scope,):
         module = __import__(f"{__name__}.{name}", fromlist=["_"])  # the submodule, loaded now

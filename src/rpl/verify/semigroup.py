@@ -70,7 +70,7 @@ def weierstrass_semigroup(q: int, m: int) -> NumericalSemigroup:
     the members of H(m-1) below ceil(c_m / q), scaled.  Nothing of size
     c_m is built.
     """
-    c = semigroup.capped_conductor(q, m)
+    c = semigroup.conductor(q, m)
     if m == 1:
         return NumericalSemigroup(0, ())
     below = tuple(q * s for s in weierstrass_semigroup(q, m - 1).members(-(-c // q)))

@@ -59,6 +59,8 @@ the change it guards:
   e = 15, and --q 2^20 as csv, the square-tower record at r = 1024
 - 9be96e8 (the field cap applied in the closed forms): the gs and points-homma inputs that
   break two rules, each rejected by the first rule it breaks
+- a9ce5b2 (the conductor cap applied in the closed forms): the gs and semigroup inputs that
+  break two rules around the conductor cap, each rejected by the first rule it breaks
 """
 
 import hashlib
@@ -207,6 +209,10 @@ ROWS = (
     Row("gs --q 11 --m 30", "100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 11^2 = 121 exceeds the enumeration cap 100\n"),
     Row("gs --q 6 --m 0", "100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 6 is not a prime power\n"),
     Row("gs --q 2**7200 --m 1", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 2^14400 exceeds the enumeration cap 1048576\n"),
+    Row("gs --q 6 --m 100", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 6 is not a prime power\n"),
+    Row("gs --q 1000 --m 3", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 1000 is not a prime power\n"),
+    Row("gs --q 1 --m 100000", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 1 is not a prime power\n"),
+    Row("gs --q 2048 --m 30", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 2^22 = 4194304 exceeds the enumeration cap 1048576\n"),
     Row("gs --q 2 --m 24 --format text", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor 16773120 exceeds the bitmap cap 10000000\n"),
     Row("gs --q 2 --m 24 --format csv", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor 16773120 exceeds the bitmap cap 10000000\n"),
     Row("gs --q 2 --m 24 --format json", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor 16773120 exceeds the bitmap cap 10000000\n"),
@@ -235,6 +241,8 @@ ROWS = (
     Row("semigroup --q 2 --m 24 --format csv", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor 16773120 exceeds the bitmap cap 10000000\n"),
     Row("semigroup --q 2 --m 24 --format json", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor 16773120 exceeds the bitmap cap 10000000\n"),
     Row("semigroup --q 2 --m 100000", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor q^m - q^ceil(m/2) at q = 2, m = 100000 exceeds the bitmap cap 10000000\n"),
+    Row("semigroup --q 1 --m 100000", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q must be >= 2, got 1\n"),
+    Row("semigroup --q 6 --m 100000", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor q^m - q^ceil(m/2) at q = 6, m = 100000 exceeds the bitmap cap 10000000\n"),
     Row("semigroup --q 1 --m 3 --format text", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q must be >= 2, got 1\n"),
     Row("semigroup --q 1 --m 3 --format csv", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q must be >= 2, got 1\n"),
     Row("semigroup --q 1 --m 3 --format json", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q must be >= 2, got 1\n"),

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parity
-from rpl import SCOPES, bounds, cli, gf, gs_tower, homma_family, semigroup
+from rpl import SCOPES, bounds, cli, gf, homma_family, primes, semigroup
 from rpl.errors import ValidationError
 from rpl.verify import CheckResult, ComputationError
 from rpl.verify import bounds as verify_bounds, semigroup as verify_semigroup
@@ -146,10 +146,11 @@ def test_points_homma_validates_once(monkeypatch, capsys):
 
 
 def test_gs_factors_q_once(monkeypatch, capsys):
-    # count_split_chains validates (q, m) for the whole record, so trial division runs once
+    # an accepted q is trial-divided once, in count_split_chains: the cap checks before it
+    # divide only a rejected q, so every call of the one trial division is counted
     calls = []
-    factor = gs_tower.factor_prime_power
-    monkeypatch.setattr(gs_tower, "factor_prime_power", lambda q: calls.append(q) or factor(q))
+    smallest = primes._smallest_factor
+    monkeypatch.setattr(primes, "_smallest_factor", lambda n: calls.append(n) or smallest(n))
     code, _, _ = run_cli(capsys, "gs", "--q", "9", "--m", "3")
     assert code == 0
     assert calls == [9]

@@ -96,6 +96,21 @@ def test_only_the_cli_reads_the_environment():
     assert not readers, f"environment read outside cli.py at {readers}"
 
 
+COMMAND_CAPS = {"CONDUCTOR_CAP", "TABLE_CAP", "N_MAX_CAP", "field_cap", "FIELD_CAP_ENV"}
+
+
+def test_command_caps_live_in_the_cli():
+    # what a command refuses for cost is the command's rule: a closed form or a
+    # verify check that defined or read a cap would answer by a command's budget
+    users = [
+        f"{_name(path)}:{node.lineno} {name}" for path in SOURCES if _name(path) != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in ({node.name} if isinstance(node, (ast.FunctionDef, ast.alias))
+                     else {getattr(node, "id", getattr(node, "attr", None))}) & COMMAND_CAPS
+    ]
+    assert not users, f"a command cap named outside cli.py at {users}"
+
+
 def test_cli_main_does_not_catch_value_error():
     # a ValueError escaping a handler is a bug: it must surface as a
     # traceback with exit 1, not be reported as rejected input
