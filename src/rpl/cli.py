@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import io
 import os
 import sys
@@ -384,7 +385,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """main() ending its process: gc.freeze() on the way out spares finalization's collections."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

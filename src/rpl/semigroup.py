@@ -28,13 +28,16 @@ The members of H(m) below c_m, as an ascending tuple, and the pair-sum
 generator sieve in ``rpl.verify`` are the oracles that certify these forms.
 ``generator_marks`` returns the generators as a byte per number, marked one
 segment of at most SEGMENT numbers at a time, never in one c_m-byte array.
-Each form checks only q >= 2 and m >= 1; ``rpl.cli`` caps c_m for a command.
+Each form checks, through ``checked_power``, only q >= 2, m >= 1 and that
+q^(m-1) prints, so none forms a power of unbounded size; ``rpl.cli`` caps
+c_m for a command.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
+from . import MAX_PRINTED_DIGITS, printable_power
 from .errors import ValidationError
 
 SEGMENT = 65_000  # numbers per mark segment
@@ -48,15 +51,28 @@ def check_level(q: int, m: int) -> None:
         raise ValidationError(f"m must be >= 1, got {m}")
 
 
+def checked_power(q: int, m: int) -> int:
+    """q^(m-1) at a level that check_level admits; rejects a level where q^(m-1) cannot print.
+
+    Every closed form of the tower checks its level here, so that none builds
+    a q^m of unbounded size.
+    """
+    check_level(q, m)
+    if (power := printable_power(q, m - 1)) is None:
+        raise ValidationError(
+            f"q^(m-1) has more than {MAX_PRINTED_DIGITS} digits at q = {q}, m = {m}"
+        )
+    return power
+
+
 def conductor(q: int, m: int) -> int:
     """Conductor q^m - q^ceil(m/2) of the level-m semigroup."""
-    check_level(q, m)
-    return q**m - q ** ((m + 1) // 2)
+    return q * checked_power(q, m) - q ** ((m + 1) // 2)
 
 
 def gap_count(q: int, m: int) -> int:
     """Number of gaps of the level-m semigroup, which is the genus of level m."""
-    check_level(q, m)
+    checked_power(q, m)
     if m % 2 == 0:
         r = q ** (m // 2) - 1
         return r * r
@@ -65,8 +81,7 @@ def gap_count(q: int, m: int) -> int:
 
 def smallest_positive(q: int, m: int) -> int:
     """Smallest positive member q^(m-1), also the smallest minimal generator."""
-    check_level(q, m)
-    return q ** (m - 1)
+    return checked_power(q, m)
 
 
 def largest_generator(q: int, m: int) -> int:

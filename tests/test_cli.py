@@ -699,6 +699,51 @@ def test_huge_level_is_rejected_at_once(line):
     assert "exceeds the bitmap cap" in proc.stderr
 
 
+# cli.run in a fresh interpreter, with an atexit handler registered before it
+_AT_EXIT = """
+import atexit, sys
+atexit.register(print, "atexit ran")
+from rpl import cli
+cli.run()
+"""
+
+
+@pytest.mark.parametrize("line", [
+    "gs --q 16 --m 3 --format json", "points-homma --q 6 --ell 2", "--help",
+])
+def test_run_leaves_through_atexit(line):
+    # run() freezes the collector on its way out but is no os._exit: the
+    # handlers still run, after the command's output has been flushed
+    row = parity.row(line)
+    proc = subprocess.run([sys.executable, "-S", "-c", _AT_EXIT, *line.split()],
+                          capture_output=True, env={**os.environ, "COLUMNS": "80",
+                                                    "PYTHONPATH": str(SRC)})
+    output, ran = proc.stdout[:-len(b"atexit ran\n")], proc.stdout[-len(b"atexit ran\n"):]
+    assert ran == b"atexit ran\n"
+    assert (proc.returncode, hashlib.sha256(output).hexdigest(), proc.stderr.decode()) == (
+        row.code, row.sha256, row.stderr)
+
+
+def test_only_run_freezes_the_collector():
+    # main() also runs inside processes that go on (the tests, perfbench's
+    # tracer); only run(), which ends its process, may freeze the collector,
+    # and only after main(), so that what main() made is frozen too
+    code = (
+        "import gc, sys\nfrom rpl import cli\n"
+        "before = gc.get_freeze_count()\ncli.main(sys.argv[1:])\n"
+        "kept = gc.get_freeze_count() == before\n"
+        "made, main = [], cli.main\ncli.main = lambda: made.append([]) or main()\n"
+        "try:\n    cli.run()\n"
+        "except SystemExit as exc:\n"
+        "    frozen = all(obj is not made[0] for obj in gc.get_objects())\n"
+        "    print(exc.code, kept, gc.get_freeze_count() > 0, frozen, file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code, "gs", "--q", "3", "--m", "2"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.stderr == "0 True True True\n"
+
+
 # Runs `rpl ARGS...` and prints its exit code, stdout sha256 and peak RSS.  A
 # child's ru_maxrss starts at the peak of the process that spawned it, so the
 # run is started from this small interpreter rather than from pytest itself.

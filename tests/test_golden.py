@@ -3,9 +3,11 @@
 parity.check_row runs each row once: the rows that end in a result (exit
 0 or 1) here, the rows that reject their input as test_cli.py's
 test_cli_rejections, and the rows in parity.SUBPROCESS in the tests that
-need a fresh process.
+need a fresh process. A few rows are also run as `python -m rpl.cli`, to
+pin the way a process leaves through cli.run.
 """
 
+import os
 import re
 import runpy
 import subprocess
@@ -17,6 +19,7 @@ import pytest
 
 import parity
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 INTERPRETERS = Path(__file__).resolve().parent / "parity_interpreters.py"
 
@@ -24,6 +27,25 @@ INTERPRETERS = Path(__file__).resolve().parent / "parity_interpreters.py"
 @pytest.mark.parametrize("row", parity.cases(rejected=False))
 def test_stdout_matches_golden_digest(row):
     parity.check_row(row)
+
+
+@pytest.mark.parametrize("line", [
+    "--help",  # argparse's SystemExit(0)
+    "",  # a usage error: SystemExit(2)
+    "points-homma --q 6 --ell 2",  # a rejected input: main returns 2
+    "points-homma --q 3 --ell 3 --format json --out points.json",
+    "gs --q 16 --m 3 --format json",
+])
+def test_process_exit_matches_the_corpus(line, tmp_path):
+    # check_row calls cli.main in this process; a command line leaves through
+    # cli.run, whose way out of the process must not change a byte or a code
+    row = parity.row(line)
+    args = parity.argv(row.line, str(tmp_path))
+    env = {**os.environ, **parity.variables(row.cap), "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "rpl.cli", *args], capture_output=True,
+                          env={key: value for key, value in env.items() if value is not None})
+    ran = (proc.returncode, parity.written(args, proc.stdout), proc.stderr.decode())
+    assert ran == (row.code, row.sha256, row.stderr)
 
 
 def test_rows_that_must_agree():

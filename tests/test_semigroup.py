@@ -276,6 +276,22 @@ def test_validation_and_caps():
     assert next(generator_marks(2, 24))[0] == 2**23
 
 
+@pytest.mark.parametrize(
+    "form", [count_split_chains, conductor, gap_count, smallest_positive, largest_generator,
+             semigroup.checked_power]
+)
+def test_closed_forms_refuse_a_level_past_the_print_limit(form):
+    # 2^14284 < 10^4300 <= 2^14285: past level 14285 q^(m-1) cannot print at
+    # q = 2, and a form refuses the level before it builds q^m, however large m is
+    assert form(2, 14285) > 0
+    for m in (14286, 15000):
+        with pytest.raises(ValidationError) as err:
+            form(2, m)
+        assert str(err.value) == f"q^(m-1) has more than 4300 digits at q = 2, m = {m}"
+    with pytest.raises(ValidationError, match="^m must be >= 1, got 0$"):  # the level rule first
+        form(2, 0)
+
+
 def test_semigroup_type_invariants():
     with pytest.raises(ValueError, match="not minimal"):
         NumericalSemigroup(2, (0, 1))

@@ -283,3 +283,18 @@ def test_only_make_field_proves_a_prime():
         and "is_prime" in {getattr(call.func, "id", None), getattr(call.func, "attr", None)}
     }
     assert callers == {"gf.py::make_field"}, f"is_prime called by {sorted(callers)}"
+
+
+def test_only_run_freezes_and_nothing_skips_finalization():
+    # gc.freeze() in main() would leave every in-process caller's objects frozen;
+    # os._exit would skip atexit handlers and the final flush of stdout and stderr
+    calls = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        owner = {node: func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                 for node in ast.walk(func)}  # walked outer first, so the innermost function wins
+        calls += [(f"{_name(path)}::{owner.get(call, '<module>')}", name)
+                  for call in ast.walk(tree) if isinstance(call, ast.Call)
+                  and (name := getattr(call.func, "attr", getattr(call.func, "id", None)))
+                  in ("freeze", "_exit")]
+    assert calls == [("cli.py::run", "freeze")], f"freeze and _exit called at {calls}"
