@@ -2,9 +2,10 @@
 
 The package computes, in exact integer and rational arithmetic only:
 
-* prime powers and the cap on a command's field order (``primes``),
+* prime powers and the check of a field order against a cap (``primes``),
 * deterministic finite-field arithmetic with a canonical modulus choice
-  (``gf``), built only by ``verify`` and the tests,
+  (``gf``), in fields up to 2^16, built only by ``verify``, the tests and
+  the benchmark,
 * point counts for a recursive family of projective curves (``homma_family``),
 * split-place counts and ratios for an asymptotically optimal
   Artin-Schreier tower (``gs_tower``),

@@ -32,9 +32,10 @@ from math import gcd
 
 from . import DEFAULT_N_MAX, MAX_PRINTED_DIGITS, PRINT_LIMIT, SCOPES, printable_power
 from .errors import ValidationError
-from .primes import DEFAULT_FIELD_CAP, capped_order, factor_prime_power
+from .primes import capped_order, factor_prime_power
 
 FIELD_CAP_ENV = "RPL_MAX_FIELD"
+DEFAULT_FIELD_CAP = 1 << 20
 EPILOG = (
     f"The environment variable {FIELD_CAP_ENV} lowers the field-size cap "
     f"(default 2^20 = {DEFAULT_FIELD_CAP}); values above the default or "
@@ -141,16 +142,11 @@ def _record(fmt: str, fields: dict, items: Iterable[str] | None = None) -> Itera
 
 def field_cap() -> int:
     """Cap on the field order of a command's input; the env override can only lower it."""
-    raw = os.environ.get(FIELD_CAP_ENV)
-    if raw is None:
-        return DEFAULT_FIELD_CAP
     try:
-        value = int(raw)
-    except ValueError:
+        value = int(os.environ.get(FIELD_CAP_ENV, ""))
+    except ValueError:  # unset or malformed
         return DEFAULT_FIELD_CAP
-    if value < 2:  # a cap below the smallest field is ignored
-        return DEFAULT_FIELD_CAP
-    return min(value, DEFAULT_FIELD_CAP)
+    return value if 2 <= value < DEFAULT_FIELD_CAP else DEFAULT_FIELD_CAP  # 2: the least field
 
 
 def capped_conductor(q: int, m: int) -> int:
@@ -376,8 +372,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot write {name}: {exc.strerror}", file=sys.stderr)
             code = 2
         if args.out is None and sys.stdout is not None:
-            # stdout may hold unwritten text: point it at devnull so the final flush cannot fail
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            try:
+                fd = sys.stdout.fileno()
+            except io.UnsupportedOperation:  # an in-process stream: no final flush reaches it
+                return code
+            # stdout may hold unwritten text: point fd at devnull so the final flush cannot fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
         return code
     finally:
         if caller is not None:

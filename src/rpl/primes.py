@@ -5,8 +5,8 @@ exponent, ascending, from a segmented sieve of Eratosthenes (Bays and
 Hudson, BIT 17, 1977). It holds the base primes up to sqrt(n), one
 segment of max(sqrt(n), SEGMENT) bytes and the sorted powers p^e <= n
 (e >= 2) of the base primes: O(sqrt(n)) memory. ``capped_order`` checks
-an order p^e against the cap it is given: 2^20 for a field ``gf`` builds,
-and ``rpl.cli.field_cap`` for a command's input.
+an order p^e against the cap it is given: ``gf.FIELD_LIMIT`` for a field
+``gf`` builds, and ``rpl.cli.field_cap`` for a command's input.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from math import isqrt
 from . import printable_power
 from .errors import ValidationError
 
-DEFAULT_FIELD_CAP = 1 << 20
 SEGMENT = 1 << 15  # least sieve segment, in bytes
 
 

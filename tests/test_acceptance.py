@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,7 @@ GRID_ELL = (2, 3, 4, 5, 6)
 TOWER_Q = (2, 3, 4)
 TOWER_M_MAX = 8
 RATIO_Q = (2, 3, 4, 5)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # `rpl verify all` in the parity corpus, which the benchmark also pins
 VERIFY_ALL = parity.row("verify all")
@@ -224,7 +226,7 @@ def test_criterion_09_property_sweeps_zero_failures():
 
 
 def _cli_bytes(*args: str) -> tuple[int, bytes]:
-    env = os.environ.copy()
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("RPL_MAX_FIELD", None)
     proc = subprocess.run(
         [sys.executable, "-m", "rpl.cli", *args], capture_output=True, env=env

@@ -627,7 +627,8 @@ def test_failed_write_to_out_path(capsys):
 def test_failed_write_to_stdout(m):
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "rpl.cli", "semigroup", "--q", "3",
-                               "--m", str(m)], stdout=full, stderr=subprocess.PIPE, text=True)
+                               "--m", str(m)], stdout=full, stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 2
     assert proc.stderr == "error: cannot write <stdout>: No space left on device\n"
 
@@ -635,7 +636,8 @@ def test_failed_write_to_stdout(m):
 def test_closed_stdout_is_a_failed_write():
     # `rpl ... >&-`: Python sets sys.stdout to None, and the run fails as a write to a bad fd does
     proc = subprocess.run([sys.executable, "-m", "rpl.cli", "gs", "--q", "3", "--m", "2"],
-                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True)
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 2
     assert proc.stderr == "error: cannot write <stdout>: Bad file descriptor\n"
 
@@ -690,9 +692,8 @@ def test_huge_level_is_rejected_at_once(line):
     # the conductor has far more digits than CPython prints, so the message
     # names q and m, and it is rejected before q^m is formed
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "rpl.cli", *line.split()], capture_output=True, text=True
-    )
+    proc = subprocess.run([sys.executable, "-m", "rpl.cli", *line.split()], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert time.perf_counter() - start < 1.0
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -760,8 +761,8 @@ print(os.waitstatus_to_exitcode(status), digest.hexdigest(), usage.ru_maxrss)
 
 def run_measured(line: str) -> tuple[int, str, int]:
     """Exit code, stdout sha256 and peak RSS in KiB of `rpl LINE`."""
-    proc = subprocess.run([sys.executable, "-c", _MEASURE, *line.split()],
-                          capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", _MEASURE, *line.split()], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     code, digest, rss = proc.stdout.split()
     return int(code), digest, int(rss)
 
@@ -793,13 +794,43 @@ def test_reader_closing_the_pipe_early_is_not_an_error():
     # stops early ends the run quietly with exit 0, as one whole write did
     proc = subprocess.Popen(
         [sys.executable, "-m", "rpl.cli", "semigroup", "--q", "2", "--m", "20"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.stdout.read(20) == b"q 2\nm 20\nconductor 1"
     proc.stdout.close()
     assert proc.wait(timeout=60) == 0
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+class ClosingReader(io.StringIO):
+    """An in-process stdout, with no file descriptor, whose reader stops after 1 MB."""
+
+    def write(self, text):
+        if self.tell() + len(text) > 1 << 20:
+            raise BrokenPipeError
+        return super().write(text)
+
+
+def test_reader_closing_an_in_process_stdout_is_not_an_error(monkeypatch, capsys):
+    # the sink has no descriptor to point at devnull, and no final flush reaches it
+    monkeypatch.setattr(sys, "stdout", sink := ClosingReader())
+    assert cli.main(["semigroup", "--q", "2", "--m", "22"]) == 0
+    assert sink.getvalue().startswith("q 2\nm 22\nconductor ")
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_reader_closing_the_pipe_leaves_no_descriptor_open(monkeypatch, capsys):
+    # stdout's descriptor is pointed at devnull, and the devnull descriptor is closed
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        before = len(os.listdir("/proc/self/fd"))
+        assert cli.main(["semigroup", "--q", "2", "--m", "20"]) == 0
+        assert len(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_isolates_a_raising_check(monkeypatch, capsys):

@@ -6,6 +6,8 @@ import gc
 import itertools
 import math
 import random
+import runpy
+from pathlib import Path
 from types import SimpleNamespace
 
 import field_oracles as oracle
@@ -14,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpl import PRINT_LIMIT, gf, primes, printable_power, verify
-from rpl.cli import FIELD_CAP_ENV, field_cap
+from rpl.cli import DEFAULT_FIELD_CAP, FIELD_CAP_ENV, field_cap
 from rpl.errors import ValidationError
 from rpl.gf import (
-    DivisionByZero,
+    FIELD_LIMIT,
     _smallest_irreducible,
     _smallest_primitive,
     field_from_order,
@@ -25,10 +27,12 @@ from rpl.gf import (
     make_field,
     times_generator,
 )
-from rpl.primes import DEFAULT_FIELD_CAP, capped_order, factor_prime_power, prime_powers
+from rpl.primes import capped_order, factor_prime_power, prime_powers
 from rpl.verify import bounds as verify_bounds, gf as verify_gf, gs as verify_gs
 from rpl.verify import homma as verify_homma
 from rpl.verify.gs import AdmissibilityViolation
+
+SHIM = Path(__file__).resolve().parent.parent / "perfbench" / "shim.py"
 
 # ---------------------------------------------------------------------------
 # independent polynomial oracle: trial division over F_p, low-degree-first
@@ -208,7 +212,7 @@ def test_field_from_order_proves_no_prime_again(monkeypatch):
     # factor_prime_power has proved p prime, so building F_q never calls is_prime
     small = make_field(3, 2)
     with pytest.raises(ValidationError) as unpatched:
-        field_from_order(2**21)
+        field_from_order(2**17)
 
     def refuse(n):
         raise AssertionError(f"field_from_order called is_prime({n})")
@@ -217,10 +221,10 @@ def test_field_from_order_proves_no_prime_again(monkeypatch):
     again = field_from_order(9)
     assert (again.q, again.modulus, again.generator, list(again.exp), list(again.log)) == (
         small.q, small.modulus, small.generator, list(small.exp), list(small.log))
-    large = field_from_order(2**20)
-    assert (large.q, large.modulus) == (2**20, _smallest_irreducible(2, 20))
+    large = field_from_order(2**16)
+    assert (large.q, large.modulus) == (2**16, _smallest_irreducible(2, 16))
     with pytest.raises(ValidationError) as patched:
-        field_from_order(2**21)
+        field_from_order(2**17)
     assert str(patched.value) == str(unpatched.value)
 
 
@@ -280,9 +284,9 @@ def test_times_generator_matches_tuple_product(q):
 
 
 def test_times_generator_widest_lane():
-    # p = 1021, e = 2 is the widest lane under the 2^20 cap: a lane sums up to
-    # e(p-1)^2 = 2,080,800, which needs 21 bits; a stand-in context skips the
-    # q - 1 steps of building F_{1021^2}
+    # p = 1021, e = 2: a lane sums up to e(p-1)^2 = 2,080,800, which needs 21
+    # bits, more than any field under FIELD_LIMIT (17 at p = 251); a stand-in
+    # context skips building F_{1021^2}, which make_field refuses
     p, e = 1021, 2
     modulus = _smallest_irreducible(p, e)
     ctx = SimpleNamespace(p=p, e=e, q=p**e, modulus=modulus, generator=_smallest_primitive(p, modulus))
@@ -356,20 +360,14 @@ def test_division_errors():
     for q in (7, 9, 4):  # % p and pow; tables at odd p; tables at p = 2
         ctx = field_from_order(q)
         for a in (ctx.zero, ctx.one, q - 1):
-            with pytest.raises(DivisionByZero, match=rf"^zero has no inverse in F_{q}$"):
+            with pytest.raises(ZeroDivisionError, match=rf"^zero has no inverse in F_{q}$"):
                 ctx.div(a, ctx.zero)
             with pytest.raises(ValueError, match="^exponent must be non-negative$"):
                 ctx.pow(a, -1)
-        with pytest.raises(DivisionByZero, match=rf"^zero has no inverse in F_{q}$"):
+        with pytest.raises(ZeroDivisionError, match=rf"^zero has no inverse in F_{q}$"):
             ctx.inv(ctx.zero)
         assert ctx.pow(ctx.zero, 0) == ctx.one
         assert all(ctx.pow(ctx.zero, k) == ctx.zero for k in (1, 2, q - 1, q, 5 * q))
-
-
-def test_division_by_zero_is_zero_division_error():
-    ctx = make_field(2, 2)
-    with pytest.raises(ZeroDivisionError):
-        ctx.inv(ctx.zero)
 
 
 @pytest.mark.parametrize("q", [q for q, _, _ in prime_powers(64)])
@@ -405,6 +403,7 @@ def test_primitive_search_where_x_is_not_primitive(p, e, generator):
     ctx = make_field(p, e)
     assert not oracle.has_full_order(ctx, ctx.element(p))
     assert ctx.generator == generator
+    assert ctx.exp.typecode == ctx.log.typecode == "H"
     assert oracle.has_full_order(ctx, generator)
     assert not any(oracle.has_full_order(ctx, a) for a in range(1, generator))
     n = ctx.q - 1
@@ -419,11 +418,23 @@ def test_primitive_search_where_x_is_not_primitive(p, e, generator):
 
 
 def test_default_cap(monkeypatch):
+    # a field gf builds meets FIELD_LIMIT; a command's input meets the larger default cap
     monkeypatch.delenv(FIELD_CAP_ENV, raising=False)
-    assert field_cap() == DEFAULT_FIELD_CAP
-    message = rf"^q = 2\^21 = {2**21} exceeds the enumeration cap {DEFAULT_FIELD_CAP}$"
-    with pytest.raises(ValidationError, match=message):
-        make_field(2, 21)
+    assert FIELD_LIMIT == 65536
+    assert field_cap() == DEFAULT_FIELD_CAP == 1048576
+    with pytest.raises(ValidationError, match=r"^q = 2\^17 = 131072 exceeds the enumeration cap 65536$"):
+        make_field(2, 17)
+    assert capped_order(2, 20, field_cap()) == 1048576
+    with pytest.raises(ValidationError, match=r"^q = 2\^21 = 2097152 exceeds the enumeration cap 1048576$"):
+        capped_order(2, 21, field_cap())
+
+
+def test_field_limit_covers_every_reader():
+    # verify's axiom sweep and the benchmark's micro-loop build the largest fields; the
+    # limit may stay above a reader that goes, and keeps exp and log 16-bit arrays
+    micro = runpy.run_path(str(SHIM)).get("MICRO_FIELDS", {})
+    orders = [verify_gf.AXIOM_FIELD_LIMIT, *(p**e for p, e, *_ in micro.values())]
+    assert max(orders) <= FIELD_LIMIT <= 1 << 16
 
 
 # 2^14285 and 3^9013 have 4301 digits, one more than str() of an int prints
@@ -431,18 +442,20 @@ def test_default_cap(monkeypatch):
 @pytest.mark.parametrize("p,e", [(2, 14285), (2, 20000), (3, 9013)])
 def test_cap_names_an_unprintable_order_by_its_exponent(monkeypatch, p, e):
     monkeypatch.delenv(FIELD_CAP_ENV, raising=False)
-    message = rf"^q = {p}\^{e} exceeds the enumeration cap {DEFAULT_FIELD_CAP}$"
-    with pytest.raises(ValidationError, match=message):
+    with pytest.raises(ValidationError, match=rf"^q = {p}\^{e} exceeds the enumeration cap 65536$"):
         make_field(p, e)
-    with pytest.raises(ValidationError, match=message):
+    with pytest.raises(ValidationError, match=rf"^q = {p}\^{e} exceeds the enumeration cap 1048576$"):
         capped_order(p, e, field_cap())
 
 
 @pytest.mark.parametrize("p,e", [(2, 14284), (3, 9012)])
 def test_cap_prints_the_largest_printable_order(p, e):
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(ValidationError) as field:
         make_field(p, e)
-    assert str(exc.value) == f"q = {p}^{e} = {p**e} exceeds the enumeration cap {DEFAULT_FIELD_CAP}"
+    assert str(field.value) == f"q = {p}^{e} = {p**e} exceeds the enumeration cap 65536"
+    with pytest.raises(ValidationError) as command:
+        capped_order(p, e, field_cap())
+    assert str(command.value) == f"q = {p}^{e} = {p**e} exceeds the enumeration cap 1048576"
 
 
 # base: its largest printable exponent, and the largest its bit length lets
@@ -480,6 +493,14 @@ def test_cap_env_cannot_raise(monkeypatch):
 def test_cap_env_malformed_or_tiny_ignored(raw, monkeypatch):
     monkeypatch.setenv(FIELD_CAP_ENV, raw)
     assert field_cap() == DEFAULT_FIELD_CAP
+
+
+def test_cap_env_of_the_least_field_is_kept(monkeypatch):
+    monkeypatch.setenv(FIELD_CAP_ENV, "2")
+    assert field_cap() == 2
+    assert capped_order(2, 1, field_cap()) == 2
+    with pytest.raises(ValidationError, match=r"^q = 3\^1 = 3 exceeds the enumeration cap 2$"):
+        capped_order(3, 1, field_cap())
 
 
 # ---------------------------------------------------------------------------
