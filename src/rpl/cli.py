@@ -3,18 +3,17 @@
 Subcommands: points-homma, gs, semigroup, bounds, verify. Each handler
 checks its input, then renders only the format --format chose (json,
 csv or text), written about 32 KiB at a time as it is rendered; identical
-invocations produce byte-identical output. Semigroup generators are
-written from their mark bytes a window at a time, and each bound record
-as its value between its rule's two ends, built once per stream. Exit
-codes: 0 success, 1 a failed verify check (or a bug, shown as a
-traceback), 2 a rejected input or a failed write. Each handler imports
-the rpl modules it reads, so --help loads none and gs and semigroup load
-neither fractions nor decimal; only --format json loads json, and only
---format csv loads csv, for every command but bounds. No command but
-verify loads rpl.gf, and verify loads only the scope modules it runs.
-The caps on a command's cost (field_cap, capped_conductor, TABLE_CAP and
-N_MAX_CAP) live here alone, checked before the work they bound; closed
-forms and verify check only the rules of their own domain.
+invocations produce byte-identical output. Exit codes: 0 success, 1 a
+failed verify check (or a bug, shown as a traceback), 2 a rejected input
+or a failed write. Each handler imports the rpl modules it reads, so
+--help loads none, and only semigroup and bounds compile rpl.streams,
+their streamed renderers; gs and semigroup load neither fractions nor
+decimal. Only --format json loads json, and only --format csv loads csv,
+for every command but bounds. No command but verify loads rpl.gf, and
+verify loads only the scope modules it runs. The caps on a command's
+cost (field_cap, capped_conductor, TABLE_CAP and N_MAX_CAP) live here
+alone, checked before the work they bound; closed forms and verify check
+only the rules of their own domain.
 """
 
 from __future__ import annotations
@@ -27,12 +26,11 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, compress
+from itertools import chain
 from math import gcd
 
 from . import DEFAULT_N_MAX, MAX_PRINTED_DIGITS, PRINT_LIMIT, SCOPES, printable_power
 from .errors import ValidationError
-from .primes import capped_order, factor_prime_power
 
 FIELD_CAP_ENV = "RPL_MAX_FIELD"
 DEFAULT_FIELD_CAP = 1 << 20
@@ -61,35 +59,6 @@ class Rendering(namedtuple("Rendering", "pieces exit_code", defaults=(0,))):
     """
 
     __slots__ = ()
-
-
-def _join_marked(segments: Iterable[tuple[int, bytes]], sep: str) -> Iterator[str]:
-    """sep.join(map(str, ns)), in pieces, for the numbers ns marked in segments (start, mark).
-
-    A segment marks n at mark[n - start], each starting where the one before
-    it ended, and no int is made per marked number.  n-space is cut into
-    windows [1000h, 1000h + 1000): a marked number there is str(h) followed
-    by a three-digit suffix (for h = 0, just str(n)), so a window's text is
-    one join of the suffixes its mark bytes pick from a table.  Only windows
-    that hold a marked number are visited, each found by mark.find from the
-    last, and a window whose marks and h > 0 equal the last visited one's
-    reuses its picks.  Each piece is one window, or its part in one segment:
-    a window that a segment edge cuts is written as two pieces with the same h.
-    """
-    suffixes = [f"{i:03d}" for i in range(1000)]
-    skip = len(sep)  # the first window written drops its leading separator
-    last = picked = None  # the last visited window's (h > 0, marks), and "" and its picks
-    for start, mark in segments:
-        i = mark.find(1)
-        while i >= 0:
-            h, r = divmod(start + i, 1000)
-            a = i - r  # window h's edge in mark: each window is copied alone, padded if a < 0
-            key = h > 0, bytes(-a) + mark[:a + 1000] if a < 0 else mark[a:a + 1000]
-            if key != last:  # h > 0 picks suffixes, window 0 the numbers themselves
-                last, picked = key, ["", *compress(suffixes if h else map(str, range(1000)), key[1])]
-            yield (sep + str(h or "")).join(picked)[skip:]  # sep and the window, in one join
-            skip = 0
-            i = mark.find(1, a + 1000)
 
 
 def _write(stream: io.TextIOBase, pieces: Iterable[str]) -> None:
@@ -169,6 +138,7 @@ def _ratio(a: int, b: int) -> str:
 
 def _cmd_points_homma(args: argparse.Namespace) -> Rendering:
     from . import homma_family
+    from .primes import capped_order, factor_prime_power
     if (q := args.q) > (cap := field_cap()):  # rejected: name the first rule q breaks
         capped_order(*factor_prime_power(q), cap)
     count = homma_family.count_total(q, args.ell)  # validates (q, ell) once
@@ -184,6 +154,7 @@ def _cmd_points_homma(args: argparse.Namespace) -> Rendering:
 
 def _cmd_gs(args: argparse.Namespace) -> Rendering:
     from . import gs_tower, semigroup
+    from .primes import capped_order, factor_prime_power
     q, m = args.q, args.m
     if q * q > (cap := field_cap()):  # F_{q^2} over the cap: name the first rule broken
         p, e = factor_prime_power(q)
@@ -215,7 +186,7 @@ def _cmd_gs(args: argparse.Namespace) -> Rendering:
 
 
 def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
-    from . import semigroup
+    from . import semigroup, streams
     q, m = args.q, args.m
     c = capped_conductor(q, m)  # before any marking
     return Rendering(_record(args.format, {
@@ -226,52 +197,20 @@ def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
         "gap_count": semigroup.gap_count(q, m),
         "smallest_positive": semigroup.smallest_positive(q, m),
         "generators": [],
-    }, _join_marked(semigroup.generator_marks(q, m), "," if args.format == "json" else ";")))
+    }, streams.join_marked(semigroup.generator_marks(q, m), "," if args.format == "json" else ";")))
 
 
 def _cmd_bounds(args: argparse.Namespace) -> Rendering:
-    """Each record is its value's text between its rule's two ends, built once per stream."""
-    from . import bounds
+    from . import bounds, streams
     if (qmax := args.table) is not None and not 2 <= qmax <= TABLE_CAP:
         limit = "least 2" if qmax < 2 else f"most {TABLE_CAP}"
         raise ValidationError(f"--table expects a limit of at {limit}, got {qmax}")
     # --q's one row, or one lazy stream of rows, each rendered as soon as it is computed
     rows = [bounds.dq_row(args.q)] if qmax is None else bounds.dq_rows(qmax)
-    if (fmt := args.format) == "text" and qmax:  # a line per row, without its records
-        return Rendering(f"q={q} upper={records[0][1]} best_lower="
-                         f"{'unknown' if best is None else str(records[best][1])}\n"
-                         for q, records, best in rows)
-    if fmt == "json":
-        encode, slot = _encoder(), '"\\u0000"'  # where a "\0" went: no source holds a NUL
-    ends = {"json": lambda rule: encode({**rule._asdict(), "value": "\0"}).replace(slot, '"\0"'),
-            "csv": lambda rule: f"{rule.name}=\0",
-            "text": lambda rule: f"record {rule.name} {rule.direction} \0\n"}[fmt]
-    known = {}  # each rule met: its two ends, or for a rule of one value its whole record and None
-
-    def cells(row: tuple) -> tuple[int, str, str | None, list[str]]:
-        q, records, best = row
-        texts, pieces = [], []
-        for rule, value in records:  # the best lower cell reuses its record's text
-            head, tail = known.get(rule) or known.setdefault(rule, ends(rule).split("\0") if (
-                rule.value is None) else (ends(rule).replace("\0", str(rule.value)), None))
-            texts.append(text := str(value))
-            pieces.append(head if tail is None else head + text + tail)
-        return q, texts[0], None if best is None else texts[best], pieces
-
-    rows = map(cells, rows)
-    if fmt == "csv":  # without csv.writer: no cell holds a comma, a quote or a line break
-        return Rendering(chain(["q,upper,best_lower,records\n"], (
-            f"{q},{upper},{lower or ''},{';'.join(pieces)}\n" for q, upper, lower, pieces in rows)))
-    if fmt == "text":
-        return Rendering(f"q {q}\nupper {upper}\nbest_lower {lower or 'unknown'}\n{''.join(pieces)}"
-                         for q, upper, lower, pieces in rows)
-    fields = {"q": "\0", "upper": "\0", "best_lower": "\0", "records": ["\0"]}
-    a, b, c, d, e = encode(fields if qmax else {"schema": 1, **fields}).split(slot)
-    q, upper, lower, pieces = next(rows)  # --q's one row, or q = 2 first in a table
-    out = chain([f"{a}{q}{b}{upper}{c}{encode(lower)}{d}{','.join(pieces)}{e}"], (  # then rows
-        f',{a}{q}{b}{upper}{c}"{lower}"{d}{",".join(pieces)}{e}'  # that have a best lower bound
-        for q, upper, lower, pieces in rows))
-    return Rendering(_json({"schema": 1, "qmax": qmax, "rows": []}, out) if qmax else [*out, "\n"])
+    encode = _encoder() if (fmt := args.format) == "json" else None
+    pieces = streams.bound_rows(rows, fmt, qmax, encode)
+    return Rendering(_json({"schema": 1, "qmax": qmax, "rows": []}, pieces) if encode and qmax
+                     else pieces)
 
 
 def _cmd_verify(args: argparse.Namespace) -> Rendering:
@@ -348,8 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     if caller is not None:
         sys.set_int_max_str_digits(MAX_PRINTED_DIGITS)
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         try:
             result = args.handler(args)
         except ValidationError as exc:  # any other error escaping is a bug: a traceback, exit 1
@@ -366,30 +304,29 @@ def main(argv: list[str] | None = None) -> int:
                     _write(out, result.pieces)
             return result.exit_code
         except BrokenPipeError:
-            code = result.exit_code  # the reader stopped early (`rpl ... | head`): end quietly
+            return result.exit_code  # the reader stopped early (`rpl ... | head`): end quietly
         except OSError as exc:  # cannot open, write or close: a full disk, a missing directory
             name = "<stdout>" if args.out is None else args.out
             print(f"error: cannot write {name}: {exc.strerror}", file=sys.stderr)
-            code = 2
-        if args.out is None and sys.stdout is not None:
-            try:
-                fd = sys.stdout.fileno()
-            except io.UnsupportedOperation:  # an in-process stream: no final flush reaches it
-                return code
-            # stdout may hold unwritten text: point fd at devnull so the final flush cannot fail
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
-        return code
+            return 2
     finally:
         if caller is not None:
             sys.set_int_max_str_digits(caller)
 
 
 def run() -> None:
-    """main() ending its process: gc.freeze() on the way out spares finalization's collections."""
+    """main() ending its process: gc.freeze() on the way out spares finalization's collections,
+    and a stdout main() could not write is pointed at devnull, so the final flush cannot fail."""
     try:
-        sys.exit(main())
+        code = main()
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError:  # a reader that stopped early, a full disk: main() has answered it
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        sys.exit(code)
     finally:
         gc.freeze()
 

@@ -8,6 +8,7 @@ import json
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parity
-from rpl import SCOPES, bounds, cli, gf, homma_family, primes, semigroup
+from rpl import SCOPES, bounds, cli, gf, homma_family, primes, semigroup, streams
 from rpl.errors import ValidationError
 from rpl.verify import CheckResult, ComputationError
 from rpl.verify import bounds as verify_bounds, semigroup as verify_semigroup
@@ -265,7 +266,7 @@ CUT_OFFSETS = st.one_of(
 @example(low=997, mark=b"\x01\x00\x01\x01\x01", sep=",", offsets=range(998, 1002))
 def test_join_marked_matches_str_join(low, mark, sep, offsets):
     segments = cut_segments(low, mark, [low - low % 1000 + offset for offset in offsets])
-    pieces = list(cli._join_marked(segments, sep))
+    pieces = list(streams.join_marked(segments, sep))
     assert "".join(pieces) == sep.join(map(str, compress(range(low, low + len(mark)), mark)))
     assert all(piece.count(sep) <= 1000 for piece in pieces)  # at most one window each
 
@@ -273,7 +274,7 @@ def test_join_marked_matches_str_join(low, mark, sep, offsets):
 @pytest.mark.parametrize("sep", [",", ";"])
 def test_join_marked_writes_the_minimal_generators(sep):
     for q, m in verify_semigroup.semigroup_grid():
-        text = "".join(cli._join_marked(semigroup.generator_marks(q, m), sep))
+        text = "".join(streams.join_marked(semigroup.generator_marks(q, m), sep))
         assert text == sep.join(map(str, verify_semigroup.minimal_generators(q, m))), (q, m)
 
 
@@ -281,7 +282,7 @@ def test_join_marked_copies_no_whole_mark():
     # marking and writing (5, 10): 1.95M generators below 11.7M, never 9.7 MB of marks
     tracemalloc.start()
     try:
-        for _ in cli._join_marked(semigroup.generator_marks(5, 10), ","):
+        for _ in streams.join_marked(semigroup.generator_marks(5, 10), ","):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -493,14 +494,22 @@ def test_gs_finishes_at_large_fields(capsys, q, m, genus):
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# a child's environment with its stdout block-buffered, as it is without PYTHONUNBUFFERED:
+# only then does a failed write leave text held for the final flush
+BUFFERED = {**{key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"},
+            "PYTHONPATH": str(SRC)}
 # the modules the footprint test looks for: a command that never imports
 # rpl.gf builds no field, each command imports only the rpl modules it reads,
+# only semigroup and bounds compile the streamed renderers of rpl.streams,
 # and only a failing verify check imports traceback
 PROBED_MODULES = ("dataclasses", "inspect", "typing", "json", "csv", "fractions", "decimal",
                   "traceback", "rpl.verify", "rpl.gf", "array",
-                  "rpl.bounds", "rpl.gs_tower", "rpl.homma_family", "rpl.semigroup")
-GS = ["rpl.gs_tower", "rpl.semigroup"]
-BOUNDS = ["fractions", "decimal", "rpl.bounds"]  # fractions imports decimal
+                  "rpl.bounds", "rpl.gs_tower", "rpl.homma_family", "rpl.semigroup",
+                  "rpl.primes", "rpl.streams")
+GS = ["rpl.gs_tower", "rpl.semigroup", "rpl.primes"]
+HOMMA = ["rpl.homma_family", "rpl.primes"]
+# fractions imports decimal
+BOUNDS = ["fractions", "decimal", "rpl.bounds", "rpl.primes", "rpl.streams"]
 # each line and the probed modules it loads, in PROBED_MODULES order; every
 # other probed module must stay unloaded
 FOOTPRINT_LINES = {
@@ -508,22 +517,22 @@ FOOTPRINT_LINES = {
     "gs-largest-field": ("gs --q 1024 --m 1", GS),
     "gs-json": ("gs --q 2 --m 3 --format json", ["json", *GS]),  # the probe does see imports
     "gs-csv": ("gs --q 2 --m 3 --format csv", ["csv", *GS]),
-    "semigroup": ("semigroup --q 3 --m 4", ["rpl.semigroup"]),
-    "semigroup-csv": ("semigroup --q 3 --m 2 --format csv", ["csv", "rpl.semigroup"]),
-    "points-homma": ("points-homma --q 3 --ell 3", ["rpl.homma_family"]),
-    "points-homma-largest-field": ("points-homma --q 1048576 --ell 2", ["rpl.homma_family"]),
-    "points-homma-long-degree": ("points-homma --q 3 --ell 7142", ["rpl.homma_family"]),
+    "semigroup": ("semigroup --q 3 --m 4", ["rpl.semigroup", "rpl.streams"]),
+    "semigroup-csv": ("semigroup --q 3 --m 2 --format csv",
+                      ["csv", "rpl.semigroup", "rpl.streams"]),
+    "points-homma": ("points-homma --q 3 --ell 3", HOMMA),
+    "points-homma-largest-field": ("points-homma --q 1048576 --ell 2", HOMMA),
+    "points-homma-long-degree": ("points-homma --q 3 --ell 7142", HOMMA),
     # only a rejected degree takes log10 to count its digits
-    "points-homma-rejected-degree": ("points-homma --q 3 --ell 14288",
-                                     ["decimal", "rpl.homma_family"]),
-    "points-homma-csv": ("points-homma --q 3 --ell 3 --format csv", ["csv", "rpl.homma_family"]),
+    "points-homma-rejected-degree": ("points-homma --q 3 --ell 14288", ["decimal", *HOMMA]),
+    "points-homma-csv": ("points-homma --q 3 --ell 3 --format csv", ["csv", *HOMMA]),
     "bounds": ("bounds --q 9", BOUNDS),
     "bounds-csv": ("bounds --q 9 --format csv", BOUNDS),  # its rows need no csv.writer
     "bounds-table": ("bounds --table 32", BOUNDS),
     "bounds-table-csv": ("bounds --table 32 --format csv", BOUNDS),
     "verify-csv": ("verify homma --format csv",
                    ["csv", "fractions", "decimal", "rpl.verify", "rpl.gf", "array",
-                    "rpl.homma_family"]),
+                    "rpl.homma_family", "rpl.primes"]),
     "help": ("--help", []),
 }
 
@@ -628,7 +637,7 @@ def test_failed_write_to_stdout(m):
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "rpl.cli", "semigroup", "--q", "3",
                                "--m", str(m)], stdout=full, stderr=subprocess.PIPE, text=True,
-                              env={**os.environ, "PYTHONPATH": str(SRC)})
+                              env=BUFFERED)
     assert proc.returncode == 2
     assert proc.stderr == "error: cannot write <stdout>: No space left on device\n"
 
@@ -793,10 +802,10 @@ def test_reader_closing_the_pipe_early_is_not_an_error():
     # `rpl semigroup ... | head`: the output is streamed, and a reader that
     # stops early ends the run quietly with exit 0, as one whole write did
     proc = subprocess.Popen(
-        [sys.executable, "-m", "rpl.cli", "semigroup", "--q", "2", "--m", "20"],
+        [sys.executable, "-m", "rpl.cli", "semigroup", "--q", "2", "--m", "22"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)},
     )
-    assert proc.stdout.read(20) == b"q 2\nm 20\nconductor 1"
+    assert proc.stdout.read(20) == b"q 2\nm 22\nconductor 4"
     proc.stdout.close()
     assert proc.wait(timeout=60) == 0
     assert proc.stderr.read() == b""
@@ -822,7 +831,8 @@ def test_reader_closing_an_in_process_stdout_is_not_an_error(monkeypatch, capsys
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
 def test_reader_closing_the_pipe_leaves_no_descriptor_open(monkeypatch, capsys):
-    # stdout's descriptor is pointed at devnull, and the devnull descriptor is closed
+    # main() opens no descriptor and leaves its caller's stdout writing to the
+    # pipe: only run(), which ends its process, points stdout at devnull
     read, write = os.pipe()
     os.close(read)
     with open(write, "w") as pipe:
@@ -830,7 +840,19 @@ def test_reader_closing_the_pipe_leaves_no_descriptor_open(monkeypatch, capsys):
         before = len(os.listdir("/proc/self/fd"))
         assert cli.main(["semigroup", "--q", "2", "--m", "20"]) == 0
         assert len(os.listdir("/proc/self/fd")) == before
+        assert stat.S_ISFIFO(os.fstat(write).st_mode)
     assert capsys.readouterr().err == ""
+
+
+def test_reader_gone_before_the_first_write_is_not_an_error():
+    # stdout keeps the text that main()'s one flush could not write: run()
+    # points it at devnull, so the final flush cannot fail
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "wb") as pipe:
+        proc = subprocess.run([sys.executable, "-m", "rpl.cli", "semigroup", "--q", "3",
+                               "--m", "3"], stdout=pipe, stderr=subprocess.PIPE, env=BUFFERED)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_verify_isolates_a_raising_check(monkeypatch, capsys):

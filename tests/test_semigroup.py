@@ -5,7 +5,7 @@ from itertools import compress
 
 import pytest
 
-from rpl import cli, semigroup
+from rpl import semigroup, streams
 from rpl.cli import CONDUCTOR_CAP, capped_conductor
 from rpl.errors import ValidationError
 from rpl.gs_tower import count_split_chains
@@ -204,7 +204,7 @@ def test_small_segments_match_a_whole_array(monkeypatch, size, q, m):
     check_segments(q, m, size)
     # segments that start inside windows of the writer are written as one array would be
     low, mark = whole_array_marks(q, m)
-    text = "".join(cli._join_marked(generator_marks(q, m), ";"))
+    text = "".join(streams.join_marked(generator_marks(q, m), ";"))
     assert text == ";".join(map(str, compress(range(low, low + len(mark)), mark)))
 
 

@@ -152,8 +152,8 @@ def _imported_modules(node, path):
 
 
 PRODUCTION = ("__init__.py", "errors.py", "cli.py", "primes.py", "homma_family.py",
-              "gs_tower.py", "semigroup.py", "bounds.py")
-COMPUTING = ("errors", "primes", "homma_family", "gs_tower", "semigroup", "bounds")
+              "gs_tower.py", "semigroup.py", "bounds.py", "streams.py")
+COMPUTING = ("errors", "primes", "homma_family", "gs_tower", "semigroup", "bounds", "streams")
 
 
 def _public_names(tree):
@@ -194,6 +194,17 @@ def test_production_holds_only_what_is_read():
     unread = [f"{module}.{name}" for module in COMPUTING
               for name in sorted(_public_names(trees[f"{module}.py"]) - reads - shown)]
     assert not unread, f"production names no command, module or README example reads: {unread}"
+
+
+def test_no_module_imports_the_cli():
+    # `python -m rpl.cli` runs the CLI as __main__, so a module that imported
+    # rpl.cli would compile and run all of cli.py a second time
+    importers = [
+        f"{_name(path)}:{node.lineno}" for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "rpl.cli" in _top_modules(node, path)
+    ]
+    assert not importers, f"rpl.cli imported at {importers}"
 
 
 def test_verify_imports_no_private_field_name():
