@@ -1,24 +1,27 @@
 """Deterministic command-line interface.
 
-Subcommands: points-homma, gs, semigroup, bounds, verify. Each handler
-checks its input, then renders only the format --format chose (json,
-csv or text), written about 32 KiB at a time as it is rendered; identical
-invocations produce byte-identical output. Exit codes: 0 success, 1 a
-failed verify check (or a bug, shown as a traceback), 2 a rejected input
-or a failed write. Each handler imports the rpl modules it reads, so
---help loads none, and only semigroup and bounds compile rpl.streams,
-their streamed renderers; gs and semigroup load neither fractions nor
-decimal. Only --format json loads json, and only --format csv loads csv,
-for every command but bounds. No command but verify loads rpl.gf, and
-verify loads only the scope modules it runs. The caps on a command's
-cost (field_cap, capped_conductor, TABLE_CAP and N_MAX_CAP) live here
-alone, checked before the work they bound; closed forms and verify check
-only the rules of their own domain.
+Subcommands: points-homma, gs, semigroup, bounds, verify, their options
+declared once, in COMMANDS. main() parses a well-formed line (CMD [SCOPE]
+then --flag VALUE pairs) in one pass; only --help, usage errors and the
+spellings only argparse takes (an abbreviated flag, --flag=VALUE, a
+repeat, a value starting with '-') import argparse and build its parser.
+Each handler checks its input, then renders only the format --format chose
+(json, csv or text), written about 32 KiB at a time as it is rendered;
+identical invocations produce byte-identical output. Exit codes: 0
+success, 1 a failed verify check (or a bug, shown as a traceback), 2 a
+rejected input or a failed write. Each handler imports the rpl modules it
+reads, so --help loads none, and only semigroup and bounds compile
+rpl.streams, their streamed renderers; gs and semigroup load neither
+fractions nor decimal. Only --format json loads json, and only --format
+csv loads csv, for every command but bounds. No command but verify loads
+rpl.gf, and verify loads only the scope modules it runs. The caps on a
+command's cost (field_cap, capped_conductor, TABLE_CAP and N_MAX_CAP) live
+here alone, checked before the work they bound; closed forms and verify
+check only the rules of their own domain.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import gc
 import io
@@ -48,6 +51,7 @@ TABLE_CAP = 10_000_000
 CONDUCTOR_CAP = 10**7
 N_MAX_CAP = 4000  # --n-max limit: coefficient_monotone takes 4.6 s at 4000 and 31 s at 8000
 WRITE_CHARS = 1 << 15  # pieces are joined into writes of at least this many characters
+Namespace = type(sys.implementation)  # types.SimpleNamespace, without importing types
 
 
 class Rendering(namedtuple("Rendering", "pieces exit_code", defaults=(0,))):
@@ -89,7 +93,7 @@ def _csv(rows: Iterable[Iterable[object]]) -> Iterator[str]:
     """rows as csv lines, one piece per row, from one csv writer."""
     import csv  # only csv output pays for it
     # writerow returns what its file's write returns: here str, the line itself
-    return map(csv.writer(argparse.Namespace(write=str), lineterminator="\n").writerow, rows)
+    return map(csv.writer(Namespace(write=str), lineterminator="\n").writerow, rows)
 
 
 def _record(fmt: str, fields: dict, items: Iterable[str] | None = None) -> Iterable[str]:
@@ -136,7 +140,7 @@ def _ratio(a: int, b: int) -> str:
     return str(a // g) if b == g else f"{a // g}/{b // g}"
 
 
-def _cmd_points_homma(args: argparse.Namespace) -> Rendering:
+def _cmd_points_homma(args: Namespace) -> Rendering:
     from . import homma_family
     from .primes import capped_order, factor_prime_power
     if (q := args.q) > (cap := field_cap()):  # rejected: name the first rule q breaks
@@ -152,7 +156,7 @@ def _cmd_points_homma(args: argparse.Namespace) -> Rendering:
     }))
 
 
-def _cmd_gs(args: argparse.Namespace) -> Rendering:
+def _cmd_gs(args: Namespace) -> Rendering:
     from . import gs_tower, semigroup
     from .primes import capped_order, factor_prime_power
     q, m = args.q, args.m
@@ -185,7 +189,7 @@ def _cmd_gs(args: argparse.Namespace) -> Rendering:
     }))
 
 
-def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
+def _cmd_semigroup(args: Namespace) -> Rendering:
     from . import semigroup, streams
     q, m = args.q, args.m
     c = capped_conductor(q, m)  # before any marking
@@ -200,7 +204,7 @@ def _cmd_semigroup(args: argparse.Namespace) -> Rendering:
     }, streams.join_marked(semigroup.generator_marks(q, m), "," if args.format == "json" else ";")))
 
 
-def _cmd_bounds(args: argparse.Namespace) -> Rendering:
+def _cmd_bounds(args: Namespace) -> Rendering:
     from . import bounds, streams
     if (qmax := args.table) is not None and not 2 <= qmax <= TABLE_CAP:
         limit = "least 2" if qmax < 2 else f"most {TABLE_CAP}"
@@ -213,7 +217,7 @@ def _cmd_bounds(args: argparse.Namespace) -> Rendering:
                      else pieces)
 
 
-def _cmd_verify(args: argparse.Namespace) -> Rendering:
+def _cmd_verify(args: Namespace) -> Rendering:
     if args.n_max > N_MAX_CAP:
         raise ValidationError(f"n_max must be <= {N_MAX_CAP}, got {args.n_max}")
     from . import verify  # needed by no other command; it loads each scope as it runs
@@ -231,53 +235,77 @@ def _cmd_verify(args: argparse.Namespace) -> Rendering:
     return Rendering(pieces, exit_code=0 if passed == len(results) else 1)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rpl",
-        description="Exact point counts, semigroups, and bounds for curves over finite fields.",
-        epilog=EPILOG,
-    )
+# Each command's options, declared once, as argparse's add_argument takes them; one_of marks a
+# required exclusive group of its own options. main() tries _parse, then argparse if it declines.
+Command = namedtuple("Command", "help handler options one_of", defaults=(False,))
+COMMON = {"--format": dict(choices=("json", "csv", "text"), default="text"),
+          "--out": dict(metavar="PATH", help="write output to PATH")}
+COMMANDS = {
+    "points-homma": Command("point counts for the recursive projective family", _cmd_points_homma, {
+        "--q": dict(type=int, required=True, help="field size, q > 2"),
+        "--ell": dict(type=int, required=True, help="ambient dimension, ell >= 2")}),
+    "gs": Command("tower split count, genus, and semigroup verdicts", _cmd_gs, {
+        "--q": dict(type=int, required=True, help="subfield size; arithmetic is over q^2"),
+        "--m": dict(type=int, required=True, help="tower level, m >= 1")}),
+    "semigroup": Command("Weierstrass semigroup data at the tower's top place", _cmd_semigroup, {
+        "--q": dict(type=int, required=True), "--m": dict(type=int, required=True)}),
+    "bounds": Command("bound records for one q or a prime-power table", _cmd_bounds, {
+        "--q": dict(type=int, help="prime power to summarize"),
+        "--table": dict(type=int, metavar="QMAX", help="tabulate prime powers <= QMAX, "
+                        f"2 <= QMAX <= {TABLE_CAP}")}, one_of=True),
+    "verify": Command("run the named self-verification checks", _cmd_verify, {
+        "scope": dict(nargs="?", choices=SCOPES, default="all"),
+        "--n-max": dict(type=int, default=DEFAULT_N_MAX, help="scan depth for the convergence "
+                        f"checks, 2 <= N_MAX <= {N_MAX_CAP} (default %(default)s)")}),
+}
+
+
+def _build_parser():
+    import argparse  # only --help, usage errors and the spellings _parse leaves to it load it
+    parser = argparse.ArgumentParser(prog="rpl", epilog=EPILOG, description=(
+        "Exact point counts, semigroups, and bounds for curves over finite fields."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--out", metavar="PATH", default=None, help="write output to PATH")
-
-    p = sub.add_parser("points-homma", help="point counts for the recursive projective family")
-    p.add_argument("--q", type=int, required=True, help="field size, q > 2")
-    p.add_argument("--ell", type=int, required=True, help="ambient dimension, ell >= 2")
-    add_common(p)
-    p.set_defaults(handler=_cmd_points_homma)
-
-    p = sub.add_parser("gs", help="tower split count, genus, and semigroup verdicts")
-    p.add_argument("--q", type=int, required=True, help="subfield size; arithmetic is over q^2")
-    p.add_argument("--m", type=int, required=True, help="tower level, m >= 1")
-    add_common(p)
-    p.set_defaults(handler=_cmd_gs)
-
-    p = sub.add_parser("semigroup", help="Weierstrass semigroup data at the tower's top place")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    add_common(p)
-    p.set_defaults(handler=_cmd_semigroup)
-
-    p = sub.add_parser("bounds", help="bound records for one q or a prime-power table")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--q", type=int, help="prime power to summarize")
-    group.add_argument("--table", type=int, metavar="QMAX",
-                       help=f"tabulate prime powers <= QMAX, 2 <= QMAX <= {TABLE_CAP}")
-    add_common(p)
-    p.set_defaults(handler=_cmd_bounds)
-
-    p = sub.add_parser("verify", help="run the named self-verification checks")
-    p.add_argument("scope", nargs="?", choices=SCOPES, default="all")
-    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX, dest="n_max",
-                   help=f"scan depth for the convergence checks, 2 <= N_MAX <= {N_MAX_CAP} "
-                        f"(default {DEFAULT_N_MAX})")
-    add_common(p)
-    p.set_defaults(handler=_cmd_verify)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        group = p.add_mutually_exclusive_group(required=True) if command.one_of else p
+        for flag, kwargs in command.options.items():
+            group.add_argument(flag, **kwargs)
+        for flag, kwargs in COMMON.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=command.handler)
     return parser
+
+
+def _parse(argv: list[str]) -> Namespace | None:
+    """What argparse's parser gives argv, when argv is CMD [SCOPE] (--flag VALUE)* with each flag
+    spelled in full and given once and no VALUE starting with '-'; None for any other line."""
+    if not argv or (command := COMMANDS.get(argv[0])) is None:
+        return None
+    options, given, tokens = {**command.options, **COMMON}, {}, argv[1:]
+    first = next(iter(options))  # a positional has no dashes: verify's scope
+    if first[0] != "-" and tokens[:1] and tokens[0][:1] != "-":
+        given[first], *tokens = tokens
+    for flag, value in zip(tokens[::2], tokens[1::2]):
+        if flag[:2] != "--" or flag not in options or flag in given or value[:1] == "-":
+            return None  # an abbreviation, --flag=VALUE, -h, --, a repeat, a value like -3
+        given[flag] = value
+    if len(tokens) % 2 or command.one_of and len(given.keys() & command.options.keys()) != 1:
+        return None
+    args = {"command": argv[0], "handler": command.handler}
+    for flag, kwargs in options.items():
+        if flag not in given:
+            if kwargs.get("required"):
+                return None
+            value = kwargs.get("default")
+        elif "type" in kwargs:
+            try:
+                value = kwargs["type"](given[flag])
+            except ValueError:  # argparse's usage error names it
+                return None
+        elif (value := given[flag]) not in kwargs.get("choices", [value]):
+            return None
+        args[flag.lstrip("-").replace("-", "_")] = value  # argparse's dest
+    return Namespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -287,7 +315,8 @@ def main(argv: list[str] | None = None) -> int:
     if caller is not None:
         sys.set_int_max_str_digits(MAX_PRINTED_DIGITS)
     try:
-        args = _build_parser().parse_args(argv)
+        if (args := _parse(sys.argv[1:] if argv is None else argv)) is None:
+            args = _build_parser().parse_args(argv, Namespace())
         try:
             result = args.handler(args)
         except ValidationError as exc:  # any other error escaping is a bug: a traceback, exit 1

@@ -61,6 +61,9 @@ the change it guards:
   break two rules, each rejected by the first rule it breaks
 - a9ce5b2 (the conductor cap applied in the closed forms): the gs and semigroup inputs that
   break two rules around the conductor cap, each rejected by the first rule it breaks
+- 119c824 (every command line parsed by argparse): the spellings only argparse takes, an
+  abbreviated flag, --q=16, a repeat and a scope after an option; gs with its flags in another
+  order; and a value that starts with '-'
 """
 
 import hashlib
@@ -198,6 +201,10 @@ ROWS = (
     Row("gs --q 2 --m 1 --format json", None, 0, "49ebf153c6478c4cf9cc4d6468a33db5bafd7999f9f2f7d2dc56a0bdf6217931", ""),
     Row("gs --q 8 --m 1", "100", 0, "08a485787de764331d3b303baa3e767bfcf30e4b00beea21cd3460cbc07d41a9", ""),
     Row("gs --q 2 --m 23", None, 0, "b9a09e55b2682a3fe69a6a673d6d049630b870edf9103192cafa6c779654a41b", ""),
+    Row("gs --q=16 --m 3", None, 0, "374406c17f5656a63e757e027b1f59e7bbc8c367525193b56965a6df56cbd747", ""),
+    Row("gs --fo json --q 2 --m 3", None, 0, "5bb84a2b57aa21356621f50260a37404656487a3e3742b26ee5771f135c3ef6c", ""),
+    Row("gs --q 9 --q 16 --m 3", None, 0, "374406c17f5656a63e757e027b1f59e7bbc8c367525193b56965a6df56cbd747", ""),
+    Row("gs --m 3 --q 16", None, 0, "374406c17f5656a63e757e027b1f59e7bbc8c367525193b56965a6df56cbd747", ""),
     Row("gs --q 6 --m 2", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 6 is not a prime power\n"),
     Row("gs --q 1 --m 1", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 1 is not a prime power\n"),
     Row("gs --q 0 --m 2", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 0 is not a prime power\n"),
@@ -213,6 +220,7 @@ ROWS = (
     Row("gs --q 1000 --m 3", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 1000 is not a prime power\n"),
     Row("gs --q 1 --m 100000", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 1 is not a prime power\n"),
     Row("gs --q 2048 --m 30", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 2^22 = 4194304 exceeds the enumeration cap 1048576\n"),
+    Row("gs --q -3 --m 2", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = -3 is not a prime power\n"),
     Row("gs --q 2 --m 24 --format text", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor 16773120 exceeds the bitmap cap 10000000\n"),
     Row("gs --q 2 --m 24 --format csv", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor 16773120 exceeds the bitmap cap 10000000\n"),
     Row("gs --q 2 --m 24 --format json", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor 16773120 exceeds the bitmap cap 10000000\n"),
@@ -293,6 +301,7 @@ ROWS = (
     Row("verify bounds", None, 0, "2e1fe68227d9d1fab5e02cd0e99743dab5af0cd088038afb8903229c25f96138", ""),
     Row("verify bounds --format csv", None, 0, "f705d0db80e9ffb55b584a46d3d9bdf5b7374b77925ed2d73f71a0ee52239129", ""),
     Row("verify bounds --format json", None, 0, "20528296bdfeabd23de352ce5031d319a09d7dfadfa9e8c86631a86654881857", ""),
+    Row("verify --format json homma", None, 0, "40ae360db3d4cf22ea15e5deb85599036a64e7afb80a1a8c13888954d43fa3b5", ""),
     Row("verify bounds --n-max 2", None, 1, "49d933bb81ac9626384525f17695d30eebcc81851e06bbad2019666d601735f0", ""),
     Row("verify bounds --n-max 10", None, 1, "6acf77ff8115c572ba8f7b7cde13a9a8a1c45b11c21418505ddb19271f69784f", ""),
     Row("verify bounds --n-max 3 --format text", None, 1, "a2e2e446b0fc69501aa827d5afefa49bf41c3799329fd5743093f0876d20e092", ""),

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import compress, pairwise
 from math import isqrt
@@ -23,7 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parity
-from rpl import SCOPES, bounds, cli, gf, homma_family, primes, semigroup, streams
+from rpl import (MAX_PRINTED_DIGITS, SCOPES, bounds, cli, gf, homma_family, primes, semigroup,
+                 streams)
 from rpl.errors import ValidationError
 from rpl.verify import CheckResult, ComputationError
 from rpl.verify import bounds as verify_bounds, semigroup as verify_semigroup
@@ -40,6 +42,86 @@ def test_cli_rejections(row):
     # every rejected input takes one path: exit 2, nothing on stdout, one
     # stderr line (an argparse usage error: the usage, then one line)
     parity.check_row(row)
+
+
+PARSER = cli._build_parser()
+
+
+def both_parses(tokens):
+    """vars() of cli._parse(tokens) and of argparse's parse, as main() makes them, each None
+    where its parser declines or exits; both under main()'s int-to-str limit."""
+    caller = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if caller is not None:
+        sys.set_int_max_str_digits(MAX_PRINTED_DIGITS)
+    try:
+        strict = cli._parse(tokens)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                full = vars(PARSER.parse_args(tokens, cli.Namespace()))
+            except SystemExit:  # --help, a usage error
+                full = None
+    finally:
+        if caller is not None:
+            sys.set_int_max_str_digits(caller)
+    return None if strict is None else vars(strict), full
+
+
+# the parity lines argparse takes and cli._parse leaves to it: a flag=value, an
+# abbreviation, a repeat, a scope after an option, and values that start with '-'
+ARGPARSE_ONLY = {"gs --q=16 --m 3", "gs --fo json --q 2 --m 3", "gs --q 9 --q 16 --m 3",
+                 "verify --format json homma", "gs --q -3 --m 2", "bounds --table -5"}
+
+
+def test_strict_parser_agrees_on_every_parity_line(tmp_path):
+    # where the one-pass parser answers, its namespace is argparse's, handler included;
+    # it answers every parity line argparse takes but ARGPARSE_ONLY
+    left = set()
+    for row in parity.ROWS:
+        strict, full = both_parses(parity.argv(row.line, str(tmp_path)))
+        assert strict is None or strict == full, row.line
+        if strict is None and full is not None:
+            left.add(row.line)
+    assert left == ARGPARSE_ONLY
+
+
+FLAGS = sorted({flag for command in cli.COMMANDS.values()
+                for flag in {**command.options, **cli.COMMON} if flag[0] == "-"})
+# ints negative, underscored, in Unicode digits, padded, past 4300 digits or malformed
+INTS = ["16", "3", "2", "5", "9", "1_000", "\u0661\u0666", " 7 ", "-3", "9" * 4301, "0x10", ""]
+# each flag in full and abbreviated, --flag=VALUE, --, -h, command names, the positional's name,
+# scopes and choices (a list in a fixed order, so that the derandomized draws repeat)
+WORDS = [*FLAGS, *sorted({flag[:n] for flag in FLAGS for n in range(3, len(flag))}),
+         "--format=json", "--q=16", "--fo=csv", "--", "-", "-h", "--help", *cli.COMMANDS, "scope",
+         *SCOPES, "json", "xml", *INTS, "out.txt"]
+TOKEN = st.one_of(st.sampled_from(WORDS), st.text(max_size=3))  # text: junk
+
+
+@st.composite
+def command_lines(draw):
+    """A command and most of its options in any order, each with a value of its kind, then
+    a token replaced by another now and then, and now and then one more token."""
+    now_and_then = st.sampled_from([False] * 15 + [True])
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    options = {**cli.COMMANDS[name].options, **cli.COMMON}
+    tokens = [name]
+    for flag in draw(st.permutations(list(options))):
+        if draw(st.sampled_from([True] * 7 + [False])):
+            kwargs = options[flag]  # a value of its kind: one of its choices, an int, or a word
+            value = draw(st.sampled_from(kwargs.get("choices") or
+                                         (INTS if "type" in kwargs else WORDS)))
+            tokens += [flag, value] if flag[0] == "-" else [value]
+    tokens = [draw(TOKEN) if draw(now_and_then) else token for token in tokens]
+    return tokens + ([draw(TOKEN)] if draw(now_and_then) else [])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(command_lines())
+@example(["verify", "--format", "json", "scope", "gs"])  # the positional named as a flag
+def test_strict_parser_agrees_with_argparse(tokens):
+    # where the one-pass parser answers, its namespace is argparse's, handler included;
+    # so where argparse exits, it has declined
+    strict, full = both_parses(tokens)
+    assert strict is None or strict == full
 
 
 def test_table_limit_admits_ten_million(monkeypatch, capsys):
@@ -498,16 +580,18 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # only then does a failed write leave text held for the final flush
 BUFFERED = {**{key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"},
             "PYTHONPATH": str(SRC)}
-# the modules the footprint test looks for: a command that never imports
-# rpl.gf builds no field, each command imports only the rpl modules it reads,
-# only semigroup and bounds compile the streamed renderers of rpl.streams,
-# and only a failing verify check imports traceback
-PROBED_MODULES = ("dataclasses", "inspect", "typing", "json", "csv", "fractions", "decimal",
-                  "traceback", "rpl.verify", "rpl.gf", "array",
+# the modules the footprint test looks for: only --help, a usage error or a
+# spelling only argparse takes loads argparse (with gettext), a command that
+# never imports rpl.gf builds no field, each command imports only the rpl
+# modules it reads, only semigroup and bounds compile the streamed renderers
+# of rpl.streams, and only a failing verify check imports traceback
+PROBED_MODULES = ("argparse", "gettext", "dataclasses", "inspect", "typing", "json", "csv",
+                  "fractions", "decimal", "traceback", "rpl.verify", "rpl.gf", "array",
                   "rpl.bounds", "rpl.gs_tower", "rpl.homma_family", "rpl.semigroup",
                   "rpl.primes", "rpl.streams")
 GS = ["rpl.gs_tower", "rpl.semigroup", "rpl.primes"]
 HOMMA = ["rpl.homma_family", "rpl.primes"]
+ARGPARSE = ["argparse", "gettext"]
 # fractions imports decimal
 BOUNDS = ["fractions", "decimal", "rpl.bounds", "rpl.primes", "rpl.streams"]
 # each line and the probed modules it loads, in PROBED_MODULES order; every
@@ -533,8 +617,12 @@ FOOTPRINT_LINES = {
     "verify-csv": ("verify homma --format csv",
                    ["csv", "fractions", "decimal", "rpl.verify", "rpl.gf", "array",
                     "rpl.homma_family", "rpl.primes"]),
-    "help": ("--help", []),
+    "help": ("--help", ARGPARSE),
+    "usage-error": ("gs --q x --m 3", ARGPARSE),
+    "argparse-spelling": ("gs --q=16 --m 3", [*ARGPARSE, *GS]),
 }
+# argparse's two lines for the usage error: its usage, then its error
+USAGE_ERROR = ("usage: rpl gs ", "rpl gs: error: argument --q: invalid int value: 'x'")
 
 
 @pytest.mark.parametrize("name", FOOTPRINT_LINES)
@@ -551,7 +639,10 @@ def test_command_import_footprint(name):
                           env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
     *rejections, probed = proc.stderr.splitlines()  # a rejected line prints its error first
-    assert all(line.startswith("error: ") for line in rejections), proc.stderr
+    if name == "usage-error":
+        assert (rejections[0][:len(USAGE_ERROR[0])], rejections[-1]) == USAGE_ERROR, proc.stderr
+    else:
+        assert all(line.startswith("error: ") for line in rejections), proc.stderr
     assert probed == str(loaded)
 
 
