@@ -5,8 +5,10 @@ declared once, in COMMANDS. main() parses a well-formed line (CMD [SCOPE]
 then --flag VALUE pairs) in one pass; only --help, usage errors and the
 spellings only argparse takes (an abbreviated flag, --flag=VALUE, a
 repeat, a value starting with '-') import argparse and build its parser.
-Each handler checks its input, then renders only the format --format chose
-(json, csv or text), written about 32 KiB at a time as it is rendered;
+Each handler checks its input rules in README's order, one call per rule,
+so the first rule broken is the one named, and only then calls the closed
+forms, which check their own domain rules again. It renders only the format
+--format chose (json, csv or text), written about 32 KiB at a time;
 identical invocations produce byte-identical output. Exit codes: 0
 success, 1 a failed verify check (or a bug, shown as a traceback), 2 a
 rejected input or a failed write. Each handler imports the rpl modules it
@@ -16,8 +18,7 @@ fractions nor decimal. Only --format json loads json, and only --format
 csv loads csv, for every command but bounds. No command but verify loads
 rpl.gf, and verify loads only the scope modules it runs. The caps on a
 command's cost (field_cap, capped_conductor, TABLE_CAP and N_MAX_CAP) live
-here alone, checked before the work they bound; closed forms and verify
-check only the rules of their own domain.
+here alone; closed forms and verify check only the rules of their own domain.
 """
 
 from __future__ import annotations
@@ -143,9 +144,8 @@ def _ratio(a: int, b: int) -> str:
 def _cmd_points_homma(args: Namespace) -> Rendering:
     from . import homma_family
     from .primes import capped_order, factor_prime_power
-    if (q := args.q) > (cap := field_cap()):  # rejected: name the first rule q breaks
-        capped_order(*factor_prime_power(q), cap)
-    count = homma_family.count_total(q, args.ell)  # validates (q, ell) once
+    capped_order(*factor_prime_power(q := args.q), field_cap())
+    count = homma_family.count_total(q, args.ell)  # checks q again, then q > 2, ell and the degree
     return Rendering(_record(args.format, {
         "schema": 1,
         "affine": count.affine,
@@ -160,16 +160,11 @@ def _cmd_gs(args: Namespace) -> Rendering:
     from . import gs_tower, semigroup
     from .primes import capped_order, factor_prime_power
     q, m = args.q, args.m
-    if q * q > (cap := field_cap()):  # F_{q^2} over the cap: name the first rule broken
-        p, e = factor_prime_power(q)
-        semigroup.check_level(q, m)
-        capped_order(p, 2 * e, cap)
-    try:
-        c = capped_conductor(q, m)
-    except ValidationError:  # a q that is not a prime power is named first
-        factor_prime_power(q)
-        raise
-    split = gs_tower.count_split_chains(q, m)  # trial-divides q, the one time an accepted q is
+    p, e = factor_prime_power(q)
+    semigroup.check_level(q, m)
+    capped_order(p, 2 * e, field_cap())
+    c = capped_conductor(q, m)
+    split = gs_tower.count_split_chains(q, m)  # factors q again, now at most 1024
     genus = semigroup.gap_count(q, m)
     # the generator bounds hold for every m >= 2 (Pellikaan-Stichtenoth-Torres
     # 1998); verify semigroup certifies them for q in 2..5 with c_m <= 10^6

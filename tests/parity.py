@@ -64,6 +64,9 @@ the change it guards:
 - 119c824 (every command line parsed by argparse): the spellings only argparse takes, an
   abbreviated flag, --q=16, a repeat and a scope after an option; gs with its flags in another
   order; and a value that starts with '-'
+- 03faf94 (gs and points-homma naming their first broken rule by hand): points-homma --q 2
+  --ell 1, semigroup --q 1 --m 0 and verify everything --n-max 4001, which each break two
+  adjacent rules of README's "Input limits" table (RULES below) and are rejected by the first
 """
 
 import hashlib
@@ -177,6 +180,7 @@ ROWS = (
     Row("points-homma --q 0 --ell 2", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 0 is not a prime power\n"),
     Row("points-homma --q 2 --ell 3", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the curve family needs q > 2, got q = 2\n"),
     Row("points-homma --q 3 --ell 1", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: ell must be >= 2, got 1\n"),
+    Row("points-homma --q 2 --ell 1", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: the curve family needs q > 2, got q = 2\n"),
     Row("points-homma --q 3 --ell 14286", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: degree (q-1)^(ell-1) = 2^14285 has 4301 digits; at most 4300 can be printed\n"),
     Row("points-homma --q 2097152 --ell 2", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 2^21 = 2097152 exceeds the enumeration cap 1048576\n"),
     Row("points-homma --q 128 --ell 2", "100", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q = 2^7 = 128 exceeds the enumeration cap 100\n"),
@@ -244,6 +248,7 @@ ROWS = (
     Row("semigroup --q 999 --m 2", None, 0, "4fbbc7ecc2a5457687c64531dc2aeebb42805699b3697c80fbd0718dea7bbf94", ""),
     Row("semigroup --q 1001 --m 2 --format csv", None, 0, "922e61e8fc2d34bae0a95321272bc24181b030ba9af1afd338c8af32542c95d3", ""),
     Row("semigroup --q 2 --m 0", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: m must be >= 1, got 0\n"),
+    Row("semigroup --q 1 --m 0", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: q must be >= 2, got 1\n"),
     Row("semigroup --q 3 --m 15", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor 14342346 exceeds the bitmap cap 10000000\n"),
     Row("semigroup --q 2 --m 24 --format text", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor 16773120 exceeds the bitmap cap 10000000\n"),
     Row("semigroup --q 2 --m 24 --format csv", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: conductor 16773120 exceeds the bitmap cap 10000000\n"),
@@ -310,5 +315,53 @@ ROWS = (
     Row("verify bounds --n-max 1", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: n_max must be >= 2, got 1\n"),
     Row("verify gf --n-max 0", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: n_max must be >= 2, got 0\n"),
     Row("verify bounds --n-max 4001", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "error: n_max must be <= 4000, got 4001\n"),
+    Row("verify everything --n-max 4001", None, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "usage: rpl verify [-h] [--n-max N_MAX] [--format {json,csv,text}] [--out PATH]\n                  [{all,gf,homma,gs,semigroup,bounds}]\nrpl verify: error: argument scope: invalid choice: 'everything' (choose from 'all', 'gf', 'homma', 'gs', 'semigroup', 'bounds')\n"),
 )
 ROWS_BY_KEY = {(entry.line, entry.cap): entry for entry in ROWS}
+
+
+# README's "Input limits" table: each command's rules in the order checked, as README words them.
+# Each rule names a piece of its message and the key of a row that breaks it and no earlier rule,
+# then the key of a row that breaks it and the next rule too, or None where the two cannot both
+# break (a q over the field cap is > 2; at ell < 2 or m < 1 there is no degree or conductor).
+Rule = namedtuple("Rule", "words message breaks breaks_next")
+RULES = {
+    "points-homma": (
+        Rule("q a prime power", "is not a prime power", ("points-homma --q 6 --ell 2",),
+             ("points-homma --q 1000 --ell 1", "100")),
+        Rule("q <= field cap", "exceeds the enumeration cap", ("points-homma --q 2097152 --ell 2",),
+             None),
+        Rule("q > 2", "the curve family needs q > 2", ("points-homma --q 2 --ell 3",),
+             ("points-homma --q 2 --ell 1",)),
+        Rule("ell >= 2", "ell must be >= 2", ("points-homma --q 3 --ell 1",), None),
+        Rule("the degree (q-1)^(ell-1) and the total print in 4300 digits", "can be printed",
+             ("points-homma --q 3 --ell 14286",), None),
+    ),
+    "gs": (
+        Rule("q a prime power", "is not a prime power", ("gs --q 6 --m 2",),
+             ("gs --q 6 --m 0", "100")),
+        Rule("m >= 1", "m must be >= 1", ("gs --q 4 --m 0",), ("gs --q 2048 --m 0",)),
+        Rule("q^2 <= field cap", "exceeds the enumeration cap", ("gs --q 2048 --m 1",),
+             ("gs --q 2048 --m 30",)),
+        Rule("conductor c_m <= 10^7", "exceeds the bitmap cap", ("gs --q 2 --m 24 --format text",),
+             None),
+    ),
+    "semigroup": (
+        Rule("q >= 2", "q must be >= 2", ("semigroup --q 1 --m 3 --format text",),
+             ("semigroup --q 1 --m 0",)),
+        Rule("m >= 1", "m must be >= 1", ("semigroup --q 2 --m 0",), None),
+        Rule("conductor c_m <= 10^7", "exceeds the bitmap cap", ("semigroup --q 3 --m 15",), None),
+    ),
+    "bounds --q": (
+        Rule("q a prime power", "is not a prime power", ("bounds --q 6",), None),
+    ),
+    "bounds --table": (
+        Rule("2 <= QMAX <= 10^7", "--table expects a limit", ("bounds --table 1",), None),
+    ),
+    "verify": (
+        Rule("scope in `all`, `gf`, `homma`, `gs`, `semigroup`, `bounds` (argparse)",
+             "invalid choice", ("verify everything",), ("verify everything --n-max 4001",)),
+        Rule("N_MAX <= 4000", "n_max must be <= 4000", ("verify bounds --n-max 4001",), None),
+        Rule("N_MAX >= 2", "n_max must be >= 2", ("verify --n-max 1",), None),
+    ),
+}

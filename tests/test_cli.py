@@ -228,15 +228,38 @@ def test_points_homma_validates_once(monkeypatch, capsys):
     assert calls == [(9, 6)]
 
 
-def test_gs_factors_q_once(monkeypatch, capsys):
-    # an accepted q is trial-divided once, in count_split_chains: the cap checks before it
-    # divide only a rejected q, so every call of the one trial division is counted
+def test_commands_trial_divide_q_in_rule_order(monkeypatch, capsys):
+    # gs and points-homma factor q as their first rule and the closed form factors it again: an
+    # accepted q is trial-divided twice, a rejected one at most once, and q < 2 not at all
     calls = []
     smallest = primes._smallest_factor
     monkeypatch.setattr(primes, "_smallest_factor", lambda n: calls.append(n) or smallest(n))
-    code, _, _ = run_cli(capsys, "gs", "--q", "9", "--m", "3")
-    assert code == 0
-    assert calls == [9]
+    rejected = ["gs --q 2048 --m 1", "gs --q 1048583 --m 1", "gs --q 4 --m 0", "gs --q 6 --m 100",
+                "gs --q 1000 --m 3", "gs --q 2 --m 24", "points-homma --q 1048583 --ell 2",
+                "points-homma --q 2097152 --ell 2"]
+    expected = {"gs --q 9 --m 3": [9, 9], "points-homma --q 9 --ell 3": [9, 9],
+                **{line: [int(line.split()[2])] for line in rejected},
+                "gs --q 1 --m 1": [], "points-homma --q 0 --ell 2": []}
+    divided = {}
+    for line in expected:
+        calls.clear()
+        run_cli(capsys, *line.split())
+        divided[line] = calls.copy()
+    assert divided == expected
+
+
+def test_input_limits_table_is_the_corpus_rule_list():
+    # README's rule cells are rendered from parity.RULES; each rule's row is rejected with its
+    # message, and a row that breaks two adjacent rules with the earlier one's
+    limits = README.read_text().split("### Input limits")[1].split("### Start-up")[0]
+    assert re.findall(r"^\| `([^`]+)` \| ([^|]+) \|", limits, re.M) == [
+        (command, "; ".join(rule.words for rule in rules))
+        for command, rules in parity.RULES.items()]
+    for rules in parity.RULES.values():
+        for rule in rules:
+            for key in filter(None, [rule.breaks, rule.breaks_next]):
+                row = parity.row(*key)
+                assert row.code == 2 and rule.message in row.stderr, (rule.words, row)
 
 
 @settings(max_examples=300, derandomize=True)

@@ -125,6 +125,18 @@ def test_cli_main_does_not_catch_value_error():
     assert not lines, f"cli.py: main catches ValueError at line(s) {lines}"
 
 
+def test_cli_handlers_have_no_try():
+    # a handler names the first rule broken by checking its rules in order; a try that
+    # checks again on the way out is a second, rejection-only path through the rules
+    path = PACKAGE / "cli.py"
+    handlers = [node for node in ast.parse(path.read_text(), filename=str(path)).body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert handlers, "cli.py has no _cmd_ function"
+    tries = [f"{node.name}:{inner.lineno}" for node in handlers for inner in ast.walk(node)
+             if isinstance(inner, (ast.Try, getattr(ast, "TryStar", ast.Try)))]
+    assert not tries, f"cli.py: try in a command handler at {tries}"
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=_name)
 def test_no_dataclasses_or_typing_imports(path):
     # each costs every command milliseconds of start-up: dataclasses pulls in
