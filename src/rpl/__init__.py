@@ -11,10 +11,11 @@ The package computes, in exact integer and rational arithmetic only:
   Artin-Schreier tower (``gs_tower``),
 * Weierstrass semigroups of the tower and its genus (``semigroup``),
 * the bound records on D(q) and their tables (``bounds``),
-* a deterministic CLI (``cli``) with its streamed renderers (``streams``)
-  and a self-verification suite (``verify``), a package with one module per
-  scope (``verify.gf``, ``verify.homma``, ``verify.gs``, ``verify.semigroup``,
-  ``verify.bounds``), each loaded only when its scope runs.
+* a deterministic CLI, its commands (``cli``) run by a process side
+  (``entry``), with streamed renderers (``streams``), and a self-verification
+  suite (``verify``), a package with one module per scope (``verify.gf``,
+  ``verify.homma``, ``verify.gs``, ``verify.semigroup``, ``verify.bounds``),
+  each loaded only when its scope runs.
 
 The production modules hold only what a command or the library reads.
 References that only a check reads live in the scope that reads them: the

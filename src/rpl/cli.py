@@ -1,39 +1,28 @@
-"""Deterministic command-line interface.
+"""Deterministic command-line interface: what the commands are.
 
-Subcommands: points-homma, gs, semigroup, bounds, verify, their options
-declared once, in COMMANDS. main() parses a well-formed line (CMD [SCOPE]
-then --flag VALUE pairs) in one pass; only --help, usage errors and the
-spellings only argparse takes (an abbreviated flag, --flag=VALUE, a
-repeat, a value starting with '-') import argparse and build its parser.
-Each handler checks its input rules in README's order, one call per rule,
-so the first rule broken is the one named, and only then calls the closed
-forms, which check their own domain rules again. It renders only the format
---format chose (json, csv or text), written about 32 KiB at a time;
-identical invocations produce byte-identical output. Exit codes: 0
-success, 1 a failed verify check (or a bug, shown as a traceback), 2 a
-rejected input or a failed write. Each handler imports the rpl modules it
-reads, so --help loads none, and only semigroup and bounds compile
-rpl.streams, their streamed renderers; gs and semigroup load neither
-fractions nor decimal. Only --format json loads json, and only --format
-csv loads csv, for every command but bounds. No command but verify loads
-rpl.gf, and verify loads only the scope modules it runs. The caps on a
-command's cost (field_cap, capped_conductor, TABLE_CAP and N_MAX_CAP) live
-here alone; closed forms and verify check only the rules of their own domain.
+Subcommands: points-homma, gs, semigroup, bounds, verify, their options and handlers declared once,
+in COMMANDS; main() and run() hand that table to rpl.entry, which parses the line, runs the handler
+and writes its output. Each handler checks its input rules in README's order, one call per rule, so
+the first rule broken is the one named, and only then calls the closed forms, which check their own
+domain rules again. It renders only the format --format chose (json, csv or text); identical
+invocations produce byte-identical output. Exit codes: 0 success, 1 a failed verify check (or a
+bug, shown as a traceback), 2 a rejected input or a failed write. Each handler imports the rpl
+modules it reads, so --help loads none, and only semigroup and bounds compile rpl.streams, their
+streamed renderers; gs and semigroup load neither fractions nor decimal. Only --format json loads
+json, and only --format csv loads csv, for every command but bounds. No command but verify loads
+rpl.gf, and verify loads only the scope modules it runs. The caps on a command's cost (field_cap,
+capped_conductor, TABLE_CAP and N_MAX_CAP) live here alone; closed forms and verify check only the
+rules of their own domain.
 """
 
 from __future__ import annotations
 
-import errno
-import gc
-import io
 import os
-import sys
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator
-from itertools import chain
 from math import gcd
 
-from . import DEFAULT_N_MAX, MAX_PRINTED_DIGITS, PRINT_LIMIT, SCOPES, printable_power
+from . import DEFAULT_N_MAX, PRINT_LIMIT, SCOPES, entry, printable_power
+from .entry import Namespace, csv_lines, json_line, record
 from .errors import ValidationError
 
 FIELD_CAP_ENV = "RPL_MAX_FIELD"
@@ -51,8 +40,6 @@ TABLE_CAP = 10_000_000
 # 36 MB of text) takes 0.13-0.18 s per format (medians of 5 runs, 2-vCPU Intel Xeon, Python 3.11.7)
 CONDUCTOR_CAP = 10**7
 N_MAX_CAP = 4000  # --n-max limit: coefficient_monotone takes 4.6 s at 4000 and 31 s at 8000
-WRITE_CHARS = 1 << 15  # pieces are joined into writes of at least this many characters
-Namespace = type(sys.implementation)  # types.SimpleNamespace, without importing types
 
 
 class Rendering(namedtuple("Rendering", "pieces exit_code", defaults=(0,))):
@@ -64,54 +51,6 @@ class Rendering(namedtuple("Rendering", "pieces exit_code", defaults=(0,))):
     """
 
     __slots__ = ()
-
-
-def _write(stream: io.TextIOBase, pieces: Iterable[str]) -> None:
-    """stream.writelines(pieces), joining pieces until WRITE_CHARS characters are held."""
-    held, size = [], 0
-    for piece in pieces:
-        held.append(piece)
-        if (size := size + len(piece)) >= WRITE_CHARS:
-            stream.write("".join(held))
-            held, size = [], 0
-    if size:
-        stream.write("".join(held))
-
-
-def _encoder() -> Callable[[object], str]:
-    """A compact JSON encoder's encode; build one per stream, not one per object."""
-    import json  # only json output pays for it
-    return json.JSONEncoder(separators=(",", ":")).encode
-
-
-def _json(obj: dict, items: Iterable[str] | None = None) -> Iterable[str]:
-    """obj as one line of json; with items, its last field is their text, separators included."""
-    text = _encoder()(obj)
-    return [text + "\n"] if items is None else chain([text[:-2]], items, ["]}\n"])
-
-
-def _csv(rows: Iterable[Iterable[object]]) -> Iterator[str]:
-    """rows as csv lines, one piece per row, from one csv writer."""
-    import csv  # only csv output pays for it
-    # writerow returns what its file's write returns: here str, the line itself
-    return map(csv.writer(Namespace(write=str), lineterminator="\n").writerow, rows)
-
-
-def _record(fmt: str, fields: dict, items: Iterable[str] | None = None) -> Iterable[str]:
-    """One JSON object in fmt: as json, or after "schema" as a csv row under its
-    header or as text lines.  None and the empty list become an empty cell, and
-    None no text line.  With items, the last field is an empty list filled by
-    the text of items as it comes: the caller writes the separators, ',' in
-    json and ';' in csv and text.
-    """
-    if fmt == "json":
-        return _json(fields, items)
-    cells = {key: "" if value in (None, []) else value for key, value in list(fields.items())[1:]}
-    if fmt == "csv":
-        head = "".join(_csv([list(cells), cells.values()]))
-    else:
-        head = "".join(f"{key} {cell}\n" for key, cell in cells.items() if fields[key] is not None)
-    return chain([head[:-1]], items or (), ["\n"])  # the items end just before the final newline
 
 
 def field_cap() -> int:
@@ -146,7 +85,7 @@ def _cmd_points_homma(args: Namespace) -> Rendering:
     from .primes import capped_order, factor_prime_power
     capped_order(*factor_prime_power(q := args.q), field_cap())
     count = homma_family.count_total(q, args.ell)  # checks q again, then q > 2, ell and the degree
-    return Rendering(_record(args.format, {
+    return Rendering(record(args.format, {
         "schema": 1,
         "affine": count.affine,
         "infinity": count.infinity,
@@ -169,7 +108,7 @@ def _cmd_gs(args: Namespace) -> Rendering:
     # the generator bounds hold for every m >= 2 (Pellikaan-Stichtenoth-Torres
     # 1998); verify semigroup certifies them for q in 2..5 with c_m <= 10^6
     verdict = True if m >= 2 else None
-    return Rendering(_record(args.format, {
+    return Rendering(record(args.format, {
         "schema": 1,
         "q": q,
         "m": m,
@@ -188,7 +127,7 @@ def _cmd_semigroup(args: Namespace) -> Rendering:
     from . import semigroup, streams
     q, m = args.q, args.m
     c = capped_conductor(q, m)  # before any marking
-    return Rendering(_record(args.format, {
+    return Rendering(record(args.format, {
         "schema": 1,
         "q": q,
         "m": m,
@@ -206,10 +145,9 @@ def _cmd_bounds(args: Namespace) -> Rendering:
         raise ValidationError(f"--table expects a limit of at {limit}, got {qmax}")
     # --q's one row, or one lazy stream of rows, each rendered as soon as it is computed
     rows = [bounds.dq_row(args.q)] if qmax is None else bounds.dq_rows(qmax)
-    encode = _encoder() if (fmt := args.format) == "json" else None
-    pieces = streams.bound_rows(rows, fmt, qmax, encode)
-    return Rendering(_json({"schema": 1, "qmax": qmax, "rows": []}, pieces) if encode and qmax
-                     else pieces)
+    pieces = streams.bound_rows(rows, fmt := args.format, qmax)
+    return Rendering(json_line({"schema": 1, "qmax": qmax, "rows": []}, pieces)  # a table, framed
+                     if fmt == "json" and qmax else pieces)
 
 
 def _cmd_verify(args: Namespace) -> Rendering:
@@ -219,11 +157,11 @@ def _cmd_verify(args: Namespace) -> Rendering:
     results = verify.run_verify(args.scope, args.n_max)
     passed = sum(1 for res in results if res.ok)
     if args.format == "json":
-        pieces = _json({"schema": 1, "scope": args.scope,
+        pieces = json_line({"schema": 1, "scope": args.scope,
                         "checks": [res._asdict() for res in results],  # scope, name, ok, detail
                         "passed": passed, "total": len(results)})
     elif args.format == "csv":
-        pieces = _csv([verify.CheckResult._fields, *results])
+        pieces = csv_lines([verify.CheckResult._fields, *results])
     else:
         pieces = [*(f"[{res.scope}] {res.name} {'PASS' if res.ok else f'FAIL ({res.detail})'}\n"
                     for res in results), f"{passed}/{len(results)} checks passed\n"]
@@ -231,7 +169,7 @@ def _cmd_verify(args: Namespace) -> Rendering:
 
 
 # Each command's options, declared once, as argparse's add_argument takes them; one_of marks a
-# required exclusive group of its own options. main() tries _parse, then argparse if it declines.
+# required exclusive group of its own options. rpl.entry parses by it and builds argparse's from it.
 Command = namedtuple("Command", "help handler options one_of", defaults=(False,))
 COMMON = {"--format": dict(choices=("json", "csv", "text"), default="text"),
           "--out": dict(metavar="PATH", help="write output to PATH")}
@@ -255,104 +193,14 @@ COMMANDS = {
 }
 
 
-def _build_parser():
-    import argparse  # only --help, usage errors and the spellings _parse leaves to it load it
-    parser = argparse.ArgumentParser(prog="rpl", epilog=EPILOG, description=(
-        "Exact point counts, semigroups, and bounds for curves over finite fields."))
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        group = p.add_mutually_exclusive_group(required=True) if command.one_of else p
-        for flag, kwargs in command.options.items():
-            group.add_argument(flag, **kwargs)
-        for flag, kwargs in COMMON.items():
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(handler=command.handler)
-    return parser
-
-
-def _parse(argv: list[str]) -> Namespace | None:
-    """What argparse's parser gives argv, when argv is CMD [SCOPE] (--flag VALUE)* with each flag
-    spelled in full and given once and no VALUE starting with '-'; None for any other line."""
-    if not argv or (command := COMMANDS.get(argv[0])) is None:
-        return None
-    options, given, tokens = {**command.options, **COMMON}, {}, argv[1:]
-    first = next(iter(options))  # a positional has no dashes: verify's scope
-    if first[0] != "-" and tokens[:1] and tokens[0][:1] != "-":
-        given[first], *tokens = tokens
-    for flag, value in zip(tokens[::2], tokens[1::2]):
-        if flag[:2] != "--" or flag not in options or flag in given or value[:1] == "-":
-            return None  # an abbreviation, --flag=VALUE, -h, --, a repeat, a value like -3
-        given[flag] = value
-    if len(tokens) % 2 or command.one_of and len(given.keys() & command.options.keys()) != 1:
-        return None
-    args = {"command": argv[0], "handler": command.handler}
-    for flag, kwargs in options.items():
-        if flag not in given:
-            if kwargs.get("required"):
-                return None
-            value = kwargs.get("default")
-        elif "type" in kwargs:
-            try:
-                value = kwargs["type"](given[flag])
-            except ValueError:  # argparse's usage error names it
-                return None
-        elif (value := given[flag]) not in kwargs.get("choices", [value]):
-            return None
-        args[flag.lstrip("-").replace("-", "_")] = value  # argparse's dest
-    return Namespace(**args)
-
-
 def main(argv: list[str] | None = None) -> int:
-    # the print checks admit MAX_PRINTED_DIGITS digits; str() must too, whatever
-    # PYTHONINTMAXSTRDIGITS says (Python before 3.10.7 has no such limit)
-    caller = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if caller is not None:
-        sys.set_int_max_str_digits(MAX_PRINTED_DIGITS)
-    try:
-        if (args := _parse(sys.argv[1:] if argv is None else argv)) is None:
-            args = _build_parser().parse_args(argv, Namespace())
-        try:
-            result = args.handler(args)
-        except ValidationError as exc:  # any other error escaping is a bug: a traceback, exit 1
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            if args.out is None:
-                if sys.stdout is None:  # fd 1 was closed when the interpreter started
-                    raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-                _write(sys.stdout, result.pieces)
-                sys.stdout.flush()
-            else:
-                with open(args.out, "w", encoding="utf-8") as out:
-                    _write(out, result.pieces)
-            return result.exit_code
-        except BrokenPipeError:
-            return result.exit_code  # the reader stopped early (`rpl ... | head`): end quietly
-        except OSError as exc:  # cannot open, write or close: a full disk, a missing directory
-            name = "<stdout>" if args.out is None else args.out
-            print(f"error: cannot write {name}: {exc.strerror}", file=sys.stderr)
-            return 2
-    finally:
-        if caller is not None:
-            sys.set_int_max_str_digits(caller)
+    """Run the command argv names (None: sys.argv[1:]) and return its exit code."""
+    return entry.main(argv, COMMANDS, COMMON, EPILOG)
 
 
 def run() -> None:
-    """main() ending its process: gc.freeze() on the way out spares finalization's collections,
-    and a stdout main() could not write is pointed at devnull, so the final flush cannot fail."""
-    try:
-        code = main()
-        try:
-            if sys.stdout is not None:
-                sys.stdout.flush()
-        except OSError:  # a reader that stopped early, a full disk: main() has answered it
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        sys.exit(code)
-    finally:
-        gc.freeze()
+    """main() ending its process, as the rpl script and `python -m rpl.cli` run it."""
+    entry.run(main)
 
 
 if __name__ == "__main__":

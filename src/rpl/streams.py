@@ -1,12 +1,14 @@
 """The streamed renderers of semigroup's generators and bounds' rows, which only those
 handlers import, so --help and the other commands compile none of them. Nothing here imports
 rpl.cli: under `python -m rpl.cli` the CLI runs as __main__, and an import would compile and
-run it again; so the bounds handler passes in json's encoder and frames a json table itself."""
+run it again; json's encoder comes from rpl.entry, and the bounds handler frames a json table."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain, compress
+
+from .entry import encoder
 
 
 def join_marked(segments: Iterable[tuple[int, bytes]], sep: str) -> Iterator[str]:
@@ -38,14 +40,14 @@ def join_marked(segments: Iterable[tuple[int, bytes]], sep: str) -> Iterator[str
             i = mark.find(1, a + 1000)
 
 
-def bound_rows(rows: Iterable[tuple], fmt: str, qmax: int | None,
-               encode: Callable[[object], str] | None) -> Iterable[str]:
+def bound_rows(rows: Iterable[tuple], fmt: str, qmax: int | None) -> Iterable[str]:
     """Bound rows (q, records, best) as fmt text, a piece each, each rule's two ends built once per
-    stream; json needs encode, and a table's json rows come unframed, --q's row as a whole line."""
+    stream; a table's json rows come unframed, --q's row as a whole line."""
     if fmt == "text" and qmax:  # a line per row, without its records
         return (f"q={q} upper={records[0][1]} best_lower="
                 f"{'unknown' if best is None else str(records[best][1])}\n"
                 for q, records, best in rows)
+    encode = encoder() if fmt == "json" else None  # one per stream; csv and text build none
     slot = '"\\u0000"'  # where json's encode put a "\0": no source holds a NUL
     ends = {"json": lambda rule: encode({**rule._asdict(), "value": "\0"}).replace(slot, '"\0"'),
             "csv": lambda rule: f"{rule.name}=\0",

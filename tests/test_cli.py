@@ -24,8 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parity
-from rpl import (MAX_PRINTED_DIGITS, SCOPES, bounds, cli, gf, homma_family, primes, semigroup,
-                 streams)
+from rpl import (MAX_PRINTED_DIGITS, SCOPES, bounds, cli, entry, gf, homma_family, primes,
+                 semigroup, streams)
 from rpl.errors import ValidationError
 from rpl.verify import CheckResult, ComputationError
 from rpl.verify import bounds as verify_bounds, semigroup as verify_semigroup
@@ -44,20 +44,20 @@ def test_cli_rejections(row):
     parity.check_row(row)
 
 
-PARSER = cli._build_parser()
+PARSER = entry._build_parser(cli.COMMANDS, cli.COMMON, cli.EPILOG)
 
 
 def both_parses(tokens):
-    """vars() of cli._parse(tokens) and of argparse's parse, as main() makes them, each None
+    """vars() of entry._parse(tokens) and of argparse's parse, as main() makes them, each None
     where its parser declines or exits; both under main()'s int-to-str limit."""
     caller = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if caller is not None:
         sys.set_int_max_str_digits(MAX_PRINTED_DIGITS)
     try:
-        strict = cli._parse(tokens)
+        strict = entry._parse(tokens, cli.COMMANDS, cli.COMMON)
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             try:
-                full = vars(PARSER.parse_args(tokens, cli.Namespace()))
+                full = vars(PARSER.parse_args(tokens, entry.Namespace()))
             except SystemExit:  # --help, a usage error
                 full = None
     finally:
@@ -66,7 +66,7 @@ def both_parses(tokens):
     return None if strict is None else vars(strict), full
 
 
-# the parity lines argparse takes and cli._parse leaves to it: a flag=value, an
+# the parity lines argparse takes and entry._parse leaves to it: a flag=value, an
 # abbreviation, a repeat, a scope after an option, and values that start with '-'
 ARGPARSE_ONLY = {"gs --q=16 --m 3", "gs --fo json --q 2 --m 3", "gs --q 9 --q 16 --m 3",
                  "verify --format json homma", "gs --q -3 --m 2", "bounds --table -5"}
@@ -139,7 +139,7 @@ def test_bound_records_are_encoded_once_per_kind(monkeypatch):
     # frame and a table's header once per stream, never an object per row; csv
     # and text never call the encoder
     objects = []
-    encoder = cli._encoder
+    encoder = entry.encoder
 
     def counted():
         encode = encoder()
@@ -148,11 +148,14 @@ def test_bound_records_are_encoded_once_per_kind(monkeypatch):
     def kinds(summaries):
         return {(rec.name, rec.direction, rec.source) for s in summaries for rec in s.records}
 
-    monkeypatch.setattr(cli, "_encoder", counted)
+    # streams.bound_rows calls the encoder it imported, and entry.json_line, which frames
+    # a table, entry's own: both are counted
+    for module in (streams, entry):
+        monkeypatch.setattr(module, "encoder", counted)
     parity.check_row(parity.row("bounds --table 100000 --format json"))
     table_kinds = kinds(bounds.dq_table(100_000))
     assert len(table_kinds) == 10  # six of them half-table records, by their references
-    assert len(objects) <= len(table_kinds) + 2
+    assert 0 < len(objects) <= len(table_kinds) + 2
     for q in (9, 32768):  # one row: its own kinds (square-tower, odd-power) and the row frame
         objects.clear()
         parity.check_row(parity.row(f"bounds --q {q} --format json"))
@@ -161,7 +164,8 @@ def test_bound_records_are_encoded_once_per_kind(monkeypatch):
     def refused():
         raise AssertionError("a csv or text bound row called the json encoder")
 
-    monkeypatch.setattr(cli, "_encoder", refused)
+    for module in (streams, entry):
+        monkeypatch.setattr(module, "encoder", refused)
     for line in ("bounds --table 4096 --format csv", "bounds --table 100000", "bounds --q 9",
                  "bounds --q 4", "bounds --q 1048576 --format csv"):
         parity.check_row(parity.row(line))
@@ -422,7 +426,7 @@ def test_bounds_table_holds_one_row(fmt):
 
 def _bounds_output(fmt, q=None, table=None):
     out = io.StringIO()
-    cli._write(out, cli._cmd_bounds(argparse.Namespace(q=q, table=table, format=fmt)).pieces)
+    entry._write(out, cli._cmd_bounds(argparse.Namespace(q=q, table=table, format=fmt)).pieces)
     return out.getvalue()
 
 
@@ -792,8 +796,8 @@ def test_stdout_is_written_in_write_chars_pieces(monkeypatch):
                             io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
         assert cli.main(row.line.split()) == row.code
         total = sum(raw.sizes)
-        assert all(size >= cli.WRITE_CHARS for size in raw.sizes[:-1]), line
-        assert len(raw.sizes) <= -(-total // cli.WRITE_CHARS) + 1, line
+        assert all(size >= entry.WRITE_CHARS for size in raw.sizes[:-1]), line
+        assert len(raw.sizes) <= -(-total // entry.WRITE_CHARS) + 1, line
         assert raw.digest.hexdigest() == row.sha256, line
 
 
