@@ -5,12 +5,12 @@ in COMMANDS; main() and run() hand that table to rpl.entry, which parses the lin
 and writes its output. Each handler checks its input rules in README's order, one call per rule, so
 the first rule broken is the one named, and only then calls the closed forms, which check their own
 domain rules again. It renders only the format --format chose (json, csv or text); identical
-invocations produce byte-identical output. Exit codes: 0 success, 1 a failed verify check (or a
-bug, shown as a traceback), 2 a rejected input or a failed write. Each handler imports the rpl
-modules it reads, so --help loads none, and only semigroup and bounds compile rpl.streams, their
-streamed renderers; gs and semigroup load neither fractions nor decimal. Only --format json loads
-json, and only --format csv loads csv, for every command but bounds. No command but verify loads
-rpl.gf, and verify loads only the scope modules it runs. The caps on a command's cost (field_cap,
+invocations produce byte-identical output. Exit codes: 0 success, 1 a failed verify check (or a bug,
+shown as a traceback), 2 a rejected input or a failed write. Each handler imports the rpl modules it
+reads, so --help loads none, and only semigroup and bounds compile rpl.streams, their streamed
+renderers; only bounds and verify load fractions and decimal. Only --format json loads json, and
+only --format csv loads csv, for every command but bounds. No command but verify loads rpl.gf, and
+verify loads only the scope modules it runs. The caps on a command's cost (field_cap,
 capped_conductor, TABLE_CAP and N_MAX_CAP) live here alone; closed forms and verify check only the
 rules of their own domain.
 """

@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
 
 from . import MAX_PRINTED_DIGITS
-from .errors import ValidationError
+from .errors import ValidationError, bounded
 
 WRITE_CHARS = 1 << 15  # pieces are joined into writes of at least this many characters
 Namespace = type(sys.implementation)  # types.SimpleNamespace, without importing types
@@ -71,7 +71,10 @@ def record(fmt: str, fields: dict, items: Iterable[str] | None = None) -> Iterab
 
 def _build_parser(commands: dict, common: dict, epilog: str):
     import argparse  # only --help, usage errors and the spellings _parse leaves to it load it
-    parser = argparse.ArgumentParser(prog="rpl", epilog=epilog, description=(
+    class Parser(argparse.ArgumentParser):  # add_subparsers makes its subparsers of this type
+        def error(self, message):
+            super().error(bounded(message))
+    parser = Parser(prog="rpl", epilog=epilog, description=(
         "Exact point counts, semigroups, and bounds for curves over finite fields."))
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in commands.items():
@@ -92,7 +95,7 @@ def _parse(argv: list[str], commands: dict, common: dict) -> Namespace | None:
         return None
     options, given, tokens = {**command.options, **common}, {}, argv[1:]
     first = next(iter(options))  # a positional has no dashes: verify's scope
-    if first[0] != "-" and tokens[:1] and tokens[0][:1] != "-":
+    if first[0] != "-" and tokens and tokens[0][:1] != "-":
         given[first], *tokens = tokens
     for flag, value in zip(tokens[::2], tokens[1::2]):
         if flag[:2] != "--" or flag not in options or flag in given or value[:1] == "-":
@@ -130,7 +133,7 @@ def main(argv: list[str] | None, commands: dict, common: dict, epilog: str) -> i
         try:
             result = args.handler(args)
         except ValidationError as exc:  # any other error escaping is a bug: a traceback, exit 1
-            print(f"error: {exc}", file=sys.stderr)
+            print("error:", bounded(exc), file=sys.stderr)
             return 2
         try:
             if args.out is None:

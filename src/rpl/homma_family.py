@@ -33,8 +33,6 @@ from . import MAX_PRINTED_DIGITS, PRINT_LIMIT, printable_power
 from .errors import ValidationError
 from .primes import factor_prime_power
 
-COUNTED_EXP_DIGITS = 1000  # a degree's digits are counted up to this exponent length (17 ms)
-
 
 class PointCount(namedtuple("PointCount", "affine infinity total")):
     """Affine / infinity split of a projective point count; ``of`` forms the total."""
@@ -55,27 +53,13 @@ def _check_family_params(q: int, ell: int) -> int:
         raise ValidationError(f"ell must be >= 2, got {ell}")
     degree = printable_power(q - 1, ell - 1)
     if degree is None or degree + _affine(q, ell) >= PRINT_LIMIT:  # the total is printed too
-        digits = _digit_count(q - 1, ell - 1)
-        count = f"more than {MAX_PRINTED_DIGITS}" if digits is None else digits
+        limit = 10 * PRINT_LIMIT  # a rejected degree has 4300 digits if printable, 4301 below this
+        over = degree is None and ((ell - 1) * ((q - 1).bit_length() - 1) >= limit.bit_length()
+                                   or (q - 1) ** (ell - 1) >= limit)
+        count = f"more than {MAX_PRINTED_DIGITS}" if over else MAX_PRINTED_DIGITS + (degree is None)
         raise ValidationError(f"degree (q-1)^(ell-1) = {q - 1}^{ell - 1} has {count} digits; "
                               f"at most {MAX_PRINTED_DIGITS} can be printed")
     return degree
-
-
-def _digit_count(base: int, exp: int) -> int | None:
-    """Digits of base**exp for 2 <= base < 10^10; None, for a count past
-    MAX_PRINTED_DIGITS, if exp has over COUNTED_EXP_DIGITS digits or log10
-    leaves the count open.  log10 is correctly rounded to 20 digits more than
-    exp has, so exp * log10(base) is off by under 10^-19, and within that of
-    an integer k the count is k or k + 1."""
-    if exp >= 10**COUNTED_EXP_DIGITS:
-        return None
-    from decimal import Context, Decimal, localcontext  # only a degree that may not print pays
-    with localcontext(Context(prec=len(str(exp)) + 20)):  # not the caller's context
-        x = exp * Decimal(base).log10()
-        if abs(x - (k := round(x))) > Decimal("1e-19"):
-            return int(x) + 1
-    return k + (base**exp >= 10**k) if k <= MAX_PRINTED_DIGITS else None
 
 
 def _affine(q: int, ell: int) -> int:

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 import parity
 from rpl import (MAX_PRINTED_DIGITS, SCOPES, bounds, cli, entry, gf, homma_family, primes,
                  semigroup, streams)
-from rpl.errors import ValidationError
+from rpl.errors import ValidationError, bounded
 from rpl.verify import CheckResult, ComputationError
 from rpl.verify import bounds as verify_bounds, semigroup as verify_semigroup
 
@@ -42,6 +42,50 @@ def test_cli_rejections(row):
     # every rejected input takes one path: exit 2, nothing on stdout, one
     # stderr line (an argparse usage error: the usage, then one line)
     parity.check_row(row)
+
+
+def test_bound_cuts_no_parity_stderr():
+    # every stderr the corpus pins, usage lines and all, prints whole under the bound
+    assert [row.line for row in parity.ROWS if bounded(row.stderr) != row.stderr] == []
+
+
+# each integer option, the others valid, with the rules that 10^3999 and -10^3999 break; no
+# value needs trial division, as a large odd q would (ROADMAP item 3)
+LONG_VALUES = [
+    ("points-homma --q {} --ell 2", "is not a prime power", "is not a prime power"),
+    ("points-homma --q 3 --ell {}", "at most 4300 can be printed", "ell must be >= 2"),
+    ("gs --q {} --m 2", "is not a prime power", "is not a prime power"),
+    ("gs --q 2 --m {}", "exceeds the bitmap cap", "m must be >= 1"),
+    ("semigroup --q {} --m 2", "exceeds the bitmap cap", "q must be >= 2"),
+    ("semigroup --q 2 --m {}", "exceeds the bitmap cap", "m must be >= 1"),
+    ("bounds --q {}", "is not a prime power", "is not a prime power"),
+    ("bounds --table {}", "a limit of at most", "a limit of at least"),
+    ("verify --n-max {}", "n_max must be <=", "n_max must be >="),
+]
+
+
+@pytest.mark.parametrize("tokens, rule", [
+    *(pytest.param(line.format(value).split(), rule, id=line.format(name))
+      for line, *rules in LONG_VALUES
+      for value, name, rule in zip((10**3999, -10**3999, "9" * 10**6),
+                                   ("10^3999", "-10^3999", "9*10^6"), (*rules, "invalid int value"))),
+    pytest.param(["verify", "z" * 10**6], "invalid choice", id="verify z*10^6"),
+    pytest.param(["gs", "--q", "2", "--m", "2", *["x"] * 10**5], "unrecognized arguments",
+                 id="gs --q 2 --m 2 x*10^5"),
+])
+def test_long_input_gets_a_bounded_rejection(capsys, tokens, rule):
+    # a rule's message or argparse's echoes the input, cut to the 512 characters README's
+    # "Exit codes" states; what follows argparse's usage lines is one line, the rule still in it
+    try:
+        code = cli.main(tokens)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    out, err = capsys.readouterr()
+    *usage, last = err.splitlines()
+    assert (code, out) == (2, "")
+    assert all(line.startswith(("usage: rpl", " ")) for line in usage), err
+    message = last.split("error: ", 1)[1]
+    assert len(message) <= 512 and rule in message, last
 
 
 PARSER = entry._build_parser(cli.COMMANDS, cli.COMMON, cli.EPILOG)
@@ -634,8 +678,7 @@ FOOTPRINT_LINES = {
     "points-homma": ("points-homma --q 3 --ell 3", HOMMA),
     "points-homma-largest-field": ("points-homma --q 1048576 --ell 2", HOMMA),
     "points-homma-long-degree": ("points-homma --q 3 --ell 7142", HOMMA),
-    # only a rejected degree takes log10 to count its digits
-    "points-homma-rejected-degree": ("points-homma --q 3 --ell 14288", ["decimal", *HOMMA]),
+    "points-homma-rejected-degree": ("points-homma --q 3 --ell 14288", HOMMA),
     "points-homma-csv": ("points-homma --q 3 --ell 3 --format csv", ["csv", *HOMMA]),
     "bounds": ("bounds --q 9", BOUNDS),
     "bounds-csv": ("bounds --q 9 --format csv", BOUNDS),  # its rows need no csv.writer
