@@ -82,30 +82,6 @@ def _poly_pow(base: list[int], exp: int, f: list[int], p: int) -> list[int]:
     return result
 
 
-def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """a mod b with b nonzero, not necessarily monic."""
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and a:
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - db
-        if c:
-            for j in range(db + 1):
-                a[shift + j] = (a[shift + j] - c * b[j]) % p
-        _poly_trim(a)
-        if not a:
-            break
-    return a
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    return a
-
-
 def _prime_divisors(n: int) -> list[int]:
     out = []
     while n > 1:
@@ -117,12 +93,15 @@ def _prime_divisors(n: int) -> list[int]:
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin's criterion for a monic f of degree >= 1 over F_p.
+    """Rabin's criterion for a monic f of degree e >= 1 over F_p (SIAM J. Comput. 9, 1980).
 
-    Requires x^{p^e} == x mod f and, for every prime r | e,
-    gcd(x^{p^{e/r}} - x, f) = 1.  The simpler check that x^{p^d} != x mod f
-    for proper divisors d is NOT sufficient (a squarefree product of factors
-    with degrees {1,2,3} passes it at e = 6).
+    f is irreducible iff x^{p^e} == x mod f and, for every prime r | e,
+    h = x^{p^{e/r}} - x satisfies h^{p^e - 1} == 1 mod f.  The first
+    condition makes f squarefree with factor degrees dividing e, so F_p[x]/(f)
+    is a product of fields F_{p^d}, d | e, where h^{p^e - 1} == 1 iff h is a
+    unit, i.e. shares no factor with f.  The simpler check that x^{p^d} != x
+    mod f for proper divisors d is NOT sufficient (a squarefree product of
+    factors with degrees {1,2,3} passes it at e = 6).
     """
     e = len(f) - 1
     if e == 1:
@@ -139,7 +118,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
         while len(g) < 2:
             g.append(0)
         g[1] = (g[1] - 1) % p  # x^{p^{e/r}} - x
-        if len(_poly_gcd(g, f, p)) != 1:
+        if _poly_pow(g, p**e - 1, f, p) != [1]:
             return False
     return True
 

@@ -183,12 +183,44 @@ def test_modulus_is_lex_smallest_irreducible(p, e):
 
 
 def test_weak_order_criterion_trap_rejected():
-    # x^6 + x^5 + x = x(x^2+x+1)(x^3+x+1): reducible and squarefree with
-    # factor degrees all dividing 6, so it satisfies x^(2^6) = x mod f;
-    # only a proper-divisor check rejects it
-    trap = (0, 1, 0, 0, 0, 1, 1)
+    # x^6+x^5+x^4+x^3+x^2+x+1 = (x^3+x+1)(x^3+x^2+1): no root at 0 or 1, and
+    # squarefree with factor degrees dividing 6, so x^(2^6) = x mod f; only
+    # Rabin's condition at r = 2 (x^(2^3) - x shares a factor with f) rejects it
+    trap = (1, 1, 1, 1, 1, 1, 1)
     assert not irreducible_by_trial_division(list(trap), 2)
+    assert gf._poly_pow([0, 1], 2**6, list(trap), 2) == [0, 1]
+    assert not gf._is_irreducible(list(trap), 2)
     assert make_field(2, 6).modulus != trap
+
+
+def _gauss_count(p, e):
+    # monic irreducibles of degree e over F_p: (1/e) * sum over d | e of mu(d) p^(e/d)
+    def mu(d):
+        if d == 1:
+            return 1
+        r = primes._smallest_factor(d)
+        return 0 if d % (r * r) == 0 else -mu(d // r)
+    return sum(mu(d) * p ** (e // d) for d in range(1, e + 1) if e % d == 0) // e
+
+
+IRREDUCIBILITY_GRID = [(2, e) for e in range(2, 9)] + [(3, e) for e in range(2, 7)] + [
+    (5, 2), (5, 3), (5, 4), (7, 2), (7, 3)]
+# per cell, how many reducible f have no root at 0 or 1 and still x^(p^e) = x mod f,
+# so that only Rabin's coprimality condition rejects them (0 where unlisted)
+COPRIMALITY_ONLY = {
+    (2, 6): 1, (2, 8): 3, (3, 4): 3, (3, 6): 53, (5, 2): 3, (5, 3): 1, (5, 4): 75, (7, 2): 10,
+    (7, 3): 10}
+
+
+@pytest.mark.parametrize("p,e", IRREDUCIBILITY_GRID)
+def test_is_irreducible_exhaustive(p, e):
+    monic = [list(tail) + [1] for tail in itertools.product(range(p), repeat=e)]
+    verdicts = [gf._is_irreducible(f, p) for f in monic]
+    assert sum(verdicts) == _gauss_count(p, e)
+    assert verdicts == [irreducible_by_trial_division(f, p) for f in monic]
+    order_test_passes = sum(
+        1 for f in monic if f[0] and sum(f) % p and gf._poly_pow([0, 1], p**e, f, p) == [0, 1])
+    assert order_test_passes - sum(verdicts) == COPRIMALITY_ONLY.get((p, e), 0)
 
 
 def test_degree_one_modulus_is_x():

@@ -239,7 +239,7 @@ def test_entry_points_outside_src_hold():
 # compilation is reused by the next, so its peak RSS is set by the largest: compiling a module
 # of 2,473 nodes (cli.py before rpl.entry left it) raised a fresh interpreter's peak by about
 # 1,140 KiB, and one of 1,330 nodes (entry.py) by about 650 KiB (README's Start-up section).
-# gf.py (2,495 nodes) and the verify scopes (up to 2,080) are exempt: only verify compiles
+# gf.py (2,245 nodes) and the verify scopes (up to 2,080) are exempt: only verify compiles
 # them, and verify all's peak is what its scopes leave behind
 NODE_BUDGET = 1350
 
